@@ -209,9 +209,10 @@ def layer_metrics(setups: list[dict], rounds: list[dict], overhead_s: float) -> 
         "deblur.patches": (both("deblur.patch.calls"), "count"),
     }
     for method in TV_METHODS:
-        # a fit's whole time, children included
+        # a fit's whole time, children included; only timevertex fits
         key = f"timevertex.fit.{method}.durations"
-        m[f"timevertex.fit_s.{method}"] = (statistics.median(sum(r.get(key, [])) for r in rounds), "s")
+        if any(key in r for r in rounds):
+            m[f"timevertex.fit_s.{method}"] = (statistics.median(sum(r.get(key, [])) for r in rounds), "s")
     m["metrics.frame_metrics_s"] = (both("metrics.frame_metrics.self_s"), "s")
     m["trace.overhead_s"] = (overhead_s, "s")
     return m

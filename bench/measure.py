@@ -1,9 +1,12 @@
-"""Run one benchmark workload in this process and print its result.
+"""gbfrft benchmark: run one workload and print its result.
 
-Started by ``run.py`` with BLAS limited to one thread and ``src`` on the
-module path. The process times ``import gbfrft``, then runs whole rounds
-of the workload until ``--seconds`` have passed. Before each round it sets
-up the workload's inputs once or more. ``setup_s`` is the median set-up,
+    python3 bench/measure.py --workload grid --seed 1 --seconds 40 --trace 0
+
+Run from the repository root; the library is imported from ``src/`` next
+to this directory, with BLAS limited to one thread. The process times
+``import gbfrft``, then runs whole rounds of the workload until
+``--seconds`` have passed. Before each round it sets up the workload's
+inputs SETUPS_PER_ROUND times. ``setup_s`` is the median set-up,
 ``wall_s`` the median round, ``peak_rss_mb`` the process's peak resident
 memory over the run. Every round's outputs are checked, untimed.
 
@@ -12,31 +15,44 @@ tracing overhead is measured in the same process; the per-layer metrics
 come from the traced set-ups and rounds, and the spans are written to
 ``.bench_out/spans_<workload>.csv``.
 
-The last line of standard output is the JSON result.
+The last line of standard output is one JSON object with ``correct``,
+``attempted``, ``failed`` and ``metrics``. See bench/README.md.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import resource
-import statistics
+import os
 import sys
-from contextlib import nullcontext
 from pathlib import Path
-from time import perf_counter
+
+# one BLAS thread, set before numpy loads: OpenBLAS's default two threads
+# made timings on a shared two-core machine swing by a quarter
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+import argparse  # noqa: E402
+import gc  # noqa: E402
+import json  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+from contextlib import nullcontext  # noqa: E402
+from time import perf_counter  # noqa: E402
 
 _t0 = perf_counter()
-import gbfrft  # noqa: E402
-
+try:
+    import gbfrft  # noqa: E402
+except ImportError as exc:
+    sys.exit(f"error: cannot import gbfrft from {SRC}: {exc}")
 IMPORT_S = perf_counter() - _t0
+if SRC not in Path(gbfrft.__file__).resolve().parents:
+    sys.exit(f"error: gbfrft was imported from {gbfrft.__file__}, not from {SRC}")
 
 from layertrace import Tracer, layer_metrics  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-SETUP_BUDGET_S = 0.25  # before each round, set up again until this much time is spent ...
-MAX_SETUPS = 100       # ... or this many set-ups are done
+SETUPS_PER_ROUND = 3
 OUT_DIR = Path(".bench_out")
 SHOWN_FAILURES = 5
 
@@ -53,20 +69,15 @@ def measure(workload, seed: int, seconds: float, traced: bool) -> dict:
         # bases and their cached operators form reference cycles that only
         # the cyclic collector frees, at times that depend on the run's length
         gc.collect()
-        # set-up is timed before every round, so that its samples spread over
-        # the run as the rounds do: the speed of this shared machine drifts
-        # over seconds, and a 2 ms set-up feels the drift most
-        spent = 0.0
-        for _ in range(MAX_SETUPS):
+        # set-ups are taken before every round, so that their samples spread
+        # over the run as the rounds do: the speed of a shared machine drifts
+        for _ in range(SETUPS_PER_ROUND):
             with tracer.phase(f"setup{len(setup_s)}") if traced else nullcontext() as layers:
                 t = perf_counter()
                 inputs = workload.setup(seed)
                 setup_s.append(perf_counter() - t)
             if traced:
                 setup_layers.append(layers)
-            spent += setup_s[-1]
-            if spent >= SETUP_BUDGET_S:
-                break
         gc.collect()
         # a traced run alternates untraced and traced rounds
         on = traced and len(walls[False]) > len(walls[True])
@@ -80,16 +91,18 @@ def measure(workload, seed: int, seconds: float, traced: bool) -> dict:
         if on:
             round_layers.append(layers)
         attempted += workload.operations
-        if out is None:
-            failures += [error] * workload.operations
-        else:
-            failures += workload.check(inputs, out)
-            gain = workload.gain_db(inputs, out)
+        if out is not None:
+            try:
+                round_failures = workload.check(inputs, out)
+                gain = workload.gain_db(inputs, out)
+            except Exception as exc:  # outputs the checks cannot read fail them
+                out, error = None, f"check raised {type(exc).__name__}: {exc}"
+        failures += [error] * workload.operations if out is None else round_failures
         if perf_counter() - start >= seconds and (not traced or walls[True]):
             break
 
     print(f"# {workload.name} seed={seed} import_s={IMPORT_S:.4f} setups={len(setup_s)} "
-          f"setup_s={[round(s, 4) for s in setup_s[:8]]} "
+          f"setup_s={[round(s, 4) for s in setup_s]} "
           f"rounds={[round(w, 4) for w in walls[False]]} traced_rounds={[round(w, 4) for w in walls[True]]}")
     for msg in failures[:SHOWN_FAILURES]:
         print(f"# check failed: {msg}")
@@ -121,10 +134,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
-    src = (Path.cwd() / "src").resolve()
-    if src not in Path(gbfrft.__file__).resolve().parents:
-        print(f"gbfrft was imported from {gbfrft.__file__}, not from {src}", file=sys.stderr)
-        return 2
+    if args.seconds <= 0:
+        p.error("--seconds must be positive")
     result = measure(WORKLOADS[args.workload](), args.seed, args.seconds, bool(args.trace))
     print(json.dumps(result))
     return 0
