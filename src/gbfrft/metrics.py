@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import ShapeMismatch
 
@@ -48,6 +47,8 @@ def ssim(a, b, max_val: float = MAX_VAL, k1: float = SSIM_K1, k2: float = SSIM_K
     Stabilizers are C1 = (k1*max)^2 and C2 = (k2*max)^2. Identical inputs
     score exactly 1.
     """
+    from scipy.signal import convolve2d  # on use: it is most of `import gbfrft`
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -79,5 +80,7 @@ def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
 
 def gaussian_blur(img, size: int = 5, sigma: float = 1.0) -> np.ndarray:
     """Gaussian blur with symmetric boundary handling (synthetic degradation)."""
+    from scipy.signal import convolve2d
+
     img = np.asarray(img, dtype=np.float64)
     return convolve2d(img, gaussian_kernel(size, sigma), mode="same", boundary="symm")

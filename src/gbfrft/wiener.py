@@ -17,9 +17,16 @@ assembly exploits the rank-one structure:
     T = (Fi^H Fi) * (F E[y y^H] F^H).T        (elementwise product)
     q = diag(Fi^H E[x y^H] F^H)
 
-at O(N^3) cost; a literal trace-by-trace assembly is kept for
-cross-checking on small problems. The reachable mean squared error for any
-h is  E = h^H T h - 2 Re(h^H q) + Tr(Rxx).
+and the separability F = kron(M2, M1): every product with F or G is two
+factor multiplies on the (N2, N1, K) view of an N x K operand (mode
+products), Fi^H Fi = kron(M2inv^H M2inv, M1inv^H M1inv), and the diagonal
+q contracts the factors of Fi against an (N2, N1, N2, N1) view. Assembly
+thus costs O((N1+N2) N^2) and never forms a dense N x N Kronecker operator; a
+literal trace-by-trace assembly is kept for cross-checking on small
+problems. The normal equations are solved by an LU factorization whose
+1-norm condition estimate decides whether to fall back to least squares.
+The reachable mean squared error for any h is
+E = h^H T h - 2 Re(h^H q) + Tr(Rxx).
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     IllConditionedSystem,
@@ -63,6 +72,29 @@ def _check_hermitian_psd(a: np.ndarray, name: str):
     floor = -PSD_RTOL * max(1.0, float(np.real(np.trace(a))) / a.shape[0])
     if w.min() < floor:
         raise NonHermitianStatistics(f"{name} has negative eigenvalue {w.min():.3e}")
+
+
+# Products with kron(M2, M1) as two factor multiplies (mode products):
+# index i1 + N1*i2 of a column-stacked N1 x N2 signal is entry (i2, i1) of
+# its C-order (N2, N1) view, so M2 acts on one mode and M1 on the other.
+
+def _kron_lmul(M2: np.ndarray, M1: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """kron(M2, M1) @ X for X with N1*N2 rows."""
+    n1, n2 = M1.shape[0], M2.shape[0]
+    Y = (M2 @ X.reshape(n2, -1)).reshape(n2, n1, -1)
+    return (M1 @ Y).reshape(n1 * n2, -1)
+
+
+def _kron_rmul_h(X: np.ndarray, M2: np.ndarray, M1: np.ndarray) -> np.ndarray:
+    """X @ kron(M2, M1)^H for X with N1*N2 columns."""
+    k, n1, n2 = X.shape[0], M1.shape[0], M2.shape[0]
+    Y = (X.reshape(-1, n1) @ M1.conj().T).reshape(k, n2, n1)
+    return (M2.conj() @ Y).reshape(k, n1 * n2)
+
+
+def _kron_sandwich(M2: np.ndarray, M1: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """K @ X @ K^H for K = kron(M2, M1)."""
+    return _kron_rmul_h(_kron_lmul(M2, M1, X), M2, M1)
 
 
 def psd_clip(a) -> np.ndarray:
@@ -118,20 +150,31 @@ class ObservationModel:
         g2 = self.g2 if self.g2 is not None else np.eye(self.n2)
         return np.kron(g2.T, g1)
 
+    def _g_factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(G2.T, G1), the factors of G = kron(G2.T, G1), or None for identity.
+
+        Kept apart from gmat(), the dense form the literal assembly checks
+        against."""
+        if self.g1 is None and self.g2 is None:
+            return None
+        g1 = self.g1 if self.g1 is not None else np.eye(self.n1)
+        g2 = self.g2 if self.g2 is not None else np.eye(self.n2)
+        return g2.T, g1
+
     def y_covariance(self) -> np.ndarray:
         """E[y y^H] under the model."""
-        G = self.gmat()
-        My = self.rxx if G is None else G @ self.rxx @ G.conj().T
+        factors = self._g_factors()
+        My = self.rxx if factors is None else _kron_sandwich(*factors, self.rxx)
         My = My + self.rnn
         if self.rxn is not None:
-            cross = self.rxn if G is None else G @ self.rxn
+            cross = self.rxn if factors is None else _kron_lmul(*factors, self.rxn)
             My = My + cross + cross.conj().T
         return My
 
     def xy_covariance(self) -> np.ndarray:
         """E[x y^H] under the model."""
-        G = self.gmat()
-        Mxy = self.rxx if G is None else self.rxx @ G.conj().T
+        factors = self._g_factors()
+        Mxy = self.rxx if factors is None else _kron_rmul_h(self.rxx, *factors)
         if self.rxn is not None:
             Mxy = Mxy + self.rxn
         return Mxy
@@ -182,20 +225,24 @@ def assemble_normal_equations(
     t: ProductTransform,
     cap: int = DEFAULT_SIZE_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble (T, q) through the rank-one Hadamard identities."""
+    """Assemble (T, q) through the rank-one Hadamard identities, applying
+    F = kron(M2, M1) and Fi = kron(M2inv, M1inv) by factor multiplies."""
     n = model.n
     if t.n1 != model.n1 or t.n2 != model.n2:
         raise ShapeMismatch("transform and model grid sizes differ")
     if n > cap:
         raise SizeCapExceeded(f"N1*N2 = {n} exceeds cap {cap}")
-    F = t.vec_operator("forward")
-    Fi = t.vec_operator("inverse")
-    My = model.y_covariance()
-    Mxy = model.xy_covariance()
-    P = Fi.conj().T @ Fi
-    A = F @ My @ F.conj().T
-    T = P * A.T
-    q = np.einsum("im,im->m", Fi.conj(), Mxy @ F.conj().T)
+    M1, M2 = t.op1.matrix, t.op2.matrix
+    M1i, M2i = t.op1.inverse, t.op2.inverse
+    A = _kron_sandwich(M2, M1, model.y_covariance())
+    P1, P2 = M1i.conj().T @ M1i, M2i.conj().T @ M2i
+    # T = P * A.T, formed as (P.T * A).T so that A is read in memory order
+    T = (np.kron(P2.T, P1.T) * A).T
+    # q[m] = sum_i conj(Fi[i, m]) Z[i, m] with Z = Mxy F^H; in the
+    # (N2, N1, N2, N1) view of Z, Fi[i, m] = M2inv[i2, m2] M1inv[i1, m1]
+    Z = _kron_rmul_h(model.xy_covariance(), M2, M1)
+    q = np.einsum("ab,cd,acbd->bd", M2i.conj(), M1i.conj(),
+                  Z.reshape(t.n2, t.n1, t.n2, t.n1)).reshape(n)
     return T, q
 
 
@@ -231,17 +278,32 @@ def assemble_normal_equations_naive(
 
 
 def solve_filter(T: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve T h = q; falls back to a minimum-norm least-squares solution
-    (with an IllConditionedSystem warning) when T is near-singular."""
+    """Solve T h = q by LU; falls back to a minimum-norm least-squares
+    solution (with an IllConditionedSystem warning) when T is near-singular.
+
+    Near-singular means that LAPACK's estimate of the 1-norm condition
+    number, 1/rcond from ``gecon`` on the LU factors, exceeds
+    SOLVE_CONDITION_LIMIT, or that rcond is 0. The 1-norm condition number
+    lies within a factor N of the 2-norm one. Non-finite input raises
+    NonFinite.
+    """
     T = np.asarray(T, dtype=np.complex128)
     q = np.asarray(q, dtype=np.complex128)
     if T.shape[0] != T.shape[1] or q.shape != (T.shape[0],):
         raise ShapeMismatch(f"incompatible shapes {T.shape} and {q.shape}")
-    cond = np.linalg.cond(T)
-    if np.isfinite(cond) and cond <= SOLVE_CONDITION_LIMIT:
-        h = np.linalg.solve(T, q)
+    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(q))):
+        raise NonFinite("normal equations must be finite")
+    with warnings.catch_warnings():
+        # an exactly singular T is reported below, as IllConditionedSystem
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(T, check_finite=False)
+    gecon = get_lapack_funcs("gecon", (lu,))
+    rcond, _ = gecon(lu, np.linalg.norm(T, 1), norm="1")
+    if rcond > 0 and 1.0 / rcond <= SOLVE_CONDITION_LIMIT:
+        h = lu_solve((lu, piv), q, check_finite=False)
     else:
-        warnings.warn(f"normal equations condition {cond:.3e}; using least squares",
+        cond = 1.0 / rcond if rcond > 0 else np.inf
+        warnings.warn(f"normal equations condition estimate {cond:.3e}; using least squares",
                       IllConditionedSystem)
         h = np.linalg.lstsq(T, q, rcond=None)[0]
     if not np.all(np.isfinite(h)):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gbfrft
 from gbfrft.errors import ShapeMismatch
 from gbfrft.metrics import (
     frame_metrics,
@@ -86,3 +92,13 @@ def test_gaussian_blur_preserves_mean_and_smooths():
     assert out.var() < img.var()
     flat = np.full((12, 12), 7.5)
     assert np.allclose(gaussian_blur(flat), flat, atol=1e-12)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes about a second to import; only ssim and
+    # gaussian_blur need it, so `import gbfrft` must not pay for it
+    src = str(Path(gbfrft.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", "import sys, gbfrft; print('scipy.signal' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import pytest
 
 from gbfrft.errors import (
     IllConditionedSystem,
+    NonFinite,
     NonHermitianStatistics,
     ShapeMismatch,
     SizeCapExceeded,
@@ -96,6 +97,41 @@ def test_fast_assembly_equals_literal_traces():
         assert np.abs(q1 - q2).max() < 1e-10
 
 
+def directed_weighted(n, seed):
+    """Dense digraph with weights in both directions, so diagonalizable."""
+    adj = np.random.default_rng(seed).uniform(0.1, 1.0, size=(n, n))
+    np.fill_diagonal(adj, 0.0)
+    return Graph(n=n, adjacency=adj, directed=True, weighted=True)
+
+
+def random_model(n1, n2, seed):
+    """Complex Hermitian PSD statistics with g1, g2 and rxn all set."""
+    rng = np.random.default_rng(seed)
+    n = n1 * n2
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    B, C = cplx(n, n), cplx(n, n)
+    return ObservationModel(n1=n1, n2=n2, rxx=B @ B.conj().T + np.eye(n),
+                            rnn=C @ C.conj().T / n, g1=cplx(n1, n1), g2=cplx(n2, n2),
+                            rxn=0.1 * cplx(n, n))
+
+
+@pytest.mark.parametrize("convention", ["transform-power", "shift-power"])
+@pytest.mark.parametrize("n1,n2", [(3, 5), (4, 2)])
+def test_fast_assembly_equals_literal_traces_on_directed_rectangular_grids(n1, n2, convention):
+    # unequal N1, N2 and non-unitary factors: swapping the two modes shows
+    g1, g2 = directed_weighted(n1, seed=n1), directed_weighted(n2, seed=n2)
+    t = transform_2d(g1, g2, 0.35, 0.7, convention)
+    model = random_model(n1, n2, seed=n1 + 10 * n2)
+    for m in [model, ObservationModel(n1=n1, n2=n2, rxx=model.rxx, rnn=model.rnn)]:
+        T1, q1 = assemble_normal_equations(m, t)
+        T2, q2 = assemble_normal_equations_naive(m, t)
+        assert np.abs(T1 - T2).max() < 1e-10
+        assert np.abs(q1 - q2).max() < 1e-10
+
+
 def test_normal_equations_mse_matches_direct_estimator_error():
     """h^H T h - 2 Re(h^H q) + tr(Rxx) must equal the algebraic expansion of
     E||sum h_m W_m y - x||^2 for arbitrary h."""
@@ -136,8 +172,36 @@ def test_solve_filter_warns_and_recovers_on_singular_system():
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         h = solve_filter(T, q)
-    assert any(issubclass(w.category, IllConditionedSystem) for w in rec)
+    # LAPACK's own LinAlgWarning for the exact singularity is not passed on
+    assert [w.category for w in rec] == [IllConditionedSystem]
     assert np.allclose(h, [2.0, 0.0], atol=1e-10)
+
+
+def test_solve_filter_falls_back_above_the_condition_limit():
+    # invertible, but its condition number 1e14 exceeds SOLVE_CONDITION_LIMIT
+    T = np.diag([1.0, 1e-14])
+    q = np.array([2.0, 1e-14])
+    with pytest.warns(IllConditionedSystem):
+        h = solve_filter(T, q)
+    assert np.allclose(h, np.linalg.lstsq(T, q, rcond=None)[0], atol=1e-12)
+
+
+def test_solve_filter_solves_well_conditioned_non_hermitian_systems_silently():
+    rng = np.random.default_rng(8)
+    T = 6 * np.eye(6) + rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    q = rng.normal(size=6) + 1j * rng.normal(size=6)
+    assert np.abs(T - T.conj().T).max() > 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = solve_filter(T, q)
+    assert np.abs(h - np.linalg.solve(T, q)).max() < 1e-12
+
+
+def test_solve_filter_rejects_non_finite_systems():
+    with pytest.raises(NonFinite):
+        solve_filter(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(NonFinite):
+        solve_filter(np.eye(2), np.array([1.0, np.inf]))
 
 
 def test_grid_values_land_on_exact_decimals():
