@@ -9,6 +9,8 @@ transforms, ``wiener`` designs statistically optimal diagonal filters,
 the ``gbfrft`` command line tool.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .errors import (
@@ -28,7 +30,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .graphs import Graph, ProductGraph, cartesian_product, make_knn_graph, make_named_graph
-from .spectral import FractionalOperator, SpectralBasis, eig_general, fractional_power
+from .spectral import FactorOperator, FractionalOperator, SpectralBasis, eig_general, fractional_power
 from .transforms import (
     BlendedOperator,
     ProductTransform,
@@ -69,4 +71,6 @@ from .synthetic import SyntheticSpec, autocorrelation_matrix, build_observation_
 from .timevertex import TimeVertexDataset, ingest_timevertex, run_timevertex
 from .deblur import FrameSequence, blur_sequence, patchify, reassemble, run_deblur
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules they come from
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -18,11 +18,11 @@ from . import __version__, matio, results
 from .deblur import FrameSequence, blur_sequence, default_config as deblur_config, run_deblur
 from .errors import GbfrftError, ParseError, ShapeMismatch
 from .graphs import NAMED_KINDS, make_knn_graph, make_named_graph
-from .learn import TrainConfig, train, train_hybrid, train_jfrft
+from .learn import METHODS, TrainConfig, train, train_hybrid, train_jfrft
 from .metrics import frame_metrics
 from .synthetic import DEFAULT_VARIANCES, SyntheticSpec, TOPOLOGIES, run_synthetic
-from .timevertex import METHODS as TV_METHODS, ingest_timevertex, run_timevertex
-from .transforms import CONVENTIONS, apply, gfrft2d, hybrid_transform, jfrft, path_graph, transform_2d
+from .timevertex import ingest_timevertex, run_timevertex
+from .transforms import CONVENTIONS, KINDS, apply, gfrft2d, hybrid_transform, jfrft, path_graph, transform_2d
 from .wiener import DEFAULT_SIZE_CAP, ObservationModel, draw_observations, grid_search
 
 
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.opt("--output", help="adjacency CSV path (metadata sidecar gets .meta)")
 
     c = _Command(sub, "transform", "apply a product transform to a signal", cmd_transform)
-    c.opt("--kind", default="gbfrft2d", choices=("gfrft2d", "gbfrft2d", "jfrft", "hybrid"))
+    c.opt("--kind", default="gbfrft2d", choices=KINDS)
     c.opt("--graph1", help="row-factor graph CSV")
     c.opt("--graph2", help="column-factor graph CSV")
     c.opt("--t", type=int, help="time length for jfrft/hybrid (defaults to signal width)")
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.opt("--coords", help="(N, d) coordinates CSV")
     c.opt("--k", type=_parse_floats, default=(3.0,), help="k-NN sizes, comma separated")
     c.opt("--variances", type=_parse_floats, default=(0.6, 0.9, 1.2))
-    c.opt("--methods", type=_parse_strs, default=TV_METHODS)
+    c.opt("--methods", type=_parse_strs, default=METHODS)
     c.opt("--lr", type=float, default=0.1)
     c.opt("--epochs", type=int, default=200)
     c.opt("--init-orders", type=_parse_init, default=(0.5, 0.5))
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.opt("--blur-size", type=int, default=5)
     c.opt("--blur-sigma", type=float, default=1.0)
     c.opt("--patch", type=int, default=20)
-    c.opt("--method", default="2d-gbfrft", choices=("2d-gfrft", "2d-gbfrft", "jfrft", "hybrid"))
+    c.opt("--method", default="2d-gbfrft", choices=METHODS)
     c.opt("--lr", type=float, default=7e-3)
     c.opt("--epochs", type=int, default=120)
     c.opt("--init-orders", type=_parse_init, default=(0.8, 0.8))

@@ -16,11 +16,10 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .graphs import Graph, make_knn_graph
-from .learn import TrainConfig, apply_filter, train, train_hybrid, train_jfrft
+from .learn import METHODS, TrainConfig, apply_filter, train, train_hybrid, train_jfrft
 from .metrics import frame_metrics, gaussian_blur
 from .transforms import hybrid_transform, jfrft, path_graph, transform_2d
 
-METHODS = ("2d-gfrft", "2d-gbfrft", "jfrft", "hybrid")
 DEFAULT_PATCH = 20
 
 

@@ -29,6 +29,7 @@ from .transforms import ProductTransform, hybrid_transform, jfrft, path_graph, t
 from .wiener import FilterDesign, ObservationModel, draw_observations
 
 OPTIMIZERS = ("adam", "sgd")
+METHODS = ("2d-gfrft", "2d-gbfrft", "jfrft", "hybrid")  # what the deblur and time-vertex drivers fit
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * k, 10) for k in range(11))
 
 

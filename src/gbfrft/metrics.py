@@ -74,13 +74,9 @@ def frame_metrics(reference, estimate) -> tuple[float, float, float]:
     return err, psnr(err), ssim(reference, estimate)
 
 
-def gaussian_kernel(size: int = 5, sigma: float = 1.0) -> np.ndarray:
-    return gaussian_window(size, sigma)
-
-
 def gaussian_blur(img, size: int = 5, sigma: float = 1.0) -> np.ndarray:
     """Gaussian blur with symmetric boundary handling (synthetic degradation)."""
     from scipy.signal import convolve2d
 
     img = np.asarray(img, dtype=np.float64)
-    return convolve2d(img, gaussian_kernel(size, sigma), mode="same", boundary="symm")
+    return convolve2d(img, gaussian_window(size, sigma), mode="same", boundary="symm")

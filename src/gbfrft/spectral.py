@@ -23,7 +23,7 @@ conditioning guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,9 +36,7 @@ STRUCTURE_RTOL = 1e-10     # Hermitian / normal detection
 CONDITION_LIMIT = 1e12
 REAL_AXIS_SNAP = 1e-12     # |Im| below this collapses onto the real axis
 ZERO_EIGENVALUE_RTOL = 1e-12
-ORDER_KEY_DECIMALS = 12    # operator cache key resolution
-
-_DIAG_KINDS = ("fwd", "inv", "dfwd", "dinv")
+ORDER_KEY_DECIMALS = 12    # rounding of the eigenvalue sort keys
 
 
 @dataclass(eq=False)
@@ -50,7 +48,6 @@ class SpectralBasis:
     lam: np.ndarray
     V_inv: np.ndarray
     unitary: bool = False
-    _powers: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -131,8 +128,48 @@ def eig_general(M) -> SpectralBasis:
     return basis
 
 
+class FactorOperator:
+    """The operator protocol of one transform factor.
+
+    An operator has four parts, selected by ``kind``: ``fwd`` (M), ``inv``
+    (M^{-1}), ``dfwd`` (dM/da) and ``dinv`` (dM^{-1}/da). A subclass gives the
+    size ``n``, names the attribute holding each part in ``_PARTS`` and says
+    in ``_apply`` how one part acts on a block of columns.
+    """
+
+    _PARTS: dict[str, str]
+
+    def _apply(self, part: np.ndarray, X: np.ndarray, adjoint: bool) -> np.ndarray:
+        raise NotImplementedError
+
+    def _checked(self, X, kind: str) -> tuple[np.ndarray, np.ndarray]:
+        X = np.asarray(X)
+        if X.shape[0] != self.n:
+            raise ShapeMismatch(f"operand has {X.shape[0]} rows, operator needs {self.n}")
+        name = self._PARTS.get(kind)
+        if name is None:
+            raise ValueError(f"kind must be one of {tuple(self._PARTS)}, got {kind!r}")
+        return getattr(self, name), X
+
+    def lmul(self, X, kind: str = "fwd") -> np.ndarray:
+        """M @ X for the selected operator part."""
+        return self._apply(*self._checked(X, kind), adjoint=False)
+
+    def lmul_h(self, X, kind: str = "fwd") -> np.ndarray:
+        """M^H @ X for the selected operator part."""
+        return self._apply(*self._checked(X, kind), adjoint=True)
+
+    def rmul_t(self, X, kind: str = "fwd") -> np.ndarray:
+        """X @ M.T for the selected operator part."""
+        return self.lmul(np.asarray(X).T, kind).T
+
+    def rmul_conj(self, X, kind: str = "fwd") -> np.ndarray:
+        """X @ conj(M) for the selected operator part."""
+        return self.lmul_h(np.asarray(X).T, kind).T
+
+
 @dataclass(eq=False)
-class FractionalOperator:
+class FractionalOperator(FactorOperator):
     """A fractional power F = V diag(lam**order) V_inv held in factored form.
 
     ``matrix``/``inverse``/``derivative``/``inverse_derivative`` materialize
@@ -147,48 +184,21 @@ class FractionalOperator:
     dpow_fwd: np.ndarray
     dpow_inv: np.ndarray
 
+    _PARTS = {"fwd": "pow_fwd", "inv": "pow_inv", "dfwd": "dpow_fwd", "dinv": "dpow_inv"}
+
     @property
     def n(self) -> int:
         return self.basis.n
 
-    def _diag(self, kind: str) -> np.ndarray:
-        if kind == "fwd":
-            return self.pow_fwd
-        if kind == "inv":
-            return self.pow_inv
-        if kind == "dfwd":
-            return self.dpow_fwd
-        if kind == "dinv":
-            return self.dpow_inv
-        raise ValueError(f"kind must be one of {_DIAG_KINDS}, got {kind!r}")
-
-    def lmul(self, X, kind: str = "fwd") -> np.ndarray:
-        """M @ X for the selected operator part."""
-        X = np.asarray(X)
-        if X.shape[0] != self.n:
-            raise ShapeMismatch(f"operand has {X.shape[0]} rows, operator needs {self.n}")
-        d = self._diag(kind)
-        Y = self.basis.V_inv @ X
+    def _apply(self, d, X, adjoint):
+        b = self.basis
+        if adjoint:
+            d, right, left = d.conj(), b.V_h, b.V_inv_h
+        else:
+            right, left = b.V_inv, b.V
+        Y = right @ X
         Y = d[:, None] * Y if Y.ndim == 2 else d * Y
-        return self.basis.V @ Y
-
-    def lmul_h(self, X, kind: str = "fwd") -> np.ndarray:
-        """M^H @ X for the selected operator part."""
-        X = np.asarray(X)
-        if X.shape[0] != self.n:
-            raise ShapeMismatch(f"operand has {X.shape[0]} rows, operator needs {self.n}")
-        d = self._diag(kind).conj()
-        Y = self.basis.V_h @ X
-        Y = d[:, None] * Y if Y.ndim == 2 else d * Y
-        return self.basis.V_inv_h @ Y
-
-    def rmul_t(self, X, kind: str = "fwd") -> np.ndarray:
-        """X @ M.T for the selected operator part."""
-        return self.lmul(np.asarray(X).T, kind).T
-
-    def rmul_conj(self, X, kind: str = "fwd") -> np.ndarray:
-        """X @ conj(M) for the selected operator part."""
-        return self.lmul_h(np.asarray(X).T, kind).T
+        return left @ Y
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -212,16 +222,13 @@ def fractional_power(basis: SpectralBasis, alpha: float) -> FractionalOperator:
 
     Zero eigenvalues require alpha > 0 (SingularPower otherwise); they map
     to 0 in the forward power and, by pseudoinverse convention, to 0 in the
-    ``inverse`` part as well. Operators are memoized on the basis, keyed by
-    the order rounded to 1e-12.
+    ``inverse`` part as well. Each call returns a new operator; only the
+    basis is shared, so the operator and its dense parts live as long as the
+    transform that holds it.
     """
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise NonFinite("order must be finite")
-    key = round(alpha, ORDER_KEY_DECIMALS)
-    cached = basis._powers.get(key)
-    if cached is not None:
-        return cached
 
     lam = basis.lam
     biggest = float(np.max(np.abs(lam))) if lam.size else 0.0
@@ -237,7 +244,7 @@ def fractional_power(basis: SpectralBasis, alpha: float) -> FractionalOperator:
     pow_fwd[nz] = np.exp(alpha * log_lam[nz])
     pow_inv[nz] = np.exp(-alpha * log_lam[nz])
 
-    op = FractionalOperator(
+    return FractionalOperator(
         order=alpha,
         basis=basis,
         pow_fwd=pow_fwd,
@@ -245,5 +252,3 @@ def fractional_power(basis: SpectralBasis, alpha: float) -> FractionalOperator:
         dpow_fwd=pow_fwd * log_lam,
         dpow_inv=-pow_inv * log_lam,
     )
-    basis._powers[key] = op
-    return op

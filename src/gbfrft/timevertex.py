@@ -13,12 +13,11 @@ import numpy as np
 
 from .errors import ConstantSeries, ShapeMismatch
 from .graphs import Graph, make_knn_graph
-from .learn import TrainConfig, train, train_hybrid, train_jfrft
+from .learn import METHODS, TrainConfig, train, train_hybrid, train_jfrft
 from .matio import read_matrix
 from .transforms import path_graph
 
 STD_FLOOR = 1e-12
-METHODS = ("2d-gfrft", "2d-gbfrft", "jfrft", "hybrid")
 
 
 @dataclass(eq=False)

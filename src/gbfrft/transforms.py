@@ -27,7 +27,14 @@ import numpy as np
 
 from .errors import NonFinite, ShapeMismatch, SingularBlend
 from .graphs import Graph, make_named_graph
-from .spectral import CONDITION_LIMIT, FractionalOperator, SpectralBasis, eig_general, fractional_power
+from .spectral import (
+    CONDITION_LIMIT,
+    FactorOperator,
+    FractionalOperator,
+    SpectralBasis,
+    eig_general,
+    fractional_power,
+)
 
 CONVENTIONS = ("transform-power", "shift-power")
 KINDS = ("gfrft2d", "gbfrft2d", "jfrft", "hybrid")
@@ -86,7 +93,7 @@ def dfrft(T: int, alpha: float) -> FractionalOperator:
 
 
 @dataclass(eq=False)
-class BlendedOperator:
+class BlendedOperator(FactorOperator):
     """Convex blend of two equal-size factor operators, inverted directly."""
 
     order: float
@@ -94,48 +101,23 @@ class BlendedOperator:
     inverse: np.ndarray
     derivative: np.ndarray
     inverse_derivative: np.ndarray
-    basis = None
+
+    _PARTS = {"fwd": "matrix", "inv": "inverse", "dfwd": "derivative", "dinv": "inverse_derivative"}
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def _pick(self, kind: str) -> np.ndarray:
-        if kind == "fwd":
-            return self.matrix
-        if kind == "inv":
-            return self.inverse
-        if kind == "dfwd":
-            return self.derivative
-        if kind == "dinv":
-            return self.inverse_derivative
-        raise ValueError(f"unknown operator part {kind!r}")
-
-    def lmul(self, X, kind: str = "fwd") -> np.ndarray:
-        X = np.asarray(X)
-        if X.shape[0] != self.n:
-            raise ShapeMismatch(f"operand has {X.shape[0]} rows, operator needs {self.n}")
-        return self._pick(kind) @ X
-
-    def lmul_h(self, X, kind: str = "fwd") -> np.ndarray:
-        X = np.asarray(X)
-        if X.shape[0] != self.n:
-            raise ShapeMismatch(f"operand has {X.shape[0]} rows, operator needs {self.n}")
-        return self._pick(kind).conj().T @ X
-
-    def rmul_t(self, X, kind: str = "fwd") -> np.ndarray:
-        return self.lmul(np.asarray(X).T, kind).T
-
-    def rmul_conj(self, X, kind: str = "fwd") -> np.ndarray:
-        return self.lmul_h(np.asarray(X).T, kind).T
+    def _apply(self, M, X, adjoint):
+        return (M.conj().T if adjoint else M) @ X
 
 
 @dataclass(eq=False)
 class ProductTransform:
     """Separable two-factor transform with independent fractional orders."""
 
-    op1: FractionalOperator | BlendedOperator
-    op2: FractionalOperator | BlendedOperator
+    op1: FactorOperator
+    op2: FactorOperator
     kind: str
     orders: tuple[float, float]
     lam: float | None = None

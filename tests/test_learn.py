@@ -1,8 +1,11 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gbfrft.errors import DivergedLoss, ShapeMismatch
-from gbfrft.graphs import make_named_graph
+from gbfrft.graphs import make_knn_graph, make_named_graph
 from gbfrft.learn import (
     TrainConfig,
     apply_filter,
@@ -251,3 +254,25 @@ def test_model_source_draws_the_requested_batch():
     design, trace = train(model, g1, g2, cfg)
     assert len(trace.loss) == 5
     assert design.h.shape == (6,)
+
+
+def test_descent_keeps_no_memory_per_visited_order():
+    # every epoch visits new orders; once training returns, nothing of
+    # them may stay behind on the shared spatial and DFT bases
+    rng = np.random.default_rng(0)
+    g = make_knn_graph(rng.normal(size=(6, 2)), 2)
+    T = 12
+    X = rng.normal(size=(6, T))
+    batch = [(X + 0.5 * rng.normal(size=X.shape), X)]
+    lambdas = (0.0, 0.3, 0.6, 1.0)
+    train_hybrid(batch, g, T, TrainConfig(epochs=1), lambda_grid=lambdas)  # builds the bases
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train_hybrid(batch, g, T, TrainConfig(epochs=100), lambda_grid=lambdas)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.1e6, f"{retained} bytes retained"

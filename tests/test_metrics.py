@@ -11,7 +11,6 @@ from gbfrft.errors import ShapeMismatch
 from gbfrft.metrics import (
     frame_metrics,
     gaussian_blur,
-    gaussian_kernel,
     gaussian_window,
     mse,
     psnr,
@@ -44,7 +43,6 @@ def test_gaussian_window_properties():
     assert abs(w.sum() - 1.0) < 1e-12
     assert np.array_equal(w, w.T)
     assert w[5, 5] == w.max()
-    assert np.array_equal(gaussian_kernel(5, 1.0), gaussian_window(5, 1.0))
 
 
 def test_ssim_identity_is_exactly_one():

@@ -132,10 +132,12 @@ def test_derivative_matches_finite_differences():
         assert np.linalg.norm(di - fdi) / np.linalg.norm(di) < 1e-8
 
 
-def test_operators_are_memoized_per_basis():
+def test_operators_at_one_order_are_equal_and_share_the_basis():
     b = eig_general(np.diag([3.0, 1.0]))
-    assert fractional_power(b, 0.25) is fractional_power(b, 0.25)
-    assert fractional_power(b, 0.25) is not fractional_power(b, 0.75)
+    first, again = fractional_power(b, 0.25), fractional_power(b, 0.25)
+    assert first.basis is again.basis is b
+    assert np.array_equal(first.matrix, again.matrix)
+    assert np.array_equal(first.inverse_derivative, again.inverse_derivative)
 
 
 def test_factored_application_matches_dense():
@@ -157,6 +159,8 @@ def test_lmul_rejects_wrong_height():
     op = fractional_power(b, 0.5)
     with pytest.raises(ShapeMismatch):
         op.lmul(np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        op.rmul_conj(np.zeros((3, 2)), "adjoint")
 
 
 def test_unitary_input_stays_unitary_under_fractional_powers():

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from gbfrft.errors import NonFinite, ShapeMismatch, SingularBlend
 from gbfrft.graphs import make_named_graph
+from gbfrft.spectral import FactorOperator
 from gbfrft.transforms import (
     apply,
     dfrft,
@@ -138,7 +142,7 @@ def test_hybrid_endpoints_reuse_exact_operators():
     g = make_named_graph("path", 4)
     T = 5
     t1 = hybrid_transform(g, path_graph(T), T, alpha=0.3, beta=0.8, lam=1.0)
-    assert t1.op2 is dfrft(T, 0.8)
+    assert np.array_equal(t1.op2.matrix, dfrft(T, 0.8).matrix)
     t0 = hybrid_transform(g, path_graph(T), T, alpha=0.3, beta=0.8, lam=0.0)
     assert np.allclose(t0.op2.matrix, gfrft(path_graph(T), 0.8).matrix, atol=1e-12)
 
@@ -182,5 +186,40 @@ def test_hybrid_validates_inputs():
 
 def test_transform_caches_are_shared_across_calls():
     g = make_named_graph("cycle", 7, seed=0)
-    assert gfrft(g, 0.25) is gfrft(g, 0.25)
-    assert dfrft(9, 0.5) is dfrft(9, 0.5)
+    assert gfrft(g, 0.25).basis is gfrft(g, 0.75).basis
+    assert dfrft(9, 0.5).basis is dfrft(9, 0.7).basis
+
+
+def test_graph_basis_dies_with_its_graph_without_the_cycle_collector():
+    # nothing that a transform holds may point back at the basis, or the
+    # basis would outlive its graph until the cycle collector runs
+    gc.disable()
+    try:
+        g1 = make_named_graph("cycle", 6, seed=0)
+        g2 = make_named_graph("path", 5)
+        t = transform_2d(g1, g2, 0.3, 0.6)
+        t.op1.matrix  # dense parts are cached on the operator
+        ref = weakref.ref(graph_basis(g1))
+        del g1, t
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_blended_operator_shares_the_operator_protocol():
+    g = make_named_graph("path", 3)
+    T = 4
+    op = hybrid_transform(g, path_graph(T), T, alpha=0.5, beta=0.6, lam=0.3).op2
+    assert isinstance(op, FactorOperator)
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(T, 2)) + 1j * rng.normal(size=(T, 2))
+    for kind, M in [("fwd", op.matrix), ("inv", op.inverse),
+                    ("dfwd", op.derivative), ("dinv", op.inverse_derivative)]:
+        assert np.array_equal(op.lmul(X, kind), M @ X)
+        assert np.array_equal(op.lmul_h(X, kind), M.conj().T @ X)
+        assert np.array_equal(op.rmul_t(X.T, kind), (M @ X).T)
+        assert np.array_equal(op.rmul_conj(X.T, kind), (M.conj().T @ X).T)
+    with pytest.raises(ShapeMismatch):
+        op.lmul(np.zeros((T + 1, 2)))
+    with pytest.raises(ValueError):
+        op.lmul(X, "adjoint")
