@@ -5,7 +5,8 @@ row-major pixels within a patch); each patch across all frames forms a
 p^2 x T signal on a product of a 4-nearest-neighbour pixel graph and a
 temporal path. A diagonal filter in the chosen fractional domain is fit per
 patch against the clean reference, applied to the blurred input, and the
-reassembled frames are scored against the originals.
+reassembled frames are scored against the originals. All patches share the
+pixel graph, so their descents run stacked, as one.
 """
 
 from __future__ import annotations
@@ -96,25 +97,26 @@ def blur_sequence(fs: FrameSequence, size: int = 5, sigma: float = 1.0) -> Frame
     return FrameSequence(np.stack([gaussian_blur(f, size, sigma) for f in fs.frames]))
 
 
-def _fit_patch(Yb, Xb, spatial, T, method, cfg, lambda_grid):
-    batch = [(Yb, Xb)]
-    if method == "2d-gfrft":
-        design, _ = train(batch, spatial, path_graph(T), replace(cfg, tie_orders=True))
-        t = transform_2d(spatial, path_graph(T), design.alpha1, design.alpha2)
-    elif method == "2d-gbfrft":
-        design, _ = train(batch, spatial, path_graph(T), cfg)
-        t = transform_2d(spatial, path_graph(T), design.alpha1, design.alpha2)
+def _fit_patches(y_blocks, x_blocks, spatial, temporal, method, cfg, lambda_grid):
+    """Fit every patch in one stacked descent; the filtered blocks."""
+    T = temporal.n
+    sources = [[(Yb, Xb)] for Yb, Xb in zip(y_blocks, x_blocks)]
+    if method in ("2d-gfrft", "2d-gbfrft"):
+        run_cfg = replace(cfg, tie_orders=True) if method == "2d-gfrft" else cfg
+        fits = train(None, spatial, temporal, run_cfg, sources=sources)
+        build = lambda d: transform_2d(spatial, temporal, d.alpha1, d.alpha2)  # noqa: E731
     elif method == "jfrft":
-        design, _ = train_jfrft(batch, spatial, T, cfg)
-        t = jfrft(spatial, T, alpha=design.alpha2, beta=design.alpha1)
+        fits = train_jfrft(None, spatial, T, cfg, sources=sources)
+        build = lambda d: jfrft(spatial, T, alpha=d.alpha2, beta=d.alpha1)  # noqa: E731
     elif method == "hybrid":
         kwargs = {} if lambda_grid is None else {"lambda_grid": lambda_grid}
-        design, _ = train_hybrid(batch, spatial, T, cfg, **kwargs)
-        t = hybrid_transform(spatial, path_graph(T), T,
-                             alpha=design.alpha1, beta=design.alpha2, lam=design.lam)
+        fits = train_hybrid(None, spatial, T, cfg, sources=sources, **kwargs)
+        build = lambda d: hybrid_transform(spatial, temporal, T,  # noqa: E731
+                                           alpha=d.alpha1, beta=d.alpha2, lam=d.lam)
     else:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return apply_filter(t, design.h, Yb).real
+    return np.stack([apply_filter(build(design), design.h, Yb).real
+                     for (design, _), Yb in zip(fits, y_blocks)])
 
 
 def run_deblur(
@@ -133,13 +135,8 @@ def run_deblur(
     if blurred.frames.shape != clean.frames.shape:
         raise ShapeMismatch("blurred and clean sequences differ in shape")
     cfg = cfg if cfg is not None else default_config()
-    spatial = patch_graph(patch)
-    y_blocks = patchify(blurred, patch)
-    x_blocks = patchify(clean, patch)
-    out_blocks = np.empty_like(y_blocks)
-    for p in range(y_blocks.shape[0]):
-        out_blocks[p] = _fit_patch(y_blocks[p], x_blocks[p], spatial, blurred.t,
-                                   method, cfg, lambda_grid)
+    out_blocks = _fit_patches(patchify(blurred, patch), patchify(clean, patch),
+                              patch_graph(patch), path_graph(blurred.t), method, cfg, lambda_grid)
     restored = reassemble(np.clip(out_blocks, 0.0, 255.0), blurred.frames.shape, patch)
     rows = []
     scores = []

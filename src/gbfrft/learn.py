@@ -15,6 +15,18 @@ conjugate (Wirtinger) convention,
 so that h <- h - lr * g_h descends the real-valued loss (its real and
 imaginary parts are the plain partial derivatives). Training evaluates the
 loss before each update and returns the best iterate seen.
+
+The loss and all three gradients come from one fused forward/backward pass.
+With M1 = V diag(p) V_inv held on its eigenbasis, V_inv Y is computed once
+per fit, and each epoch multiplies by the basis five times: V on
+[p Yh | dp Yh], V_inv on [Z | H dU1 | H dU2], V on the three inverse-side
+blocks, then V^H and V_inv^H for the adjoint behind g_h. The second factor
+acts through its FactorOperator, so blended and DFT factors work unchanged.
+Problems whose first factors share one basis (the patches of a deblur run,
+the lambdas of a hybrid search) descend stacked: their samples are column
+blocks of the same five products, each scaled by its own problem's powers,
+and each problem keeps its own orders, filter, Adam moments, trace and best
+iterate. A single fit is the one-problem case of the same loop.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ import numpy as np
 
 from .errors import DivergedLoss, ShapeMismatch
 from .graphs import Graph
+from .spectral import FractionalOperator, SpectralBasis
 from .transforms import ProductTransform, hybrid_transform, jfrft, path_graph, transform_2d
 from .wiener import FilterDesign, ObservationModel, draw_observations
 
@@ -127,37 +140,112 @@ def loss(t: ProductTransform, h, batch) -> float:
 
 
 def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
-    """(dL/dalpha1, dL/dalpha2, g_h) averaged over the batch.
+    """(dL/dalpha1, dL/dalpha2, g_h) averaged over the batch, from the fused pass.
 
     g_h is the length-N1*N2 conjugate gradient (column-major vec order).
     """
     h = np.asarray(h, dtype=np.complex128)
-    _check_batch(t, batch)
-    Hm = _filter_grid(t, h)
-    op1, op2 = t.op1, t.op2
-    da1 = 0.0
-    da2 = 0.0
-    gh = np.zeros_like(Hm)
-    for Y, X in batch:
-        Y = np.asarray(Y)
-        U = op2.rmul_t(op1.lmul(Y, "fwd"), "fwd")
-        Z = Hm * U
-        R = op2.rmul_t(op1.lmul(Z, "inv"), "inv") - np.asarray(X)
+    _filter_grid(t, h)  # ShapeMismatch for a wrong-length h
+    _, d_orders, gh = _Stack([t], [batch]).value_and_grad([t], h[None])
+    return float(d_orders[0, 0]), float(d_orders[0, 1]), gh[0]
 
-        dU1 = op2.rmul_t(op1.lmul(Y, "dfwd"), "fwd")
-        dXh1 = op2.rmul_t(op1.lmul(Z, "dinv"), "inv") \
-            + op2.rmul_t(op1.lmul(Hm * dU1, "inv"), "inv")
-        da1 += 2.0 * float(np.vdot(R, dXh1).real)
 
-        dU2 = op2.rmul_t(op1.lmul(Y, "fwd"), "dfwd")
-        dXh2 = op2.rmul_t(op1.lmul(Z, "inv"), "dinv") \
-            + op2.rmul_t(op1.lmul(Hm * dU2, "inv"), "inv")
-        da2 += 2.0 * float(np.vdot(R, dXh2).real)
+def _lmul(M: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """M @ A along the first axis of A, all other axes as columns."""
+    return (M @ A.reshape(A.shape[0], -1)).reshape(A.shape)
 
-        back = op2.rmul_conj(op1.lmul_h(R, "inv"), "inv")
-        gh = gh + 2.0 * np.conj(U) * back
-    b = len(batch)
-    return da1 / b, da2 / b, (gh / b).flatten(order="F")
+
+def _re_inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re <A_s, B_s> per sample s of two (n1, S, n2) stacks."""
+    return np.einsum("isj,isj->s", A.conj(), B).real
+
+
+class _Stack:
+    """P descent problems whose first factors share one spectral basis.
+
+    Every problem's samples are laid side by side on a sample axis of
+    length S, so each factor-1 multiply of the pass is one product with V,
+    V_inv or their adjoints for all problems and samples at once; each
+    problem's own powers of the eigenvalues scale its columns. Arrays are
+    (n1, K, S, n2) for K stacked blocks. The factor-2 operators differ per
+    problem and are applied per problem, through the FactorOperator
+    protocol.
+    """
+
+    def __init__(self, ts, batches):
+        t0 = ts[0]
+        self.basis = _shared_basis(ts)
+        for batch in batches:
+            _check_batch(t0, batch)
+        self.counts = np.array([len(b) for b in batches])
+        self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
+        self.owner = np.repeat(np.arange(len(batches)), self.counts)
+        Y = np.stack([np.asarray(Y) for b in batches for Y, _ in b], axis=1)
+        self.X = np.stack([np.asarray(X) for b in batches for _, X in b], axis=1)
+        self.Yh = _lmul(self.basis.V_inv, Y)  # V_inv Y does not depend on the orders
+
+    def _powers(self, ts, name: str) -> np.ndarray:
+        """One eigenvalue-power vector of every sample's problem, (n1, 1, S, 1)."""
+        d = np.stack([getattr(t.op1, name) for t in ts], axis=1)
+        return d[:, None, self.owner, None]
+
+    def _op2(self, ts, A: np.ndarray, kind: str, adjoint: bool = False) -> np.ndarray:
+        """A @ M2.T (A @ conj(M2) with ``adjoint``) per problem, on the right."""
+        out = np.empty(A.shape, dtype=np.complex128)
+        n2 = A.shape[-1]
+        for t, lo, count in zip(ts, self.starts, self.counts):
+            block = A[:, :, lo:lo + count]
+            f = t.op2.rmul_conj if adjoint else t.op2.rmul_t
+            out[:, :, lo:lo + count] = f(block.reshape(-1, n2), kind).reshape(block.shape)
+        return out
+
+    def _mean(self, per_sample: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Per-problem means of per-sample values along ``axis``."""
+        shape = [1] * per_sample.ndim
+        shape[axis] = -1
+        return np.add.reduceat(per_sample, self.starts, axis=axis) / self.counts.reshape(shape)
+
+    def value_and_grad(self, ts, h: np.ndarray):
+        """Loss, order gradients (P, 2) and filter gradients (P, N1*N2) of
+        every problem, at the transforms ``ts`` and filters ``h`` (P, N1*N2)."""
+        if _shared_basis(ts) is not self.basis:
+            raise ValueError("stacked problems changed their spatial basis")
+        b = self.basis
+        n1, _, n2 = self.Yh.shape
+        P = len(ts)
+        pf, pi = self._powers(ts, "pow_fwd"), self._powers(ts, "pow_inv")
+        dpf, dpi = self._powers(ts, "dpow_fwd"), self._powers(ts, "dpow_inv")
+        H = h.reshape(P, n2, n1).transpose(2, 0, 1)[:, None, self.owner]
+        Yh = self.Yh[:, None]
+
+        A = _lmul(b.V, np.concatenate([pf * Yh, dpf * Yh], axis=1))          # M1 Y, dM1 Y
+        U = np.concatenate([self._op2(ts, A, "fwd"), self._op2(ts, A[:, :1], "dfwd")], axis=1)
+        W = _lmul(b.V_inv, H * U)                                              # V_inv [Z, H dU1, H dU2]
+        C = _lmul(b.V, np.concatenate(
+            [pi * W[:, :1], dpi * W[:, :1] + pi * W[:, 1:2], pi * W[:, 2:]], axis=1))
+        E = self._op2(ts, C, "inv")
+        R = E[:, 0] - self.X
+        dX1 = E[:, 1]
+        dX2 = E[:, 2] + self._op2(ts, C[:, :1], "dinv")[:, 0]
+        # F^{-H} r = M1inv^H R conj(M2inv), with M1inv^H = V_inv^H diag(conj pi) V^H
+        S = self._op2(ts, R[:, None], "inv", adjoint=True)
+        back = _lmul(b.V_inv_h, pi.conj() * _lmul(b.V_h, S))[:, 0]
+
+        value = self._mean(_re_inner(R, R))
+        d_orders = 2.0 * np.stack([self._mean(_re_inner(R, dX1)),
+                                   self._mean(_re_inner(R, dX2))], axis=1)
+        gh = 2.0 * self._mean(np.conj(U[:, 0]) * back, axis=1)
+        return value, d_orders, gh.transpose(1, 2, 0).reshape(P, n1 * n2)
+
+
+def _shared_basis(ts) -> SpectralBasis:
+    """The one spectral basis under every transform's first factor."""
+    if not all(isinstance(t.op1, FractionalOperator) for t in ts):
+        raise TypeError("descent needs a fractional power as the first factor")
+    basis = ts[0].op1.basis
+    if any(t.op1.basis is not basis for t in ts):
+        raise ValueError("stacked problems must share the first factor's spectral basis")
+    return basis
 
 
 class _Adam:
@@ -203,60 +291,84 @@ def _initial_orders(cfg: TrainConfig, rng: np.random.Generator) -> tuple[float, 
     return a1, a2
 
 
-def _resolve_source(source, cfg: TrainConfig):
-    if isinstance(source, ObservationModel):
-        return draw_observations(source, cfg.batch_size, cfg.seed)
-    return [(np.asarray(Y), np.asarray(X)) for Y, X in source]
+def _resolve_batches(source, sources, cfg: TrainConfig) -> list:
+    if (source is None) == (sources is None):
+        raise ValueError("give either one source or a sources= list, not both")
+    batches = []
+    for s in [source] if sources is None else sources:
+        if isinstance(s, ObservationModel):
+            batches.append(draw_observations(s, cfg.batch_size, cfg.seed))
+        else:
+            batches.append([(np.asarray(Y), np.asarray(X)) for Y, X in s])
+    return batches
 
 
-def _train_loop(samples, builder, cfg: TrainConfig) -> tuple[FilterDesign, TrainTrace]:
-    if not samples:
+def _train_loop(problems, cfg: TrainConfig) -> list[tuple[FilterDesign, TrainTrace]]:
+    """Descend on every (samples, builder) problem at once, one fused pass
+    per epoch; each problem keeps its own orders, filter, optimizer moments,
+    trace and best iterate, so the result equals P separate descents."""
+    if not problems or not all(samples for samples, _ in problems):
         raise ValueError("need at least one training pair")
     rng = np.random.default_rng(cfg.seed)
     o1, o2 = _initial_orders(cfg, rng)
-    n1, n2 = np.shape(samples[0][0])
+    P = len(problems)
+    n = np.size(problems[0][0][0][0])
     dtype = np.float64 if cfg.real_filter else np.complex128
-    h = np.ones(n1 * n2, dtype=dtype)
+    orders = np.tile([o1] if cfg.tie_orders else [o1, o2], (P, 1))
+    h = np.ones((P, n), dtype=dtype)
 
     adam = _Adam(cfg.beta1, cfg.beta2, cfg.eps) if cfg.optimizer == "adam" else None
     rates = {"orders": cfg.lr_orders, "h": cfg.filter_rate}
-    trace = TrainTrace()
-    best = None
+    traces = [TrainTrace() for _ in problems]
+    best_loss = np.full(P, np.inf)
+    best_pairs = np.empty((P, 2))
+    best_h = h.copy()
+    stack = None
 
     for epoch in range(cfg.epochs):
-        t = builder(o1, o2)
-        value = loss(t, h, samples)
-        if not np.isfinite(value):
-            raise DivergedLoss(f"loss became {value} at epoch {epoch}")
-        trace.alpha1.append(o1)
-        trace.alpha2.append(o2)
-        trace.loss.append(value)
-        if best is None or value < best[0]:
-            best = (value, o1, o2, h.copy(), epoch)
+        pairs = orders[:, [0, 0]] if cfg.tie_orders else orders
+        ts = [build(a, b) for (_, build), (a, b) in zip(problems, pairs.tolist())]
+        if stack is None:
+            stack = _Stack(ts, [samples for samples, _ in problems])
+        values, d_orders, gh = stack.value_and_grad(ts, h)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            where = f" in problem {bad[0]}" if P > 1 else ""
+            raise DivergedLoss(f"loss became {values[bad[0]]} at epoch {epoch}{where}")
+        for trace, (a, b), value in zip(traces, pairs.tolist(), values.tolist()):
+            trace.alpha1.append(a)
+            trace.alpha2.append(b)
+            trace.loss.append(value)
+        better = values < best_loss
+        best_loss[better] = values[better]
+        best_pairs[better] = pairs[better]
+        best_h[better] = h[better]
+        for p in np.flatnonzero(better):
+            traces[p].best_epoch = epoch
 
-        da1, da2, gh = gradients(t, h, samples)
         if cfg.real_filter:
             gh = gh.real
-        if cfg.tie_orders:
-            g_orders = np.array([da1 + da2])
-        else:
-            g_orders = np.array([da1, da2])
-        params = {"orders": np.array([o1] if cfg.tie_orders else [o1, o2]), "h": h}
+        g_orders = d_orders.sum(axis=1, keepdims=True) if cfg.tie_orders else d_orders
+        params = {"orders": orders, "h": h}
         grads = {"orders": g_orders, "h": gh}
         if adam is not None:
             adam.step(params, grads, rates)
         else:
             for k in params:
                 params[k] = params[k] - rates[k] * grads[k]
-        if cfg.tie_orders:
-            o1 = o2 = float(params["orders"][0])
-        else:
-            o1, o2 = (float(v) for v in params["orders"])
-        h = params["h"]
+        orders, h = params["orders"], params["h"]
 
-    value, o1, o2, h, epoch = best
-    trace.best_epoch = epoch
-    return FilterDesign(alpha1=o1, alpha2=o2, h=h, mse=value), trace
+    return [(FilterDesign(alpha1=a, alpha2=b, h=best_h[p].copy(), mse=float(best_loss[p])), trace)
+            for p, ((a, b), trace) in enumerate(zip(best_pairs.tolist(), traces))]
+
+
+def _fit(source, sources, cfg: TrainConfig, builders) -> list:
+    """Stack every (builder, source) pair into one descent; results per
+    builder, each a list with one (design, trace) per source."""
+    batches = _resolve_batches(source, sources, cfg)
+    fits = _train_loop([(b, build) for build in builders for b in batches], cfg)
+    k = len(batches)
+    return [fits[i:i + k] for i in range(0, len(fits), k)]
 
 
 def train(
@@ -265,15 +377,20 @@ def train(
     g2: Graph,
     cfg: TrainConfig,
     convention: str = "transform-power",
-) -> tuple[FilterDesign, TrainTrace]:
+    *,
+    sources=None,
+):
     """Descend on a two-graph product transform.
 
     ``source`` is either a sequence of (Y, X) matrix pairs or an
-    ObservationModel to sample ``cfg.batch_size`` realizations from.
+    ObservationModel to sample ``cfg.batch_size`` realizations from; the
+    result is one (design, trace). With ``source=None`` and a ``sources``
+    list, every source is fit at once in one stacked descent, and the
+    result is one (design, trace) per source, each equal to its own fit.
     """
-    samples = _resolve_source(source, cfg)
     builder = lambda a, b: transform_2d(g1, g2, a, b, convention)  # noqa: E731
-    return _train_loop(samples, builder, cfg)
+    fits = _fit(source, sources, cfg, [builder])[0]
+    return fits if sources is not None else fits[0]
 
 
 def train_jfrft(
@@ -282,12 +399,14 @@ def train_jfrft(
     T: int,
     cfg: TrainConfig,
     convention: str = "transform-power",
-) -> tuple[FilterDesign, TrainTrace]:
+    *,
+    sources=None,
+):
     """Descend on the joint transform; alpha1 tracks the vertex-side order,
-    alpha2 the time-side order."""
-    samples = _resolve_source(source, cfg)
+    alpha2 the time-side order. ``sources`` as in :func:`train`."""
     builder = lambda b, a: jfrft(g, T, alpha=a, beta=b, convention=convention)  # noqa: E731
-    return _train_loop(samples, builder, cfg)
+    fits = _fit(source, sources, cfg, [builder])[0]
+    return fits if sources is not None else fits[0]
 
 
 def train_hybrid(
@@ -297,24 +416,31 @@ def train_hybrid(
     cfg: TrainConfig,
     lambda_grid=DEFAULT_LAMBDA_GRID,
     convention: str = "transform-power",
-) -> tuple[FilterDesign, TrainTrace]:
-    """Outer search over the temporal blend weight, fresh descent per value.
+    *,
+    sources=None,
+):
+    """Search over the temporal blend weight, a fresh descent per value.
 
     Every lambda restarts from the same seeded initialization; the first
     lambda seeds the incumbent and later ones must strictly improve the best
-    achieved loss to replace it.
+    achieved loss to replace it. All lambdas (and all ``sources``, as in
+    :func:`train`) descend together in one stacked descent.
     """
-    samples = _resolve_source(source, cfg)
+    lams = [float(lam) for lam in lambda_grid]
+    if not lams:
+        raise ValueError("lambda_grid must hold at least one value")
     g2 = path_graph(T)
-    best_design = None
-    best_trace = None
-    for lam in lambda_grid:
-        builder = (
-            lambda a, b, _l=float(lam): hybrid_transform(
-                g_spatial, g2, T, alpha=a, beta=b, lam=_l, convention=convention)
-        )
-        design, trace = _train_loop(samples, builder, cfg)
-        if best_design is None or design.mse < best_design.mse:
-            best_design = replace(design, lam=float(lam))
-            best_trace = trace
-    return best_design, best_trace
+    builders = [
+        lambda a, b, _l=lam: hybrid_transform(
+            g_spatial, g2, T, alpha=a, beta=b, lam=_l, convention=convention)
+        for lam in lams
+    ]
+    per_lambda = _fit(source, sources, cfg, builders)
+    results = []
+    for fits in zip(*per_lambda):
+        best = None
+        for lam, (design, trace) in zip(lams, fits):
+            if best is None or design.mse < best[0].mse:
+                best = (replace(design, lam=lam), trace)
+        results.append(best)
+    return results if sources is not None else results[0]

@@ -61,6 +61,20 @@ class SpectralBasis:
     def V_inv_h(self) -> np.ndarray:
         return np.ascontiguousarray(self.V_inv.conj().T)
 
+    @cached_property
+    def zero(self) -> np.ndarray:
+        """Mask of the eigenvalues treated as zero, relative to the largest."""
+        biggest = float(np.max(np.abs(self.lam))) if self.lam.size else 0.0
+        return np.abs(self.lam) <= ZERO_EIGENVALUE_RTOL * max(1.0, biggest)
+
+    @cached_property
+    def log_lam(self) -> np.ndarray:
+        """Principal Log lam, with 0 on the zero eigenvalues."""
+        out = np.zeros_like(self.lam)
+        nz = ~self.zero
+        out[nz] = np.log(self.lam[nz])
+        return out
+
     def reconstruct(self) -> np.ndarray:
         return (self.V * self.lam) @ self.V_inv
 
@@ -230,19 +244,14 @@ def fractional_power(basis: SpectralBasis, alpha: float) -> FractionalOperator:
     if not np.isfinite(alpha):
         raise NonFinite("order must be finite")
 
-    lam = basis.lam
-    biggest = float(np.max(np.abs(lam))) if lam.size else 0.0
-    zero = np.abs(lam) <= ZERO_EIGENVALUE_RTOL * max(1.0, biggest)
-    if np.any(zero) and alpha <= 0.0:
+    zero, log_lam = basis.zero, basis.log_lam
+    if alpha <= 0.0 and np.any(zero):
         raise SingularPower(f"zero eigenvalue with order {alpha} <= 0")
 
-    log_lam = np.zeros_like(lam)
-    nz = ~zero
-    log_lam[nz] = np.log(lam[nz])
-    pow_fwd = np.zeros_like(lam)
-    pow_inv = np.zeros_like(lam)
-    pow_fwd[nz] = np.exp(alpha * log_lam[nz])
-    pow_inv[nz] = np.exp(-alpha * log_lam[nz])
+    pow_fwd = np.exp(alpha * log_lam)
+    pow_inv = np.exp(-alpha * log_lam)
+    pow_fwd[zero] = 0.0
+    pow_inv[zero] = 0.0
 
     return FractionalOperator(
         order=alpha,

@@ -227,6 +227,12 @@ def assemble_normal_equations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble (T, q) through the rank-one Hadamard identities, applying
     F = kron(M2, M1) and Fi = kron(M2inv, M1inv) by factor multiplies."""
+    return _assemble(model, t, cap, model.y_covariance(), model.xy_covariance())
+
+
+def _assemble(model, t, cap, My, Mxy):
+    # My = E[y y^H] and Mxy = E[x y^H] do not depend on the orders, so a
+    # search computes them once and passes them to every point
     n = model.n
     if t.n1 != model.n1 or t.n2 != model.n2:
         raise ShapeMismatch("transform and model grid sizes differ")
@@ -234,13 +240,16 @@ def assemble_normal_equations(
         raise SizeCapExceeded(f"N1*N2 = {n} exceeds cap {cap}")
     M1, M2 = t.op1.matrix, t.op2.matrix
     M1i, M2i = t.op1.inverse, t.op2.inverse
-    A = _kron_sandwich(M2, M1, model.y_covariance())
+    A = _kron_sandwich(M2, M1, My)
     P1, P2 = M1i.conj().T @ M1i, M2i.conj().T @ M2i
-    # T = P * A.T, formed as (P.T * A).T so that A is read in memory order
-    T = (np.kron(P2.T, P1.T) * A).T
+    # T = P * A.T, formed as (P.T * A).T so that A is read in memory order;
+    # in place, as one more N^2 temporary per point made the allocator fault
+    # in about 4.7 MB of fresh pages at every point at N = 512
+    A *= np.kron(P2.T, P1.T)
+    T = A.T
     # q[m] = sum_i conj(Fi[i, m]) Z[i, m] with Z = Mxy F^H; in the
     # (N2, N1, N2, N1) view of Z, Fi[i, m] = M2inv[i2, m2] M1inv[i1, m1]
-    Z = _kron_rmul_h(model.xy_covariance(), M2, M1)
+    Z = _kron_rmul_h(Mxy, M2, M1)
     q = np.einsum("ab,cd,acbd->bd", M2i.conj(), M1i.conj(),
                   Z.reshape(t.n2, t.n1, t.n2, t.n1)).reshape(n)
     return T, q
@@ -366,11 +375,12 @@ def grid_search(
         grid2 = _grid_values(range2, step)
         points = [(a1, a2) for a1 in grid1 for a2 in grid2]
     trace_rxx = float(np.real(np.trace(model.rxx)))
+    My, Mxy = model.y_covariance(), model.xy_covariance()
     best = None
     rows = []
     for a1, a2 in points:
         t = transform_2d(g1, g2, a1, a2, convention)
-        T, q = assemble_normal_equations(model, t, cap=cap)
+        T, q = _assemble(model, t, cap, My, Mxy)
         h = solve_filter(T, q)
         e = _mse_from_normal_eqs(T, q, h, trace_rxx)
         rows.append({"alpha1": a1, "alpha2": a2, "mse": e})

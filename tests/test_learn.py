@@ -1,13 +1,17 @@
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gbfrft import transforms
 from gbfrft.errors import DivergedLoss, ShapeMismatch
-from gbfrft.graphs import make_knn_graph, make_named_graph
+from gbfrft.graphs import Graph, make_knn_graph, make_named_graph
 from gbfrft.learn import (
+    METHODS,
     TrainConfig,
+    _train_loop,
     apply_filter,
     gradients,
     loss,
@@ -15,6 +19,7 @@ from gbfrft.learn import (
     train_hybrid,
     train_jfrft,
 )
+from gbfrft.spectral import SpectralBasis
 from gbfrft.transforms import jfrft, path_graph, transform_2d
 
 
@@ -27,6 +32,25 @@ def small_problem(seed=0, n1=3, n2=4, a1=0.35, a2=0.75):
     Y = X + 0.3 * rng.normal(size=(n1, n2))
     h = (rng.normal(size=n1 * n2) + 1j * rng.normal(size=n1 * n2)) * 0.2 + 1.0
     return g1, g2, t, h, [(Y, X)]
+
+
+def directed_weighted(n, seed):
+    """Dense digraph with weights in both directions: its adjacency has a
+    non-unitary eigenbasis."""
+    adj = np.random.default_rng(seed).uniform(0.1, 1.0, size=(n, n))
+    np.fill_diagonal(adj, 0.0)
+    return Graph(n=n, adjacency=adj, directed=True, weighted=True)
+
+
+def directed_problem(seed=0, n1=4, n2=3, a1=0.35, a2=0.75, batch=3):
+    """shift-power on two directed weighted graphs, a batch of ``batch``."""
+    rng = np.random.default_rng(seed)
+    g1, g2 = directed_weighted(n1, seed), directed_weighted(n2, seed + 1)
+    t = transform_2d(g1, g2, a1, a2, "shift-power")
+    assert not t.op1.basis.unitary
+    pairs = [(rng.normal(size=(n1, n2)), rng.normal(size=(n1, n2))) for _ in range(batch)]
+    h = (rng.normal(size=n1 * n2) + 1j * rng.normal(size=n1 * n2)) * 0.2 + 1.0
+    return g1, g2, t, h, pairs
 
 
 def test_apply_filter_matches_vec_form():
@@ -58,26 +82,26 @@ def test_loss_validates_batch():
         loss(t, np.ones(5), [(np.zeros((3, 4)), np.zeros((3, 4)))])
 
 
-def finite_difference_orders(g1, g2, a1, a2, h, batch, eps=1e-6):
-    f = lambda b1, b2: loss(transform_2d(g1, g2, b1, b2), h, batch)  # noqa: E731
+def finite_difference_orders(g1, g2, a1, a2, h, batch, eps=1e-6, convention="transform-power"):
+    f = lambda b1, b2: loss(transform_2d(g1, g2, b1, b2, convention), h, batch)  # noqa: E731
     d1 = (f(a1 + eps, a2) - f(a1 - eps, a2)) / (2 * eps)
     d2 = (f(a1, a2 + eps) - f(a1, a2 - eps)) / (2 * eps)
     return d1, d2
 
 
-def test_order_gradients_match_finite_differences():
+def check_order_gradients(make, convention):
     for seed in range(4):
-        g1, g2, t, h, batch = small_problem(seed=seed)
+        g1, g2, t, h, batch = make(seed=seed)
         da1, da2, _ = gradients(t, h, batch)
-        f1, f2 = finite_difference_orders(g1, g2, 0.35, 0.75, h, batch)
+        f1, f2 = finite_difference_orders(g1, g2, 0.35, 0.75, h, batch, convention=convention)
         assert abs(da1 - f1) / max(1.0, abs(f1)) < 1e-6
         assert abs(da2 - f2) / max(1.0, abs(f2)) < 1e-6
 
 
-def test_filter_gradient_matches_wirtinger_finite_differences():
+def check_filter_gradient(make):
     """g_h = 2 dL/d conj(h): real part from the real perturbation, imaginary
     part from the imaginary perturbation."""
-    g1, g2, t, h, batch = small_problem(seed=5)
+    g1, g2, t, h, batch = make(seed=5)
     _, _, gh = gradients(t, h, batch)
     eps = 1e-7
     for m in (0, 5, 11):
@@ -87,6 +111,20 @@ def test_filter_gradient_matches_wirtinger_finite_differences():
         d_im = (loss(t, h + 1j * e, batch) - loss(t, h - 1j * e, batch)) / (2 * eps)
         assert abs(gh[m].real - d_re) < 1e-5
         assert abs(gh[m].imag - d_im) < 1e-5
+
+
+def test_order_gradients_match_finite_differences():
+    check_order_gradients(small_problem, "transform-power")
+
+
+def test_filter_gradient_matches_wirtinger_finite_differences():
+    check_filter_gradient(small_problem)
+
+
+def test_gradients_match_finite_differences_on_a_non_unitary_basis():
+    # shift-power on directed weighted graphs, a batch of three samples
+    check_order_gradients(directed_problem, "shift-power")
+    check_filter_gradient(directed_problem)
 
 
 def test_filter_gradient_closed_form_at_identity_orders():
@@ -276,3 +314,109 @@ def test_descent_keeps_no_memory_per_visited_order():
     finally:
         tracemalloc.stop()
     assert retained < 0.1e6, f"{retained} bytes retained"
+
+
+def fit_method(method, g, T, cfg, **kw):
+    """One trainer call for a method of ``METHODS``, as the drivers make it."""
+    if method == "2d-gfrft":
+        return train(kw.pop("source", None), g, path_graph(T), replace(cfg, tie_orders=True), **kw)
+    if method == "2d-gbfrft":
+        return train(kw.pop("source", None), g, path_graph(T), cfg, **kw)
+    if method == "jfrft":
+        return train_jfrft(kw.pop("source", None), g, T, cfg, **kw)
+    return train_hybrid(kw.pop("source", None), g, T, cfg, lambda_grid=(0.0, 0.5, 1.0), **kw)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_stacked_problems_equal_separate_fits(method):
+    rng = np.random.default_rng(20)
+    g = make_knn_graph(rng.normal(size=(5, 2)), 2)
+    T = 4
+    sources = []
+    for _ in range(4):
+        X = rng.normal(size=(5, T))
+        sources.append([(X + 0.4 * rng.normal(size=X.shape), X)])
+    cfg = TrainConfig(lr_orders=0.05, epochs=25, init_orders=(0.6, 0.4), seed=3)
+    stacked = fit_method(method, g, T, cfg, sources=sources)
+    assert len(stacked) == len(sources)
+    for source, (design, trace) in zip(sources, stacked):
+        single, single_trace = fit_method(method, g, T, cfg, source=source)
+        assert np.allclose(design.h, single.h, rtol=0, atol=1e-10)
+        assert np.allclose([design.alpha1, design.alpha2, design.mse],
+                           [single.alpha1, single.alpha2, single.mse], rtol=1e-10, atol=1e-12)
+        assert design.lam == single.lam
+        assert trace.best_epoch == single_trace.best_epoch
+        assert np.allclose(trace.loss, single_trace.loss, rtol=1e-10, atol=0)
+        assert np.allclose(trace.alpha1, single_trace.alpha1, rtol=0, atol=1e-10)
+
+
+def test_trainers_take_one_source_or_a_list():
+    g1, g2, _, _, batch = small_problem(seed=21)
+    cfg = TrainConfig(epochs=2)
+    with pytest.raises(ValueError):
+        train(batch, g1, g2, cfg, sources=[batch])
+    with pytest.raises(ValueError):
+        train(None, g1, g2, cfg)
+    with pytest.raises(ValueError):
+        train(None, g1, g2, cfg, sources=[])
+    with pytest.raises(ValueError):
+        train_hybrid(batch, g1, 4, cfg, lambda_grid=())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_diverging_stacked_problem_raises():
+    g1, g2, _, _, batch = small_problem(seed=22)
+    Y, X = batch[0]
+    cfg = TrainConfig(lr_orders=0.05, epochs=40, seed=5, optimizer="sgd")
+    train(None, g1, g2, cfg, sources=[batch, batch])  # the tame ones converge
+    with pytest.raises(DivergedLoss, match="in problem 1"):
+        train(None, g1, g2, cfg, sources=[batch, [(100.0 * Y, X)], batch])
+
+
+def test_problems_on_different_spatial_bases_are_rejected():
+    g1, g2, _, _, batch = small_problem(seed=23)
+    other = make_named_graph("cycle", 3)
+    problems = [(batch, lambda a, b: transform_2d(g1, g2, a, b)),
+                (batch, lambda a, b: transform_2d(other, g2, a, b))]
+    with pytest.raises(ValueError, match="spectral basis"):
+        _train_loop(problems, TrainConfig(epochs=2))
+
+
+class CountingMatrix(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            CountingMatrix.products += 1
+        plain = [x.view(np.ndarray) if isinstance(x, CountingMatrix) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def counting_basis(basis: SpectralBasis) -> SpectralBasis:
+    counted = SpectralBasis(V=basis.V.view(CountingMatrix), lam=basis.lam,
+                            V_inv=basis.V_inv.view(CountingMatrix), unitary=basis.unitary)
+    counted.V_h = basis.V_h.view(CountingMatrix)
+    counted.V_inv_h = basis.V_inv_h.view(CountingMatrix)
+    return counted
+
+
+@pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
+def test_one_epoch_multiplies_by_the_spatial_basis_a_fixed_number_of_times(method, monkeypatch):
+    rng = np.random.default_rng(24)
+    g = make_knn_graph(rng.normal(size=(6, 2)), 2)
+    T = 3
+    monkeypatch.setitem(transforms._GRAPH_BASES.setdefault(g, {}), "transform-power",
+                        counting_basis(transforms.graph_basis(g)))
+
+    def products(epochs, problems, batch):
+        sources = [[(rng.normal(size=(6, T)), rng.normal(size=(6, T))) for _ in range(batch)]
+                   for _ in range(problems)]
+        CountingMatrix.products = 0
+        fit_method(method, g, T, TrainConfig(epochs=epochs), sources=sources)
+        return CountingMatrix.products
+
+    per_epoch = {(P, B): products(3, P, B) - products(1, P, B) for P, B in ((1, 1), (4, 3))}
+    assert per_epoch[(1, 1)] == per_epoch[(4, 3)]
+    assert 0 < per_epoch[(1, 1)] / 2 <= 6
