@@ -18,12 +18,15 @@ from . import __version__, matio, results
 from .deblur import FrameSequence, blur_sequence, default_config as deblur_config, run_deblur
 from .errors import GbfrftError, ParseError, ShapeMismatch
 from .graphs import NAMED_KINDS, make_knn_graph, make_named_graph
-from .learn import METHODS, TrainConfig, train, train_hybrid, train_jfrft
+from .learn import METHOD_TABLE, METHODS, TrainConfig, train, train_hybrid
 from .metrics import frame_metrics
 from .synthetic import DEFAULT_VARIANCES, SyntheticSpec, TOPOLOGIES, run_synthetic
 from .timevertex import ingest_timevertex, run_timevertex
-from .transforms import CONVENTIONS, KINDS, apply, gfrft2d, hybrid_transform, jfrft, path_graph, transform_2d
-from .wiener import DEFAULT_SIZE_CAP, ObservationModel, draw_observations, grid_search
+from .transforms import CONVENTIONS, apply, path_graph
+from .wiener import DEFAULT_SIZE_CAP, ObservationModel, draw_observations, grid_search, grid_values
+
+# the learn method whose transform each --kind applies
+_KIND_METHODS = {"gfrft2d": "2d-gfrft", "gbfrft2d": "2d-gbfrft", "jfrft": "jfrft", "hybrid": "hybrid"}
 
 
 def _parse_bool(s: str) -> bool:
@@ -40,6 +43,13 @@ def _parse_floats(s: str) -> tuple[float, ...]:
         return tuple(float(p) for p in s.split(",") if p.strip())
     except ValueError as e:
         raise ParseError(f"expected comma-separated numbers, got {s!r}") from e
+
+
+def _parse_ints(s: str) -> tuple[int, ...]:
+    vals = _parse_floats(s)
+    if not all(v.is_integer() for v in vals):
+        raise ParseError(f"expected comma-separated integers, got {s!r}")
+    return tuple(int(v) for v in vals)
 
 
 def _parse_strs(s: str) -> tuple[str, ...]:
@@ -200,23 +210,12 @@ def cmd_transform(args) -> int:
     _require(args, "graph1", "input", "output")
     g1 = matio.load_graph(args.graph1)
     X = matio.read_matrix(args.input, complex_=args.complex_data)
-    if args.kind in ("gfrft2d", "gbfrft2d"):
-        _require(args, "graph2")
-        g2 = matio.load_graph(args.graph2)
-        if args.kind == "gfrft2d":
-            t = gfrft2d(g1, g2, args.alpha1, convention=args.convention)
-        else:
-            t = transform_2d(g1, g2, args.alpha1, args.alpha2, convention=args.convention)
-    elif args.kind == "jfrft":
-        T = args.t if args.t else X.shape[1]
-        t = jfrft(g1, T, alpha=args.alpha2, beta=args.alpha1, convention=args.convention)
-    elif args.kind == "hybrid":
-        T = args.t if args.t else X.shape[1]
-        g2 = matio.load_graph(args.graph2) if args.graph2 else path_graph(T)
-        t = hybrid_transform(g1, g2, T, alpha=args.alpha1, beta=args.alpha2,
-                             lam=args.lam, convention=args.convention)
-    else:
-        raise ParseError(f"unknown transform kind {args.kind!r}")
+    # the second factor defaults to a temporal path on --t (or the signal width) vertices
+    g2 = matio.load_graph(args.graph2) if args.graph2 else path_graph(args.t or X.shape[1])
+    if args.t and g2.n != args.t:
+        raise ShapeMismatch(f"--graph2 has {g2.n} vertices, --t asks for {args.t}")
+    t = METHOD_TABLE[_KIND_METHODS[args.kind]].build(g1, g2, args.alpha1, args.alpha2, args.lam,
+                                                  convention=args.convention)
     Y = apply(t, X, args.direction)
     matio.write_matrix(args.output, Y)
     print(f"{args.kind} {args.direction} at orders {t.orders} -> {args.output}")
@@ -255,9 +254,8 @@ def cmd_denoise_hybrid(args) -> int:
     samples, g1, _ = _gd_samples(args)
     T = samples[0][0].shape[1]
     cfg = _train_config(args)
-    lam_grid = tuple(round(k * args.lambda_step, 10)
-                     for k in range(int(round(1.0 / args.lambda_step)) + 1))
-    design, trace = train_hybrid(samples, g1, T, cfg, lambda_grid=lam_grid,
+    design, trace = train_hybrid(samples, g1, T, cfg,
+                                 lambda_grid=grid_values((0.0, 1.0), args.lambda_step),
                                  convention=args.convention)
     results.emit_results(trace.rows(), "trace", args.outdir, "trace", config=_echo(args))
     matio.write_vector(os.path.join(args.outdir, "filter.csv"), design.h)
@@ -291,7 +289,7 @@ def cmd_timevertex(args) -> int:
                       seed=args.seed)
     rows = []
     for k in args.k:
-        rows.extend(run_timevertex(ds, int(k), args.variances, methods=args.methods,
+        rows.extend(run_timevertex(ds, k, args.variances, methods=args.methods,
                                    cfg=cfg, seed=args.seed))
     results.emit_results(rows, "timevertex", args.outdir, "timevertex", config=_echo(args))
     print(f"timevertex table: {len(rows)} rows -> {args.outdir}")
@@ -373,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.opt("--output", help="adjacency CSV path (metadata sidecar gets .meta)")
 
     c = _Command(sub, "transform", "apply a product transform to a signal", cmd_transform)
-    c.opt("--kind", default="gbfrft2d", choices=KINDS)
+    c.opt("--kind", default="gbfrft2d", choices=tuple(_KIND_METHODS))
     c.opt("--graph1", help="row-factor graph CSV")
     c.opt("--graph2", help="column-factor graph CSV")
     c.opt("--t", type=int, help="time length for jfrft/hybrid (defaults to signal width)")
@@ -450,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = _Command(sub, "timevertex", "sensor time series denoising table", cmd_timevertex)
     c.opt("--values", help="(N, T) values CSV")
     c.opt("--coords", help="(N, d) coordinates CSV")
-    c.opt("--k", type=_parse_floats, default=(3.0,), help="k-NN sizes, comma separated")
+    c.opt("--k", type=_parse_ints, default=(3,), help="k-NN sizes, comma separated")
     c.opt("--variances", type=_parse_floats, default=(0.6, 0.9, 1.2))
     c.opt("--methods", type=_parse_strs, default=METHODS)
     c.opt("--lr", type=float, default=0.1)
@@ -483,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)  # the option types raise ParseError
         _merge_config(args)
         return args._func(args)
     except GbfrftError as e:

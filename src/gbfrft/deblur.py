@@ -11,15 +11,18 @@ pixel graph, so their descents run stacked, as one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeMismatch
 from .graphs import Graph, make_knn_graph
-from .learn import METHODS, TrainConfig, apply_filter, train, train_hybrid, train_jfrft
+from .learn import DEFAULT_LAMBDA_GRID, METHOD_TABLE, TrainConfig, apply_filter, fit
 from .metrics import frame_metrics, gaussian_blur
-from .transforms import hybrid_transform, jfrft, path_graph, transform_2d
+from .transforms import path_graph
+
+# Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
+from .learn import hybrid_transform, jfrft, train, transform_2d  # noqa: F401
 
 DEFAULT_PATCH = 20
 
@@ -97,28 +100,6 @@ def blur_sequence(fs: FrameSequence, size: int = 5, sigma: float = 1.0) -> Frame
     return FrameSequence(np.stack([gaussian_blur(f, size, sigma) for f in fs.frames]))
 
 
-def _fit_patches(y_blocks, x_blocks, spatial, temporal, method, cfg, lambda_grid):
-    """Fit every patch in one stacked descent; the filtered blocks."""
-    T = temporal.n
-    sources = [[(Yb, Xb)] for Yb, Xb in zip(y_blocks, x_blocks)]
-    if method in ("2d-gfrft", "2d-gbfrft"):
-        run_cfg = replace(cfg, tie_orders=True) if method == "2d-gfrft" else cfg
-        fits = train(None, spatial, temporal, run_cfg, sources=sources)
-        build = lambda d: transform_2d(spatial, temporal, d.alpha1, d.alpha2)  # noqa: E731
-    elif method == "jfrft":
-        fits = train_jfrft(None, spatial, T, cfg, sources=sources)
-        build = lambda d: jfrft(spatial, T, alpha=d.alpha2, beta=d.alpha1)  # noqa: E731
-    elif method == "hybrid":
-        kwargs = {} if lambda_grid is None else {"lambda_grid": lambda_grid}
-        fits = train_hybrid(None, spatial, T, cfg, sources=sources, **kwargs)
-        build = lambda d: hybrid_transform(spatial, temporal, T,  # noqa: E731
-                                           alpha=d.alpha1, beta=d.alpha2, lam=d.lam)
-    else:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    return np.stack([apply_filter(build(design), design.h, Yb).real
-                     for (design, _), Yb in zip(fits, y_blocks)])
-
-
 def run_deblur(
     blurred: FrameSequence,
     clean: FrameSequence,
@@ -135,8 +116,14 @@ def run_deblur(
     if blurred.frames.shape != clean.frames.shape:
         raise ShapeMismatch("blurred and clean sequences differ in shape")
     cfg = cfg if cfg is not None else default_config()
-    out_blocks = _fit_patches(patchify(blurred, patch), patchify(clean, patch),
-                              patch_graph(patch), path_graph(blurred.t), method, cfg, lambda_grid)
+    y_blocks = patchify(blurred, patch)
+    spatial, temporal = patch_graph(patch), path_graph(blurred.t)
+    fits = fit([(method, [pair]) for pair in zip(y_blocks, patchify(clean, patch))], spatial,
+               temporal, cfg, DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid)
+    build = METHOD_TABLE[method].build  # each patch's transform at its fitted orders
+    out_blocks = np.stack([
+        apply_filter(build(spatial, temporal, d.alpha1, d.alpha2, d.lam), d.h, Yb).real
+        for (d, _), Yb in zip(fits, y_blocks)])
     restored = reassemble(np.clip(out_blocks, 0.0, 255.0), blurred.frames.shape, patch)
     rows = []
     scores = []

@@ -22,16 +22,20 @@ per fit, and each epoch multiplies by the basis five times: V on
 [p Yh | dp Yh], V_inv on [Z | H dU1 | H dU2], V on the three inverse-side
 blocks, then V^H and V_inv^H for the adjoint behind g_h. The second factor
 acts through its FactorOperator, so blended and DFT factors work unchanged.
-Problems whose first factors share one basis (the patches of a deblur run,
-the lambdas of a hybrid search) descend stacked: their samples are column
-blocks of the same five products, each scaled by its own problem's powers,
-and each problem keeps its own orders, filter, Adam moments, trace and best
-iterate. A single fit is the one-problem case of the same loop.
+Problems whose first factors share one basis descend stacked: the patches
+of a deblur run, and every method, noise variance and lambda of a
+time-vertex run. Their samples are column blocks of the same five products,
+each scaled by its own problem's powers, and each problem keeps its own
+orders, filter, Adam moments, trace and best iterate. A single fit is the
+one-problem case of the same loop. Each method is one entry of
+METHOD_TABLE, and :func:`fit` stacks any mix of (method, source) jobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,11 +43,39 @@ from .errors import DivergedLoss, ShapeMismatch
 from .graphs import Graph
 from .spectral import FractionalOperator, SpectralBasis
 from .transforms import ProductTransform, hybrid_transform, jfrft, path_graph, transform_2d
-from .wiener import FilterDesign, ObservationModel, draw_observations
+from .wiener import FilterDesign, ObservationModel, draw_observations, grid_values
 
 OPTIMIZERS = ("adam", "sgd")
-METHODS = ("2d-gfrft", "2d-gbfrft", "jfrft", "hybrid")  # what the deblur and time-vertex drivers fit
-DEFAULT_LAMBDA_GRID = tuple(round(0.1 * k, 10) for k in range(11))
+DEFAULT_LAMBDA_GRID = tuple(grid_values((0.0, 1.0), 0.1))
+
+
+class Method(NamedTuple):
+    """A transform family: ``build(g1, g2, a1, a2, lam, convention)`` makes its
+    transform at the descent orders (a1, a2), with g2 the second factor (a
+    temporal path, of length g2.n, for jfrft and hybrid). A ``tied`` method
+    descends on one shared order; one that ``searches_lambda`` fits one
+    problem per blend weight of the lambda grid and keeps the best."""
+
+    build: Callable[..., ProductTransform]
+    tied: bool = False
+    searches_lambda: bool = False
+
+
+# The builders look transform_2d, jfrft and hybrid_transform up in this
+# module when called, where the benchmark's layer tracer wraps them.
+METHOD_TABLE = {
+    "2d-gfrft": Method(lambda g1, g2, a1, a2, lam, convention="transform-power":
+                       transform_2d(g1, g2, a1, a1, convention), tied=True),
+    "2d-gbfrft": Method(lambda g1, g2, a1, a2, lam, convention="transform-power":
+                        transform_2d(g1, g2, a1, a2, convention)),
+    # a1 is the vertex-side order, a2 the time-side one
+    "jfrft": Method(lambda g1, g2, a1, a2, lam, convention="transform-power":
+                    jfrft(g1, g2.n, alpha=a2, beta=a1, convention=convention)),
+    "hybrid": Method(lambda g1, g2, a1, a2, lam, convention="transform-power":
+                     hybrid_transform(g1, g2, g2.n, alpha=a1, beta=a2, lam=lam,
+                                      convention=convention), searches_lambda=True),
+}
+METHODS = tuple(METHOD_TABLE)  # what the deblur and time-vertex drivers fit
 
 
 @dataclass
@@ -281,40 +313,27 @@ def _initial_orders(cfg: TrainConfig, rng: np.random.Generator) -> tuple[float, 
         if not (s.startswith("uniform[") and s.endswith("]")):
             raise ValueError(f"unrecognized init_orders {spec!r}")
         lo, hi = (float(p) for p in s[len("uniform["):-1].split(","))
-        if cfg.tie_orders:
-            a = float(rng.uniform(lo, hi))
-            return a, a
-        return float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi))
-    a1, a2 = (float(spec[0]), float(spec[1]))
-    if cfg.tie_orders:
-        return a1, a1
-    return a1, a2
+        spec = (rng.uniform(lo, hi), rng.uniform(lo, hi))
+    a1, a2 = float(spec[0]), float(spec[1])
+    return (a1, a1) if cfg.tie_orders else (a1, a2)
 
 
-def _resolve_batches(source, sources, cfg: TrainConfig) -> list:
-    if (source is None) == (sources is None):
-        raise ValueError("give either one source or a sources= list, not both")
-    batches = []
-    for s in [source] if sources is None else sources:
-        if isinstance(s, ObservationModel):
-            batches.append(draw_observations(s, cfg.batch_size, cfg.seed))
-        else:
-            batches.append([(np.asarray(Y), np.asarray(X)) for Y, X in s])
-    return batches
-
-
-def _train_loop(problems, cfg: TrainConfig) -> list[tuple[FilterDesign, TrainTrace]]:
+def _train_loop(problems, cfg: TrainConfig, tied=None) -> list[tuple[FilterDesign, TrainTrace]]:
     """Descend on every (samples, builder) problem at once, one fused pass
-    per epoch; each problem keeps its own orders, filter, optimizer moments,
-    trace and best iterate, so the result equals P separate descents."""
+    per epoch; each problem keeps its own orders (a row of a (P, 2) array),
+    filter, optimizer moments, trace and best iterate, so the result equals
+    P separate descents. A ``tied`` problem (one flag each; default
+    ``cfg.tie_orders``) starts at (o1, o1) and gives both columns the summed
+    gradient, so they stay equal bit for bit."""
     if not problems or not all(samples for samples, _ in problems):
         raise ValueError("need at least one training pair")
     rng = np.random.default_rng(cfg.seed)
     o1, o2 = _initial_orders(cfg, rng)
     P = len(problems)
+    tied = np.full((P, 1), cfg.tie_orders) if tied is None else np.asarray(tied, bool)[:, None]
     n = np.size(problems[0][0][0][0])
     dtype = np.float64 if cfg.real_filter else np.complex128
-    orders = np.tile([o1] if cfg.tie_orders else [o1, o2], (P, 1))
+    orders = np.where(tied, o1, np.array([[o1, o2]]))
     h = np.ones((P, n), dtype=dtype)
 
     adam = _Adam(cfg.beta1, cfg.beta2, cfg.eps) if cfg.optimizer == "adam" else None
@@ -326,8 +345,7 @@ def _train_loop(problems, cfg: TrainConfig) -> list[tuple[FilterDesign, TrainTra
     stack = None
 
     for epoch in range(cfg.epochs):
-        pairs = orders[:, [0, 0]] if cfg.tie_orders else orders
-        ts = [build(a, b) for (_, build), (a, b) in zip(problems, pairs.tolist())]
+        ts = [build(a, b) for (_, build), (a, b) in zip(problems, orders.tolist())]
         if stack is None:
             stack = _Stack(ts, [samples for samples, _ in problems])
         values, d_orders, gh = stack.value_and_grad(ts, h)
@@ -335,20 +353,24 @@ def _train_loop(problems, cfg: TrainConfig) -> list[tuple[FilterDesign, TrainTra
         if bad.size:
             where = f" in problem {bad[0]}" if P > 1 else ""
             raise DivergedLoss(f"loss became {values[bad[0]]} at epoch {epoch}{where}")
-        for trace, (a, b), value in zip(traces, pairs.tolist(), values.tolist()):
+        for trace, (a, b), value in zip(traces, orders.tolist(), values.tolist()):
             trace.alpha1.append(a)
             trace.alpha2.append(b)
             trace.loss.append(value)
         better = values < best_loss
         best_loss[better] = values[better]
-        best_pairs[better] = pairs[better]
+        best_pairs[better] = orders[better]
         best_h[better] = h[better]
         for p in np.flatnonzero(better):
             traces[p].best_epoch = epoch
 
+        if epoch == 0:
+            # h = 1 makes the estimate y at every order, so the exact order
+            # gradient is 0; Adam would turn its roundoff into order moves
+            d_orders[:] = 0.0
         if cfg.real_filter:
             gh = gh.real
-        g_orders = d_orders.sum(axis=1, keepdims=True) if cfg.tie_orders else d_orders
+        g_orders = np.where(tied, d_orders.sum(axis=1, keepdims=True), d_orders)
         params = {"orders": orders, "h": h}
         grads = {"orders": g_orders, "h": gh}
         if adam is not None:
@@ -362,63 +384,71 @@ def _train_loop(problems, cfg: TrainConfig) -> list[tuple[FilterDesign, TrainTra
             for p, ((a, b), trace) in enumerate(zip(best_pairs.tolist(), traces))]
 
 
-def _fit(source, sources, cfg: TrainConfig, builders) -> list:
-    """Stack every (builder, source) pair into one descent; results per
-    builder, each a list with one (design, trace) per source."""
-    batches = _resolve_batches(source, sources, cfg)
-    fits = _train_loop([(b, build) for build in builders for b in batches], cfg)
-    k = len(batches)
-    return [fits[i:i + k] for i in range(0, len(fits), k)]
-
-
-def train(
-    source,
+def fit(
+    jobs,
     g1: Graph,
     g2: Graph,
     cfg: TrainConfig,
-    convention: str = "transform-power",
-    *,
-    sources=None,
-):
-    """Descend on a two-graph product transform.
-
-    ``source`` is either a sequence of (Y, X) matrix pairs or an
-    ObservationModel to sample ``cfg.batch_size`` realizations from; the
-    result is one (design, trace). With ``source=None`` and a ``sources``
-    list, every source is fit at once in one stacked descent, and the
-    result is one (design, trace) per source, each equal to its own fit.
-    """
-    builder = lambda a, b: transform_2d(g1, g2, a, b, convention)  # noqa: E731
-    fits = _fit(source, sources, cfg, [builder])[0]
-    return fits if sources is not None else fits[0]
-
-
-def train_jfrft(
-    source,
-    g: Graph,
-    T: int,
-    cfg: TrainConfig,
-    convention: str = "transform-power",
-    *,
-    sources=None,
-):
-    """Descend on the joint transform; alpha1 tracks the vertex-side order,
-    alpha2 the time-side order. ``sources`` as in :func:`train`."""
-    builder = lambda b, a: jfrft(g, T, alpha=a, beta=b, convention=convention)  # noqa: E731
-    fits = _fit(source, sources, cfg, [builder])[0]
-    return fits if sources is not None else fits[0]
-
-
-def train_hybrid(
-    source,
-    g_spatial: Graph,
-    T: int,
-    cfg: TrainConfig,
     lambda_grid=DEFAULT_LAMBDA_GRID,
     convention: str = "transform-power",
-    *,
-    sources=None,
-):
+) -> list[tuple[FilterDesign, TrainTrace]]:
+    """Fit every ``(method, source)`` job in one stacked descent; one
+    (design, trace) per job, each its own separate fit up to roundoff.
+
+    A source is a sequence of (Y, X) pairs or an ObservationModel to draw
+    ``cfg.batch_size`` realizations from. A job's orders are tied when its
+    method is or when ``cfg.tie_orders`` is set. A method that searches
+    lambda fits every value of ``lambda_grid`` from the same start and keeps
+    the first best one: a later value must strictly improve the loss.
+    """
+    lams = [float(lam) for lam in lambda_grid]
+    if not lams:
+        raise ValueError("lambda_grid must hold at least one value")
+    problems, tied, owners = [], [], []
+    for j, (name, source) in enumerate(jobs):
+        if name not in METHOD_TABLE:
+            raise ValueError(f"method must be one of {METHODS}, got {name!r}")
+        m = METHOD_TABLE[name]
+        samples = (draw_observations(source, cfg.batch_size, cfg.seed)
+                   if isinstance(source, ObservationModel) else list(source))
+        for lam in lams if m.searches_lambda else [None]:
+            problems.append((samples, partial(m.build, g1, g2, lam=lam, convention=convention)))
+            tied.append(m.tied or cfg.tie_orders)
+            owners.append((j, lam))
+    results = [None] * len(jobs)
+    for (j, lam), (design, trace) in zip(owners, _train_loop(problems, cfg, tied)):
+        if results[j] is None or design.mse < results[j][0].mse:
+            results[j] = (replace(design, lam=lam), trace)
+    return results
+
+
+def _fit_sources(name, source, sources, g1, g2, cfg, **kwargs):
+    """The trainers' ``source``/``sources=`` calling convention over :func:`fit`."""
+    if (source is None) == (sources is None):
+        raise ValueError("give either one source or a sources= list, not both")
+    fits = fit([(name, s) for s in ([source] if sources is None else sources)], g1, g2, cfg, **kwargs)
+    return fits if sources is not None else fits[0]
+
+
+def train(source, g1: Graph, g2: Graph, cfg: TrainConfig, convention: str = "transform-power", *,
+          sources=None):
+    """Fit ``2d-gbfrft`` (tied orders with ``cfg.tie_orders``) to one source,
+    a sequence of (Y, X) pairs or an ObservationModel; one (design, trace).
+    With ``source=None``, every source of a ``sources`` list is fit in one
+    stacked descent, one (design, trace) each, its own fit up to roundoff.
+    """
+    return _fit_sources("2d-gbfrft", source, sources, g1, g2, cfg, convention=convention)
+
+
+def train_jfrft(source, g: Graph, T: int, cfg: TrainConfig, convention: str = "transform-power",
+                *, sources=None):
+    """Descend on the joint transform; alpha1 tracks the vertex-side order,
+    alpha2 the time-side order. ``sources`` as in :func:`train`."""
+    return _fit_sources("jfrft", source, sources, g, path_graph(T), cfg, convention=convention)
+
+
+def train_hybrid(source, g_spatial: Graph, T: int, cfg: TrainConfig, lambda_grid=DEFAULT_LAMBDA_GRID,
+                 convention: str = "transform-power", *, sources=None):
     """Search over the temporal blend weight, a fresh descent per value.
 
     Every lambda restarts from the same seeded initialization; the first
@@ -426,21 +456,5 @@ def train_hybrid(
     achieved loss to replace it. All lambdas (and all ``sources``, as in
     :func:`train`) descend together in one stacked descent.
     """
-    lams = [float(lam) for lam in lambda_grid]
-    if not lams:
-        raise ValueError("lambda_grid must hold at least one value")
-    g2 = path_graph(T)
-    builders = [
-        lambda a, b, _l=lam: hybrid_transform(
-            g_spatial, g2, T, alpha=a, beta=b, lam=_l, convention=convention)
-        for lam in lams
-    ]
-    per_lambda = _fit(source, sources, cfg, builders)
-    results = []
-    for fits in zip(*per_lambda):
-        best = None
-        for lam, (design, trace) in zip(lams, fits):
-            if best is None or design.mse < best[0].mse:
-                best = (replace(design, lam=lam), trace)
-        results.append(best)
-    return results if sources is not None else results[0]
+    return _fit_sources("hybrid", source, sources, g_spatial, path_graph(T), cfg,
+                        lambda_grid=lambda_grid, convention=convention)

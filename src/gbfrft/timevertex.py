@@ -7,15 +7,18 @@ before noise is added, and errors are reported per entry on that scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstantSeries, ShapeMismatch
 from .graphs import Graph, make_knn_graph
-from .learn import METHODS, TrainConfig, train, train_hybrid, train_jfrft
+from .learn import DEFAULT_LAMBDA_GRID, METHODS, TrainConfig, fit
 from .matio import read_matrix
 from .transforms import path_graph
+
+# Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
+from .learn import train, train_hybrid, train_jfrft  # noqa: F401
 
 STD_FLOOR = 1e-12
 
@@ -81,40 +84,26 @@ def run_timevertex(
     """Rows for the time-vertex table: one per (method, noise variance).
 
     A single noise realization is drawn per variance (from ``seed``) and
-    shared by every method, so the comparisons see identical data. Reported
-    mse is the per-entry mean on the standardized scale.
+    shared by every method, so the comparisons see identical data. Every
+    (variance, method) fit, and every lambda of a hybrid one, descends in
+    one stacked descent. Reported mse is the per-entry mean on the
+    standardized scale.
     """
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {m!r}")
-    base = cfg if cfg is not None else default_config()
-    spatial = ds.spatial_graph(k)
-    temporal = path_graph(ds.t)
     X = ds.standardized
-    rows = []
-    for si, sigma2 in enumerate(variances):
-        rng = np.random.default_rng(seed + si)
-        Y = X + rng.normal(scale=np.sqrt(sigma2), size=X.shape)
-        batch = [(Y, X)]
-        for method in methods:
-            lam = None
-            if method == "2d-gfrft":
-                design, _ = train(batch, spatial, temporal, replace(base, tie_orders=True))
-            elif method == "2d-gbfrft":
-                design, _ = train(batch, spatial, temporal, base)
-            elif method == "jfrft":
-                design, _ = train_jfrft(batch, spatial, ds.t, base)
-            else:
-                kwargs = {} if lambda_grid is None else {"lambda_grid": lambda_grid}
-                design, _ = train_hybrid(batch, spatial, ds.t, base, **kwargs)
-                lam = design.lam
-            rows.append({
-                "method": method,
-                "k": k,
-                "sigma2": sigma2,
-                "mse": design.mse / (ds.n * ds.t),
-                "alpha1": design.alpha1,
-                "alpha2": design.alpha2,
-                "lam": lam,
-            })
-    return rows
+    noisy = [X + np.random.default_rng(seed + si).normal(scale=np.sqrt(sigma2), size=X.shape)
+             for si, sigma2 in enumerate(variances)]
+    cells = [(sigma2, Y, method) for sigma2, Y in zip(variances, noisy) for method in methods]
+    if not cells:
+        return []
+    fits = fit([(method, [(Y, X)]) for _, Y, method in cells], ds.spatial_graph(k),
+               path_graph(ds.t), cfg if cfg is not None else default_config(),
+               DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid)
+    return [{
+        "method": method,
+        "k": k,
+        "sigma2": sigma2,
+        "mse": design.mse / (ds.n * ds.t),
+        "alpha1": design.alpha1,
+        "alpha2": design.alpha2,
+        "lam": design.lam,
+    } for (sigma2, _, method), (design, _) in zip(cells, fits)]

@@ -37,7 +37,6 @@ from .spectral import (
 )
 
 CONVENTIONS = ("transform-power", "shift-power")
-KINDS = ("gfrft2d", "gbfrft2d", "jfrft", "hybrid")
 
 _GRAPH_BASES: "WeakKeyDictionary[Graph, dict[str, SpectralBasis]]" = WeakKeyDictionary()
 _DFT_BASES: dict[int, SpectralBasis] = {}

@@ -335,9 +335,12 @@ def expected_mse(model: ObservationModel, t: ProductTransform, h,
     return _mse_from_normal_eqs(T, q, h, float(np.real(np.trace(model.rxx))))
 
 
-def _grid_values(rng: tuple[float, float], step: float) -> list[float]:
-    # values come from exact rational arithmetic so 0.1 steps land on the
-    # decimals they print as and the inclusive endpoint is hit exactly
+def grid_values(rng: tuple[float, float], step: float) -> list[float]:
+    """The grid lo, lo + step, ... over ``rng``, always ending at hi.
+
+    Values come from exact rational arithmetic, so 0.1 steps land on the
+    decimals they print as and the inclusive endpoint is hit exactly.
+    """
     a, b = float(rng[0]), float(rng[1])
     if step <= 0 or b < a:
         raise ValueError(f"bad grid range {rng} with step {step}")
@@ -347,6 +350,9 @@ def _grid_values(rng: tuple[float, float], step: float) -> list[float]:
     if fa + count * fs < fb:
         vals.append(b)
     return vals
+
+
+_grid_values = grid_values  # the name tests/test_wiener.py imports
 
 
 def grid_search(
@@ -368,11 +374,11 @@ def grid_search(
     ``range1``. Returns the winning FilterDesign, plus the per-point rows
     when ``keep_grid`` is set.
     """
-    grid1 = _grid_values(range1, step)
+    grid1 = grid_values(range1, step)
     if equal_orders:
         points = [(a, a) for a in grid1]
     else:
-        grid2 = _grid_values(range2, step)
+        grid2 = grid_values(range2, step)
         points = [(a1, a2) for a1 in grid1 for a2 in grid2]
     trace_rxx = float(np.real(np.trace(model.rxx)))
     My, Mxy = model.y_covariance(), model.xy_covariance()

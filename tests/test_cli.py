@@ -1,9 +1,11 @@
 import numpy as np
 
-from gbfrft import matio
+from gbfrft import cli, matio
 from gbfrft.cli import main
 from gbfrft.graphs import make_named_graph
+from gbfrft.learn import train_hybrid
 from gbfrft.synthetic import build_observation_model
+from gbfrft.transforms import gfrft2d, hybrid_transform, jfrft, path_graph, transform_2d
 
 
 def write_model(tmp_path):
@@ -160,3 +162,57 @@ def test_synth_subcommand_writes_table(tmp_path):
     lines = open(tmp_path / "out" / "synthetic.csv").read().splitlines()
     assert lines[0].startswith("method,topology,variant")
     assert len(lines) == 2
+
+
+def test_denoise_hybrid_lambda_step_uses_the_exact_grid(tmp_path, capsys, monkeypatch):
+    g1, _, rxx, rnn = write_model(tmp_path)
+    args = ["denoise-hybrid", "--graph1", g1, "--rxx", rxx, "--rnn", rnn,
+            "--epochs", "2", "--outdir", str(tmp_path / "out")]
+    assert main(args + ["--lambda-step", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[ValueError]:")
+
+    grids = []
+
+    def spy(*a, lambda_grid, **kw):
+        grids.append(tuple(lambda_grid))
+        return train_hybrid(*a, lambda_grid=lambda_grid, **kw)
+
+    monkeypatch.setattr(cli, "train_hybrid", spy)
+    for step in ("0.3", "0.6"):
+        assert main(args + ["--lambda-step", step]) == 0
+    assert grids == [(0.0, 0.3, 0.6, 0.9, 1.0), (0.0, 0.6, 1.0)]
+
+
+def test_timevertex_k_must_be_integers(tmp_path, capsys):
+    rc = main(["timevertex", "--values", str(tmp_path / "v.csv"),
+               "--coords", str(tmp_path / "c.csv"), "--k", "3,2.5",
+               "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[ParseError]:") and "2.5" in err[0]
+
+
+def test_transform_kinds_match_the_library_transforms(tmp_path, capsys):
+    g1, g2 = make_named_graph("path", 3), make_named_graph("cycle", 5)
+    matio.save_graph(g1, str(tmp_path / "g1.csv"))
+    matio.save_graph(g2, str(tmp_path / "g2.csv"))
+    X = np.random.default_rng(2).normal(size=(3, 5))
+    matio.write_matrix(str(tmp_path / "x.csv"), X)
+    expected = {
+        "gfrft2d": (gfrft2d(g1, g2, 0.3), True),
+        "gbfrft2d": (transform_2d(g1, g2, 0.3, 0.7), True),
+        "jfrft": (jfrft(g1, 5, alpha=0.7, beta=0.3), False),
+        "hybrid": (hybrid_transform(g1, path_graph(5), 5, alpha=0.3, beta=0.7, lam=0.4), False),
+    }
+    for kind, (t, uses_graph2) in expected.items():
+        out = str(tmp_path / f"{kind}.csv")
+        argv = ["transform", "--kind", kind, "--graph1", str(tmp_path / "g1.csv"),
+                "--alpha1", "0.3", "--alpha2", "0.7", "--lam", "0.4",
+                "--input", str(tmp_path / "x.csv"), "--output", out]
+        if uses_graph2:
+            argv += ["--graph2", str(tmp_path / "g2.csv")]
+        assert main(argv) == 0
+        assert np.allclose(matio.read_matrix(out, complex_=True), t.apply(X), rtol=0, atol=1e-12)
+    assert main(argv + ["--graph2", str(tmp_path / "g2.csv"), "--t", "4"]) == 1
+    assert capsys.readouterr().err.startswith("error[ShapeMismatch]:")

@@ -13,6 +13,7 @@ from gbfrft.learn import (
     TrainConfig,
     _train_loop,
     apply_filter,
+    fit,
     gradients,
     loss,
     train,
@@ -220,7 +221,7 @@ def test_sgd_and_adam_take_different_paths():
     a = train(batch, g1, g2, TrainConfig(lr_orders=0.05, epochs=10, seed=3))[1]
     s = train(batch, g1, g2, TrainConfig(lr_orders=0.05, epochs=10, seed=3,
                                          optimizer="sgd"))[1]
-    assert a.alpha1[1] != s.alpha1[1]
+    assert a.alpha1[2] != s.alpha1[2]
 
 
 def test_real_filter_stays_real():
@@ -420,3 +421,40 @@ def test_one_epoch_multiplies_by_the_spatial_basis_a_fixed_number_of_times(metho
     per_epoch = {(P, B): products(3, P, B) - products(1, P, B) for P, B in ((1, 1), (4, 3))}
     assert per_epoch[(1, 1)] == per_epoch[(4, 3)]
     assert 0 < per_epoch[(1, 1)] / 2 <= 6
+
+
+def test_one_fit_stacks_every_method_tied_and_untied():
+    rng = np.random.default_rng(25)
+    g = make_knn_graph(rng.normal(size=(5, 2)), 2)
+    T = 4
+    sources = []
+    for _ in range(2):
+        X = rng.normal(size=(5, T))
+        sources.append([(X + 0.4 * rng.normal(size=X.shape), X)])
+    cfg = TrainConfig(lr_orders=0.05, epochs=25, init_orders=(0.6, 0.4), seed=3)
+    jobs = [(m, s) for s in sources for m in METHODS]
+    stacked = fit(jobs, g, path_graph(T), cfg, lambda_grid=(0.0, 0.5, 1.0))
+    assert len(stacked) == len(jobs)
+    for (method, source), (design, trace) in zip(jobs, stacked):
+        single, single_trace = fit_method(method, g, T, cfg, source=source)
+        assert np.allclose(design.h, single.h, rtol=0, atol=1e-10)
+        assert np.allclose([design.alpha1, design.alpha2, design.mse],
+                           [single.alpha1, single.alpha2, single.mse], rtol=1e-10, atol=1e-12)
+        assert design.lam == single.lam
+        assert trace.best_epoch == single_trace.best_epoch
+        assert np.allclose(trace.alpha2, single_trace.alpha2, rtol=0, atol=1e-10)
+        assert (trace.alpha1 == trace.alpha2) == (method == "2d-gfrft")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_first_step_leaves_the_orders_where_they_start(method):
+    # at the identity start h = 1 the order gradient is 0 in exact
+    # arithmetic, so the first step must not move the orders
+    rng = np.random.default_rng(26)
+    g = make_knn_graph(rng.normal(size=(7, 2)), 3)
+    X = 50.0 * rng.normal(size=(7, 6))
+    source = [(X + 20.0 * rng.normal(size=X.shape), X)]
+    cfg = TrainConfig(lr_orders=0.05, epochs=3, init_orders=(0.7, 0.4), seed=1)
+    _, trace = fit_method(method, g, 6, cfg, source=source)
+    assert trace.alpha1[1] == trace.alpha1[0] and trace.alpha2[1] == trace.alpha2[0]
+    assert trace.alpha1[2] != trace.alpha1[1]

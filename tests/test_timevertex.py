@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gbfrft import learn
 from gbfrft.errors import ConstantSeries, ShapeMismatch
-from gbfrft.learn import TrainConfig
+from gbfrft.learn import METHODS, TrainConfig, _train_loop as train_loop
 from gbfrft.matio import write_matrix
 from gbfrft.timevertex import TimeVertexDataset, ingest_timevertex, run_timevertex
 
@@ -85,3 +86,27 @@ def test_ingest_round_trip(tmp_path):
     back = ingest_timevertex(vals, coords)
     assert np.array_equal(back.values, ds.values)
     assert np.array_equal(back.coords, ds.coords)
+
+
+def test_one_descent_per_run_equals_fits_per_method_and_variance(monkeypatch):
+    ds = toy_dataset(n=7, t=6, seed=3)
+    cfg = TrainConfig(lr_orders=0.1, epochs=15, init_orders=(0.5, 0.5))
+    variances = (0.6, 0.9, 1.2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return train_loop(*args, **kwargs)
+
+    monkeypatch.setattr(learn, "_train_loop", counting)
+    rows = run_timevertex(ds, 3, variances, cfg=cfg, seed=4)
+    assert len(calls) == 1
+    cells = [(si, v, m) for si, v in enumerate(variances) for m in METHODS]
+    assert [(r["sigma2"], r["method"]) for r in rows] == [(v, m) for _, v, m in cells]
+    for row, (si, v, m) in zip(rows, cells):
+        single = run_timevertex(ds, 3, (v,), methods=(m,), cfg=cfg, seed=4 + si)[0]
+        assert row["lam"] == single["lam"]
+        assert np.allclose([row["mse"], row["alpha1"], row["alpha2"]],
+                           [single["mse"], single["alpha1"], single["alpha2"]], rtol=1e-12, atol=0)
+    assert run_timevertex(ds, 3, (), cfg=cfg) == []
+    assert run_timevertex(ds, 3, variances, methods=(), cfg=cfg) == []
