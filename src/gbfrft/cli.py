@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .graphs import NAMED_KINDS, make_knn_graph, make_named_graph
 from .learn import METHOD_TABLE, METHODS, TrainConfig, train, train_hybrid
 from .metrics import frame_metrics
 from .synthetic import DEFAULT_VARIANCES, SyntheticSpec, TOPOLOGIES, run_synthetic
-from .timevertex import ingest_timevertex, run_timevertex
+from .timevertex import default_config as timevertex_config, ingest_timevertex, run_timevertex
 from .transforms import CONVENTIONS, apply, path_graph
 from .wiener import DEFAULT_SIZE_CAP, ObservationModel, draw_observations, grid_search, grid_values
 
@@ -143,6 +144,13 @@ def _echo(args, extra=None) -> dict:
     if extra:
         out.update(extra)
     return out
+
+
+def _descent_config(args, default_config) -> TrainConfig:
+    """The library's ``default_config()`` with the parsed --lr, --epochs,
+    --init-orders and --seed."""
+    return replace(default_config(), lr_orders=args.lr, epochs=args.epochs,
+                   init_orders=args.init_orders, seed=args.seed)
 
 
 def _train_config(args, tie: bool = False) -> TrainConfig:
@@ -285,8 +293,7 @@ def cmd_synth(args) -> int:
 def cmd_timevertex(args) -> int:
     _require(args, "values", "coords", "outdir")
     ds = ingest_timevertex(args.values, args.coords)
-    cfg = TrainConfig(lr_orders=args.lr, epochs=args.epochs, init_orders=args.init_orders,
-                      seed=args.seed)
+    cfg = _descent_config(args, timevertex_config)
     rows = []
     for k in args.k:
         rows.extend(run_timevertex(ds, k, args.variances, methods=args.methods,
@@ -305,8 +312,7 @@ def cmd_deblur(args) -> int:
         blurred = blur_sequence(clean, size=args.blur_size, sigma=args.blur_sigma)
     else:
         raise ParseError("need --blurred files or --synthesize-blur")
-    cfg = TrainConfig(lr_orders=args.lr, epochs=args.epochs, init_orders=args.init_orders,
-                      seed=args.seed)
+    cfg = _descent_config(args, deblur_config)
     restored, rows = run_deblur(blurred, clean, patch=args.patch, method=args.method, cfg=cfg)
     for f in range(clean.t):
         err, p_db, s = frame_metrics(clean.frames[f], blurred.frames[f])
@@ -418,6 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
         c.opt("--convention", default="transform-power", choices=CONVENTIONS)
         c.opt("--outdir")
 
+    def descent_opts(c, defaults: TrainConfig):
+        # defaults from the library's default_config(), which the command extends
+        c.opt("--lr", type=float, default=defaults.lr_orders)
+        c.opt("--epochs", type=int, default=defaults.epochs)
+        c.opt("--init-orders", type=_parse_init, default=defaults.init_orders)
+
     c = _Command(sub, "denoise-gd", "joint order/filter descent on a product", cmd_denoise_gd)
     c.opt("--graph1")
     c.opt("--graph2")
@@ -451,9 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.opt("--k", type=_parse_ints, default=(3,), help="k-NN sizes, comma separated")
     c.opt("--variances", type=_parse_floats, default=(0.6, 0.9, 1.2))
     c.opt("--methods", type=_parse_strs, default=METHODS)
-    c.opt("--lr", type=float, default=0.1)
-    c.opt("--epochs", type=int, default=200)
-    c.opt("--init-orders", type=_parse_init, default=(0.5, 0.5))
+    descent_opts(c, timevertex_config())
     c.opt("--seed", type=int, default=0)
     c.opt("--outdir")
 
@@ -465,9 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.opt("--blur-sigma", type=float, default=1.0)
     c.opt("--patch", type=int, default=20)
     c.opt("--method", default="2d-gbfrft", choices=METHODS)
-    c.opt("--lr", type=float, default=7e-3)
-    c.opt("--epochs", type=int, default=120)
-    c.opt("--init-orders", type=_parse_init, default=(0.8, 0.8))
+    descent_opts(c, deblur_config())
     c.opt("--seed", type=int, default=0)
     c.opt("--heatmap", flag=True, help="also write per-pixel absolute error PGMs")
     c.opt("--outdir")

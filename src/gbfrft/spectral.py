@@ -62,6 +62,13 @@ class SpectralBasis:
         return np.ascontiguousarray(self.V_inv.conj().T)
 
     @cached_property
+    def unitary_powers(self) -> bool:
+        """Every fractional power is unitary: V is unitary and every
+        eigenvalue lies on the unit circle (to STRUCTURE_RTOL). A unitary V
+        alone is not enough: a symmetric adjacency has real eigenvalues."""
+        return self.unitary and bool(np.all(np.abs(np.abs(self.lam) - 1.0) <= STRUCTURE_RTOL))
+
+    @cached_property
     def zero(self) -> np.ndarray:
         """Mask of the eigenvalues treated as zero, relative to the largest."""
         biggest = float(np.max(np.abs(self.lam))) if self.lam.size else 0.0

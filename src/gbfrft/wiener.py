@@ -27,6 +27,18 @@ problems. The normal equations are solved by an LU factorization whose
 1-norm condition estimate decides whether to fall back to least squares.
 The reachable mean squared error for any h is
 E = h^H T h - 2 Re(h^H q) + Tr(Rxx).
+
+When both factor powers are unitary, as the 2D-GBFRFT of two undirected
+graphs under ``transform-power`` is, Fi = F^H. Then Fi^H Fi = I, T is
+diagonal with T[m, m] = A[m, m], A = F E[y y^H] F^H, q = diag(F E[x y^H] F^H)
+and h = q / diag(A). ``grid_search`` takes this path at every point where
+both factor bases have ``SpectralBasis.unitary_powers`` (a unitary
+eigenbasis and a unimodular spectrum; a symmetric adjacency under
+``shift-power`` has a unitary eigenbasis but real eigenvalues, so it keeps
+the LU path). Each diagonal is a sandwich of factor contractions at
+O(N1 N^2 + N N2^2), with no N x N product formed. The rcond of a diagonal
+T is min|T_mm| / max|T_mm|, guarded like the LU estimate, and the
+least-squares fallback is what ``lstsq`` gives for a diagonal matrix.
 """
 
 from __future__ import annotations
@@ -95,6 +107,19 @@ def _kron_rmul_h(X: np.ndarray, M2: np.ndarray, M1: np.ndarray) -> np.ndarray:
 def _kron_sandwich(M2: np.ndarray, M1: np.ndarray, X: np.ndarray) -> np.ndarray:
     """K @ X @ K^H for K = kron(M2, M1)."""
     return _kron_rmul_h(_kron_lmul(M2, M1, X), M2, M1)
+
+
+def _kron_sandwich_diag(M2: np.ndarray, M1: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """diag(K @ X @ K^H) for K = kron(M2, M1), without forming K @ X.
+
+    In the (N2, N1, N2, N1) view of X, entry (m2, m1) of the diagonal is
+    sum M2[m2, i2] M1[m1, i1] X[i2, i1, j2, j1] conj(M2[m2, j2] M1[m1, j1]).
+    """
+    n1, n2 = M1.shape[0], M2.shape[0]
+    Y = (M1 @ X.reshape(n2, n1, -1)).reshape(n2, n1, n2, n1)
+    Y = np.einsum("amcd,md->amc", Y, M1.conj())
+    Y = (M2 @ Y.reshape(n2, -1)).reshape(n2, n1, n2)
+    return np.einsum("bmc,bc->bm", Y, M2.conj()).reshape(n1 * n2)
 
 
 def psd_clip(a) -> np.ndarray:
@@ -230,14 +255,18 @@ def assemble_normal_equations(
     return _assemble(model, t, cap, model.y_covariance(), model.xy_covariance())
 
 
+def _check_sizes(model, t, cap):
+    if t.n1 != model.n1 or t.n2 != model.n2:
+        raise ShapeMismatch("transform and model grid sizes differ")
+    if model.n > cap:
+        raise SizeCapExceeded(f"N1*N2 = {model.n} exceeds cap {cap}")
+
+
 def _assemble(model, t, cap, My, Mxy):
     # My = E[y y^H] and Mxy = E[x y^H] do not depend on the orders, so a
     # search computes them once and passes them to every point
+    _check_sizes(model, t, cap)
     n = model.n
-    if t.n1 != model.n1 or t.n2 != model.n2:
-        raise ShapeMismatch("transform and model grid sizes differ")
-    if n > cap:
-        raise SizeCapExceeded(f"N1*N2 = {n} exceeds cap {cap}")
     M1, M2 = t.op1.matrix, t.op2.matrix
     M1i, M2i = t.op1.inverse, t.op2.inverse
     A = _kron_sandwich(M2, M1, My)
@@ -253,6 +282,17 @@ def _assemble(model, t, cap, My, Mxy):
     q = np.einsum("ab,cd,acbd->bd", M2i.conj(), M1i.conj(),
                   Z.reshape(t.n2, t.n1, t.n2, t.n1)).reshape(n)
     return T, q
+
+
+def _assemble_diagonal(model, t, cap, My, Mxy):
+    """(diag T, q) for a transform whose factor powers are both unitary.
+
+    Fi = F^H, so Fi^H Fi = I, T = I * A.T keeps only diag(A), and
+    q = diag(Fi^H Mxy F^H) = diag(F Mxy F^H).
+    """
+    _check_sizes(model, t, cap)
+    M1, M2 = t.op1.matrix, t.op2.matrix
+    return _kron_sandwich_diag(M2, M1, My), _kron_sandwich_diag(M2, M1, Mxy)
 
 
 def assemble_normal_equations_naive(
@@ -300,28 +340,66 @@ def solve_filter(T: np.ndarray, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.complex128)
     if T.shape[0] != T.shape[1] or q.shape != (T.shape[0],):
         raise ShapeMismatch(f"incompatible shapes {T.shape} and {q.shape}")
-    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(q))):
-        raise NonFinite("normal equations must be finite")
+    _check_finite_system(T, q)
     with warnings.catch_warnings():
         # an exactly singular T is reported below, as IllConditionedSystem
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(T, check_finite=False)
     gecon = get_lapack_funcs("gecon", (lu,))
     rcond, _ = gecon(lu, np.linalg.norm(T, 1), norm="1")
-    if rcond > 0 and 1.0 / rcond <= SOLVE_CONDITION_LIMIT:
+    if _well_conditioned(rcond):
         h = lu_solve((lu, piv), q, check_finite=False)
     else:
-        cond = 1.0 / rcond if rcond > 0 else np.inf
-        warnings.warn(f"normal equations condition estimate {cond:.3e}; using least squares",
-                      IllConditionedSystem)
         h = np.linalg.lstsq(T, q, rcond=None)[0]
+    return _finite_filter(h)
+
+
+def _solve_diagonal(d: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Solve diag(d) h = q under solve_filter's contract.
+
+    The 1-norm rcond of a diagonal matrix is min|d| / max|d|. The fallback
+    is what ``lstsq`` gives for a diagonal matrix: its singular values are
+    |d|, and h_m = 0 where |d_m| <= eps * N * max|d|.
+    """
+    _check_finite_system(d, q)
+    mag = np.abs(d)
+    top = float(mag.max())
+    if _well_conditioned(float(mag.min()) / top if top > 0 else 0.0):
+        h = q / d
+    else:
+        keep = mag > np.finfo(np.float64).eps * d.size * top
+        h = np.zeros_like(q)
+        h[keep] = q[keep] / d[keep]
+    return _finite_filter(h)
+
+
+def _check_finite_system(T, q):
+    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(q))):
+        raise NonFinite("normal equations must be finite")
+
+
+def _well_conditioned(rcond: float) -> bool:
+    """The conditioning guard of both solvers: False, with an
+    IllConditionedSystem warning, when 1/rcond exceeds
+    SOLVE_CONDITION_LIMIT or rcond is 0."""
+    if rcond > 0 and 1.0 / rcond <= SOLVE_CONDITION_LIMIT:
+        return True
+    cond = 1.0 / rcond if rcond > 0 else np.inf
+    warnings.warn(f"normal equations condition estimate {cond:.3e}; using least squares",
+                  IllConditionedSystem)
+    return False
+
+
+def _finite_filter(h: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(h)):
         raise NonFinite("filter solution is not finite")
     return h
 
 
 def _mse_from_normal_eqs(T: np.ndarray, q: np.ndarray, h: np.ndarray, trace_rxx: float) -> float:
-    val = np.real(h.conj() @ T @ h - 2.0 * np.real(h.conj() @ q) + trace_rxx)
+    # a 1-D T holds the diagonal of a diagonal T
+    Th = T * h if T.ndim == 1 else T @ h
+    val = np.real(h.conj() @ Th - 2.0 * np.real(h.conj() @ q) + trace_rxx)
     return float(max(val, 0.0))
 
 
@@ -352,9 +430,6 @@ def grid_values(rng: tuple[float, float], step: float) -> list[float]:
     return vals
 
 
-_grid_values = grid_values  # the name tests/test_wiener.py imports
-
-
 def grid_search(
     model: ObservationModel,
     g1: Graph,
@@ -371,8 +446,10 @@ def grid_search(
     expected MSE; ties go to the smaller (alpha1, alpha2) pair.
 
     With ``equal_orders`` the search is restricted to alpha1 == alpha2 over
-    ``range1``. Returns the winning FilterDesign, plus the per-point rows
-    when ``keep_grid`` is set.
+    ``range1``. A point whose factor bases both have unitary powers is
+    designed from the diagonal normal equations (see the module docstring);
+    every other point by LU. Returns the winning FilterDesign, plus the
+    per-point rows when ``keep_grid`` is set.
     """
     grid1 = grid_values(range1, step)
     if equal_orders:
@@ -386,8 +463,12 @@ def grid_search(
     rows = []
     for a1, a2 in points:
         t = transform_2d(g1, g2, a1, a2, convention)
-        T, q = _assemble(model, t, cap, My, Mxy)
-        h = solve_filter(T, q)
+        if t.op1.basis.unitary_powers and t.op2.basis.unitary_powers:
+            T, q = _assemble_diagonal(model, t, cap, My, Mxy)
+            h = _solve_diagonal(T, q)
+        else:
+            T, q = _assemble(model, t, cap, My, Mxy)
+            h = solve_filter(T, q)
         e = _mse_from_normal_eqs(T, q, h, trace_rxx)
         rows.append({"alpha1": a1, "alpha2": a2, "mse": e})
         if best is None or (e, a1, a2) < (best.mse, best.alpha1, best.alpha2):

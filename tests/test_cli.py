@@ -1,6 +1,6 @@
 import numpy as np
 
-from gbfrft import cli, matio
+from gbfrft import cli, deblur, matio, timevertex
 from gbfrft.cli import main
 from gbfrft.graphs import make_named_graph
 from gbfrft.learn import train_hybrid
@@ -216,3 +216,14 @@ def test_transform_kinds_match_the_library_transforms(tmp_path, capsys):
         assert np.allclose(matio.read_matrix(out, complex_=True), t.apply(X), rtol=0, atol=1e-12)
     assert main(argv + ["--graph2", str(tmp_path / "g2.csv"), "--t", "4"]) == 1
     assert capsys.readouterr().err.startswith("error[ShapeMismatch]:")
+
+
+def test_deblur_and_timevertex_training_defaults_come_from_the_library():
+    parser = cli.build_parser()
+    for command, default_config in [("deblur", deblur.default_config),
+                                     ("timevertex", timevertex.default_config)]:
+        args = parser.parse_args([command])
+        cli._merge_config(args)
+        lib = default_config()
+        assert (args.lr, args.epochs, args.init_orders) == (lib.lr_orders, lib.epochs, lib.init_orders)
+        assert cli._descent_config(args, default_config) == lib

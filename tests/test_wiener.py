@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from gbfrft import wiener
+
 from gbfrft.errors import (
     IllConditionedSystem,
     NonFinite,
@@ -14,13 +16,13 @@ from gbfrft.graphs import Graph, make_named_graph
 from gbfrft.transforms import transform_2d
 from gbfrft.wiener import (
     ObservationModel,
-    _grid_values,
     assemble_normal_equations,
     assemble_normal_equations_naive,
     basis_matrices,
     draw_observations,
     expected_mse,
     grid_search,
+    grid_values,
     psd_clip,
     solve_filter,
 )
@@ -205,14 +207,14 @@ def test_solve_filter_rejects_non_finite_systems():
 
 
 def test_grid_values_land_on_exact_decimals():
-    vals = _grid_values((0.0, 1.0), 0.1)
+    vals = grid_values((0.0, 1.0), 0.1)
     assert vals == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
-    assert _grid_values((0.0, 1.0), 0.3) == [0.0, 0.3, 0.6, 0.9, 1.0]
-    assert _grid_values((0.5, 0.5), 0.1) == [0.5]
+    assert grid_values((0.0, 1.0), 0.3) == [0.0, 0.3, 0.6, 0.9, 1.0]
+    assert grid_values((0.5, 0.5), 0.1) == [0.5]
     with pytest.raises(ValueError):
-        _grid_values((1.0, 0.0), 0.1)
+        grid_values((1.0, 0.0), 0.1)
     with pytest.raises(ValueError):
-        _grid_values((0.0, 1.0), 0.0)
+        grid_values((0.0, 1.0), 0.0)
 
 
 def test_grid_search_picks_minimum_and_reports_rows():
@@ -251,6 +253,100 @@ def test_unconstrained_grid_never_loses_to_diagonal():
     free = grid_search(model, g, g, (0.0, 1.0), (0.0, 1.0), 0.25)
     assert free.mse <= tied.mse + 1e-12
 
+
+
+def lu_reference(model, g1, g2, a1, a2, convention="transform-power"):
+    """(h, mse) at one order pair from the full normal equations, by LU."""
+    t = transform_2d(g1, g2, a1, a2, convention)
+    T, q = assemble_normal_equations(model, t)
+    h = solve_filter(T, q)
+    return h, expected_mse(model, t, h)
+
+
+def count_solves(monkeypatch):
+    calls = []
+
+    def counting(T, q):
+        calls.append(T.shape)
+        return solve_filter(T, q)
+
+    monkeypatch.setattr(wiener, "solve_filter", counting)
+    return calls
+
+
+def model_variants(n1, n2, seed):
+    """Identity degradation, then g1/g2, then g1/g2 with rxn."""
+    full = random_model(n1, n2, seed)
+    return [ObservationModel(n1=n1, n2=n2, rxx=full.rxx, rnn=full.rnn),
+            ObservationModel(n1=n1, n2=n2, rxx=full.rxx, rnn=full.rnn, g1=full.g1, g2=full.g2),
+            full]
+
+
+@pytest.mark.parametrize("n1,n2", [(3, 5), (4, 2)])
+def test_unitary_grid_points_skip_lu_and_match_the_full_equations(n1, n2, monkeypatch):
+    # undirected factors under transform-power: both powers unitary, T diagonal
+    g1, g2 = make_named_graph("path", n1), make_named_graph("cycle", n2)
+    for k, model in enumerate(model_variants(n1, n2, seed=n1 + 10 * n2)):
+        calls = count_solves(monkeypatch)
+        best, rows = grid_search(model, g1, g2, step=0.5, keep_grid=True)
+        assert calls == []
+        for r in rows:
+            _, e = lu_reference(model, g1, g2, r["alpha1"], r["alpha2"])
+            assert abs(r["mse"] - e) <= 1e-12 * e, (k, r)
+        h, e = lu_reference(model, g1, g2, best.alpha1, best.alpha2)
+        assert np.abs(best.h - h).max() <= 1e-12 * np.abs(h).max()
+        assert abs(best.mse - e) <= 1e-12 * e
+
+
+@pytest.mark.parametrize("directed,convention", [
+    (True, "transform-power"), (True, "shift-power"), (False, "shift-power")])
+def test_non_unitary_grid_points_keep_the_lu_path(directed, convention, monkeypatch):
+    # an undirected graph under shift-power has a unitary eigenbasis but a
+    # real, non-unimodular spectrum, so its powers are not unitary
+    if directed:
+        g1, g2 = directed_weighted(3, seed=3), directed_weighted(5, seed=5)
+    else:
+        g1, g2 = make_named_graph("path", 4), make_named_graph("cycle", 5)
+    model = random_model(g1.n, g2.n, seed=7)
+    calls = count_solves(monkeypatch)
+    best, rows = grid_search(model, g1, g2, step=0.5, convention=convention, keep_grid=True)
+    assert len(calls) == len(rows) == 9
+    for r in rows:
+        _, e = lu_reference(model, g1, g2, r["alpha1"], r["alpha2"], convention)
+        assert abs(r["mse"] - e) <= 1e-12 * e
+
+
+def test_diagonal_path_falls_back_like_lstsq_on_rank_deficient_statistics():
+    # noiseless, and no signal on the first vertex of g1: at alpha1 = 0 the
+    # diagonal of T has exact zeros up to roundoff
+    g1, g2 = make_named_graph("path", 3), make_named_graph("cycle", 4)
+    v = np.random.default_rng(4).uniform(0.5, 2.0, size=(4, 3))
+    v[:, 0] = 0.0
+    model = ObservationModel(n1=3, n2=4, rxx=np.diag(v.reshape(-1)), rnn=np.zeros((12, 12)))
+    with pytest.warns(IllConditionedSystem):
+        _, rows = grid_search(model, g1, g2, step=0.5, keep_grid=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IllConditionedSystem)
+        for r in rows:
+            _, e = lu_reference(model, g1, g2, r["alpha1"], r["alpha2"])
+            assert abs(r["mse"] - e) <= 1e-10
+        for a1, a2 in [(0.0, 0.0), (0.0, 0.5), (0.5, 1.0)]:
+            best = grid_search(model, g1, g2, (a1, a1), (a2, a2), step=0.5)
+            h, e = lu_reference(model, g1, g2, a1, a2)
+            assert np.abs(best.h - h).max() <= 1e-10
+            assert abs(best.mse - e) <= 1e-10
+
+
+def test_diagonal_path_rejects_non_finite_statistics_and_filters():
+    g1, g2 = make_named_graph("path", 2), make_named_graph("cycle", 3)
+    for name in ("rnn", "rxx"):
+        model = ObservationModel(n1=2, n2=3, rxx=np.eye(6), rnn=np.eye(6))
+        getattr(model, name)[1, 1] = np.nan
+        with pytest.raises(NonFinite):
+            grid_search(model, g1, g2, step=0.5)
+    # well conditioned, but q / d overflows
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
+        wiener._solve_diagonal(np.full(4, 1e-310 + 0j), np.ones(4, dtype=complex))
 
 def test_draw_observations_are_seeded_and_shaped():
     model = two_by_two_model(with_g=True)
