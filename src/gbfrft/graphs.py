@@ -187,11 +187,12 @@ def make_knn_graph(coords, k: int) -> Graph:
         raise ValueError(f"need at least k+1={k + 1} points, got {n}")
     diff = pts[:, None, :] - pts[None, :, :]
     dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    # NaN sorts after every distance, +inf included, so no point picks itself;
+    # the stable sort breaks ties by lower index
+    np.fill_diagonal(dist2, np.nan)
+    picked = np.argsort(dist2, axis=1, kind="stable")[:, :k].ravel()
+    rows = np.repeat(np.arange(n), k)
     adj = np.zeros((n, n))
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, dist2[i]))
-        picked = [j for j in order if j != i][:k]
-        adj[i, picked] = 1.0
-        adj[picked, i] = 1.0
+    adj[rows, picked] = 1.0
+    adj[picked, rows] = 1.0
     return Graph(n=n, adjacency=adj, directed=False, weighted=False, label=f"knn{k}")

@@ -20,7 +20,10 @@ The loss and all three gradients come from one fused forward/backward pass.
 With M1 = V diag(p) V_inv held on its eigenbasis, V_inv Y is computed once
 per fit, and each epoch multiplies by the basis five times: V on
 [p Yh | dp Yh], V_inv on [Z | H dU1 | H dU2], V on the three inverse-side
-blocks, then V^H and V_inv^H for the adjoint behind g_h. The second factor
+blocks, then V^H and V_inv^H for the adjoint behind g_h. All six go through
+:meth:`SpectralBasis.lmul`: on a large basis with a real Schur factor
+(undirected graphs under ``transform-power``) each is one real GEMM by that
+factor plus an O(n) pair mixing per column. The second factor
 acts through its FactorOperator, so blended and DFT factors work unchanged.
 Problems whose first factors share one basis descend stacked: the patches
 of a deblur run, and every method, noise variance and lambda of a
@@ -182,11 +185,6 @@ def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
     return float(d_orders[0, 0]), float(d_orders[0, 1]), gh[0]
 
 
-def _lmul(M: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """M @ A along the first axis of A, all other axes as columns."""
-    return (M @ A.reshape(A.shape[0], -1)).reshape(A.shape)
-
-
 def _re_inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Re <A_s, B_s> per sample s of two (n1, S, n2) stacks."""
     return np.einsum("isj,isj->s", A.conj(), B).real
@@ -214,7 +212,7 @@ class _Stack:
         self.owner = np.repeat(np.arange(len(batches)), self.counts)
         Y = np.stack([np.asarray(Y) for b in batches for Y, _ in b], axis=1)
         self.X = np.stack([np.asarray(X) for b in batches for _, X in b], axis=1)
-        self.Yh = _lmul(self.basis.V_inv, Y)  # V_inv Y does not depend on the orders
+        self.Yh = self.basis.lmul(Y, "V_inv")  # V_inv Y does not depend on the orders
 
     def _powers(self, ts, name: str) -> np.ndarray:
         """One eigenvalue-power vector of every sample's problem, (n1, 1, S, 1)."""
@@ -250,18 +248,18 @@ class _Stack:
         H = h.reshape(P, n2, n1).transpose(2, 0, 1)[:, None, self.owner]
         Yh = self.Yh[:, None]
 
-        A = _lmul(b.V, np.concatenate([pf * Yh, dpf * Yh], axis=1))          # M1 Y, dM1 Y
+        A = b.lmul(np.concatenate([pf * Yh, dpf * Yh], axis=1), "V")          # M1 Y, dM1 Y
         U = np.concatenate([self._op2(ts, A, "fwd"), self._op2(ts, A[:, :1], "dfwd")], axis=1)
-        W = _lmul(b.V_inv, H * U)                                              # V_inv [Z, H dU1, H dU2]
-        C = _lmul(b.V, np.concatenate(
-            [pi * W[:, :1], dpi * W[:, :1] + pi * W[:, 1:2], pi * W[:, 2:]], axis=1))
+        W = b.lmul(H * U, "V_inv")                                             # V_inv [Z, H dU1, H dU2]
+        C = b.lmul(np.concatenate(
+            [pi * W[:, :1], dpi * W[:, :1] + pi * W[:, 1:2], pi * W[:, 2:]], axis=1), "V")
         E = self._op2(ts, C, "inv")
         R = E[:, 0] - self.X
         dX1 = E[:, 1]
         dX2 = E[:, 2] + self._op2(ts, C[:, :1], "dinv")[:, 0]
         # F^{-H} r = M1inv^H R conj(M2inv), with M1inv^H = V_inv^H diag(conj pi) V^H
         S = self._op2(ts, R[:, None], "inv", adjoint=True)
-        back = _lmul(b.V_inv_h, pi.conj() * _lmul(b.V_h, S))[:, 0]
+        back = b.lmul(pi.conj() * b.lmul(S, "V_h"), "V_inv_h")[:, 0]
 
         value = self._mean(_re_inner(R, R))
         d_orders = 2.0 * np.stack([self._mean(_re_inner(R, dX1)),

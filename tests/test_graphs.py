@@ -128,6 +128,38 @@ def test_knn_degrees_at_least_k():
         assert np.array_equal(g.adjacency, g.adjacency.T)
 
 
+def knn_adjacency_loop(pts, k):
+    """The per-row reference: sort each row by (distance, index), skip the
+    point itself, keep k, and symmetrize by union."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(len(pts), -1)
+    n = pts.shape[0]
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    adj = np.zeros((n, n))
+    idx = np.arange(n)
+    for i in range(n):
+        order = np.lexsort((idx, dist2[i]))
+        picked = [j for j in order if j != i][:k]
+        adj[i, picked] = 1.0
+        adj[picked, i] = 1.0
+    return adj
+
+
+def test_knn_matches_the_per_row_reference_with_ties():
+    rng = np.random.default_rng(3)
+    clouds = []
+    for side in (4, 8, 20):   # pixel grids: many equal distances
+        rr, cc = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+        clouds.append(np.stack([rr.ravel(), cc.ravel()], axis=1).astype(float))
+    clouds.append(np.repeat(rng.normal(size=(5, 2)), 3, axis=0))   # duplicate points
+    clouds.append(np.linspace(0.0, 1.0, 12)[:, None] * [[1.0, 2.0]])   # collinear
+    clouds.append(rng.normal(size=(30, 3)))
+    clouds.append([[0.0], [1e200], [-1e200], [2e200]])   # squared distances overflow to inf
+    for pts in clouds:
+        for k in range(1, min(8, len(pts) - 1) + 1):
+            assert np.array_equal(make_knn_graph(pts, k).adjacency, knn_adjacency_loop(pts, k)), (len(pts), k)
+
+
 def test_knn_rejects_bad_input():
     with pytest.raises(ValueError):
         make_knn_graph([[0, 0], [1, 1]], k=2)

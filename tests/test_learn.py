@@ -7,10 +7,13 @@ import pytest
 
 from gbfrft import transforms
 from gbfrft.errors import DivergedLoss, ShapeMismatch
+from gbfrft.deblur import patch_graph
 from gbfrft.graphs import Graph, make_knn_graph, make_named_graph
 from gbfrft.learn import (
+    METHOD_TABLE,
     METHODS,
     TrainConfig,
+    _Stack,
     _train_loop,
     apply_filter,
     fit,
@@ -20,7 +23,7 @@ from gbfrft.learn import (
     train_hybrid,
     train_jfrft,
 )
-from gbfrft.spectral import SpectralBasis
+from gbfrft.spectral import FACTORED_MIN_N, SpectralBasis
 from gbfrft.transforms import jfrft, path_graph, transform_2d
 
 
@@ -403,24 +406,61 @@ def counting_basis(basis: SpectralBasis) -> SpectralBasis:
     return counted
 
 
-@pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
-def test_one_epoch_multiplies_by_the_spatial_basis_a_fixed_number_of_times(method, monkeypatch):
-    rng = np.random.default_rng(24)
-    g = make_knn_graph(rng.normal(size=(6, 2)), 2)
-    T = 3
-    monkeypatch.setitem(transforms._GRAPH_BASES.setdefault(g, {}), "transform-power",
-                        counting_basis(transforms.graph_basis(g)))
+def products_per_epoch(method, g, counted, rng, monkeypatch):
+    """Products with CountingMatrix parts of the basis per epoch, for one
+    problem of one sample and for four problems of three samples each."""
+    n, T = g.n, 3
+    monkeypatch.setitem(transforms._GRAPH_BASES.setdefault(g, {}), "transform-power", counted)
 
     def products(epochs, problems, batch):
-        sources = [[(rng.normal(size=(6, T)), rng.normal(size=(6, T))) for _ in range(batch)]
+        sources = [[(rng.normal(size=(n, T)), rng.normal(size=(n, T))) for _ in range(batch)]
                    for _ in range(problems)]
         CountingMatrix.products = 0
         fit_method(method, g, T, TrainConfig(epochs=epochs), sources=sources)
         return CountingMatrix.products
 
-    per_epoch = {(P, B): products(3, P, B) - products(1, P, B) for P, B in ((1, 1), (4, 3))}
+    return {(P, B): (products(3, P, B) - products(1, P, B)) / 2 for P, B in ((1, 1), (4, 3))}
+
+
+@pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
+def test_one_epoch_multiplies_by_the_spatial_basis_a_fixed_number_of_times(method, monkeypatch):
+    rng = np.random.default_rng(24)
+    g = make_knn_graph(rng.normal(size=(6, 2)), 2)
+    per_epoch = products_per_epoch(method, g, counting_basis(transforms.graph_basis(g)), rng,
+                                   monkeypatch)
     assert per_epoch[(1, 1)] == per_epoch[(4, 3)]
-    assert 0 < per_epoch[(1, 1)] / 2 <= 6
+    assert 0 < per_epoch[(1, 1)] <= 6
+
+
+@pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
+def test_one_epoch_multiplies_by_the_real_factor_five_times(method, monkeypatch):
+    g = patch_graph(16)   # big enough for products through the real factor Z
+    basis = transforms.graph_basis(g)
+    assert basis.Z is not None and basis.n >= FACTORED_MIN_N
+    per_epoch = products_per_epoch(method, g, replace(basis, Z=basis.Z.view(CountingMatrix)),
+                                   np.random.default_rng(24), monkeypatch)
+    assert per_epoch[(1, 1)] == per_epoch[(4, 3)] == 5
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_real_factor_products_equal_dense_products(method, monkeypatch):
+    g, g2, T = patch_graph(16), path_graph(3), 3
+    basis = transforms.graph_basis(g)
+    assert basis.Z is not None and basis.n >= FACTORED_MIN_N
+    rng = np.random.default_rng(26)
+    batches = [[(rng.normal(size=(g.n, T)), rng.normal(size=(g.n, T))) for _ in range(2)]
+               for _ in range(2)]
+    h = 1.0 + 0.2 * (rng.normal(size=(2, g.n * T)) + 1j * rng.normal(size=(2, g.n * T)))
+
+    def value_and_grad(b):
+        monkeypatch.setitem(transforms._GRAPH_BASES[g], "transform-power", b)
+        ts = [METHOD_TABLE[method].build(g, g2, 0.4 + 0.2 * p, 0.7, lam=0.5) for p in range(2)]
+        return _Stack(ts, batches).value_and_grad(ts, h)
+
+    factored = value_and_grad(basis)
+    dense = value_and_grad(replace(basis, Z=None, mix=None))
+    for f, d in zip(factored, dense):
+        assert np.linalg.norm(f - d) <= 1e-12 * np.linalg.norm(d)
 
 
 def test_one_fit_stacks_every_method_tied_and_untied():

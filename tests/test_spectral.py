@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from gbfrft.deblur import patch_graph
 from gbfrft.errors import DefectiveMatrix, NonFinite, ShapeMismatch, SingularPower
-from gbfrft.spectral import SpectralBasis, eig_general, fractional_power
+from gbfrft.graphs import make_named_graph
+from gbfrft.spectral import (
+    BASIS_PARTS,
+    FACTORED_MIN_N,
+    RECONSTRUCTION_RTOL,
+    SpectralBasis,
+    eig_general,
+    fractional_power,
+)
 
 
 def rot90():
@@ -176,3 +186,79 @@ def test_non_finite_order_rejected():
     b = eig_general(np.diag([2.0, 1.0]))
     with pytest.raises(NonFinite):
         fractional_power(b, np.inf)
+
+
+def complex_schur_reference(M) -> SpectralBasis:
+    """The complex Schur basis of a normal matrix, with near-real eigenvalues
+    snapped onto the real axis as eig_general does; unsorted, as fractional
+    powers do not depend on the order."""
+    T, Z = scipy.linalg.schur(np.asarray(M, dtype=np.complex128), output="complex")
+    lam = np.diag(T)
+    lam = np.where(np.abs(lam.imag) <= 1e-12, lam.real + 0j, lam)
+    return SpectralBasis(V=Z, lam=lam, V_inv=Z.conj().T, unitary=True)
+
+
+def real_orthogonal_inputs():
+    rng = np.random.default_rng(8)
+    out = {"rot90": rot90(), "directed cycle": np.roll(np.eye(9), 1, axis=0)}
+    for n in (5, 8, 13):
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        for M in (Q, Q * np.r_[-1.0, np.ones(n - 1)]):   # both determinant signs
+            out[f"qr{n} det {np.linalg.det(M):+.0f}"] = M
+    for g in (make_named_graph("path", 16), make_named_graph("cycle", 32), patch_graph(20)):
+        out[f"F_G of {g.label}"] = eig_general(g.adjacency).V_inv
+    return out
+
+
+@pytest.mark.parametrize("name, M", list(real_orthogonal_inputs().items()))
+def test_real_orthogonal_input_takes_the_real_schur_path(name, M):
+    b = eig_general(M)
+    n = b.n
+    assert b.Z is not None and np.isrealobj(b.Z)
+    assert np.abs(b.Z.T @ b.Z - np.eye(n)).max() < 1e-12
+    assert np.abs(b.V.conj().T @ b.V - np.eye(n)).max() < 1e-12
+    assert np.linalg.norm(b.reconstruct() - M) / max(1.0, np.linalg.norm(M)) <= RECONSTRUCTION_RTOL
+    # V = Z U, with U the pair mixing: at most two nonzeros per row and column
+    U = b.mix.apply(np.eye(n))
+    assert np.abs(b.Z @ U - b.V).max() < 1e-14
+    assert np.abs(U.conj().T - b.mix.apply_h(np.eye(n))).max() < 1e-15
+    assert np.count_nonzero(U, axis=0).max() <= 2 and np.count_nonzero(U, axis=1).max() <= 2
+    ref = complex_schur_reference(M)
+    for alpha in (0.3, 0.5, 0.8, 1.0, 1.7, -0.4):
+        got, want = fractional_power(b, alpha).matrix, fractional_power(ref, alpha).matrix
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), alpha
+
+
+def test_roundoff_block_of_path16_splits_into_two_real_eigenvalues():
+    F = eig_general(make_named_graph("path", 16).adjacency).V_inv.real
+    T, _ = scipy.linalg.schur(F, output="real")
+    j = np.flatnonzero(np.diag(T, -1))
+    # the form this test is for: a [[-1, ~0], [~0, -1]] block, a double
+    # eigenvalue -1 with roundoff off-diagonals, whose eigenvectors are real
+    assert any(abs(T[i, i] + 1) < 1e-12 and max(abs(T[i, i + 1]), abs(T[i + 1, i])) < 1e-12 for i in j)
+    b = eig_general(F)
+    minus_one = np.abs(b.lam + 1.0) < 1e-9
+    assert np.count_nonzero(minus_one) == 2
+    assert np.all(b.lam[minus_one].imag == 0.0) and np.all(b.V[:, minus_one].imag == 0.0)
+
+
+def test_adjacency_keeps_the_complex_eigh_basis():
+    """A real eigh would give F_G = V_A^{-1} other signs or another basis of
+    a degenerate eigenspace, and so change every output."""
+    A = make_named_graph("cycle", 32).adjacency
+    w, V = np.linalg.eigh(A.astype(np.complex128))
+    b = eig_general(A)
+    assert b.Z is None
+    assert np.array_equal(b.V, V[:, np.argsort(-w, kind="stable")])
+
+
+def test_factored_products_match_the_dense_basis():
+    b = eig_general(eig_general(patch_graph(16).adjacency).V_inv)
+    assert b.n >= FACTORED_MIN_N and b.Z is not None
+    rng = np.random.default_rng(9)
+    for X in (rng.normal(size=(b.n, 3, 2)), rng.normal(size=(b.n, 5)) + 1j * rng.normal(size=(b.n, 5))):
+        for part in BASIS_PARTS:
+            want = np.tensordot(getattr(b, part), X, axes=1)
+            assert np.abs(b.lmul(X, part) - want).max() <= 1e-13 * np.abs(want).max(), part
+    with pytest.raises(ValueError):
+        b.lmul(X, "Z")
