@@ -19,15 +19,19 @@ from . import __version__, matio, results
 from .deblur import FrameSequence, blur_sequence, default_config as deblur_config, run_deblur
 from .errors import GbfrftError, ParseError, ShapeMismatch
 from .graphs import NAMED_KINDS, make_knn_graph, make_named_graph
-from .learn import METHOD_TABLE, METHODS, TrainConfig, train, train_hybrid
+from .learn import METHOD_TABLE, METHODS, TrainConfig, fit, train, train_hybrid
 from .metrics import frame_metrics
 from .synthetic import DEFAULT_VARIANCES, SyntheticSpec, TOPOLOGIES, run_synthetic
+from .synthetic import default_config as synthetic_config
 from .timevertex import default_config as timevertex_config, ingest_timevertex, run_timevertex
 from .transforms import CONVENTIONS, apply, path_graph
 from .wiener import DEFAULT_SIZE_CAP, ObservationModel, draw_observations, grid_search, grid_values
 
 # the learn method whose transform each --kind applies
 _KIND_METHODS = {"gfrft2d": "2d-gfrft", "gbfrft2d": "2d-gbfrft", "jfrft": "jfrft", "hybrid": "hybrid"}
+# the TrainConfig field behind each descent option a subcommand may have
+_DESCENT_FIELDS = {"lr": "lr_orders", "lr_filter": "lr_filter", "epochs": "epochs",
+                   "init_orders": "init_orders", "optimizer": "optimizer", "seed": "seed"}
 
 
 def _parse_bool(s: str) -> bool:
@@ -147,23 +151,11 @@ def _echo(args, extra=None) -> dict:
 
 
 def _descent_config(args, default_config) -> TrainConfig:
-    """The library's ``default_config()`` with the parsed --lr, --epochs,
-    --init-orders and --seed."""
-    return replace(default_config(), lr_orders=args.lr, epochs=args.epochs,
-                   init_orders=args.init_orders, seed=args.seed)
-
-
-def _train_config(args, tie: bool = False) -> TrainConfig:
-    return TrainConfig(
-        lr_orders=args.lr,
-        lr_filter=args.lr_filter,
-        epochs=args.epochs,
-        init_orders=args.init_orders,
-        optimizer=args.optimizer,
-        seed=args.seed,
-        batch_size=args.batch,
-        tie_orders=tie,
-    )
+    """The library's ``default_config()`` with those of --lr, --lr-filter,
+    --epochs, --init-orders, --optimizer and --seed that the subcommand has."""
+    return replace(default_config(), **{field: getattr(args, dest)
+                                        for dest, field in _DESCENT_FIELDS.items()
+                                        if hasattr(args, dest)})
 
 
 def _load_model(args) -> ObservationModel:
@@ -248,8 +240,9 @@ def cmd_denoise_grid(args) -> int:
 def cmd_denoise_gd(args) -> int:
     _require(args, "graph1", "graph2", "outdir")
     samples, g1, g2 = _gd_samples(args)
-    cfg = _train_config(args, tie=args.equal_orders)
-    design, trace = train(samples, g1, g2, cfg, convention=args.convention)
+    method = "2d-gfrft" if args.equal_orders else "2d-gbfrft"
+    design, trace = fit([(method, samples)], g1, g2, _descent_config(args, TrainConfig),
+                        convention=args.convention)[0]
     results.emit_results(trace.rows(), "trace", args.outdir, "trace", config=_echo(args))
     matio.write_vector(os.path.join(args.outdir, "filter.csv"), design.h)
     print(f"best orders ({design.alpha1:.6g}, {design.alpha2:.6g}) "
@@ -261,7 +254,7 @@ def cmd_denoise_hybrid(args) -> int:
     _require(args, "graph1", "outdir")
     samples, g1, _ = _gd_samples(args)
     T = samples[0][0].shape[1]
-    cfg = _train_config(args)
+    cfg = _descent_config(args, TrainConfig)
     design, trace = train_hybrid(samples, g1, T, cfg,
                                  lambda_grid=grid_values((0.0, 1.0), args.lambda_step),
                                  convention=args.convention)
@@ -275,14 +268,13 @@ def cmd_denoise_hybrid(args) -> int:
 def cmd_synth(args) -> int:
     _require(args, "outdir")
     topologies = tuple(TOPOLOGIES) if args.topology == "all" else (args.topology,)
+    cfg = _descent_config(args, synthetic_config)
     rows = []
     for topo in topologies:
         spec = SyntheticSpec(
             topology=topo, variants=args.variants, variances=args.variances,
             seed=args.seed, trials=args.trials, grid_range=args.range1,
-            grid_step=args.step, convention=args.convention,
-            train=TrainConfig(lr_orders=args.lr, epochs=args.epochs,
-                              init_orders=args.init_orders, seed=args.seed))
+            grid_step=args.step, convention=args.convention, train=cfg)
         for method in args.methods:
             rows.extend(run_synthetic(spec, method))
     results.emit_results(rows, "synthetic", args.outdir, "synthetic", config=_echo(args))
@@ -409,26 +401,24 @@ def build_parser() -> argparse.ArgumentParser:
     c.opt("--convention", default="transform-power", choices=CONVENTIONS)
     c.opt("--outdir")
 
-    def gd_opts(c, lr_default=0.03):
+    def descent_opts(c, defaults: TrainConfig):
+        # defaults from the library's config, which the command extends
+        c.opt("--lr", type=float, default=defaults.lr_orders)
+        c.opt("--epochs", type=int, default=defaults.epochs)
+        c.opt("--init-orders", type=_parse_init, default=defaults.init_orders)
+
+    def gd_opts(c):
         c.opt("--y", help="observation matrix CSV")
         c.opt("--x", help="target matrix CSV")
         c.opt("--complex-data", flag=True)
         model_opts(c)
         c.opt("--batch", type=int, default=1, help="realizations to sample from the model")
-        c.opt("--lr", type=float, default=lr_default)
+        descent_opts(c, TrainConfig())
         c.opt("--lr-filter", type=float)
-        c.opt("--epochs", type=int, default=200)
-        c.opt("--init-orders", type=_parse_init, default=(0.5, 0.5))
         c.opt("--optimizer", default="adam", choices=("adam", "sgd"))
         c.opt("--seed", type=int, default=0)
         c.opt("--convention", default="transform-power", choices=CONVENTIONS)
         c.opt("--outdir")
-
-    def descent_opts(c, defaults: TrainConfig):
-        # defaults from the library's default_config(), which the command extends
-        c.opt("--lr", type=float, default=defaults.lr_orders)
-        c.opt("--epochs", type=int, default=defaults.epochs)
-        c.opt("--init-orders", type=_parse_init, default=defaults.init_orders)
 
     c = _Command(sub, "denoise-gd", "joint order/filter descent on a product", cmd_denoise_gd)
     c.opt("--graph1")
@@ -450,9 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.opt("--trials", type=int, default=1)
     c.opt("--range1", type=_parse_range, default=(0.0, 1.0))
     c.opt("--step", type=float, default=0.1)
-    c.opt("--lr", type=float, default=0.03)
-    c.opt("--epochs", type=int, default=200)
-    c.opt("--init-orders", type=_parse_init, default="uniform[-1,1]")
+    descent_opts(c, synthetic_config())
     c.opt("--seed", type=int, default=0)
     c.opt("--convention", default="transform-power", choices=CONVENTIONS)
     c.opt("--outdir")
@@ -493,11 +481,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)  # the option types raise ParseError
         _merge_config(args)
         return args._func(args)
-    except GbfrftError as e:
-        msg = str(e).replace("\n", " ")
-        print(f"error[{type(e).__name__}]: {msg}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as e:
+    except (GbfrftError, OSError, ValueError) as e:
         msg = str(e).replace("\n", " ")
         print(f"error[{type(e).__name__}]: {msg}", file=sys.stderr)
         return 1

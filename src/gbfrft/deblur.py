@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .graphs import Graph, make_knn_graph
-from .learn import DEFAULT_LAMBDA_GRID, METHOD_TABLE, TrainConfig, apply_filter, fit
+from .learn import METHOD_TABLE, TrainConfig, apply_filter, fit
 from .metrics import frame_metrics, gaussian_blur
 from .transforms import path_graph
 
@@ -106,7 +106,6 @@ def run_deblur(
     patch: int = DEFAULT_PATCH,
     method: str = "2d-gbfrft",
     cfg: TrainConfig | None = None,
-    lambda_grid=None,
 ) -> tuple[FrameSequence, list[dict]]:
     """Restore ``blurred`` against ``clean`` patch by patch.
 
@@ -119,7 +118,7 @@ def run_deblur(
     y_blocks = patchify(blurred, patch)
     spatial, temporal = patch_graph(patch), path_graph(blurred.t)
     fits = fit([(method, [pair]) for pair in zip(y_blocks, patchify(clean, patch))], spatial,
-               temporal, cfg, DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid)
+               temporal, cfg)
     build = METHOD_TABLE[method].build  # each patch's transform at its fitted orders
     out_blocks = np.stack([
         apply_filter(build(spatial, temporal, d.alpha1, d.alpha2, d.lam), d.h, Yb).real

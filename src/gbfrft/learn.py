@@ -31,7 +31,7 @@ time-vertex run. Their samples are column blocks of the same five products,
 each scaled by its own problem's powers, and each problem keeps its own
 orders, filter, Adam moments, trace and best iterate. A single fit is the
 one-problem case of the same loop. Each method is one entry of
-METHOD_TABLE, and :func:`fit` stacks any mix of (method, source) jobs.
+METHOD_TABLE, and :func:`fit` stacks any mix of (method, samples) jobs.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import DivergedLoss, ShapeMismatch
 from .graphs import Graph
 from .spectral import FractionalOperator, SpectralBasis
 from .transforms import ProductTransform, hybrid_transform, jfrft, path_graph, transform_2d
-from .wiener import FilterDesign, ObservationModel, draw_observations, grid_values
+from .wiener import FilterDesign, grid_values
 
 OPTIMIZERS = ("adam", "sgd")
 DEFAULT_LAMBDA_GRID = tuple(grid_values((0.0, 1.0), 0.1))
@@ -86,23 +86,21 @@ class TrainConfig:
     """Hyper-parameters for the descent loops.
 
     ``init_orders`` is either a pair of floats or the string
-    ``"uniform[a,b]"`` for a seeded draw. ``tie_orders`` forces a single
-    shared order for both factors (the equal-order baseline).
+    ``"uniform[a,b]"`` for a seeded draw. Every filter starts at h = 1.
+    Whether the two orders are tied is the method's, not the config's: the
+    equal-order baseline is the ``2d-gfrft`` method of METHOD_TABLE.
     """
 
     lr_orders: float = 0.03
     lr_filter: float | None = None
     epochs: int = 200
     init_orders: tuple[float, float] | str = (0.5, 0.5)
-    init_filter: str = "identity"
     optimizer: str = "adam"
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    batch_size: int = 1
     real_filter: bool = False
-    tie_orders: bool = False
 
     def __post_init__(self):
         if self.lr_orders <= 0:
@@ -113,8 +111,6 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if self.init_filter != "identity":
-            raise ValueError("only identity filter initialization is supported")
 
     @property
     def filter_rate(self) -> float:
@@ -312,23 +308,22 @@ def _initial_orders(cfg: TrainConfig, rng: np.random.Generator) -> tuple[float, 
             raise ValueError(f"unrecognized init_orders {spec!r}")
         lo, hi = (float(p) for p in s[len("uniform["):-1].split(","))
         spec = (rng.uniform(lo, hi), rng.uniform(lo, hi))
-    a1, a2 = float(spec[0]), float(spec[1])
-    return (a1, a1) if cfg.tie_orders else (a1, a2)
+    return float(spec[0]), float(spec[1])
 
 
-def _train_loop(problems, cfg: TrainConfig, tied=None) -> list[tuple[FilterDesign, TrainTrace]]:
+def _train_loop(problems, cfg: TrainConfig, tied) -> list[tuple[FilterDesign, TrainTrace]]:
     """Descend on every (samples, builder) problem at once, one fused pass
     per epoch; each problem keeps its own orders (a row of a (P, 2) array),
     filter, optimizer moments, trace and best iterate, so the result equals
-    P separate descents. A ``tied`` problem (one flag each; default
-    ``cfg.tie_orders``) starts at (o1, o1) and gives both columns the summed
-    gradient, so they stay equal bit for bit."""
+    P separate descents. A ``tied`` problem (one flag each) starts at
+    (o1, o1) and gives both columns the summed gradient, so they stay equal
+    bit for bit."""
     if not problems or not all(samples for samples, _ in problems):
         raise ValueError("need at least one training pair")
     rng = np.random.default_rng(cfg.seed)
     o1, o2 = _initial_orders(cfg, rng)
     P = len(problems)
-    tied = np.full((P, 1), cfg.tie_orders) if tied is None else np.asarray(tied, bool)[:, None]
+    tied = np.asarray(tied, bool)[:, None]
     n = np.size(problems[0][0][0][0])
     dtype = np.float64 if cfg.real_filter else np.complex128
     orders = np.where(tied, o1, np.array([[o1, o2]]))
@@ -390,28 +385,28 @@ def fit(
     lambda_grid=DEFAULT_LAMBDA_GRID,
     convention: str = "transform-power",
 ) -> list[tuple[FilterDesign, TrainTrace]]:
-    """Fit every ``(method, source)`` job in one stacked descent; one
+    """Fit every ``(method, samples)`` job in one stacked descent; one
     (design, trace) per job, each its own separate fit up to roundoff.
 
-    A source is a sequence of (Y, X) pairs or an ObservationModel to draw
-    ``cfg.batch_size`` realizations from. A job's orders are tied when its
-    method is or when ``cfg.tie_orders`` is set. A method that searches
-    lambda fits every value of ``lambda_grid`` from the same start and keeps
-    the first best one: a later value must strictly improve the loss.
+    This is the one way into the descent. ``samples`` is a sequence of
+    (Y, X) pairs; callers that sample a model draw their own. A job's
+    orders are tied exactly when its method is (``2d-gfrft``). A method
+    that searches lambda fits every value of ``lambda_grid`` from the same
+    start and keeps the first best one: a later value must strictly improve
+    the loss.
     """
     lams = [float(lam) for lam in lambda_grid]
     if not lams:
         raise ValueError("lambda_grid must hold at least one value")
     problems, tied, owners = [], [], []
-    for j, (name, source) in enumerate(jobs):
+    for j, (name, samples) in enumerate(jobs):
         if name not in METHOD_TABLE:
             raise ValueError(f"method must be one of {METHODS}, got {name!r}")
         m = METHOD_TABLE[name]
-        samples = (draw_observations(source, cfg.batch_size, cfg.seed)
-                   if isinstance(source, ObservationModel) else list(source))
+        samples = list(samples)
         for lam in lams if m.searches_lambda else [None]:
             problems.append((samples, partial(m.build, g1, g2, lam=lam, convention=convention)))
-            tied.append(m.tied or cfg.tie_orders)
+            tied.append(m.tied)
             owners.append((j, lam))
     results = [None] * len(jobs)
     for (j, lam), (design, trace) in zip(owners, _train_loop(problems, cfg, tied)):
@@ -420,39 +415,25 @@ def fit(
     return results
 
 
-def _fit_sources(name, source, sources, g1, g2, cfg, **kwargs):
-    """The trainers' ``source``/``sources=`` calling convention over :func:`fit`."""
-    if (source is None) == (sources is None):
-        raise ValueError("give either one source or a sources= list, not both")
-    fits = fit([(name, s) for s in ([source] if sources is None else sources)], g1, g2, cfg, **kwargs)
-    return fits if sources is not None else fits[0]
+def train(samples, g1: Graph, g2: Graph, cfg: TrainConfig, convention: str = "transform-power"):
+    """Fit ``2d-gbfrft`` to one sequence of (Y, X) pairs; one (design, trace)."""
+    return fit([("2d-gbfrft", samples)], g1, g2, cfg, convention=convention)[0]
 
 
-def train(source, g1: Graph, g2: Graph, cfg: TrainConfig, convention: str = "transform-power", *,
-          sources=None):
-    """Fit ``2d-gbfrft`` (tied orders with ``cfg.tie_orders``) to one source,
-    a sequence of (Y, X) pairs or an ObservationModel; one (design, trace).
-    With ``source=None``, every source of a ``sources`` list is fit in one
-    stacked descent, one (design, trace) each, its own fit up to roundoff.
-    """
-    return _fit_sources("2d-gbfrft", source, sources, g1, g2, cfg, convention=convention)
-
-
-def train_jfrft(source, g: Graph, T: int, cfg: TrainConfig, convention: str = "transform-power",
-                *, sources=None):
+def train_jfrft(samples, g: Graph, T: int, cfg: TrainConfig, convention: str = "transform-power"):
     """Descend on the joint transform; alpha1 tracks the vertex-side order,
-    alpha2 the time-side order. ``sources`` as in :func:`train`."""
-    return _fit_sources("jfrft", source, sources, g, path_graph(T), cfg, convention=convention)
+    alpha2 the time-side order."""
+    return fit([("jfrft", samples)], g, path_graph(T), cfg, convention=convention)[0]
 
 
-def train_hybrid(source, g_spatial: Graph, T: int, cfg: TrainConfig, lambda_grid=DEFAULT_LAMBDA_GRID,
-                 convention: str = "transform-power", *, sources=None):
+def train_hybrid(samples, g_spatial: Graph, T: int, cfg: TrainConfig, lambda_grid=DEFAULT_LAMBDA_GRID,
+                 convention: str = "transform-power"):
     """Search over the temporal blend weight, a fresh descent per value.
 
     Every lambda restarts from the same seeded initialization; the first
     lambda seeds the incumbent and later ones must strictly improve the best
-    achieved loss to replace it. All lambdas (and all ``sources``, as in
-    :func:`train`) descend together in one stacked descent.
+    achieved loss to replace it. All lambdas descend together in one
+    stacked descent.
     """
-    return _fit_sources("hybrid", source, sources, g_spatial, path_graph(T), cfg,
-                        lambda_grid=lambda_grid, convention=convention)
+    return fit([("hybrid", samples)], g_spatial, path_graph(T), cfg, lambda_grid=lambda_grid,
+               convention=convention)[0]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import Graph, ProductGraph, cartesian_product, make_named_graph
-from .learn import TrainConfig, train
+from .learn import TrainConfig, fit
 from .wiener import ObservationModel, draw_observations, grid_search, psd_clip
 
 METHODS = ("grid-gfrft", "grid-gbfrft", "gd-gfrft", "gd-gbfrft")
@@ -105,10 +105,9 @@ def build_factors(spec: SyntheticSpec, variant: str) -> tuple[Graph, Graph]:
     return g1, g2
 
 
-def _default_gd_config(spec: SyntheticSpec, tie: bool, seed: int) -> TrainConfig:
-    base = spec.train if spec.train is not None else TrainConfig(
-        lr_orders=0.03, epochs=200, init_orders="uniform[-1,1]")
-    return replace(base, tie_orders=tie, seed=seed, batch_size=spec.trials)
+def default_config() -> TrainConfig:
+    """Descent settings of the ``gd-*`` methods when the spec sets none."""
+    return TrainConfig(lr_orders=0.03, epochs=200, init_orders="uniform[-1,1]")
 
 
 def run_synthetic(spec: SyntheticSpec, method: str) -> list[dict]:
@@ -116,6 +115,7 @@ def run_synthetic(spec: SyntheticSpec, method: str) -> list[dict]:
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     tie = method.endswith("-gfrft")
+    base = spec.train if spec.train is not None else default_config()
     rows = []
     for vi, variant in enumerate(spec.variants):
         g1, g2 = build_factors(spec, variant)
@@ -127,9 +127,9 @@ def run_synthetic(spec: SyntheticSpec, method: str) -> list[dict]:
                     equal_orders=tie, convention=spec.convention)
             else:
                 data_seed = spec.seed + 1000 + 100 * vi + si
-                cfg = _default_gd_config(spec, tie, data_seed)
                 samples = draw_observations(model, spec.trials, data_seed)
-                design, _ = train(samples, g1, g2, cfg, convention=spec.convention)
+                design, _ = fit([("2d-gfrft" if tie else "2d-gbfrft", samples)], g1, g2,
+                                replace(base, seed=data_seed), convention=spec.convention)[0]
             rows.append({
                 "method": method,
                 "topology": spec.topology,

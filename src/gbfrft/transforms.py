@@ -61,14 +61,10 @@ def graph_basis(g: Graph, convention: str = "transform-power") -> SpectralBasis:
     per_graph = _GRAPH_BASES.setdefault(g, {})
     basis = per_graph.get(convention)
     if basis is None:
-        if convention == "shift-power":
-            basis = eig_general(g.adjacency)
-        else:
-            adj_basis = per_graph.get("shift-power")
-            if adj_basis is None:
-                adj_basis = eig_general(g.adjacency)
-                per_graph["shift-power"] = adj_basis
-            basis = eig_general(adj_basis.V_inv)  # F_G = V_A^{-1}
+        basis = eig_general(g.adjacency)
+        if convention == "transform-power":
+            # F_G = V_A^{-1}; only the convention asked for is kept
+            basis = eig_general(basis.V_inv)
         per_graph[convention] = basis
     return basis
 

@@ -1,9 +1,9 @@
 import numpy as np
 
-from gbfrft import cli, deblur, matio, timevertex
+from gbfrft import cli, deblur, matio, results, synthetic, timevertex
 from gbfrft.cli import main
 from gbfrft.graphs import make_named_graph
-from gbfrft.learn import train_hybrid
+from gbfrft.learn import TrainConfig, fit, train_hybrid
 from gbfrft.synthetic import build_observation_model
 from gbfrft.transforms import gfrft2d, hybrid_transform, jfrft, path_graph, transform_2d
 
@@ -221,9 +221,27 @@ def test_transform_kinds_match_the_library_transforms(tmp_path, capsys):
 def test_deblur_and_timevertex_training_defaults_come_from_the_library():
     parser = cli.build_parser()
     for command, default_config in [("deblur", deblur.default_config),
-                                     ("timevertex", timevertex.default_config)]:
+                                     ("timevertex", timevertex.default_config),
+                                     ("denoise-gd", TrainConfig),
+                                     ("denoise-hybrid", TrainConfig),
+                                     ("synth", synthetic.default_config)]:
         args = parser.parse_args([command])
         cli._merge_config(args)
         lib = default_config()
         assert (args.lr, args.epochs, args.init_orders) == (lib.lr_orders, lib.epochs, lib.init_orders)
         assert cli._descent_config(args, default_config) == lib
+
+
+def test_denoise_gd_equal_orders_traces_the_2d_gfrft_fit(tmp_path):
+    g1, g2, rxx, rnn = write_model(tmp_path)
+    argv = ["denoise-gd", "--graph1", g1, "--graph2", g2, "--rxx", rxx, "--rnn", rnn,
+            "--batch", "2", "--epochs", "20", "--init-orders", "0.3,0.9", "--equal-orders",
+            "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    args = cli.build_parser().parse_args(argv)
+    cli._merge_config(args)
+    samples, graph1, graph2 = cli._gd_samples(args)
+    _, trace = fit([("2d-gfrft", samples)], graph1, graph2,
+                   TrainConfig(epochs=20, init_orders=(0.3, 0.9)))[0]
+    results.emit_results(trace.rows(), "trace", str(tmp_path / "lib"), "trace")
+    assert (tmp_path / "out" / "trace.csv").read_bytes() == (tmp_path / "lib" / "trace.csv").read_bytes()

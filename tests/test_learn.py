@@ -166,8 +166,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="rmsprop")
-    with pytest.raises(ValueError):
-        TrainConfig(init_filter="zeros")
     cfg = TrainConfig(lr_orders=0.2)
     assert cfg.filter_rate == 0.2
     assert TrainConfig(lr_orders=0.2, lr_filter=0.05).filter_rate == 0.05
@@ -179,9 +177,10 @@ def test_uniform_init_is_seeded_and_tied_when_asked():
     rng = np.random.default_rng(3)
     a1, a2 = _initial_orders(cfg, rng)
     assert -1 <= a1 <= 1 and -1 <= a2 <= 1 and a1 != a2
-    tied = TrainConfig(init_orders="uniform[-1,1]", seed=3, tie_orders=True)
-    b1, b2 = _initial_orders(tied, np.random.default_rng(3))
-    assert b1 == b2 == a1
+    # a tied method starts both orders at the first draw
+    g1, g2, _, _, batch = small_problem(seed=3)
+    fits = fit([("2d-gfrft", batch), ("2d-gbfrft", batch)], g1, g2, replace(cfg, epochs=1))
+    assert [(t.alpha1[0], t.alpha2[0]) for _, t in fits] == [(a1, a1), (a1, a2)]
     with pytest.raises(ValueError):
         _initial_orders(TrainConfig(init_orders="gauss[0,1]"), rng)
 
@@ -210,11 +209,10 @@ def test_trace_records_every_epoch_and_best_so_far():
     assert rows[0]["epoch"] == 0 and len(rows) == 25
 
 
-def test_tie_orders_keeps_a_single_shared_order():
+def test_2d_gfrft_keeps_a_single_shared_order():
     g1, g2, _, _, batch = small_problem(seed=11)
-    cfg = TrainConfig(lr_orders=0.05, epochs=15, init_orders=(0.4, 0.9),
-                      tie_orders=True, seed=2)
-    design, trace = train(batch, g1, g2, cfg)
+    cfg = TrainConfig(lr_orders=0.05, epochs=15, init_orders=(0.4, 0.9), seed=2)
+    design, trace = fit([("2d-gfrft", batch)], g1, g2, cfg)[0]
     assert trace.alpha1 == trace.alpha2
     assert design.alpha1 == design.alpha2
 
@@ -285,19 +283,6 @@ def test_hybrid_search_never_loses_to_its_endpoints():
     assert d_all.mse <= d_lam1.mse + 1e-12
 
 
-def test_model_source_draws_the_requested_batch():
-    from gbfrft.wiener import ObservationModel
-    rng = np.random.default_rng(18)
-    B = rng.normal(size=(6, 6))
-    model = ObservationModel(n1=2, n2=3, rxx=B @ B.T + np.eye(6), rnn=0.5 * np.eye(6))
-    g1 = make_named_graph("path", 2)
-    g2 = make_named_graph("path", 3)
-    cfg = TrainConfig(lr_orders=0.05, epochs=5, seed=9, batch_size=3)
-    design, trace = train(model, g1, g2, cfg)
-    assert len(trace.loss) == 5
-    assert design.h.shape == (6,)
-
-
 def test_descent_keeps_no_memory_per_visited_order():
     # every epoch visits new orders; once training returns, nothing of
     # them may stay behind on the shared spatial and DFT bases
@@ -320,15 +305,10 @@ def test_descent_keeps_no_memory_per_visited_order():
     assert retained < 0.1e6, f"{retained} bytes retained"
 
 
-def fit_method(method, g, T, cfg, **kw):
-    """One trainer call for a method of ``METHODS``, as the drivers make it."""
-    if method == "2d-gfrft":
-        return train(kw.pop("source", None), g, path_graph(T), replace(cfg, tie_orders=True), **kw)
-    if method == "2d-gbfrft":
-        return train(kw.pop("source", None), g, path_graph(T), cfg, **kw)
-    if method == "jfrft":
-        return train_jfrft(kw.pop("source", None), g, T, cfg, **kw)
-    return train_hybrid(kw.pop("source", None), g, T, cfg, lambda_grid=(0.0, 0.5, 1.0), **kw)
+def fit_method(method, g, T, cfg, sources):
+    """One (design, trace) per source, all fit to ``method`` in one stacked descent."""
+    return fit([(method, source) for source in sources], g, path_graph(T), cfg,
+               lambda_grid=(0.0, 0.5, 1.0))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -341,10 +321,10 @@ def test_stacked_problems_equal_separate_fits(method):
         X = rng.normal(size=(5, T))
         sources.append([(X + 0.4 * rng.normal(size=X.shape), X)])
     cfg = TrainConfig(lr_orders=0.05, epochs=25, init_orders=(0.6, 0.4), seed=3)
-    stacked = fit_method(method, g, T, cfg, sources=sources)
+    stacked = fit_method(method, g, T, cfg, sources)
     assert len(stacked) == len(sources)
     for source, (design, trace) in zip(sources, stacked):
-        single, single_trace = fit_method(method, g, T, cfg, source=source)
+        [(single, single_trace)] = fit_method(method, g, T, cfg, [source])
         assert np.allclose(design.h, single.h, rtol=0, atol=1e-10)
         assert np.allclose([design.alpha1, design.alpha2, design.mse],
                            [single.alpha1, single.alpha2, single.mse], rtol=1e-10, atol=1e-12)
@@ -354,15 +334,17 @@ def test_stacked_problems_equal_separate_fits(method):
         assert np.allclose(trace.alpha1, single_trace.alpha1, rtol=0, atol=1e-10)
 
 
-def test_trainers_take_one_source_or_a_list():
+def test_fit_needs_jobs_samples_and_lambdas():
     g1, g2, _, _, batch = small_problem(seed=21)
     cfg = TrainConfig(epochs=2)
     with pytest.raises(ValueError):
-        train(batch, g1, g2, cfg, sources=[batch])
+        fit([], g1, g2, cfg)
     with pytest.raises(ValueError):
-        train(None, g1, g2, cfg)
+        train([], g1, g2, cfg)
     with pytest.raises(ValueError):
-        train(None, g1, g2, cfg, sources=[])
+        fit([("2d-gbfrft", batch), ("2d-gbfrft", [])], g1, g2, cfg)
+    with pytest.raises(ValueError):
+        fit([("2d-gbfrft", batch)], g1, g2, cfg, lambda_grid=())
     with pytest.raises(ValueError):
         train_hybrid(batch, g1, 4, cfg, lambda_grid=())
 
@@ -372,9 +354,9 @@ def test_one_diverging_stacked_problem_raises():
     g1, g2, _, _, batch = small_problem(seed=22)
     Y, X = batch[0]
     cfg = TrainConfig(lr_orders=0.05, epochs=40, seed=5, optimizer="sgd")
-    train(None, g1, g2, cfg, sources=[batch, batch])  # the tame ones converge
+    fit([("2d-gbfrft", batch)] * 2, g1, g2, cfg)  # the tame ones converge
     with pytest.raises(DivergedLoss, match="in problem 1"):
-        train(None, g1, g2, cfg, sources=[batch, [(100.0 * Y, X)], batch])
+        fit([("2d-gbfrft", b) for b in (batch, [(100.0 * Y, X)], batch)], g1, g2, cfg)
 
 
 def test_problems_on_different_spatial_bases_are_rejected():
@@ -383,7 +365,7 @@ def test_problems_on_different_spatial_bases_are_rejected():
     problems = [(batch, lambda a, b: transform_2d(g1, g2, a, b)),
                 (batch, lambda a, b: transform_2d(other, g2, a, b))]
     with pytest.raises(ValueError, match="spectral basis"):
-        _train_loop(problems, TrainConfig(epochs=2))
+        _train_loop(problems, TrainConfig(epochs=2), [False, False])
 
 
 class CountingMatrix(np.ndarray):
@@ -416,7 +398,7 @@ def products_per_epoch(method, g, counted, rng, monkeypatch):
         sources = [[(rng.normal(size=(n, T)), rng.normal(size=(n, T))) for _ in range(batch)]
                    for _ in range(problems)]
         CountingMatrix.products = 0
-        fit_method(method, g, T, TrainConfig(epochs=epochs), sources=sources)
+        fit_method(method, g, T, TrainConfig(epochs=epochs), sources)
         return CountingMatrix.products
 
     return {(P, B): (products(3, P, B) - products(1, P, B)) / 2 for P, B in ((1, 1), (4, 3))}
@@ -476,7 +458,7 @@ def test_one_fit_stacks_every_method_tied_and_untied():
     stacked = fit(jobs, g, path_graph(T), cfg, lambda_grid=(0.0, 0.5, 1.0))
     assert len(stacked) == len(jobs)
     for (method, source), (design, trace) in zip(jobs, stacked):
-        single, single_trace = fit_method(method, g, T, cfg, source=source)
+        [(single, single_trace)] = fit_method(method, g, T, cfg, [source])
         assert np.allclose(design.h, single.h, rtol=0, atol=1e-10)
         assert np.allclose([design.alpha1, design.alpha2, design.mse],
                            [single.alpha1, single.alpha2, single.mse], rtol=1e-10, atol=1e-12)
@@ -495,6 +477,6 @@ def test_first_step_leaves_the_orders_where_they_start(method):
     X = 50.0 * rng.normal(size=(7, 6))
     source = [(X + 20.0 * rng.normal(size=X.shape), X)]
     cfg = TrainConfig(lr_orders=0.05, epochs=3, init_orders=(0.7, 0.4), seed=1)
-    _, trace = fit_method(method, g, 6, cfg, source=source)
+    [(_, trace)] = fit_method(method, g, 6, cfg, [source])
     assert trace.alpha1[1] == trace.alpha1[0] and trace.alpha2[1] == trace.alpha2[0]
     assert trace.alpha1[2] != trace.alpha1[1]

@@ -4,9 +4,10 @@ import weakref
 import numpy as np
 import pytest
 
+from gbfrft import transforms
 from gbfrft.errors import NonFinite, ShapeMismatch, SingularBlend
 from gbfrft.graphs import make_named_graph
-from gbfrft.spectral import FactorOperator
+from gbfrft.spectral import FactorOperator, eig_general
 from gbfrft.transforms import (
     apply,
     dfrft,
@@ -188,6 +189,16 @@ def test_transform_caches_are_shared_across_calls():
     g = make_named_graph("cycle", 7, seed=0)
     assert gfrft(g, 0.25).basis is gfrft(g, 0.75).basis
     assert dfrft(9, 0.5).basis is dfrft(9, 0.7).basis
+
+
+def test_graph_basis_caches_only_the_convention_asked_for():
+    # the adjacency basis behind F_G = V_A^{-1} is not kept with it
+    g = make_named_graph("path", 6, weighted=True, seed=1)
+    graph_basis(g)
+    assert list(transforms._GRAPH_BASES[g]) == ["transform-power"]
+    shift, fresh = graph_basis(g, "shift-power"), eig_general(g.adjacency)
+    for part in ("V", "lam", "V_inv"):
+        assert np.array_equal(getattr(shift, part), getattr(fresh, part))
 
 
 def test_graph_basis_dies_with_its_graph_without_the_cycle_collector():
