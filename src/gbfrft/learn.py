@@ -18,20 +18,29 @@ loss before each update and returns the best iterate seen.
 
 The loss and all three gradients come from one fused forward/backward pass.
 With M1 = V diag(p) V_inv held on its eigenbasis, V_inv Y is computed once
-per fit, and each epoch multiplies by the basis five times: V on
-[p Yh | dp Yh], V_inv on [Z | H dU1 | H dU2], V on the three inverse-side
-blocks, then V^H and V_inv^H for the adjoint behind g_h. All six go through
-:meth:`SpectralBasis.lmul`: on a large basis with a real Schur factor
-(undirected graphs under ``transform-power``) each is one real GEMM by that
-factor plus an O(n) pair mixing per column. The second factor
-acts through its FactorOperator, so blended and DFT factors work unchanged.
-Problems whose first factors share one basis descend stacked: the patches
-of a deblur run, and every method, noise variance and lambda of a
-time-vertex run. Their samples are column blocks of the same five products,
-each scaled by its own problem's powers, and each problem keeps its own
-orders, filter, Adam moments, trace and best iterate. A single fit is the
-one-problem case of the same loop. Each method is one entry of
-METHOD_TABLE, and :func:`fit` stacks any mix of (method, samples) jobs.
+per fit, and each epoch multiplies six blocks by the basis in five
+products. The forward pass takes A = V [p Yh | dp Yh] = [M1 Y | dM1 Y],
+U = A M2^T, W0 = V_inv (H * U0), C0 = V (pi W0) and the residual
+R = C0 M2inv^T - X, where pi are the powers of M1inv. The backward pass
+takes S = R conj(M2inv), Q = V^H S and back = V_inv^H (conj(pi) Q) = F^{-H} r,
+which gives g_h and, in reverse mode, both order gradients: with
+<A, B> = Re tr(A^H B) and means over each problem's samples,
+
+    dL/dalpha1 = 2 mean(<Q, dpi * W0> + <back, H * (dM1 Y M2^T)>),
+    dL/dalpha2 = 2 mean(<R conj(dM2inv), C0> + <back, H * (M1 Y dM2^T)>).
+
+All five products go through :meth:`SpectralBasis.lmul`: on a large
+basis with a real Schur factor (undirected graphs under
+``transform-power``) each is one real GEMM by that factor plus an O(n)
+pair mixing per column. The second factor acts through its
+FactorOperator, so blended and DFT factors work unchanged. Problems whose
+first factors share one basis descend stacked: the patches of a deblur
+run, and every method, noise variance and lambda of a time-vertex run.
+Their samples are column blocks of the same five products, each scaled by
+its own problem's powers, and each problem keeps its own orders, filter,
+Adam moments, trace and best iterate. A single fit is the one-problem case
+of the same loop. Each method is one entry of METHOD_TABLE, and
+:func:`fit` stacks any mix of (method, samples) jobs.
 """
 
 from __future__ import annotations
@@ -193,9 +202,9 @@ class _Stack:
     length S, so each factor-1 multiply of the pass is one product with V,
     V_inv or their adjoints for all problems and samples at once; each
     problem's own powers of the eigenvalues scale its columns. Arrays are
-    (n1, K, S, n2) for K stacked blocks. The factor-2 operators differ per
-    problem and are applied per problem, through the FactorOperator
-    protocol.
+    (n1, K, S, n2) for K stacked blocks, or (n1, S, n2) for one. The
+    factor-2 operators differ per problem and are applied per problem,
+    through the FactorOperator protocol.
     """
 
     def __init__(self, ts, batches):
@@ -244,22 +253,24 @@ class _Stack:
         H = h.reshape(P, n2, n1).transpose(2, 0, 1)[:, None, self.owner]
         Yh = self.Yh[:, None]
 
-        A = b.lmul(np.concatenate([pf * Yh, dpf * Yh], axis=1), "V")          # M1 Y, dM1 Y
-        U = np.concatenate([self._op2(ts, A, "fwd"), self._op2(ts, A[:, :1], "dfwd")], axis=1)
-        W = b.lmul(H * U, "V_inv")                                             # V_inv [Z, H dU1, H dU2]
-        C = b.lmul(np.concatenate(
-            [pi * W[:, :1], dpi * W[:, :1] + pi * W[:, 1:2], pi * W[:, 2:]], axis=1), "V")
-        E = self._op2(ts, C, "inv")
-        R = E[:, 0] - self.X
-        dX1 = E[:, 1]
-        dX2 = E[:, 2] + self._op2(ts, C[:, :1], "dinv")[:, 0]
+        A = b.lmul(np.concatenate([pf * Yh, dpf * Yh], axis=1), "V")   # M1 Y, dM1 Y
+        U = self._op2(ts, A, "fwd")                                     # M1 Y M2^T, dM1 Y M2^T
+        dU2 = self._op2(ts, A[:, :1], "dfwd")[:, 0]                     # M1 Y dM2^T
+        W0 = b.lmul(H[:, 0] * U[:, 0], "V_inv")
+        C0 = b.lmul(pi[:, 0] * W0, "V")
+        R = self._op2(ts, C0[:, None], "inv")[:, 0] - self.X
         # F^{-H} r = M1inv^H R conj(M2inv), with M1inv^H = V_inv^H diag(conj pi) V^H
         S = self._op2(ts, R[:, None], "inv", adjoint=True)
-        back = b.lmul(pi.conj() * b.lmul(S, "V_h"), "V_inv_h")[:, 0]
+        dS = self._op2(ts, R[:, None], "dinv", adjoint=True)[:, 0]      # R conj(dM2inv)
+        Q = b.lmul(S, "V_h")
+        back = b.lmul(pi.conj() * Q, "V_inv_h")[:, 0]
 
         value = self._mean(_re_inner(R, R))
-        d_orders = 2.0 * np.stack([self._mean(_re_inner(R, dX1)),
-                                   self._mean(_re_inner(R, dX2))], axis=1)
+        # both order derivatives of the estimate, paired with r through the adjoint
+        Hb = H[:, 0].conj() * back
+        d_orders = 2.0 * np.stack([
+            self._mean(_re_inner(Q[:, 0], dpi[:, 0] * W0) + _re_inner(Hb, U[:, 1])),
+            self._mean(_re_inner(dS, C0) + _re_inner(Hb, dU2))], axis=1)
         gh = 2.0 * self._mean(np.conj(U[:, 0]) * back, axis=1)
         return value, d_orders, gh.transpose(1, 2, 0).reshape(P, n1 * n2)
 

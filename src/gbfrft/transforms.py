@@ -215,9 +215,16 @@ def hybrid_transform(
         fd = dfrft(T, beta)
         fg = gfrft(g2_path, beta, convention)
         B = lam * fd.matrix + (1.0 - lam) * fg.matrix
-        if np.linalg.cond(B) > CONDITION_LIMIT:
+        # the inverse is needed anyway, so guard with the exact 1-norm
+        # condition: cond_2(B) <= T * cond_1(B), so this rejects every blend
+        # that cond_2(B) > CONDITION_LIMIT would
+        try:
+            B_inv = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            B_inv = None
+        if (B_inv is None or not np.all(np.isfinite(B_inv))
+                or T * np.linalg.norm(B, 1) * np.linalg.norm(B_inv, 1) > CONDITION_LIMIT):
             raise SingularBlend(f"blend at lambda={lam}, beta={beta} is numerically singular")
-        B_inv = np.linalg.inv(B)
         dB = lam * fd.derivative + (1.0 - lam) * fg.derivative
         op2 = BlendedOperator(
             order=float(beta),

@@ -80,7 +80,14 @@ def _check_hermitian_psd(a: np.ndarray, name: str):
     scale = max(1.0, float(np.linalg.norm(a)))
     if np.linalg.norm(a - a.conj().T) > HERMITIAN_RTOL * scale:
         raise NonHermitianStatistics(f"{name} is not Hermitian")
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    # a diagonal matrix's eigenvalues are its diagonal, exactly, and a matrix
+    # with no imaginary part has the same eigenvalues in real arithmetic
+    if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+        w = np.diagonal(a).real
+    elif not np.any(a.imag):
+        w = np.linalg.eigvalsh((a.real + a.real.T) / 2.0)
+    else:
+        w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     floor = -PSD_RTOL * max(1.0, float(np.real(np.trace(a))) / a.shape[0])
     if w.min() < floor:
         raise NonHermitianStatistics(f"{name} has negative eigenvalue {w.min():.3e}")

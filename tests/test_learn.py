@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -86,20 +87,27 @@ def test_loss_validates_batch():
         loss(t, np.ones(5), [(np.zeros((3, 4)), np.zeros((3, 4)))])
 
 
-def finite_difference_orders(g1, g2, a1, a2, h, batch, eps=1e-6, convention="transform-power"):
-    f = lambda b1, b2: loss(transform_2d(g1, g2, b1, b2, convention), h, batch)  # noqa: E731
+def finite_difference_orders(build, a1, a2, h, batch, eps=1e-6):
+    f = lambda b1, b2: loss(build(b1, b2), h, batch)  # noqa: E731
     d1 = (f(a1 + eps, a2) - f(a1 - eps, a2)) / (2 * eps)
     d2 = (f(a1, a2 + eps) - f(a1, a2 - eps)) / (2 * eps)
     return d1, d2
 
 
 def check_order_gradients(make, convention):
-    for seed in range(4):
-        g1, g2, t, h, batch = make(seed=seed)
-        da1, da2, _ = gradients(t, h, batch)
-        f1, f2 = finite_difference_orders(g1, g2, 0.35, 0.75, h, batch, convention=convention)
-        assert abs(da1 - f1) / max(1.0, abs(f1)) < 1e-6
-        assert abs(da2 - f2) / max(1.0, abs(f2)) < 1e-6
+    """Every method, the blend at lambda = 0.5; a tied method moves both
+    factors with its one order, so its finite difference is da1 + da2."""
+    for method in METHODS:
+        m = METHOD_TABLE[method]
+        for seed in range(4):
+            g1, g2, _, h, batch = make(seed=seed)
+            build = partial(m.build, g1, g2, lam=0.5, convention=convention)
+            da1, da2, _ = gradients(build(0.35, 0.75), h, batch)
+            f1, f2 = finite_difference_orders(build, 0.35, 0.75, h, batch)
+            if m.tied:
+                da1, da2 = da1 + da2, 0.0
+            assert abs(da1 - f1) / max(1.0, abs(f1)) < 1e-6, method
+            assert abs(da2 - f2) / max(1.0, abs(f2)) < 1e-6, method
 
 
 def check_filter_gradient(make):
@@ -157,6 +165,39 @@ def test_gradients_average_over_batch():
     assert abs(da1 - (da1_a + da1_b) / 2) < 1e-12
     assert abs(da2 - (da2_a + da2_b) / 2) < 1e-12
     assert np.allclose(gh, (gh_a + gh_b) / 2, atol=1e-12)
+
+
+def forward_mode_order_gradients(t, h, batch) -> np.ndarray:
+    """(dL/dalpha1, dL/dalpha2) in forward mode on dense factors: the
+    derivative of the estimate along each order, paired with the residual."""
+    o1, o2 = t.op1, t.op2
+    M1, M1i, dM1, dM1i = o1.matrix, o1.inverse, o1.derivative, o1.inverse_derivative
+    M2, M2i, dM2, dM2i = o2.matrix, o2.inverse, o2.derivative, o2.inverse_derivative
+    H = h.reshape(t.n1, t.n2, order="F")
+    d = np.zeros(2)
+    for Y, X in batch:
+        Z = H * (M1 @ Y @ M2.T)
+        R = M1i @ Z @ M2i.T - X
+        dX1 = dM1i @ Z @ M2i.T + M1i @ (H * (dM1 @ Y @ M2.T)) @ M2i.T
+        dX2 = M1i @ Z @ dM2i.T + M1i @ (H * (M1 @ Y @ dM2.T)) @ M2i.T
+        d += 2.0 * np.array([np.vdot(R, dX1).real, np.vdot(R, dX2).real])
+    return d / len(batch)
+
+
+def test_reverse_mode_order_gradients_equal_forward_mode_on_a_mixed_stack():
+    rng = np.random.default_rng(27)
+    g, T = make_knn_graph(rng.normal(size=(6, 2)), 2), 5
+    g2 = path_graph(T)
+    jobs = [(method, 0.3 + 0.1 * p, 0.9 - 0.15 * p) for p, method in enumerate(METHODS * 2)]
+    ts = [METHOD_TABLE[m].build(g, g2, a1, a2, lam=0.5) for m, a1, a2 in jobs]
+    batches = [[(rng.normal(size=(6, T)), rng.normal(size=(6, T))) for _ in range(1 + p % 3)]
+               for p in range(len(jobs))]
+    h = 1.0 + 0.3 * (rng.normal(size=(len(jobs), 6 * T)) + 1j * rng.normal(size=(len(jobs), 6 * T)))
+    _, d_orders, _ = _Stack(ts, batches).value_and_grad(ts, h)
+    assert ts[0].orders[0] == ts[0].orders[1]   # the tied method
+    for t, hp, batch, row in zip(ts, h, batches, d_orders):
+        ref = forward_mode_order_gradients(t, hp, batch)
+        assert np.all(np.abs(row - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref))), (t.kind, row, ref)
 
 
 def test_train_config_validation():
@@ -369,13 +410,19 @@ def test_problems_on_different_spatial_bases_are_rejected():
 
 
 class CountingMatrix(np.ndarray):
-    """An array that counts the matrix products it takes part in."""
+    """An array that counts the matrix products it takes part in, and the
+    complex columns it multiplies from the left: a complex column goes
+    through a real factor as two real ones, so a real column counts half."""
 
     products = 0
+    columns = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
             CountingMatrix.products += 1
+            if isinstance(inputs[0], CountingMatrix):
+                right = inputs[1]
+                CountingMatrix.columns += right.shape[-1] * (1.0 if np.iscomplexobj(right) else 0.5)
         plain = [x.view(np.ndarray) if isinstance(x, CountingMatrix) else x for x in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
 
@@ -389,19 +436,29 @@ def counting_basis(basis: SpectralBasis) -> SpectralBasis:
 
 
 def products_per_epoch(method, g, counted, rng, monkeypatch):
-    """Products with CountingMatrix parts of the basis per epoch, for one
-    problem of one sample and for four problems of three samples each."""
+    """(products, columns) with CountingMatrix parts of the basis per epoch,
+    for one problem of one sample and for four problems of three samples
+    each."""
     n, T = g.n, 3
     monkeypatch.setitem(transforms._GRAPH_BASES.setdefault(g, {}), "transform-power", counted)
 
-    def products(epochs, problems, batch):
+    def counts(epochs, problems, batch):
         sources = [[(rng.normal(size=(n, T)), rng.normal(size=(n, T))) for _ in range(batch)]
                    for _ in range(problems)]
-        CountingMatrix.products = 0
+        CountingMatrix.products = CountingMatrix.columns = 0
         fit_method(method, g, T, TrainConfig(epochs=epochs), sources)
-        return CountingMatrix.products
+        return np.array([CountingMatrix.products, CountingMatrix.columns])
 
-    return {(P, B): (products(3, P, B) - products(1, P, B)) / 2 for P, B in ((1, 1), (4, 3))}
+    return {(P, B): tuple((counts(3, P, B) - counts(1, P, B)) / 2) for P, B in ((1, 1), (4, 3))}
+
+
+def check_six_blocks(method, per_epoch, T=3):
+    """An epoch takes [M1 Y | dM1 Y] through V, then one block each through
+    V_inv, V, V^H and V_inv^H: the order gradients come off the adjoint, so
+    no derivative block follows the primal."""
+    lambdas = 3 if METHOD_TABLE[method].searches_lambda else 1   # fit_method's lambda grid
+    for (P, B), (_, columns) in per_epoch.items():
+        assert columns == 6 * P * B * lambdas * T
 
 
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
@@ -410,8 +467,9 @@ def test_one_epoch_multiplies_by_the_spatial_basis_a_fixed_number_of_times(metho
     g = make_knn_graph(rng.normal(size=(6, 2)), 2)
     per_epoch = products_per_epoch(method, g, counting_basis(transforms.graph_basis(g)), rng,
                                    monkeypatch)
-    assert per_epoch[(1, 1)] == per_epoch[(4, 3)]
-    assert 0 < per_epoch[(1, 1)] <= 6
+    products = per_epoch[(1, 1)][0]
+    assert per_epoch[(4, 3)][0] == products and 0 < products <= 6
+    check_six_blocks(method, per_epoch)
 
 
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
@@ -421,7 +479,8 @@ def test_one_epoch_multiplies_by_the_real_factor_five_times(method, monkeypatch)
     assert basis.Z is not None and basis.n >= FACTORED_MIN_N
     per_epoch = products_per_epoch(method, g, replace(basis, Z=basis.Z.view(CountingMatrix)),
                                    np.random.default_rng(24), monkeypatch)
-    assert per_epoch[(1, 1)] == per_epoch[(4, 3)] == 5
+    assert per_epoch[(1, 1)][0] == per_epoch[(4, 3)][0] == 5
+    check_six_blocks(method, per_epoch)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -175,6 +175,16 @@ def test_hybrid_blend_derivative_matches_finite_differences():
     assert np.linalg.norm(t.op2.inverse_derivative - fdi) / np.linalg.norm(fdi) < 1e-8
 
 
+def test_hybrid_rejects_a_singular_blend():
+    # at T = 2 and beta = 1 the two factors cancel in one row at lambda = 0.5
+    # (2-norm condition about 1e16)
+    g = make_named_graph("path", 3)
+    with pytest.raises(SingularBlend):
+        hybrid_transform(g, path_graph(2), 2, alpha=0.5, beta=1.0, lam=0.5)
+    t = hybrid_transform(g, path_graph(2), 2, alpha=0.5, beta=1.0, lam=0.3)
+    assert np.allclose(t.op2.inverse @ t.op2.matrix, np.eye(2), atol=1e-12)
+
+
 def test_hybrid_validates_inputs():
     g = make_named_graph("path", 3)
     with pytest.raises(ValueError):

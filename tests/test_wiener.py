@@ -13,6 +13,7 @@ from gbfrft.errors import (
     SizeCapExceeded,
 )
 from gbfrft.graphs import Graph, make_named_graph
+from gbfrft.synthetic import build_observation_model
 from gbfrft.transforms import transform_2d
 from gbfrft.wiener import (
     ObservationModel,
@@ -158,6 +159,34 @@ def test_model_validation():
         ObservationModel(n1=1, n2=2, rxx=np.diag([1.0, -1.0]), rnn=np.eye(2))
     with pytest.raises(ShapeMismatch):
         ObservationModel(n1=2, n2=2, rxx=np.eye(3), rnn=np.eye(3))
+
+
+def test_model_checks_statistics_without_complex_or_diagonal_eigensolves(monkeypatch):
+    # the model holds its statistics as complex arrays; a diagonal matrix's
+    # eigenvalues are its diagonal, and one with no imaginary part takes a
+    # real solve
+    eigvalsh = np.linalg.eigvalsh
+    seen = []
+
+    def recording(a, *args, **kwargs):
+        a = np.asarray(a)
+        seen.append((a.dtype, np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    build_observation_model(make_named_graph("path", 4), make_named_graph("cycle", 3), 0.7)
+    assert seen
+    assert not any(np.issubdtype(dtype, np.complexfloating) for dtype, _ in seen), seen
+    assert not any(diagonal for _, diagonal in seen), seen
+    monkeypatch.undo()
+
+    with pytest.raises(NonHermitianStatistics, match="negative eigenvalue"):
+        ObservationModel(n1=1, n2=2, rxx=[[1.0, 2.0], [2.0, 1.0]], rnn=np.eye(2))
+    with pytest.raises(NonHermitianStatistics, match="negative eigenvalue"):
+        ObservationModel(n1=1, n2=2, rxx=np.eye(2), rnn=np.diag([1.0, -0.5]))
+    with pytest.raises(NonHermitianStatistics, match="negative eigenvalue"):
+        ObservationModel(n1=1, n2=2, rxx=[[1.0, 2.0j], [-2.0j, 1.0]], rnn=np.eye(2))
+    ObservationModel(n1=1, n2=2, rxx=[[2.0, 1.0j], [-1.0j, 2.0]], rnn=np.diag([0.5, 0.0]))
 
 
 def test_psd_clip_repairs_indefinite_matrices():
