@@ -17,7 +17,7 @@ import numpy as np
 
 from .graphs import Graph, ProductGraph, cartesian_product, make_named_graph
 from .learn import TrainConfig, fit
-from .wiener import ObservationModel, draw_observations, grid_search, psd_clip
+from .wiener import ObservationModel, draw_observations, gaussian_samples, grid_search, psd_clip
 
 METHODS = ("grid-gfrft", "grid-gbfrft", "gd-gfrft", "gd-gbfrft")
 VARIANTS = ("UU", "UW", "DU", "DW")
@@ -47,12 +47,8 @@ def autocorrelation_matrix(pg: ProductGraph) -> tuple[np.ndarray, np.ndarray, fl
 
 def sample_gaussian(rxx, seed: int, trials: int = 1) -> np.ndarray:
     """(trials, N) zero-mean Gaussian draws; negative eigenvalues of the
-    requested covariance are clipped to zero before factorization."""
-    rxx = np.asarray(rxx, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    w, V = np.linalg.eigh((rxx + rxx.T) / 2.0)
-    root = V * np.sqrt(np.clip(w, 0.0, None))
-    return (root @ rng.standard_normal((rxx.shape[0], trials))).T
+    requested covariance are clipped to zero (see wiener.gaussian_samples)."""
+    return gaussian_samples(np.asarray(rxx, dtype=np.float64), np.random.default_rng(seed), trials)
 
 
 def build_observation_model(g1: Graph, g2: Graph, sigma2: float) -> ObservationModel:

@@ -35,8 +35,10 @@ and h = q / diag(A). ``grid_search`` takes this path at every point where
 both factor bases have ``SpectralBasis.unitary_powers`` (a unitary
 eigenbasis and a unimodular spectrum; a symmetric adjacency under
 ``shift-power`` has a unitary eigenbasis but real eigenvalues, so it keeps
-the LU path). Each diagonal is a sandwich of factor contractions at
-O(N1 N^2 + N N2^2), with no N x N product formed. The rcond of a diagonal
+the LU path). Each diagonal is a sandwich of factor contractions, with
+no N x N product formed: the M1 half costs O(N1 N^2) and depends on alpha1
+alone, so the search computes it once per distinct alpha1, and the M2 half
+costs O(N N2^2) per point. The rcond of a diagonal
 T is min|T_mm| / max|T_mm|, guarded like the LU estimate, and the
 least-squares fallback is what ``lstsq`` gives for a diagonal matrix.
 """
@@ -116,15 +118,22 @@ def _kron_sandwich(M2: np.ndarray, M1: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _kron_rmul_h(_kron_lmul(M2, M1, X), M2, M1)
 
 
-def _kron_sandwich_diag(M2: np.ndarray, M1: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """diag(K @ X @ K^H) for K = kron(M2, M1), without forming K @ X.
+# diag(K @ X @ K^H) for K = kron(M2, M1), without forming K @ X, in two
+# halves: in the (N2, N1, N2, N1) view of X, entry (m2, m1) of the diagonal is
+# sum M2[m2, i2] M1[m1, i1] X[i2, i1, j2, j1] conj(M2[m2, j2] M1[m1, j1]).
+# The first half contracts M1 and depends on X and M1 only, so a search can
+# keep it while only M2 changes.
 
-    In the (N2, N1, N2, N1) view of X, entry (m2, m1) of the diagonal is
-    sum M2[m2, i2] M1[m1, i1] X[i2, i1, j2, j1] conj(M2[m2, j2] M1[m1, j1]).
-    """
-    n1, n2 = M1.shape[0], M2.shape[0]
+def _sandwich_diag_m1(M1: np.ndarray, X: np.ndarray, n2: int) -> np.ndarray:
+    """(N2, N1, N2) first half: sum M1[m1, i1] X[i2, i1, j2, j1] conj(M1[m1, j1])."""
+    n1 = M1.shape[0]
     Y = (M1 @ X.reshape(n2, n1, -1)).reshape(n2, n1, n2, n1)
-    Y = np.einsum("amcd,md->amc", Y, M1.conj())
+    return np.einsum("amcd,md->amc", Y, M1.conj())
+
+
+def _sandwich_diag_m2(M2: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The length-N diagonal from the first half Y: contract M2 on both sides."""
+    n2, n1 = Y.shape[0], Y.shape[1]
     Y = (M2 @ Y.reshape(n2, -1)).reshape(n2, n1, n2)
     return np.einsum("bmc,bc->bm", Y, M2.conj()).reshape(n1 * n2)
 
@@ -289,17 +298,6 @@ def _assemble(model, t, cap, My, Mxy):
     q = np.einsum("ab,cd,acbd->bd", M2i.conj(), M1i.conj(),
                   Z.reshape(t.n2, t.n1, t.n2, t.n1)).reshape(n)
     return T, q
-
-
-def _assemble_diagonal(model, t, cap, My, Mxy):
-    """(diag T, q) for a transform whose factor powers are both unitary.
-
-    Fi = F^H, so Fi^H Fi = I, T = I * A.T keeps only diag(A), and
-    q = diag(Fi^H Mxy F^H) = diag(F Mxy F^H).
-    """
-    _check_sizes(model, t, cap)
-    M1, M2 = t.op1.matrix, t.op2.matrix
-    return _kron_sandwich_diag(M2, M1, My), _kron_sandwich_diag(M2, M1, Mxy)
 
 
 def assemble_normal_equations_naive(
@@ -468,10 +466,18 @@ def grid_search(
     My, Mxy = model.y_covariance(), model.xy_covariance()
     best = None
     rows = []
+    halves_a1 = halves = None
     for a1, a2 in points:
         t = transform_2d(g1, g2, a1, a2, convention)
         if t.op1.basis.unitary_powers and t.op2.basis.unitary_powers:
-            T, q = _assemble_diagonal(model, t, cap, My, Mxy)
+            # Fi = F^H, so diag T = diag(F My F^H) and q = diag(F Mxy F^H).
+            # The M1 halves depend on alpha1 alone, and points run alpha1 in
+            # the outer loop, so only the current alpha1's halves are kept
+            _check_sizes(model, t, cap)
+            if a1 != halves_a1:
+                M1 = t.op1.matrix
+                halves_a1, halves = a1, [_sandwich_diag_m1(M1, X, t.n2) for X in (My, Mxy)]
+            T, q = (_sandwich_diag_m2(t.op2.matrix, Y) for Y in halves)
             h = _solve_diagonal(T, q)
         else:
             T, q = _assemble(model, t, cap, My, Mxy)
@@ -483,13 +489,21 @@ def grid_search(
     return (best, rows) if keep_grid else best
 
 
-def _gaussian_matrix_samples(R: np.ndarray, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """(trials, N) real Gaussian draws with covariance psd_clip(R)."""
-    R = (np.asarray(R, dtype=np.complex128) + np.asarray(R).conj().T) / 2.0
-    w, V = np.linalg.eigh(R)
-    root = V.real * np.sqrt(np.clip(w, 0.0, None))
-    z = rng.standard_normal((R.shape[0], trials))
-    return (root @ z).T
+def gaussian_samples(R, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """(trials, N) real Gaussian draws, with covariance psd_clip(R) for real R.
+
+    The draws are S z for standard normal z and S the real part of the
+    principal square root of psd_clip(R). That root, V diag(sqrt w) V^H, is
+    unique for a PSD matrix, so the draws depend on R alone and not on the
+    eigenbasis ``eigh`` returns (its signs, or its basis inside a repeated
+    eigenvalue). Eigenvalues at or below N eps max(w) are roundoff and count
+    as zero.
+    """
+    R = np.asarray(R)
+    w, V = np.linalg.eigh((R + R.conj().T) / 2.0)
+    w = np.where(w > R.shape[0] * np.finfo(np.float64).eps * max(w.max(), 0.0), w, 0.0)
+    root = ((V * np.sqrt(w)) @ V.conj().T).real
+    return (root @ rng.standard_normal((R.shape[0], trials))).T
 
 
 def draw_observations(model: ObservationModel, trials: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -501,8 +515,8 @@ def draw_observations(model: ObservationModel, trials: int, seed: int) -> list[t
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    xs = _gaussian_matrix_samples(model.rxx, rng, trials)
-    ns = _gaussian_matrix_samples(model.rnn, rng, trials)
+    xs = gaussian_samples(model.rxx, rng, trials)
+    ns = gaussian_samples(model.rnn, rng, trials)
     out = []
     for k in range(trials):
         X = xs[k].reshape(model.n1, model.n2, order="F")

@@ -13,7 +13,7 @@ from gbfrft.errors import (
     SizeCapExceeded,
 )
 from gbfrft.graphs import Graph, make_named_graph
-from gbfrft.synthetic import build_observation_model
+from gbfrft.synthetic import build_observation_model, sample_gaussian
 from gbfrft.transforms import transform_2d
 from gbfrft.wiener import (
     ObservationModel,
@@ -376,6 +376,90 @@ def test_diagonal_path_rejects_non_finite_statistics_and_filters():
     # well conditioned, but q / d overflows
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
         wiener._solve_diagonal(np.full(4, 1e-310 + 0j), np.ones(4, dtype=complex))
+
+def test_unitary_grid_contracts_factor_1_once_per_alpha1(monkeypatch):
+    g1, g2 = make_named_graph("path", 3), make_named_graph("cycle", 5)
+    model = random_model(3, 5, seed=2)
+    calls = []
+    first_half = wiener._sandwich_diag_m1
+
+    def counting(M1, X, n2):
+        calls.append(X.shape)
+        return first_half(M1, X, n2)
+
+    monkeypatch.setattr(wiener, "_sandwich_diag_m1", counting)
+    _, rows = grid_search(model, g1, g2, step=0.25, keep_grid=True)
+    assert len(rows) == 25
+    # one first half of My and one of Mxy per distinct alpha1
+    assert len(calls) == 10
+    calls.clear()
+    _, rows = grid_search(model, g1, g2, step=0.25, equal_orders=True, keep_grid=True)
+    assert len(rows) == 5
+    assert len(calls) == 10
+
+
+def test_unitary_grid_rows_equal_one_point_searches():
+    # a stale first half, kept past its alpha1, would change later rows
+    g1, g2 = make_named_graph("path", 3), make_named_graph("cycle", 5)
+    for k, model in enumerate(model_variants(3, 5, seed=9)):
+        _, rows = grid_search(model, g1, g2, (0.0, 0.5), (0.0, 1.0), 0.25, keep_grid=True)
+        assert len(rows) == 15
+        for r in rows:
+            a1, a2 = r["alpha1"], r["alpha2"]
+            _, one = grid_search(model, g1, g2, (a1, a1), (a2, a2), 0.25, keep_grid=True)
+            assert one == [r], (k, r)
+
+
+def rotating_eigh(monkeypatch):
+    """Make np.linalg.eigh rotate its eigenvectors inside every repeated
+    eigenvalue, as another LAPACK build may; returns the rotated clusters."""
+    eigh = np.linalg.eigh
+    rng = np.random.default_rng(21)
+    rotated = []
+
+    def rotating(a, *args, **kwargs):
+        w, V = eigh(a, *args, **kwargs)
+        V = V.copy()
+        tol = 1e-9 * max(1.0, np.abs(w).max())
+        start = 0
+        for stop in range(1, w.size + 1):
+            if stop < w.size and w[stop] - w[start] <= tol:
+                continue
+            k = stop - start
+            if k > 1:
+                Q, _ = np.linalg.qr(rng.normal(size=(k, k)))
+                if np.iscomplexobj(V):
+                    Q = Q * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=k))
+                V[:, start:stop] = V[:, start:stop] @ Q
+                rotated.append(k)
+            start = stop
+        return w, V
+
+    monkeypatch.setattr(np.linalg, "eigh", rotating)
+    return rotated
+
+
+def test_draws_depend_on_the_covariance_not_its_eigenbasis(monkeypatch):
+    g1, g2 = make_named_graph("path", 3), make_named_graph("cycle", 4)
+    real = build_observation_model(g1, g2, 0.8)
+    # complex Hermitian statistics with repeated eigenvalues, one of them 0
+    U, _ = np.linalg.qr(random_model(3, 4, seed=3).rxx)
+    rxx = (U * np.repeat([0.0, 0.5, 1.0, 2.0], 3)) @ U.conj().T
+    models = [real, ObservationModel(n1=3, n2=4, rxx=rxx, rnn=real.rnn, g1=g1.adjacency)]
+    rxx8 = build_observation_model(make_named_graph("path", 4), make_named_graph("cycle", 8),
+                                   1.0).rxx.real
+    before = [draw_observations(m, 3, seed=5) for m in models]
+    before.append(sample_gaussian(rxx8, seed=5, trials=3))
+    rotated = rotating_eigh(monkeypatch)
+    after = [draw_observations(m, 3, seed=5) for m in models]
+    after.append(sample_gaussian(rxx8, seed=5, trials=3))
+    assert len(rotated) >= 6
+    for pairs_b, pairs_a in zip(before[:2], after[:2]):
+        for (Yb, Xb), (Ya, Xa) in zip(pairs_b, pairs_a):
+            assert np.abs(Xa - Xb).max() <= 1e-12
+            assert np.abs(Ya - Yb).max() <= 1e-12
+    assert np.abs(after[2] - before[2]).max() <= 1e-12
+
 
 def test_draw_observations_are_seeded_and_shaped():
     model = two_by_two_model(with_g=True)
