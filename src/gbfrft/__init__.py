@@ -32,7 +32,7 @@ from .errors import (
 from .graphs import Graph, ProductGraph, cartesian_product, make_knn_graph, make_named_graph
 from .spectral import FactorOperator, FractionalOperator, SpectralBasis, eig_general, fractional_power
 from .transforms import (
-    BlendedOperator,
+    DenseOperator,
     ProductTransform,
     apply,
     dfrft,

@@ -28,7 +28,7 @@ from .transforms import CONVENTIONS, apply, path_graph
 from .wiener import DEFAULT_SIZE_CAP, ObservationModel, draw_observations, grid_search, grid_values
 
 # the learn method whose transform each --kind applies
-_KIND_METHODS = {"gfrft2d": "2d-gfrft", "gbfrft2d": "2d-gbfrft", "jfrft": "jfrft", "hybrid": "hybrid"}
+_KIND_METHODS = {m.kind: m for m in METHOD_TABLE.values()}
 # the TrainConfig field behind each descent option a subcommand may have
 _DESCENT_FIELDS = {"lr": "lr_orders", "lr_filter": "lr_filter", "epochs": "epochs",
                    "init_orders": "init_orders", "optimizer": "optimizer", "seed": "seed"}
@@ -214,8 +214,7 @@ def cmd_transform(args) -> int:
     g2 = matio.load_graph(args.graph2) if args.graph2 else path_graph(args.t or X.shape[1])
     if args.t and g2.n != args.t:
         raise ShapeMismatch(f"--graph2 has {g2.n} vertices, --t asks for {args.t}")
-    t = METHOD_TABLE[_KIND_METHODS[args.kind]].build(g1, g2, args.alpha1, args.alpha2, args.lam,
-                                                  convention=args.convention)
+    t = _KIND_METHODS[args.kind].build(g1, g2, args.alpha1, args.alpha2, args.lam, convention=args.convention)
     Y = apply(t, X, args.direction)
     matio.write_matrix(args.output, Y)
     print(f"{args.kind} {args.direction} at orders {t.orders} -> {args.output}")

@@ -32,15 +32,15 @@ which gives g_h and, in reverse mode, both order gradients: with
 All five products go through :meth:`SpectralBasis.lmul`: on a large
 basis with a real Schur factor (undirected graphs under
 ``transform-power``) each is one real GEMM by that factor plus an O(n)
-pair mixing per column. The second factor acts through its
-FactorOperator, so blended and DFT factors work unchanged. Problems whose
-first factors share one basis descend stacked: the patches of a deblur
-run, and every method, noise variance and lambda of a time-vertex run.
-Their samples are column blocks of the same five products, each scaled by
-its own problem's powers, and each problem keeps its own orders, filter,
-Adam moments, trace and best iterate. A single fit is the one-problem case
-of the same loop. Each method is one entry of METHOD_TABLE, and
-:func:`fit` stacks any mix of (method, samples) jobs.
+pair mixing per column. The descent takes orders, not transforms. Problems
+whose first factors share one basis descend stacked: the patches of a
+deblur run, and every method, noise variance and lambda of a time-vertex
+run. Each epoch gets every problem's powers of M1 from one vectorized
+``exp``, and from its METHOD_TABLE entry the dense M2, M2inv, dM2 and
+dM2inv at its second order. Each product by a second factor is one
+batched matmul over the samples; the adjoint ones use the conjugates.
+Each problem keeps its own orders, filter, Adam moments, trace and best
+iterate, and :func:`fit` stacks any mix of (method, samples) jobs.
 """
 
 from __future__ import annotations
@@ -53,39 +53,53 @@ import numpy as np
 
 from .errors import DivergedLoss, ShapeMismatch
 from .graphs import Graph
-from .spectral import FractionalOperator, SpectralBasis
-from .transforms import ProductTransform, hybrid_transform, jfrft, path_graph, transform_2d
+from .spectral import FractionalOperator, SpectralBasis, dense_powers, power_parts
+from .transforms import DenseOperator, ProductTransform, apply, blend_parts, dft_basis, gfrft, graph_basis, path_graph
 from .wiener import FilterDesign, grid_values
+
+# Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
+from .transforms import hybrid_transform, jfrft, transform_2d  # noqa: F401
 
 OPTIMIZERS = ("adam", "sgd")
 DEFAULT_LAMBDA_GRID = tuple(grid_values((0.0, 1.0), 0.1))
 
 
 class Method(NamedTuple):
-    """A transform family: ``build(g1, g2, a1, a2, lam, convention)`` makes its
-    transform at the descent orders (a1, a2), with g2 the second factor (a
-    temporal path, of length g2.n, for jfrft and hybrid). A ``tied`` method
-    descends on one shared order; one that ``searches_lambda`` fits one
-    problem per blend weight of the lambda grid and keeps the best."""
+    """A transform family, gfrft(g1, a1) times a second factor: ``second(g2,
+    a2, lam, convention)`` is its dense M2, M2inv, dM2/da2 and dM2inv/da2,
+    (4, k, g2.n, g2.n), at k orders a2 and blend weights lam (g2 is a
+    temporal path for jfrft and hybrid). A ``tied`` method descends on one
+    shared order; one that ``searches_lambda`` fits one problem per blend
+    weight of the lambda grid and keeps the best."""
 
-    build: Callable[..., ProductTransform]
+    second: Callable[..., np.ndarray]
+    kind: str
     tied: bool = False
     searches_lambda: bool = False
 
+    def build(self, g1: Graph, g2: Graph, a1: float, a2: float, lam=None,
+              convention: str = "transform-power") -> ProductTransform:
+        """The transform at orders (a1, a2), or (a1, a1) for a tied method."""
+        a1, a2 = float(a1), float(a1 if self.tied else a2)
+        lam = float(lam) if self.searches_lambda else None
+        op2 = DenseOperator(a2, *self.second(g2, np.array([a2]), np.array([lam], dtype=float), convention)[:, 0])
+        return ProductTransform(gfrft(g1, a1, convention), op2, self.kind, (a1, a2), lam)
 
-# The builders look transform_2d, jfrft and hybrid_transform up in this
-# module when called, where the benchmark's layer tracer wraps them.
+
+def _graph_power(g2, a2, lam, convention):
+    return dense_powers(graph_basis(g2, convention), a2)
+
+
+def _dft_power(g2, a2, lam, convention):
+    return dense_powers(dft_basis(g2.n), a2)
+
+
 METHOD_TABLE = {
-    "2d-gfrft": Method(lambda g1, g2, a1, a2, lam, convention="transform-power":
-                       transform_2d(g1, g2, a1, a1, convention), tied=True),
-    "2d-gbfrft": Method(lambda g1, g2, a1, a2, lam, convention="transform-power":
-                        transform_2d(g1, g2, a1, a2, convention)),
+    "2d-gfrft": Method(_graph_power, "gfrft2d", tied=True),
+    "2d-gbfrft": Method(_graph_power, "gbfrft2d"),
     # a1 is the vertex-side order, a2 the time-side one
-    "jfrft": Method(lambda g1, g2, a1, a2, lam, convention="transform-power":
-                    jfrft(g1, g2.n, alpha=a2, beta=a1, convention=convention)),
-    "hybrid": Method(lambda g1, g2, a1, a2, lam, convention="transform-power":
-                     hybrid_transform(g1, g2, g2.n, alpha=a1, beta=a2, lam=lam,
-                                      convention=convention), searches_lambda=True),
+    "jfrft": Method(_dft_power, "jfrft"),
+    "hybrid": Method(blend_parts, "hybrid", searches_lambda=True),
 }
 METHODS = tuple(METHOD_TABLE)  # what the deblur and time-vertex drivers fit
 
@@ -151,27 +165,24 @@ def _filter_grid(t: ProductTransform, h: np.ndarray) -> np.ndarray:
     return h.reshape(t.n1, t.n2, order="F")
 
 
-def _check_batch(t: ProductTransform, batch):
+def _check_batch(shape: tuple[int, int], batch):
     if not batch:
         raise ValueError("batch must contain at least one (Y, X) pair")
     for Y, X in batch:
-        if np.shape(Y) != (t.n1, t.n2) or np.shape(X) != (t.n1, t.n2):
+        if np.shape(Y) != shape or np.shape(X) != shape:
             raise ShapeMismatch(
-                f"batch entries must be {t.n1}x{t.n2}, got {np.shape(Y)} and {np.shape(X)}")
+                f"batch entries must be {shape[0]}x{shape[1]}, got {np.shape(Y)} and {np.shape(X)}")
 
 
 def apply_filter(t: ProductTransform, h, Y) -> np.ndarray:
     """The estimate F^{-1} diag(h) F y in factor form."""
-    h = np.asarray(h)
-    Hm = _filter_grid(t, h)
-    U = t.op2.rmul_t(t.op1.lmul(np.asarray(Y), "fwd"), "fwd")
-    return t.op2.rmul_t(t.op1.lmul(Hm * U, "inv"), "inv")
+    return apply(t, _filter_grid(t, np.asarray(h)) * apply(t, Y), "inverse")
 
 
 def loss(t: ProductTransform, h, batch) -> float:
     """Mean total squared error of the filtered estimates over the batch."""
     h = np.asarray(h)
-    _check_batch(t, batch)
+    _check_batch((t.n1, t.n2), batch)
     total = 0.0
     for Y, X in batch:
         R = apply_filter(t, h, Y) - np.asarray(X)
@@ -184,15 +195,28 @@ def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
 
     g_h is the length-N1*N2 conjugate gradient (column-major vec order).
     """
+    if not isinstance(t.op1, FractionalOperator):
+        raise TypeError("descent needs a fractional power as the first factor")
     h = np.asarray(h, dtype=np.complex128)
     _filter_grid(t, h)  # ShapeMismatch for a wrong-length h
-    _, d_orders, gh = _Stack([t], [batch]).value_and_grad([t], h[None])
+    _check_batch((t.n1, t.n2), batch)
+    o2 = t.op2
+    parts = np.stack([o2.matrix, o2.inverse, o2.derivative, o2.inverse_derivative])[:, None]
+    stack = _Stack(t.op1.basis, [batch], [(lambda a2: parts, [0])])
+    _, d_orders, gh = stack.value_and_grad(np.array([[t.op1.order, o2.order]]), h[None])
     return float(d_orders[0, 0]), float(d_orders[0, 1]), gh[0]
 
 
 def _re_inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Re <A_s, B_s> per sample s of two (n1, S, n2) stacks."""
     return np.einsum("isj,isj->s", A.conj(), B).real
+
+
+def _rmul(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """A[:, :, s] @ M[s] for each sample s of an (n1, K, S, n2) stack, batched."""
+    n1, K, S, n2 = A.shape
+    out = A.transpose(2, 0, 1, 3).reshape(S, n1 * K, n2) @ M
+    return out.reshape(S, n1, K, n2).transpose(1, 2, 0, 3)
 
 
 class _Stack:
@@ -202,37 +226,20 @@ class _Stack:
     length S, so each factor-1 multiply of the pass is one product with V,
     V_inv or their adjoints for all problems and samples at once; each
     problem's own powers of the eigenvalues scale its columns. Arrays are
-    (n1, K, S, n2) for K stacked blocks, or (n1, S, n2) for one. The
-    factor-2 operators differ per problem and are applied per problem,
-    through the FactorOperator protocol.
+    (n1, K, S, n2) for K stacked blocks, or (n1, S, n2) for one. ``second``
+    holds (parts, idx) pairs: ``parts`` maps the second orders of the
+    problems ``idx`` to their dense M2, M2inv, dM2 and dM2inv.
     """
 
-    def __init__(self, ts, batches):
-        t0 = ts[0]
-        self.basis = _shared_basis(ts)
-        for batch in batches:
-            _check_batch(t0, batch)
+    def __init__(self, basis: SpectralBasis, batches, second):
+        self.basis = basis
+        self.second = second
         self.counts = np.array([len(b) for b in batches])
         self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
         self.owner = np.repeat(np.arange(len(batches)), self.counts)
         Y = np.stack([np.asarray(Y) for b in batches for Y, _ in b], axis=1)
         self.X = np.stack([np.asarray(X) for b in batches for _, X in b], axis=1)
-        self.Yh = self.basis.lmul(Y, "V_inv")  # V_inv Y does not depend on the orders
-
-    def _powers(self, ts, name: str) -> np.ndarray:
-        """One eigenvalue-power vector of every sample's problem, (n1, 1, S, 1)."""
-        d = np.stack([getattr(t.op1, name) for t in ts], axis=1)
-        return d[:, None, self.owner, None]
-
-    def _op2(self, ts, A: np.ndarray, kind: str, adjoint: bool = False) -> np.ndarray:
-        """A @ M2.T (A @ conj(M2) with ``adjoint``) per problem, on the right."""
-        out = np.empty(A.shape, dtype=np.complex128)
-        n2 = A.shape[-1]
-        for t, lo, count in zip(ts, self.starts, self.counts):
-            block = A[:, :, lo:lo + count]
-            f = t.op2.rmul_conj if adjoint else t.op2.rmul_t
-            out[:, :, lo:lo + count] = f(block.reshape(-1, n2), kind).reshape(block.shape)
-        return out
+        self.Yh = basis.lmul(Y, "V_inv")  # V_inv Y does not depend on the orders
 
     def _mean(self, per_sample: np.ndarray, axis: int = 0) -> np.ndarray:
         """Per-problem means of per-sample values along ``axis``."""
@@ -240,28 +247,31 @@ class _Stack:
         shape[axis] = -1
         return np.add.reduceat(per_sample, self.starts, axis=axis) / self.counts.reshape(shape)
 
-    def value_and_grad(self, ts, h: np.ndarray):
+    def value_and_grad(self, orders: np.ndarray, h: np.ndarray):
         """Loss, order gradients (P, 2) and filter gradients (P, N1*N2) of
-        every problem, at the transforms ``ts`` and filters ``h`` (P, N1*N2)."""
-        if _shared_basis(ts) is not self.basis:
-            raise ValueError("stacked problems changed their spatial basis")
+        every problem, at the orders (P, 2) and filters ``h`` (P, N1*N2)."""
         b = self.basis
         n1, _, n2 = self.Yh.shape
-        P = len(ts)
-        pf, pi = self._powers(ts, "pow_fwd"), self._powers(ts, "pow_inv")
-        dpf, dpi = self._powers(ts, "dpow_fwd"), self._powers(ts, "dpow_inv")
+        P = len(orders)
+        # each sample's powers of M1 (and of M1inv), (n1, 1, S, 1)
+        pf, pi, dpf, dpi = (p[self.owner].T[:, None, :, None] for p in power_parts(b, orders[:, 0]))
+        M2 = np.empty((4, P, n2, n2), dtype=np.complex128)
+        for parts, idx in self.second:
+            M2[:, idx] = parts(orders[idx, 1])
+        M2 = M2[:, self.owner]   # each sample's M2, M2inv, dM2, dM2inv
+        fwd_t, inv_t, dfwd_t, _ = M2.swapaxes(-1, -2)
         H = h.reshape(P, n2, n1).transpose(2, 0, 1)[:, None, self.owner]
         Yh = self.Yh[:, None]
 
         A = b.lmul(np.concatenate([pf * Yh, dpf * Yh], axis=1), "V")   # M1 Y, dM1 Y
-        U = self._op2(ts, A, "fwd")                                     # M1 Y M2^T, dM1 Y M2^T
-        dU2 = self._op2(ts, A[:, :1], "dfwd")[:, 0]                     # M1 Y dM2^T
+        U = _rmul(A, fwd_t)                                             # M1 Y M2^T, dM1 Y M2^T
+        dU2 = _rmul(A[:, :1], dfwd_t)[:, 0]                             # M1 Y dM2^T
         W0 = b.lmul(H[:, 0] * U[:, 0], "V_inv")
         C0 = b.lmul(pi[:, 0] * W0, "V")
-        R = self._op2(ts, C0[:, None], "inv")[:, 0] - self.X
+        R = _rmul(C0[:, None], inv_t)[:, 0] - self.X
         # F^{-H} r = M1inv^H R conj(M2inv), with M1inv^H = V_inv^H diag(conj pi) V^H
-        S = self._op2(ts, R[:, None], "inv", adjoint=True)
-        dS = self._op2(ts, R[:, None], "dinv", adjoint=True)[:, 0]      # R conj(dM2inv)
+        S = _rmul(R[:, None], M2[1].conj())
+        dS = _rmul(R[:, None], M2[3].conj())[:, 0]                      # R conj(dM2inv)
         Q = b.lmul(S, "V_h")
         back = b.lmul(pi.conj() * Q, "V_inv_h")[:, 0]
 
@@ -273,16 +283,6 @@ class _Stack:
             self._mean(_re_inner(dS, C0) + _re_inner(Hb, dU2))], axis=1)
         gh = 2.0 * self._mean(np.conj(U[:, 0]) * back, axis=1)
         return value, d_orders, gh.transpose(1, 2, 0).reshape(P, n1 * n2)
-
-
-def _shared_basis(ts) -> SpectralBasis:
-    """The one spectral basis under every transform's first factor."""
-    if not all(isinstance(t.op1, FractionalOperator) for t in ts):
-        raise TypeError("descent needs a fractional power as the first factor")
-    basis = ts[0].op1.basis
-    if any(t.op1.basis is not basis for t in ts):
-        raise ValueError("stacked problems must share the first factor's spectral basis")
-    return basis
 
 
 class _Adam:
@@ -322,37 +322,31 @@ def _initial_orders(cfg: TrainConfig, rng: np.random.Generator) -> tuple[float, 
     return float(spec[0]), float(spec[1])
 
 
-def _train_loop(problems, cfg: TrainConfig, tied) -> list[tuple[FilterDesign, TrainTrace]]:
-    """Descend on every (samples, builder) problem at once, one fused pass
-    per epoch; each problem keeps its own orders (a row of a (P, 2) array),
+def _train_loop(stack: _Stack, cfg: TrainConfig, tied) -> list[tuple[FilterDesign, TrainTrace]]:
+    """Descend on every problem of the stack at once, one fused pass per
+    epoch; each problem keeps its own orders (a row of a (P, 2) array),
     filter, optimizer moments, trace and best iterate, so the result equals
     P separate descents. A ``tied`` problem (one flag each) starts at
     (o1, o1) and gives both columns the summed gradient, so they stay equal
     bit for bit."""
-    if not problems or not all(samples for samples, _ in problems):
-        raise ValueError("need at least one training pair")
     rng = np.random.default_rng(cfg.seed)
     o1, o2 = _initial_orders(cfg, rng)
-    P = len(problems)
+    P = len(tied)
     tied = np.asarray(tied, bool)[:, None]
-    n = np.size(problems[0][0][0][0])
+    n1, _, n2 = stack.X.shape
     dtype = np.float64 if cfg.real_filter else np.complex128
     orders = np.where(tied, o1, np.array([[o1, o2]]))
-    h = np.ones((P, n), dtype=dtype)
+    h = np.ones((P, n1 * n2), dtype=dtype)
 
     adam = _Adam(cfg.beta1, cfg.beta2, cfg.eps) if cfg.optimizer == "adam" else None
     rates = {"orders": cfg.lr_orders, "h": cfg.filter_rate}
-    traces = [TrainTrace() for _ in problems]
+    traces = [TrainTrace() for _ in range(P)]
     best_loss = np.full(P, np.inf)
     best_pairs = np.empty((P, 2))
     best_h = h.copy()
-    stack = None
 
     for epoch in range(cfg.epochs):
-        ts = [build(a, b) for (_, build), (a, b) in zip(problems, orders.tolist())]
-        if stack is None:
-            stack = _Stack(ts, [samples for samples, _ in problems])
-        values, d_orders, gh = stack.value_and_grad(ts, h)
+        values, d_orders, gh = stack.value_and_grad(orders, h)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             where = f" in problem {bad[0]}" if P > 1 else ""
@@ -409,18 +403,26 @@ def fit(
     lams = [float(lam) for lam in lambda_grid]
     if not lams:
         raise ValueError("lambda_grid must hold at least one value")
-    problems, tied, owners = [], [], []
+    if not jobs:
+        raise ValueError("need at least one training pair")
+    batches, tied, owners, groups = [], [], [], {}
     for j, (name, samples) in enumerate(jobs):
         if name not in METHOD_TABLE:
             raise ValueError(f"method must be one of {METHODS}, got {name!r}")
         m = METHOD_TABLE[name]
         samples = list(samples)
+        _check_batch((g1.n, g2.n), samples)
         for lam in lams if m.searches_lambda else [None]:
-            problems.append((samples, partial(m.build, g1, g2, lam=lam, convention=convention)))
+            # one call per distinct second factor, over all of its problems
+            groups.setdefault(m.second, []).append(len(batches))
+            batches.append(samples)
             tied.append(m.tied)
             owners.append((j, lam))
+    weights = np.array([lam for _, lam in owners], dtype=float)   # NaN for none
+    second = [(partial(f, g2, lam=weights[idx], convention=convention), idx) for f, idx in groups.items()]
+    stack = _Stack(graph_basis(g1, convention), batches, second)
     results = [None] * len(jobs)
-    for (j, lam), (design, trace) in zip(owners, _train_loop(problems, cfg, tied)):
+    for (j, lam), (design, trace) in zip(owners, _train_loop(stack, cfg, tied)):
         if results[j] is None or design.mse < results[j][0].mse:
             results[j] = (replace(design, lam=lam), trace)
     return results

@@ -38,6 +38,7 @@ explicit conditioning guard.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -290,33 +291,22 @@ class FactorOperator:
 
     _PARTS: dict[str, str]
 
-    def _apply(self, part: np.ndarray, X: np.ndarray, adjoint: bool) -> np.ndarray:
+    def _apply(self, part: np.ndarray, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _checked(self, X, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    def lmul(self, X, kind: str = "fwd") -> np.ndarray:
+        """M @ X for the selected operator part."""
         X = np.asarray(X)
         if X.shape[0] != self.n:
             raise ShapeMismatch(f"operand has {X.shape[0]} rows, operator needs {self.n}")
         name = self._PARTS.get(kind)
         if name is None:
             raise ValueError(f"kind must be one of {tuple(self._PARTS)}, got {kind!r}")
-        return getattr(self, name), X
-
-    def lmul(self, X, kind: str = "fwd") -> np.ndarray:
-        """M @ X for the selected operator part."""
-        return self._apply(*self._checked(X, kind), adjoint=False)
-
-    def lmul_h(self, X, kind: str = "fwd") -> np.ndarray:
-        """M^H @ X for the selected operator part."""
-        return self._apply(*self._checked(X, kind), adjoint=True)
+        return self._apply(getattr(self, name), X)
 
     def rmul_t(self, X, kind: str = "fwd") -> np.ndarray:
         """X @ M.T for the selected operator part."""
         return self.lmul(np.asarray(X).T, kind).T
-
-    def rmul_conj(self, X, kind: str = "fwd") -> np.ndarray:
-        """X @ conj(M) for the selected operator part."""
-        return self.lmul_h(np.asarray(X).T, kind).T
 
 
 @dataclass(eq=False)
@@ -324,8 +314,8 @@ class FractionalOperator(FactorOperator):
     """A fractional power F = V diag(lam**order) V_inv held in factored form.
 
     ``matrix``/``inverse``/``derivative``/``inverse_derivative`` materialize
-    the dense operators lazily; ``lmul``/``rmul_t`` apply them to signals at
-    O(n^2 * cols) cost without densifying anything new.
+    the dense operators lazily; ``lmul``/``rmul_t`` apply them to signals
+    through :meth:`SpectralBasis.lmul` without densifying anything new.
     """
 
     order: float
@@ -341,60 +331,54 @@ class FractionalOperator(FactorOperator):
     def n(self) -> int:
         return self.basis.n
 
-    def _apply(self, d, X, adjoint):
+    def _apply(self, d, X):
         b = self.basis
-        if adjoint:
-            d, right, left = d.conj(), b.V_h, b.V_inv_h
-        else:
-            right, left = b.V_inv, b.V
-        Y = right @ X
-        Y = d[:, None] * Y if Y.ndim == 2 else d * Y
-        return left @ Y
+        Y = b.lmul(X, "V_inv")
+        return b.lmul(d[:, None] * Y if Y.ndim == 2 else d * Y, "V")
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return (self.basis.V * self.pow_fwd) @ self.basis.V_inv
+    def _dense(self, d: np.ndarray) -> np.ndarray:
+        return (self.basis.V * d) @ self.basis.V_inv
 
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        return (self.basis.V * self.pow_inv) @ self.basis.V_inv
+    matrix = cached_property(lambda self: self._dense(self.pow_fwd))
+    inverse = cached_property(lambda self: self._dense(self.pow_inv))
+    derivative = cached_property(lambda self: self._dense(self.dpow_fwd))
+    inverse_derivative = cached_property(lambda self: self._dense(self.dpow_inv))
 
-    @cached_property
-    def derivative(self) -> np.ndarray:
-        return (self.basis.V * self.dpow_fwd) @ self.basis.V_inv
 
-    @cached_property
-    def inverse_derivative(self) -> np.ndarray:
-        return (self.basis.V * self.dpow_inv) @ self.basis.V_inv
+def power_parts(basis: SpectralBasis, alpha):
+    """lam**alpha, lam**-alpha and their order derivatives on the eigenvalues
+    of ``basis``: four (n,) arrays for a float alpha, (k, n) for a 1-D array
+    of k orders. Zero eigenvalues need alpha > 0 (SingularPower otherwise)
+    and map to 0 in both powers, the inverse by pseudoinverse convention."""
+    # a float order keeps to scalar arithmetic: fractional_power runs per grid point
+    vector = isinstance(alpha, np.ndarray)
+    orders = alpha.tolist() if vector else [alpha]
+    if not all(map(math.isfinite, orders)):
+        raise NonFinite("order must be finite")
+    zero, log_lam = basis.zero, basis.log_lam
+    if min(orders, default=1.0) <= 0.0 and zero.any():
+        raise SingularPower(f"zero eigenvalue with order {min(orders)} <= 0")
+
+    a = alpha[:, None] if vector else alpha
+    pow_fwd = np.exp(a * log_lam)
+    pow_inv = np.exp(-a * log_lam)
+    pow_fwd.T[zero] = 0.0   # the eigenvalue axis is the last one
+    pow_inv.T[zero] = 0.0
+    return pow_fwd, pow_inv, pow_fwd * log_lam, -pow_inv * log_lam
+
+
+def dense_powers(basis: SpectralBasis, alphas: np.ndarray) -> np.ndarray:
+    """The dense M^a, M^{-a}, dM^a/da and dM^{-a}/da at the k orders of the
+    1-D array ``alphas``, shape (4, k, n, n)."""
+    return (basis.V * np.stack(power_parts(basis, alphas))[..., None, :]) @ basis.V_inv
 
 
 def fractional_power(basis: SpectralBasis, alpha: float) -> FractionalOperator:
-    """Fractional power of the decomposed matrix at real order ``alpha``.
-
-    Zero eigenvalues require alpha > 0 (SingularPower otherwise); they map
-    to 0 in the forward power and, by pseudoinverse convention, to 0 in the
-    ``inverse`` part as well. Each call returns a new operator; only the
-    basis is shared, so the operator and its dense parts live as long as the
-    transform that holds it.
-    """
+    """Fractional power of the decomposed matrix at real order ``alpha``
+    (zero eigenvalues as in :func:`power_parts`). Each call returns a new
+    operator; only the basis is shared, so the operator and its dense parts
+    live as long as the transform that holds it."""
     alpha = float(alpha)
-    if not np.isfinite(alpha):
-        raise NonFinite("order must be finite")
-
-    zero, log_lam = basis.zero, basis.log_lam
-    if alpha <= 0.0 and np.any(zero):
-        raise SingularPower(f"zero eigenvalue with order {alpha} <= 0")
-
-    pow_fwd = np.exp(alpha * log_lam)
-    pow_inv = np.exp(-alpha * log_lam)
-    pow_fwd[zero] = 0.0
-    pow_inv[zero] = 0.0
-
-    return FractionalOperator(
-        order=alpha,
-        basis=basis,
-        pow_fwd=pow_fwd,
-        pow_inv=pow_inv,
-        dpow_fwd=pow_fwd * log_lam,
-        dpow_inv=-pow_inv * log_lam,
-    )
+    pow_fwd, pow_inv, dpow_fwd, dpow_inv = power_parts(basis, alpha)
+    return FractionalOperator(order=alpha, basis=basis, pow_fwd=pow_fwd, pow_inv=pow_inv,
+                              dpow_fwd=dpow_fwd, dpow_inv=dpow_inv)

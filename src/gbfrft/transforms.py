@@ -21,17 +21,19 @@ Two conventions are supported for the graph-side factor:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .errors import NonFinite, ShapeMismatch, SingularBlend
+from .errors import ShapeMismatch, SingularBlend
 from .graphs import Graph, make_named_graph
 from .spectral import (
     CONDITION_LIMIT,
     FactorOperator,
     FractionalOperator,
     SpectralBasis,
+    dense_powers,
     eig_general,
     fractional_power,
 )
@@ -39,7 +41,6 @@ from .spectral import (
 CONVENTIONS = ("transform-power", "shift-power")
 
 _GRAPH_BASES: "WeakKeyDictionary[Graph, dict[str, SpectralBasis]]" = WeakKeyDictionary()
-_DFT_BASES: dict[int, SpectralBasis] = {}
 
 
 def dft_matrix(T: int) -> np.ndarray:
@@ -74,22 +75,25 @@ def gfrft(g: Graph, alpha: float, convention: str = "transform-power") -> Fracti
     return fractional_power(graph_basis(g, convention), alpha)
 
 
+@cache
+def dft_basis(T: int) -> SpectralBasis:
+    """Spectral basis of the unitary DFT matrix (cached per length)."""
+    return eig_general(dft_matrix(T))
+
+
 def dfrft(T: int, alpha: float) -> FractionalOperator:
     """Discrete fractional Fourier operator on a length-T time axis.
 
     Fractionalizes the unitary DFT matrix through its eigendecomposition,
     so the operator is unitary for every order and order 1 is the DFT.
     """
-    basis = _DFT_BASES.get(T)
-    if basis is None:
-        basis = eig_general(dft_matrix(T))
-        _DFT_BASES[T] = basis
-    return fractional_power(basis, alpha)
+    return fractional_power(dft_basis(T), alpha)
 
 
 @dataclass(eq=False)
-class BlendedOperator(FactorOperator):
-    """Convex blend of two equal-size factor operators, inverted directly."""
+class DenseOperator(FactorOperator):
+    """A factor operator held as its four dense parts, such as a temporal
+    blend (:func:`blend_parts`)."""
 
     order: float
     matrix: np.ndarray
@@ -103,8 +107,8 @@ class BlendedOperator(FactorOperator):
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def _apply(self, M, X, adjoint):
-        return (M.conj().T if adjoint else M) @ X
+    def _apply(self, M, X):
+        return M @ X
 
 
 @dataclass(eq=False)
@@ -184,6 +188,40 @@ def jfrft(g: Graph, T: int, alpha: float, beta: float, convention: str = "transf
     )
 
 
+def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
+                convention: str = "transform-power") -> np.ndarray:
+    """Dense matrix, inverse, derivative and inverse derivative, (4, k, T, T),
+    of the temporal blends lam dfrft(T, beta) + (1 - lam) gfrft(g2_path, beta)
+    at k orders and weights (1-D arrays), T = g2_path.n. The endpoints are
+    the exact spectral powers; in between the inverse is direct, and a
+    numerically singular blend raises SingularBlend."""
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+    T = g2_path.n
+    ends = {1.0: dft_basis(T), 0.0: graph_basis(g2_path, convention)}
+    out = np.empty((4, len(beta), T, T), dtype=np.complex128)
+    for value, basis in ends.items():
+        out[:, lam == value] = dense_powers(basis, beta[lam == value])
+    mid = (lam > 0.0) & (lam < 1.0)
+    if mid.any():
+        fd, fg = (dense_powers(basis, beta[mid]) for basis in ends.values())
+        w = lam[mid, None, None]
+        B, dB = (w * fd[i] + (1.0 - w) * fg[i] for i in (0, 2))
+        # the inverse is needed anyway, so guard with the exact 1-norm
+        # condition: cond_2(B) <= T * cond_1(B), so this rejects every blend
+        # that cond_2(B) > CONDITION_LIMIT would
+        try:
+            B_inv = np.linalg.inv(B)
+        except np.linalg.LinAlgError:   # some blend is exactly singular
+            B_inv = np.full_like(B, np.nan)
+        cond = T * np.linalg.norm(B, 1, axis=(1, 2)) * np.linalg.norm(B_inv, 1, axis=(1, 2))
+        bad = ~(cond <= CONDITION_LIMIT)   # a NaN or inf in B_inv is bad too
+        if bad.any():
+            raise SingularBlend(f"blend at lambda={lam[mid][bad]}, beta={beta[mid][bad]} is numerically singular")
+        out[:, mid] = B, B_inv, dB, -B_inv @ dB @ B_inv
+    return out
+
+
 def hybrid_transform(
     g1: Graph,
     g2_path: Graph,
@@ -196,14 +234,10 @@ def hybrid_transform(
     """Spatial fractional operator times a temporal blend.
 
     The temporal factor is lam * dfrft(T, beta) + (1 - lam) * gfrft(g2_path,
-    beta); its inverse comes from direct inversion. The endpoints reuse the
-    exact spectral operators, so lam=1 reproduces the joint transform and
-    lam=0 the bi-factorized one.
+    beta); its inverse comes from direct inversion (:func:`blend_parts`).
+    The endpoints reuse the exact spectral operators, so lam=1 reproduces
+    the joint transform and lam=0 the bi-factorized one.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    if not np.isfinite([alpha, beta]).all():
-        raise NonFinite("orders must be finite")
     if g2_path.n != T:
         raise ShapeMismatch(f"temporal factor graph has {g2_path.n} vertices, need {T}")
     op1 = gfrft(g1, alpha, convention)
@@ -212,27 +246,8 @@ def hybrid_transform(
     elif lam == 0.0:
         op2 = gfrft(g2_path, beta, convention)
     else:
-        fd = dfrft(T, beta)
-        fg = gfrft(g2_path, beta, convention)
-        B = lam * fd.matrix + (1.0 - lam) * fg.matrix
-        # the inverse is needed anyway, so guard with the exact 1-norm
-        # condition: cond_2(B) <= T * cond_1(B), so this rejects every blend
-        # that cond_2(B) > CONDITION_LIMIT would
-        try:
-            B_inv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            B_inv = None
-        if (B_inv is None or not np.all(np.isfinite(B_inv))
-                or T * np.linalg.norm(B, 1) * np.linalg.norm(B_inv, 1) > CONDITION_LIMIT):
-            raise SingularBlend(f"blend at lambda={lam}, beta={beta} is numerically singular")
-        dB = lam * fd.derivative + (1.0 - lam) * fg.derivative
-        op2 = BlendedOperator(
-            order=float(beta),
-            matrix=B,
-            inverse=B_inv,
-            derivative=dB,
-            inverse_derivative=-B_inv @ dB @ B_inv,
-        )
+        parts = blend_parts(g2_path, np.array([float(beta)]), np.array([float(lam)]), convention)
+        op2 = DenseOperator(float(beta), *parts[:, 0])
     return ProductTransform(op1=op1, op2=op2, kind="hybrid",
                             orders=(float(alpha), float(beta)), lam=float(lam))
 

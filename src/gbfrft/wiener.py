@@ -185,17 +185,11 @@ class ObservationModel:
 
     def gmat(self) -> np.ndarray | None:
         """Vec-form degradation operator kron(G2.T, G1), or None for identity."""
-        if self.g1 is None and self.g2 is None:
-            return None
-        g1 = self.g1 if self.g1 is not None else np.eye(self.n1)
-        g2 = self.g2 if self.g2 is not None else np.eye(self.n2)
-        return np.kron(g2.T, g1)
+        factors = self._g_factors()
+        return None if factors is None else np.kron(*factors)
 
     def _g_factors(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(G2.T, G1), the factors of G = kron(G2.T, G1), or None for identity.
-
-        Kept apart from gmat(), the dense form the literal assembly checks
-        against."""
+        """(G2.T, G1), the factors of G = kron(G2.T, G1), or None for identity."""
         if self.g1 is None and self.g2 is None:
             return None
         g1 = self.g1 if self.g1 is not None else np.eye(self.n1)
@@ -490,20 +484,25 @@ def grid_search(
 
 
 def gaussian_samples(R, rng: np.random.Generator, trials: int) -> np.ndarray:
-    """(trials, N) real Gaussian draws, with covariance psd_clip(R) for real R.
+    """(trials, N) zero-mean Gaussian draws with covariance E[x x^H] = psd_clip(R).
 
-    The draws are S z for standard normal z and S the real part of the
-    principal square root of psd_clip(R). That root, V diag(sqrt w) V^H, is
-    unique for a PSD matrix, so the draws depend on R alone and not on the
-    eigenbasis ``eigh`` returns (its signs, or its basis inside a repeated
-    eigenvalue). Eigenvalues at or below N eps max(w) are roundoff and count
-    as zero.
+    The draws are S z for S the principal square root V diag(sqrt w) V^H of
+    psd_clip(R), with z standard normal for a real R (S is real up to
+    roundoff, which is dropped) and (z1 + j z2) / sqrt(2) for a complex one.
+    That root is unique for a PSD matrix, so the draws depend on R alone and
+    not on the eigenbasis ``eigh`` returns (its signs, or its basis inside a
+    repeated eigenvalue). Eigenvalues at or below N eps max(w) are roundoff
+    and count as zero.
     """
     R = np.asarray(R)
+    n = R.shape[0]
     w, V = np.linalg.eigh((R + R.conj().T) / 2.0)
-    w = np.where(w > R.shape[0] * np.finfo(np.float64).eps * max(w.max(), 0.0), w, 0.0)
-    root = ((V * np.sqrt(w)) @ V.conj().T).real
-    return (root @ rng.standard_normal((R.shape[0], trials))).T
+    w = np.where(w > n * np.finfo(np.float64).eps * max(w.max(), 0.0), w, 0.0)
+    root = (V * np.sqrt(w)) @ V.conj().T
+    if not np.any(R.imag):
+        return (root.real @ rng.standard_normal((n, trials))).T
+    z = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
+    return (root @ z).T / np.sqrt(2.0)
 
 
 def draw_observations(model: ObservationModel, trials: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -11,7 +11,7 @@ import numpy as np
 from gbfrft.cli import main
 from gbfrft.deblur import FrameSequence, blur_sequence, patchify, reassemble, run_deblur
 from gbfrft.graphs import Graph, make_named_graph
-from gbfrft.learn import TrainConfig, apply_filter, gradients, loss, train, train_hybrid, train_jfrft
+from gbfrft.learn import TrainConfig, apply_filter, gradients, loss, train, train_hybrid
 from gbfrft.metrics import frame_metrics, psnr, ssim
 from gbfrft.synthetic import SyntheticSpec, build_factors, build_observation_model
 from gbfrft.transforms import gfrft2d, hybrid_transform, jfrft, path_graph, transform_2d

@@ -15,7 +15,6 @@ from gbfrft.learn import (
     METHODS,
     TrainConfig,
     _Stack,
-    _train_loop,
     apply_filter,
     fit,
     gradients,
@@ -25,7 +24,15 @@ from gbfrft.learn import (
     train_jfrft,
 )
 from gbfrft.spectral import FACTORED_MIN_N, SpectralBasis
-from gbfrft.transforms import jfrft, path_graph, transform_2d
+from gbfrft.transforms import (
+    DenseOperator,
+    ProductTransform,
+    gfrft2d,
+    hybrid_transform,
+    jfrft,
+    path_graph,
+    transform_2d,
+)
 
 
 def small_problem(seed=0, n1=3, n2=4, a1=0.35, a2=0.75):
@@ -184,6 +191,13 @@ def forward_mode_order_gradients(t, h, batch) -> np.ndarray:
     return d / len(batch)
 
 
+def method_stack(basis, batches, methods, g2):
+    """A _Stack of one problem per method on ``basis``, blends at lambda = 0.5."""
+    second = [(partial(METHOD_TABLE[m].second, g2, lam=np.array([0.5]), convention="transform-power"), [p])
+              for p, m in enumerate(methods)]
+    return _Stack(basis, batches, second)
+
+
 def test_reverse_mode_order_gradients_equal_forward_mode_on_a_mixed_stack():
     rng = np.random.default_rng(27)
     g, T = make_knn_graph(rng.normal(size=(6, 2)), 2), 5
@@ -193,7 +207,8 @@ def test_reverse_mode_order_gradients_equal_forward_mode_on_a_mixed_stack():
     batches = [[(rng.normal(size=(6, T)), rng.normal(size=(6, T))) for _ in range(1 + p % 3)]
                for p in range(len(jobs))]
     h = 1.0 + 0.3 * (rng.normal(size=(len(jobs), 6 * T)) + 1j * rng.normal(size=(len(jobs), 6 * T)))
-    _, d_orders, _ = _Stack(ts, batches).value_and_grad(ts, h)
+    stack = method_stack(transforms.graph_basis(g), batches, [m for m, _, _ in jobs], g2)
+    _, d_orders, _ = stack.value_and_grad(np.array([t.orders for t in ts]), h)
     assert ts[0].orders[0] == ts[0].orders[1]   # the tied method
     for t, hp, batch, row in zip(ts, h, batches, d_orders):
         ref = forward_mode_order_gradients(t, hp, batch)
@@ -288,8 +303,54 @@ def test_train_jfrft_tracks_vertex_then_time_orders():
     cfg = TrainConfig(lr_orders=0.05, epochs=8, init_orders=(0.3, 0.8), seed=6)
     design, trace = train_jfrft(batch, g, 5, cfg)
     assert trace.alpha1[0] == 0.3 and trace.alpha2[0] == 0.8
-    t = jfrft(g, 5, alpha=design.alpha2, beta=design.alpha1)
+
+
+PUBLIC_BUILDERS = {
+    "2d-gfrft": lambda g, T, d: gfrft2d(g, path_graph(T), d.alpha1),
+    "2d-gbfrft": lambda g, T, d: transform_2d(g, path_graph(T), d.alpha1, d.alpha2),
+    "jfrft": lambda g, T, d: jfrft(g, T, alpha=d.alpha2, beta=d.alpha1),
+    "hybrid": lambda g, T, d: hybrid_transform(g, path_graph(T), T, alpha=d.alpha1, beta=d.alpha2,
+                                               lam=d.lam),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fitted_loss_is_the_loss_of_the_public_transform(method):
+    # the descent works on dense second-factor parts; the public builders
+    # hold spectral operators, and their loss at the fitted orders must agree
+    rng = np.random.default_rng(15)
+    g = make_named_graph("cycle", 4)
+    batch = [(rng.normal(size=(4, 5)), rng.normal(size=(4, 5)))]
+    cfg = TrainConfig(lr_orders=0.05, epochs=8, init_orders=(0.3, 0.8), seed=6)
+    [(design, _)] = fit([(method, batch)], g, path_graph(5), cfg, lambda_grid=(0.0, 0.4, 1.0))
+    t = PUBLIC_BUILDERS[method](g, 5, design)
     assert abs(loss(t, design.h, batch) - design.mse) < 1e-12
+
+
+def test_a_fit_builds_no_transform_per_epoch(monkeypatch):
+    built = []
+    init = ProductTransform.__init__
+    monkeypatch.setattr(ProductTransform, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    rng = np.random.default_rng(18)
+    g = make_named_graph("cycle", 4)
+    batch = [(rng.normal(size=(4, 5)), rng.normal(size=(4, 5)))]
+    counts = []
+    for epochs in (1, 4):
+        built.clear()
+        fit([(m, batch) for m in METHODS], g, path_graph(5), TrainConfig(epochs=epochs),
+            lambda_grid=(0.0, 0.5, 1.0))
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
+def test_gradients_need_a_fractional_first_factor():
+    _, _, t, h, batch = small_problem()
+    dense = ProductTransform(op1=DenseOperator(0.35, t.op1.matrix, t.op1.inverse, t.op1.derivative,
+                                               t.op1.inverse_derivative),
+                             op2=t.op2, kind="gbfrft2d", orders=t.orders)
+    with pytest.raises(TypeError):
+        gradients(dense, h, batch)
 
 
 def test_hybrid_endpoints_reproduce_the_pure_trainers():
@@ -400,15 +461,6 @@ def test_one_diverging_stacked_problem_raises():
         fit([("2d-gbfrft", b) for b in (batch, [(100.0 * Y, X)], batch)], g1, g2, cfg)
 
 
-def test_problems_on_different_spatial_bases_are_rejected():
-    g1, g2, _, _, batch = small_problem(seed=23)
-    other = make_named_graph("cycle", 3)
-    problems = [(batch, lambda a, b: transform_2d(g1, g2, a, b)),
-                (batch, lambda a, b: transform_2d(other, g2, a, b))]
-    with pytest.raises(ValueError, match="spectral basis"):
-        _train_loop(problems, TrainConfig(epochs=2), [False, False])
-
-
 class CountingMatrix(np.ndarray):
     """An array that counts the matrix products it takes part in, and the
     complex columns it multiplies from the left: a complex column goes
@@ -484,7 +536,7 @@ def test_one_epoch_multiplies_by_the_real_factor_five_times(method, monkeypatch)
 
 
 @pytest.mark.parametrize("method", METHODS)
-def test_real_factor_products_equal_dense_products(method, monkeypatch):
+def test_real_factor_products_equal_dense_products(method):
     g, g2, T = patch_graph(16), path_graph(3), 3
     basis = transforms.graph_basis(g)
     assert basis.Z is not None and basis.n >= FACTORED_MIN_N
@@ -492,11 +544,11 @@ def test_real_factor_products_equal_dense_products(method, monkeypatch):
     batches = [[(rng.normal(size=(g.n, T)), rng.normal(size=(g.n, T))) for _ in range(2)]
                for _ in range(2)]
     h = 1.0 + 0.2 * (rng.normal(size=(2, g.n * T)) + 1j * rng.normal(size=(2, g.n * T)))
+    m = METHOD_TABLE[method]
+    orders = np.array([[0.4 + 0.2 * p, 0.4 + 0.2 * p if m.tied else 0.7] for p in range(2)])
 
     def value_and_grad(b):
-        monkeypatch.setitem(transforms._GRAPH_BASES[g], "transform-power", b)
-        ts = [METHOD_TABLE[method].build(g, g2, 0.4 + 0.2 * p, 0.7, lam=0.5) for p in range(2)]
-        return _Stack(ts, batches).value_and_grad(ts, h)
+        return method_stack(b, batches, [method] * 2, g2).value_and_grad(orders, h)
 
     factored = value_and_grad(basis)
     dense = value_and_grad(replace(basis, Z=None, mix=None))

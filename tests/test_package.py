@@ -5,6 +5,7 @@ from types import ModuleType
 import gbfrft
 
 SOURCES = sorted(p for p in Path(gbfrft.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_public_names_resolve_and_none_is_a_module():
@@ -43,6 +44,6 @@ def test_unused_import_is_detected():
 
 
 def test_no_module_has_an_unused_import():
-    assert SOURCES
-    found = {p.name: unused_imports(p.read_text()) for p in SOURCES}
+    assert SOURCES and TESTS
+    found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text()) for p in SOURCES + TESTS}
     assert not {k: v for k, v in found.items() if v}

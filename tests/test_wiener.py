@@ -461,6 +461,14 @@ def test_draws_depend_on_the_covariance_not_its_eigenbasis(monkeypatch):
     assert np.abs(after[2] - before[2]).max() <= 1e-12
 
 
+def test_complex_covariance_draws_have_that_covariance():
+    rng = np.random.default_rng(0)
+    B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    R = B @ B.conj().T
+    x = wiener.gaussian_samples(R, np.random.default_rng(1), 200000)
+    assert np.abs(x.T @ x.conj() / len(x) - R).max() <= 0.1
+
+
 def test_draw_observations_are_seeded_and_shaped():
     model = two_by_two_model(with_g=True)
     a = draw_observations(model, 3, seed=11)
