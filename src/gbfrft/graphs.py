@@ -12,7 +12,9 @@ ordering the product adjacency is the Kronecker sum
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +57,12 @@ class Graph:
             if nz.size and not np.all(nz == 1.0):
                 raise ValueError("unweighted graph requires all nonzero weights equal to 1")
         object.__setattr__(self, "adjacency", _freeze(adj))
+
+    @cached_property
+    def digest(self) -> bytes:
+        """Digest of the adjacency bytes, a cache key for what depends on the
+        adjacency alone; safe to keep because the adjacency is read-only."""
+        return hashlib.blake2b(self.adjacency.tobytes(), digest_size=16).digest()
 
 
 @dataclass(frozen=True, eq=False)

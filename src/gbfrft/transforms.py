@@ -20,9 +20,8 @@ Two conventions are supported for the graph-side factor:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cache
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -40,7 +39,57 @@ from .spectral import (
 
 CONVENTIONS = ("transform-power", "shift-power")
 
-_GRAPH_BASES: "WeakKeyDictionary[Graph, dict[str, SpectralBasis]]" = WeakKeyDictionary()
+# Bound on the bytes of the arrays the basis cache holds. A 400-vertex graph
+# basis with its adjacency takes about 7.7 MB.
+BASIS_CACHE_BYTES = 64 * 2**20
+
+
+def _held_bytes(content: np.ndarray | None, basis: SpectralBasis) -> int:
+    """Bytes of a cache entry's arrays: its matrix and every part of its
+    basis, the lazily cached ones included."""
+    parts = [content, *vars(basis).values(), *(basis.mix or ())]
+    return sum(a.nbytes for a in parts if isinstance(a, np.ndarray))
+
+
+class _BasisCache:
+    """Spectral bases keyed by what they depend on, least recently used
+    first. A key names the matrix (for a graph: convention, shape and
+    content digest); ``content`` is that matrix, compared exactly on every
+    hit, so a digest collision costs a decomposition and never returns the
+    wrong basis. An entry's bytes are counted at its last use, so parts a
+    basis caches lazily count from its next use on."""
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple, tuple[np.ndarray | None, SpectralBasis, int]] = OrderedDict()
+        self.nbytes = self.hits = self.misses = 0
+
+    def get(self, key: tuple, content: np.ndarray | None, build) -> SpectralBasis:
+        entry = self.entries.pop(key, None)
+        if entry is not None:
+            self.nbytes -= entry[2]
+        if entry is not None and (entry[0] is content or np.array_equal(entry[0], content)):
+            self.hits += 1
+            basis = entry[1]
+        else:
+            self.misses += 1
+            basis = build()
+        # keep the caller's own array, so its next calls pass the identity test
+        size = _held_bytes(content, basis)
+        self.entries[key] = (content, basis, size)
+        self.nbytes += size
+        while len(self.entries) > 1 and self.nbytes > BASIS_CACHE_BYTES:
+            self.nbytes -= self.entries.popitem(last=False)[1][2]
+        return basis
+
+
+_BASES = _BasisCache()
+
+
+def basis_cache_stats() -> dict[str, int]:
+    """Entries, bytes held, hits and misses of the one spectral-basis cache
+    behind :func:`graph_basis` and :func:`dft_basis`."""
+    return {"entries": len(_BASES.entries), "bytes": _BASES.nbytes,
+            "hits": _BASES.hits, "misses": _BASES.misses}
 
 
 def dft_matrix(T: int) -> np.ndarray:
@@ -57,17 +106,19 @@ def _check_convention(convention: str):
 
 
 def graph_basis(g: Graph, convention: str = "transform-power") -> SpectralBasis:
-    """Spectral basis backing the graph-side fractional operator (cached per graph)."""
+    """Spectral basis backing the graph-side fractional operator.
+
+    Cached by content: graphs with equal adjacencies share one basis per
+    convention, and it outlives the graph that first asked for it (see
+    :func:`basis_cache_stats`)."""
     _check_convention(convention)
-    per_graph = _GRAPH_BASES.setdefault(g, {})
-    basis = per_graph.get(convention)
-    if basis is None:
+
+    def build():
         basis = eig_general(g.adjacency)
-        if convention == "transform-power":
-            # F_G = V_A^{-1}; only the convention asked for is kept
-            basis = eig_general(basis.V_inv)
-        per_graph[convention] = basis
-    return basis
+        # F_G = V_A^{-1}; only the convention asked for is kept
+        return eig_general(basis.V_inv) if convention == "transform-power" else basis
+
+    return _BASES.get((convention, g.adjacency.shape, g.digest), g.adjacency, build)
 
 
 def gfrft(g: Graph, alpha: float, convention: str = "transform-power") -> FractionalOperator:
@@ -75,10 +126,9 @@ def gfrft(g: Graph, alpha: float, convention: str = "transform-power") -> Fracti
     return fractional_power(graph_basis(g, convention), alpha)
 
 
-@cache
 def dft_basis(T: int) -> SpectralBasis:
     """Spectral basis of the unitary DFT matrix (cached per length)."""
-    return eig_general(dft_matrix(T))
+    return _BASES.get(("dft", T), None, lambda: eig_general(dft_matrix(T)))
 
 
 def dfrft(T: int, alpha: float) -> FractionalOperator:

@@ -139,8 +139,10 @@ def _sandwich_diag_m2(M2: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def psd_clip(a) -> np.ndarray:
-    """Nearest-PSD repair: symmetrize and clip negative eigenvalues to zero."""
-    a = np.asarray(a, dtype=np.complex128)
+    """Nearest-PSD repair: symmetrize and clip negative eigenvalues to zero.
+    Real input takes a real ``eigh``; complex input a complex one."""
+    a = np.asarray(a)
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
     a = (a + a.conj().T) / 2.0
     w, V = np.linalg.eigh(a)
     out = (V * np.clip(w, 0.0, None)) @ V.conj().T

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gbfrft import transforms
 from gbfrft.errors import ShapeMismatch
 from gbfrft.deblur import (
     FrameSequence,
@@ -92,6 +93,26 @@ def test_run_deblur_improves_psnr_on_a_small_case():
     from gbfrft.metrics import mse
     blurred_psnr = psnr(np.mean([mse(clean.frames[f], blurred.frames[f]) for f in range(2)]))
     assert avg["psnr"] > blurred_psnr + 1.0
+
+
+def test_a_second_deblur_round_decomposes_no_graph_again(monkeypatch, cold_basis_cache, eig_calls):
+    adjacency = patch_graph(20).adjacency
+    cfg = TrainConfig(lr_orders=7e-3, epochs=4, init_orders=(0.8, 0.8))
+
+    def deblur_round():   # fresh inputs, and run_deblur builds its own graphs
+        clean = textured_frames(t=2, size=20, seed=1)
+        restored, rows = run_deblur(blur_sequence(clean), clean, patch=20, cfg=cfg)
+        return restored.frames.tobytes(), rows, transforms.basis_cache_stats()
+
+    frames, rows, first = deblur_round()
+    # one miss per distinct graph: the 400-vertex patch graph and the temporal path
+    assert first["misses"] == first["entries"] == 2
+    again, again_rows, second = deblur_round()
+    assert sum(np.array_equal(M, adjacency) for M in eig_calls) == 1
+    assert second["misses"] == 2 and second["hits"] > first["hits"]
+    assert (again, again_rows) == (frames, rows)
+    monkeypatch.setattr(transforms, "_BASES", transforms._BasisCache())
+    assert deblur_round()[:2] == (frames, rows)   # as from a cold cache
 
 
 def test_run_deblur_validates_shapes_and_method():

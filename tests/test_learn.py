@@ -492,7 +492,10 @@ def products_per_epoch(method, g, counted, rng, monkeypatch):
     for one problem of one sample and for four problems of three samples
     each."""
     n, T = g.n, 3
-    monkeypatch.setitem(transforms._GRAPH_BASES.setdefault(g, {}), "transform-power", counted)
+    monkeypatch.setattr(transforms, "_BASES", transforms._BasisCache())
+    with monkeypatch.context() as m:   # make ``counted`` the cached basis of g
+        m.setattr(transforms, "eig_general", lambda M: counted)
+        assert transforms.graph_basis(g) is counted
 
     def counts(epochs, problems, batch):
         sources = [[(rng.normal(size=(n, T)), rng.normal(size=(n, T))) for _ in range(batch)]

@@ -4,6 +4,7 @@ import pytest
 from gbfrft.graphs import cartesian_product, make_named_graph
 from gbfrft.learn import TrainConfig
 from gbfrft.synthetic import (
+    METHODS,
     SyntheticSpec,
     TOPOLOGIES,
     autocorrelation_matrix,
@@ -118,3 +119,18 @@ def test_weighted_variant_runs_end_to_end():
                          seed=1, grid_step=0.5)
     rows = run_synthetic(spec, "grid-gbfrft")
     assert len(rows) == 1 and np.isfinite(rows[0]["mse"])
+
+
+def test_a_synth_sweep_decomposes_each_distinct_factor_once(cold_basis_cache, eig_calls):
+    cfg = TrainConfig(lr_orders=0.03, epochs=3, init_orders="uniform[-1,1]")
+
+    def sweep():
+        return [row for topology in TOPOLOGIES for method in METHODS
+                for row in run_synthetic(SyntheticSpec(topology=topology, variants=("UU", "UW"),
+                                                       grid_step=0.5, train=cfg), method)]
+
+    rows = sweep()
+    # ten distinct factor graphs (path4 is in two topologies), each decomposed
+    # twice: its adjacency, then F_G
+    assert len(eig_calls) == 20
+    assert sweep() == rows and len(eig_calls) == 20

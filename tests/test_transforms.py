@@ -6,7 +6,7 @@ import pytest
 
 from gbfrft import transforms
 from gbfrft.errors import NonFinite, ShapeMismatch, SingularBlend
-from gbfrft.graphs import make_named_graph
+from gbfrft.graphs import Graph, make_named_graph
 from gbfrft.spectral import FactorOperator, eig_general
 from gbfrft.transforms import (
     apply,
@@ -201,27 +201,56 @@ def test_transform_caches_are_shared_across_calls():
     assert dfrft(9, 0.5).basis is dfrft(9, 0.7).basis
 
 
-def test_graph_basis_caches_only_the_convention_asked_for():
+def test_graph_basis_caches_only_the_convention_asked_for(cold_basis_cache):
     # the adjacency basis behind F_G = V_A^{-1} is not kept with it
     g = make_named_graph("path", 6, weighted=True, seed=1)
     graph_basis(g)
-    assert list(transforms._GRAPH_BASES[g]) == ["transform-power"]
+    assert [key[0] for key in transforms._BASES.entries] == ["transform-power"]
     shift, fresh = graph_basis(g, "shift-power"), eig_general(g.adjacency)
     for part in ("V", "lam", "V_inv"):
         assert np.array_equal(getattr(shift, part), getattr(fresh, part))
 
 
-def test_graph_basis_dies_with_its_graph_without_the_cycle_collector():
-    # nothing that a transform holds may point back at the basis, or the
-    # basis would outlive its graph until the cycle collector runs
+def test_graphs_of_equal_content_share_one_basis(cold_basis_cache, eig_calls):
+    a, b = (make_named_graph("path", 6, weighted=True, seed=1) for _ in range(2))
+    other = make_named_graph("path", 6, weighted=True, seed=2)
+    basis = graph_basis(a)
+    del a   # a basis outlives the graph that first asked for it
+    assert graph_basis(b) is basis and len(eig_calls) == 2
+    assert graph_basis(other) is not basis
+    assert graph_basis(b, "shift-power") is not basis
+    assert transforms.basis_cache_stats() == {
+        "entries": 3, "bytes": transforms._BASES.nbytes, "hits": 1, "misses": 3}
+
+
+def test_a_digest_collision_still_gives_each_graph_its_own_basis(monkeypatch, cold_basis_cache):
+    monkeypatch.setattr(Graph, "digest", b"same for every graph")
+    g1, g2 = (make_named_graph("path", 5, weighted=True, seed=s) for s in (1, 2))
+    for g in (g1, g2, g1):
+        basis, fresh = graph_basis(g), eig_general(eig_general(g.adjacency).V_inv)
+        for part in ("V", "lam", "V_inv"):
+            assert np.array_equal(getattr(basis, part), getattr(fresh, part))
+    assert graph_basis(g1) is not graph_basis(g2)
+
+
+def test_basis_cache_keeps_its_bound_and_evicted_bases_die_without_the_cycle_collector(
+        monkeypatch, cold_basis_cache):
+    # nothing that a transform holds may point back at the basis, or an
+    # evicted basis would live on until the cycle collector runs
+    graphs = [make_named_graph("cycle", 8, weighted=True, seed=s) for s in range(6)]
+    graph_basis(graphs[0])
+    bound = 3 * transforms.basis_cache_stats()["bytes"]   # three bases of one size
+    monkeypatch.setattr(transforms, "BASIS_CACHE_BYTES", bound)
     gc.disable()
     try:
-        g1 = make_named_graph("cycle", 6, seed=0)
-        g2 = make_named_graph("path", 5)
-        t = transform_2d(g1, g2, 0.3, 0.6)
+        t = transform_2d(graphs[0], graphs[1], 0.3, 0.6)
         t.op1.matrix  # dense parts are cached on the operator
-        ref = weakref.ref(graph_basis(g1))
-        del g1, t
+        ref = weakref.ref(t.op1.basis)
+        del t
+        for g in graphs[2:]:
+            graph_basis(g)
+            stats = transforms.basis_cache_stats()
+            assert 0 < stats["bytes"] <= bound and stats["entries"] < len(graphs)
         assert ref() is None
     finally:
         gc.enable()
