@@ -25,6 +25,7 @@ from .transforms import path_graph
 from .learn import hybrid_transform, jfrft, train, transform_2d  # noqa: F401
 
 DEFAULT_PATCH = 20
+PATCH_NEIGHBOURS = 4   # k of the pixel graph's k-nearest-neighbour edges
 
 
 @dataclass(eq=False)
@@ -56,6 +57,8 @@ class FrameSequence:
 def patchify(fs: FrameSequence, patch: int) -> np.ndarray:
     """(num_patches, patch*patch, T) signal matrices, exact partition."""
     T, H, W = fs.frames.shape
+    if patch < 1:
+        raise ShapeMismatch(f"patch size must be at least 1, got {patch}")
     if H % patch or W % patch:
         raise ShapeMismatch(f"{H}x{W} frames are not divisible into {patch}x{patch} patches")
     rows, cols = H // patch, W // patch
@@ -87,7 +90,7 @@ def pixel_grid_coords(patch: int) -> np.ndarray:
     return np.stack([rr.ravel(), cc.ravel()], axis=1).astype(np.float64)
 
 
-def patch_graph(patch: int, k: int = 4) -> Graph:
+def patch_graph(patch: int, k: int = PATCH_NEIGHBOURS) -> Graph:
     return make_knn_graph(pixel_grid_coords(patch), k)
 
 
@@ -114,6 +117,9 @@ def run_deblur(
     """
     if blurred.frames.shape != clean.frames.shape:
         raise ShapeMismatch("blurred and clean sequences differ in shape")
+    if patch * patch <= PATCH_NEIGHBOURS:
+        raise ShapeMismatch(f"a {patch}x{patch} patch has too few pixels for a graph of "
+                            f"{PATCH_NEIGHBOURS} neighbours per pixel")
     cfg = cfg if cfg is not None else default_config()
     y_blocks = patchify(blurred, patch)
     spatial, temporal = patch_graph(patch), path_graph(blurred.t)

@@ -18,18 +18,25 @@ loss before each update and returns the best iterate seen.
 
 The loss and all three gradients come from one fused forward/backward pass.
 With M1 = V diag(p) V_inv held on its eigenbasis, V_inv Y is computed once
-per fit, and each epoch multiplies six blocks by the basis in five
-products. The forward pass takes A = V [p Yh | dp Yh] = [M1 Y | dM1 Y],
-U = A M2^T, W0 = V_inv (H * U0), C0 = V (pi W0) and the residual
-R = C0 M2inv^T - X, where pi are the powers of M1inv. The backward pass
-takes S = R conj(M2inv), Q = V^H S and back = V_inv^H (conj(pi) Q) = F^{-H} r,
-which gives g_h and, in reverse mode, both order gradients: with
-<A, B> = Re tr(A^H B) and means over each problem's samples,
+per fit. The forward pass takes A = V [p Yh | dp Yh] = [M1 Y | dM1 Y],
+U = A M2^T and W0 = V_inv (H * U0); pi are the powers of M1inv. On a
+unitary basis (V_inv = V^H: every undirected graph, and the DFT) the
+residual stays in eigen-coordinates, Rh = V^H R = (pi W0) M2inv^T - Xh with
+Xh = V^H X computed once per fit, so the loss is its mean squared norm and
+the backward pass takes Q = Rh conj(M2inv) and back = V_inv^H (conj(pi) Q)
+= F^{-H} r. That gives g_h and, in reverse mode, both order gradients:
+with <A, B> = Re tr(A^H B) and means over each problem's samples,
 
     dL/dalpha1 = 2 mean(<Q, dpi * W0> + <back, H * (dM1 Y M2^T)>),
-    dL/dalpha2 = 2 mean(<R conj(dM2inv), C0> + <back, H * (M1 Y dM2^T)>).
+    dL/dalpha2 = 2 mean(<Rh conj(dM2inv), pi W0> + <back, H * (M1 Y dM2^T)>).
 
-All five products go through :meth:`SpectralBasis.lmul`: on a large
+An epoch then multiplies four blocks by the basis in three products. A
+non-unitary basis (that of a directed graph, in general) takes the
+residual in the vertex domain, R = V (pi W0) M2inv^T - X, and projects its
+adjoint with Q = V^H (R conj(M2inv)); the same formulas hold with R and
+V (pi W0) in place of Rh and pi W0, for six blocks in five products.
+
+All basis products go through :meth:`SpectralBasis.lmul`: on a large
 basis with a real Schur factor (undirected graphs under
 ``transform-power``) each is one real GEMM by that factor plus an O(n)
 pair mixing per column. The descent takes orders, not transforms. Problems
@@ -228,7 +235,9 @@ class _Stack:
     problem's own powers of the eigenvalues scale its columns. Arrays are
     (n1, K, S, n2) for K stacked blocks, or (n1, S, n2) for one. ``second``
     holds (parts, idx) pairs: ``parts`` maps the second orders of the
-    problems ``idx`` to their dense M2, M2inv, dM2 and dM2inv.
+    problems ``idx`` to their dense M2, M2inv, dM2 and dM2inv. The stack
+    keeps Yh = V_inv Y and the residual's target: Xh = V^H X on a unitary
+    basis, where the residual stays in eigen-coordinates, else X itself.
     """
 
     def __init__(self, basis: SpectralBasis, batches, second):
@@ -238,8 +247,10 @@ class _Stack:
         self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
         self.owner = np.repeat(np.arange(len(batches)), self.counts)
         Y = np.stack([np.asarray(Y) for b in batches for Y, _ in b], axis=1)
-        self.X = np.stack([np.asarray(X) for b in batches for _, X in b], axis=1)
+        X = np.stack([np.asarray(X) for b in batches for _, X in b], axis=1)
         self.Yh = basis.lmul(Y, "V_inv")  # V_inv Y does not depend on the orders
+        # V_inv = V^H on a unitary basis, so this target is Xh = V^H X there
+        self.target = basis.lmul(X, "V_inv") if basis.unitary else X
 
     def _mean(self, per_sample: np.ndarray, axis: int = 0) -> np.ndarray:
         """Per-problem means of per-sample values along ``axis``."""
@@ -267,12 +278,14 @@ class _Stack:
         U = _rmul(A, fwd_t)                                             # M1 Y M2^T, dM1 Y M2^T
         dU2 = _rmul(A[:, :1], dfwd_t)[:, 0]                             # M1 Y dM2^T
         W0 = b.lmul(H[:, 0] * U[:, 0], "V_inv")
-        C0 = b.lmul(pi[:, 0] * W0, "V")
-        R = _rmul(C0[:, None], inv_t)[:, 0] - self.X
+        # the residual stays in eigen-coordinates on a unitary basis, where
+        # V^H V = I; otherwise it is taken in the vertex domain
+        C0 = pi[:, 0] * W0 if b.unitary else b.lmul(pi[:, 0] * W0, "V")
+        R = _rmul(C0[:, None], inv_t)[:, 0] - self.target
         # F^{-H} r = M1inv^H R conj(M2inv), with M1inv^H = V_inv^H diag(conj pi) V^H
         S = _rmul(R[:, None], M2[1].conj())
         dS = _rmul(R[:, None], M2[3].conj())[:, 0]                      # R conj(dM2inv)
-        Q = b.lmul(S, "V_h")
+        Q = S if b.unitary else b.lmul(S, "V_h")
         back = b.lmul(pi.conj() * Q, "V_inv_h")[:, 0]
 
         value = self._mean(_re_inner(R, R))
@@ -333,7 +346,7 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied) -> list[tuple[FilterDesig
     o1, o2 = _initial_orders(cfg, rng)
     P = len(tied)
     tied = np.asarray(tied, bool)[:, None]
-    n1, _, n2 = stack.X.shape
+    n1, _, n2 = stack.Yh.shape
     dtype = np.float64 if cfg.real_filter else np.complex128
     orders = np.where(tied, o1, np.array([[o1, o2]]))
     h = np.ones((P, n1 * n2), dtype=dtype)

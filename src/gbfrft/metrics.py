@@ -33,7 +33,12 @@ def psnr(err: float, max_val: float = MAX_VAL) -> float:
 
 
 def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    """Unit-sum 2D Gaussian window."""
+    """Unit-sum 2D Gaussian window; ValueError for a size below 1 or a
+    sigma that is not positive and finite."""
+    if size < 1:
+        raise ValueError(f"window size must be at least 1, got {size}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"window sigma must be positive and finite, got {sigma}")
     half = (size - 1) / 2.0
     g = np.arange(size) - half
     w = np.exp(-(g[:, None] ** 2 + g[None, :] ** 2) / (2.0 * sigma * sigma))

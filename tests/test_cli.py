@@ -245,3 +245,17 @@ def test_denoise_gd_equal_orders_traces_the_2d_gfrft_fit(tmp_path):
                    TrainConfig(epochs=20, init_orders=(0.3, 0.9)))[0]
     results.emit_results(trace.rows(), "trace", str(tmp_path / "lib"), "trace")
     assert (tmp_path / "out" / "trace.csv").read_bytes() == (tmp_path / "lib" / "trace.csv").read_bytes()
+
+
+def test_deblur_rejects_bad_patch_and_blur_parameters_in_one_line(tmp_path, capsys):
+    frame = str(tmp_path / "clean.pgm")
+    matio.write_pgm(frame, np.random.default_rng(3).uniform(0, 255, size=(20, 20)))
+    argv = ["deblur", "--clean", frame, "--synthesize-blur", "--epochs", "1",
+            "--outdir", str(tmp_path / "out")]
+    for extra, error in [(["--patch", "0"], "ShapeMismatch"), (["--patch", "-5"], "ShapeMismatch"),
+                         (["--patch", "2"], "ShapeMismatch"), (["--blur-size", "0"], "ValueError"),
+                         (["--blur-sigma", "0"], "ValueError"), (["--blur-sigma", "nan"], "ValueError")]:
+        assert main(argv + extra) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error[{error}]:"), (extra, err)
+    assert not (tmp_path / "out").exists()

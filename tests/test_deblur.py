@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gbfrft import transforms
+from gbfrft import deblur, transforms
 from gbfrft.errors import ShapeMismatch
 from gbfrft.deblur import (
     FrameSequence,
@@ -56,6 +56,9 @@ def test_patchify_blocks_are_row_major():
 def test_patchify_requires_exact_tiling():
     with pytest.raises(ShapeMismatch):
         patchify(textured_frames(size=20), 7)
+    for patch in (0, -5):
+        with pytest.raises(ShapeMismatch, match="at least 1"):
+            patchify(textured_frames(size=20), patch)
     with pytest.raises(ShapeMismatch):
         reassemble(np.zeros((1, 4, 1)), (1, 4, 4), 2)
 
@@ -123,3 +126,11 @@ def test_run_deblur_validates_shapes_and_method():
     with pytest.raises(ValueError):
         run_deblur(blurred, clean, patch=10, method="wavelet",
                    cfg=TrainConfig(lr_orders=0.01, epochs=1))
+
+
+def test_run_deblur_rejects_a_patch_too_small_for_its_graph_before_any_work(monkeypatch):
+    clean = textured_frames(t=1, size=20)
+    monkeypatch.setattr(deblur, "fit", None)   # a descent would raise TypeError
+    for patch in (-5, 0, 1, 2):
+        with pytest.raises(ShapeMismatch):
+            run_deblur(blur_sequence(clean), clean, patch=patch)

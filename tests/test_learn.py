@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gbfrft import transforms
+from gbfrft import learn, transforms
 from gbfrft.errors import DivergedLoss, ShapeMismatch
 from gbfrft.deblur import patch_graph
 from gbfrft.graphs import Graph, make_knn_graph, make_named_graph
@@ -507,56 +507,107 @@ def products_per_epoch(method, g, counted, rng, monkeypatch):
     return {(P, B): tuple((counts(3, P, B) - counts(1, P, B)) / 2) for P, B in ((1, 1), (4, 3))}
 
 
-def check_six_blocks(method, per_epoch, T=3):
-    """An epoch takes [M1 Y | dM1 Y] through V, then one block each through
-    V_inv, V, V^H and V_inv^H: the order gradients come off the adjoint, so
-    no derivative block follows the primal."""
+def check_blocks(method, per_epoch, products, blocks, T=3):
+    """An epoch takes ``products`` products with the basis, on ``blocks``
+    column blocks per sample. A unitary basis takes [M1 Y | dM1 Y] through
+    V, then one block each through V_inv and V_inv^H: the residual stays in
+    eigen-coordinates. A non-unitary one adds a block each through V and
+    V^H for the vertex-domain residual. The order gradients come off the
+    adjoint, so no derivative block follows the primal."""
     lambdas = 3 if METHOD_TABLE[method].searches_lambda else 1   # fit_method's lambda grid
-    for (P, B), (_, columns) in per_epoch.items():
-        assert columns == 6 * P * B * lambdas * T
+    for (P, B), per_epoch_counts in per_epoch.items():
+        assert per_epoch_counts == (products, blocks * P * B * lambdas * T)
 
 
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
 def test_one_epoch_multiplies_by_the_spatial_basis_a_fixed_number_of_times(method, monkeypatch):
     rng = np.random.default_rng(24)
     g = make_knn_graph(rng.normal(size=(6, 2)), 2)
-    per_epoch = products_per_epoch(method, g, counting_basis(transforms.graph_basis(g)), rng,
-                                   monkeypatch)
-    products = per_epoch[(1, 1)][0]
-    assert per_epoch[(4, 3)][0] == products and 0 < products <= 6
-    check_six_blocks(method, per_epoch)
+    basis = transforms.graph_basis(g)
+    assert basis.unitary
+    per_epoch = products_per_epoch(method, g, counting_basis(basis), rng, monkeypatch)
+    check_blocks(method, per_epoch, products=3, blocks=4)
 
 
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
-def test_one_epoch_multiplies_by_the_real_factor_five_times(method, monkeypatch):
+def test_one_epoch_multiplies_by_the_real_factor_three_times(method, monkeypatch):
     g = patch_graph(16)   # big enough for products through the real factor Z
     basis = transforms.graph_basis(g)
     assert basis.Z is not None and basis.n >= FACTORED_MIN_N
     per_epoch = products_per_epoch(method, g, replace(basis, Z=basis.Z.view(CountingMatrix)),
                                    np.random.default_rng(24), monkeypatch)
-    assert per_epoch[(1, 1)][0] == per_epoch[(4, 3)][0] == 5
-    check_six_blocks(method, per_epoch)
+    check_blocks(method, per_epoch, products=3, blocks=4)
+
+
+@pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
+def test_one_epoch_multiplies_by_a_non_unitary_basis_five_times(method, monkeypatch):
+    g, _, t, _, _ = directed_problem()
+    per_epoch = products_per_epoch(method, g, counting_basis(t.op1.basis),
+                                   np.random.default_rng(24), monkeypatch)
+    check_blocks(method, per_epoch, products=5, blocks=6)
+
+
+def two_problem_pass(basis, method, T=3):
+    """value_and_grad of two ``method`` problems of two samples each on ``basis``."""
+    rng = np.random.default_rng(26)
+    batches = [[(rng.normal(size=(basis.n, T)), rng.normal(size=(basis.n, T))) for _ in range(2)]
+               for _ in range(2)]
+    h = 1.0 + 0.2 * (rng.normal(size=(2, basis.n * T)) + 1j * rng.normal(size=(2, basis.n * T)))
+    tied = METHOD_TABLE[method].tied
+    orders = np.array([[0.4 + 0.2 * p, 0.4 + 0.2 * p if tied else 0.7] for p in range(2)])
+    return method_stack(basis, batches, [method] * 2, path_graph(T)).value_and_grad(orders, h)
+
+
+def assert_same_pass(got, want):
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_real_factor_products_equal_dense_products(method):
-    g, g2, T = patch_graph(16), path_graph(3), 3
+    g = patch_graph(16)
     basis = transforms.graph_basis(g)
     assert basis.Z is not None and basis.n >= FACTORED_MIN_N
-    rng = np.random.default_rng(26)
-    batches = [[(rng.normal(size=(g.n, T)), rng.normal(size=(g.n, T))) for _ in range(2)]
-               for _ in range(2)]
-    h = 1.0 + 0.2 * (rng.normal(size=(2, g.n * T)) + 1j * rng.normal(size=(2, g.n * T)))
-    m = METHOD_TABLE[method]
-    orders = np.array([[0.4 + 0.2 * p, 0.4 + 0.2 * p if m.tied else 0.7] for p in range(2)])
+    dense = replace(basis, Z=None, mix=None)
+    assert_same_pass(two_problem_pass(basis, method), two_problem_pass(dense, method))
 
-    def value_and_grad(b):
-        return method_stack(b, batches, [method] * 2, g2).value_and_grad(orders, h)
 
-    factored = value_and_grad(basis)
-    dense = value_and_grad(replace(basis, Z=None, mix=None))
-    for f, d in zip(factored, dense):
-        assert np.linalg.norm(f - d) <= 1e-12 * np.linalg.norm(d)
+@pytest.mark.parametrize("graph", ["knn", "patch"])
+@pytest.mark.parametrize("method", METHODS)
+def test_eigen_coordinate_residual_equals_the_vertex_domain_residual(method, graph):
+    # unitary=False takes the residual through V and back through V^H; on a
+    # unitary basis (V_inv = V^H) that is exact, so both branches agree
+    rng = np.random.default_rng(28)
+    g = patch_graph(16) if graph == "patch" else make_knn_graph(rng.normal(size=(6, 2)), 2)
+    basis = transforms.graph_basis(g)
+    assert basis.unitary and (basis.n >= FACTORED_MIN_N) == (graph == "patch")
+    vertex = replace(basis, unitary=False)
+    assert_same_pass(two_problem_pass(basis, method), two_problem_pass(vertex, method))
+
+
+def test_a_full_fit_takes_the_same_path_through_either_residual_branch(monkeypatch):
+    g, T = patch_graph(16), 3
+    rng = np.random.default_rng(29)
+    sources = []
+    for _ in range(2):
+        X = rng.normal(size=(g.n, T))
+        sources.append([(X + 0.4 * rng.normal(size=X.shape), X)])
+    jobs = [(m, s) for s in sources for m in METHODS]
+    cfg = TrainConfig(lr_orders=7e-3, epochs=120, init_orders=(0.8, 0.8))   # deblur's defaults
+
+    def designs():
+        return [d for d, _ in fit(jobs, g, path_graph(T), cfg, lambda_grid=(0.0, 0.5, 1.0))]
+
+    eigen = designs()
+    basis = transforms.graph_basis(g)
+    assert basis.unitary
+    vertex = replace(basis, unitary=False)
+    monkeypatch.setattr(learn, "graph_basis",
+                        lambda h, convention: vertex if h is g else transforms.graph_basis(h, convention))
+    for e, v in zip(eigen, designs()):
+        assert np.allclose([e.alpha1, e.alpha2, e.mse], [v.alpha1, v.alpha2, v.mse], rtol=1e-9, atol=0)
+        assert np.linalg.norm(e.h - v.h) <= 1e-9 * np.linalg.norm(v.h)
+        assert e.lam == v.lam
 
 
 def test_one_fit_stacks_every_method_tied_and_untied():

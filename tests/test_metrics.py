@@ -100,3 +100,12 @@ def test_import_leaves_scipy_signal_unloaded():
     out = subprocess.run([sys.executable, "-c", "import sys, gbfrft; print('scipy.signal' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("size, sigma", [(0, 1.0), (-3, 1.0), (5, 0.0), (5, -1.0),
+                                         (5, float("nan")), (5, float("inf"))])
+def test_gaussian_window_rejects_a_bad_size_or_sigma(size, sigma):
+    with pytest.raises(ValueError):
+        gaussian_window(size, sigma)
+    with pytest.raises(ValueError):
+        gaussian_blur(np.ones((8, 8)), size, sigma)
