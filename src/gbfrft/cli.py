@@ -19,12 +19,12 @@ from . import __version__, matio, results
 from .deblur import FrameSequence, blur_sequence, default_config as deblur_config, run_deblur
 from .errors import GbfrftError, ParseError, ShapeMismatch
 from .graphs import NAMED_KINDS, make_knn_graph, make_named_graph
-from .learn import METHOD_TABLE, METHODS, TrainConfig, fit, train, train_hybrid
+from .learn import TrainConfig, fit, train, train_hybrid
 from .metrics import frame_metrics
 from .synthetic import DEFAULT_VARIANCES, SyntheticSpec, TOPOLOGIES, run_synthetic
 from .synthetic import default_config as synthetic_config
 from .timevertex import default_config as timevertex_config, ingest_timevertex, run_timevertex
-from .transforms import CONVENTIONS, apply, path_graph
+from .transforms import CONVENTIONS, METHOD_TABLE, METHODS, apply, path_graph
 from .wiener import DEFAULT_SIZE_CAP, ObservationModel, draw_observations, grid_search, grid_values
 
 # the learn method whose transform each --kind applies

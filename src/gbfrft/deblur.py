@@ -12,17 +12,19 @@ pixel graph, so their descents run stacked, as one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import ShapeMismatch
 from .graphs import Graph, make_knn_graph
-from .learn import METHOD_TABLE, TrainConfig, apply_filter, fit
+from .learn import TrainConfig, apply_filter, fit
 from .metrics import frame_metrics, gaussian_blur
-from .transforms import path_graph
+from .transforms import METHOD_TABLE, METHODS, path_graph
 
 # Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
-from .learn import hybrid_transform, jfrft, train, transform_2d  # noqa: F401
+from .learn import train  # noqa: F401
+from .transforms import hybrid_transform, jfrft, transform_2d  # noqa: F401
 
 DEFAULT_PATCH = 20
 PATCH_NEIGHBOURS = 4   # k of the pixel graph's k-nearest-neighbour edges
@@ -90,7 +92,10 @@ def pixel_grid_coords(patch: int) -> np.ndarray:
     return np.stack([rr.ravel(), cc.ravel()], axis=1).astype(np.float64)
 
 
+@cache
 def patch_graph(patch: int, k: int = PATCH_NEIGHBOURS) -> Graph:
+    """The patch's k-NN pixel graph, built once per (patch, k) and shared:
+    a Graph and its adjacency are read-only."""
     return make_knn_graph(pixel_grid_coords(patch), k)
 
 
@@ -120,6 +125,10 @@ def run_deblur(
     if patch * patch <= PATCH_NEIGHBOURS:
         raise ShapeMismatch(f"a {patch}x{patch} patch has too few pixels for a graph of "
                             f"{PATCH_NEIGHBOURS} neighbours per pixel")
+    if method not in METHOD_TABLE:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if blurred.t < 2:
+        raise ShapeMismatch(f"a sequence needs at least 2 frames for its temporal graph, got {blurred.t}")
     cfg = cfg if cfg is not None else default_config()
     y_blocks = patchify(blurred, patch)
     spatial, temporal = patch_graph(patch), path_graph(blurred.t)

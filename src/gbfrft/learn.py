@@ -43,25 +43,26 @@ pair mixing per column. The descent takes orders, not transforms. Problems
 whose first factors share one basis descend stacked: the patches of a
 deblur run, and every method, noise variance and lambda of a time-vertex
 run. Each epoch gets every problem's powers of M1 from one vectorized
-``exp``, and from its METHOD_TABLE entry the dense M2, M2inv, dM2 and
-dM2inv at its second order. Each product by a second factor is one
-batched matmul over the samples; the adjoint ones use the conjugates.
-Each problem keeps its own orders, filter, Adam moments, trace and best
-iterate, and :func:`fit` stacks any mix of (method, samples) jobs.
+``exp``, and every problem's dense M2, M2inv, dM2 and dM2inv at its second
+order from one :func:`~gbfrft.transforms.blend_parts` call, at the blend
+weight its family in ``transforms.METHOD_TABLE`` gives it. Each product by
+a second factor is one batched matmul over the samples; the adjoint ones
+use the conjugates. Each problem keeps its own orders, filter, Adam
+moments, trace and best iterate, and :func:`fit` stacks any mix of
+(method, samples) jobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DivergedLoss, ShapeMismatch
 from .graphs import Graph
-from .spectral import FractionalOperator, SpectralBasis, dense_powers, power_parts
-from .transforms import DenseOperator, ProductTransform, apply, blend_parts, dft_basis, gfrft, graph_basis, path_graph
+from .spectral import FractionalOperator, SpectralBasis, power_parts
+from .transforms import METHOD_TABLE, METHODS, ProductTransform, apply, blend_parts, graph_basis, path_graph
 from .wiener import FilterDesign, grid_values
 
 # Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
@@ -69,46 +70,6 @@ from .transforms import hybrid_transform, jfrft, transform_2d  # noqa: F401
 
 OPTIMIZERS = ("adam", "sgd")
 DEFAULT_LAMBDA_GRID = tuple(grid_values((0.0, 1.0), 0.1))
-
-
-class Method(NamedTuple):
-    """A transform family, gfrft(g1, a1) times a second factor: ``second(g2,
-    a2, lam, convention)`` is its dense M2, M2inv, dM2/da2 and dM2inv/da2,
-    (4, k, g2.n, g2.n), at k orders a2 and blend weights lam (g2 is a
-    temporal path for jfrft and hybrid). A ``tied`` method descends on one
-    shared order; one that ``searches_lambda`` fits one problem per blend
-    weight of the lambda grid and keeps the best."""
-
-    second: Callable[..., np.ndarray]
-    kind: str
-    tied: bool = False
-    searches_lambda: bool = False
-
-    def build(self, g1: Graph, g2: Graph, a1: float, a2: float, lam=None,
-              convention: str = "transform-power") -> ProductTransform:
-        """The transform at orders (a1, a2), or (a1, a1) for a tied method."""
-        a1, a2 = float(a1), float(a1 if self.tied else a2)
-        lam = float(lam) if self.searches_lambda else None
-        op2 = DenseOperator(a2, *self.second(g2, np.array([a2]), np.array([lam], dtype=float), convention)[:, 0])
-        return ProductTransform(gfrft(g1, a1, convention), op2, self.kind, (a1, a2), lam)
-
-
-def _graph_power(g2, a2, lam, convention):
-    return dense_powers(graph_basis(g2, convention), a2)
-
-
-def _dft_power(g2, a2, lam, convention):
-    return dense_powers(dft_basis(g2.n), a2)
-
-
-METHOD_TABLE = {
-    "2d-gfrft": Method(_graph_power, "gfrft2d", tied=True),
-    "2d-gbfrft": Method(_graph_power, "gbfrft2d"),
-    # a1 is the vertex-side order, a2 the time-side one
-    "jfrft": Method(_dft_power, "jfrft"),
-    "hybrid": Method(blend_parts, "hybrid", searches_lambda=True),
-}
-METHODS = tuple(METHOD_TABLE)  # what the deblur and time-vertex drivers fit
 
 
 @dataclass
@@ -209,7 +170,7 @@ def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
     _check_batch((t.n1, t.n2), batch)
     o2 = t.op2
     parts = np.stack([o2.matrix, o2.inverse, o2.derivative, o2.inverse_derivative])[:, None]
-    stack = _Stack(t.op1.basis, [batch], [(lambda a2: parts, [0])])
+    stack = _Stack(t.op1.basis, [batch], lambda a2: parts)
     _, d_orders, gh = stack.value_and_grad(np.array([[t.op1.order, o2.order]]), h[None])
     return float(d_orders[0, 0]), float(d_orders[0, 1]), gh[0]
 
@@ -234,10 +195,10 @@ class _Stack:
     V_inv or their adjoints for all problems and samples at once; each
     problem's own powers of the eigenvalues scale its columns. Arrays are
     (n1, K, S, n2) for K stacked blocks, or (n1, S, n2) for one. ``second``
-    holds (parts, idx) pairs: ``parts`` maps the second orders of the
-    problems ``idx`` to their dense M2, M2inv, dM2 and dM2inv. The stack
-    keeps Yh = V_inv Y and the residual's target: Xh = V^H X on a unitary
-    basis, where the residual stays in eigen-coordinates, else X itself.
+    maps the P second orders to every problem's dense M2, M2inv, dM2 and
+    dM2inv, (4, P, n2, n2). The stack keeps Yh = V_inv Y and the residual's
+    target: Xh = V^H X on a unitary basis, where the residual stays in
+    eigen-coordinates, else X itself.
     """
 
     def __init__(self, basis: SpectralBasis, batches, second):
@@ -266,10 +227,7 @@ class _Stack:
         P = len(orders)
         # each sample's powers of M1 (and of M1inv), (n1, 1, S, 1)
         pf, pi, dpf, dpi = (p[self.owner].T[:, None, :, None] for p in power_parts(b, orders[:, 0]))
-        M2 = np.empty((4, P, n2, n2), dtype=np.complex128)
-        for parts, idx in self.second:
-            M2[:, idx] = parts(orders[idx, 1])
-        M2 = M2[:, self.owner]   # each sample's M2, M2inv, dM2, dM2inv
+        M2 = self.second(orders[:, 1])[:, self.owner]   # each sample's M2, M2inv, dM2, dM2inv
         fwd_t, inv_t, dfwd_t, _ = M2.swapaxes(-1, -2)
         H = h.reshape(P, n2, n1).transpose(2, 0, 1)[:, None, self.owner]
         Yh = self.Yh[:, None]
@@ -418,7 +376,7 @@ def fit(
         raise ValueError("lambda_grid must hold at least one value")
     if not jobs:
         raise ValueError("need at least one training pair")
-    batches, tied, owners, groups = [], [], [], {}
+    batches, tied, owners, weights = [], [], [], []
     for j, (name, samples) in enumerate(jobs):
         if name not in METHOD_TABLE:
             raise ValueError(f"method must be one of {METHODS}, got {name!r}")
@@ -426,13 +384,12 @@ def fit(
         samples = list(samples)
         _check_batch((g1.n, g2.n), samples)
         for lam in lams if m.searches_lambda else [None]:
-            # one call per distinct second factor, over all of its problems
-            groups.setdefault(m.second, []).append(len(batches))
             batches.append(samples)
             tied.append(m.tied)
             owners.append((j, lam))
-    weights = np.array([lam for _, lam in owners], dtype=float)   # NaN for none
-    second = [(partial(f, g2, lam=weights[idx], convention=convention), idx) for f, idx in groups.items()]
+            weights.append(m.weight if lam is None else lam)
+    # every problem's second factor, at its own blend weight, in one call
+    second = partial(blend_parts, g2, lam=np.array(weights), convention=convention)
     stack = _Stack(graph_basis(g1, convention), batches, second)
     results = [None] * len(jobs)
     for (j, lam), (design, trace) in zip(owners, _train_loop(stack, cfg, tied)):

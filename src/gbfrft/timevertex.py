@@ -13,9 +13,9 @@ import numpy as np
 
 from .errors import ConstantSeries, ShapeMismatch
 from .graphs import Graph, make_knn_graph
-from .learn import DEFAULT_LAMBDA_GRID, METHODS, TrainConfig, fit
+from .learn import DEFAULT_LAMBDA_GRID, TrainConfig, fit
 from .matio import read_matrix
-from .transforms import path_graph
+from .transforms import METHODS, path_graph
 
 # Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
 from .learn import train, train_hybrid, train_jfrft  # noqa: F401
@@ -87,8 +87,12 @@ def run_timevertex(
     shared by every method, so the comparisons see identical data. Every
     (variance, method) fit, and every lambda of a hybrid one, descends in
     one stacked descent. Reported mse is the per-entry mean on the
-    standardized scale.
+    standardized scale. A negative or non-finite noise variance raises
+    ValueError before any work.
     """
+    bad = [s for s in variances if not (np.isfinite(s) and s >= 0.0)]
+    if bad:
+        raise ValueError(f"noise variances must be finite and non-negative, got {bad}")
     X = ds.standardized
     noisy = [X + np.random.default_rng(seed + si).normal(scale=np.sqrt(sigma2), size=X.shape)
              for si, sigma2 in enumerate(variances)]

@@ -16,12 +16,18 @@ Two conventions are supported for the graph-side factor:
   power is unitary.
 * ``shift-power``: fractionalize the adjacency itself, so order 1 is the
   shift operator.
+
+The paper's four transforms are one family, listed once in METHOD_TABLE:
+a graph power on the first factor times a graph power (2D-GFRFT, tied
+orders; 2D-GBFRFT), a DFT power (JFRFT) or a blend of the two (hybrid).
+:meth:`Method.build` makes every transform; the constructors look it up.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,37 +211,10 @@ def apply(t: ProductTransform, X, direction: str = "forward") -> np.ndarray:
     return t.op2.rmul_t(t.op1.lmul(X, kind), kind)
 
 
-def transform_2d(
-    g1: Graph,
-    g2: Graph,
-    alpha1: float,
-    alpha2: float,
-    convention: str = "transform-power",
-) -> ProductTransform:
-    """Bi-fractional transform on a two-factor product with independent orders."""
-    return ProductTransform(
-        op1=gfrft(g1, alpha1, convention),
-        op2=gfrft(g2, alpha2, convention),
-        kind="gbfrft2d",
-        orders=(float(alpha1), float(alpha2)),
-    )
-
-
-def gfrft2d(g1: Graph, g2: Graph, alpha: float, convention: str = "transform-power") -> ProductTransform:
-    """Equal-order special case of :func:`transform_2d`."""
-    t = transform_2d(g1, g2, alpha, alpha, convention)
-    return ProductTransform(op1=t.op1, op2=t.op2, kind="gfrft2d", orders=t.orders)
-
-
-def jfrft(g: Graph, T: int, alpha: float, beta: float, convention: str = "transform-power") -> ProductTransform:
-    """Joint transform: graph order ``beta`` on the vertex axis (rows),
-    time order ``alpha`` on the time axis (columns)."""
-    return ProductTransform(
-        op1=gfrft(g, beta, convention),
-        op2=dfrft(T, alpha),
-        kind="jfrft",
-        orders=(float(beta), float(alpha)),
-    )
+def _end_basis(g2: Graph, lam: float, convention: str) -> SpectralBasis:
+    """The basis of a blend's endpoint: the DFT on g2.n points at lam = 1,
+    the graph basis of g2 at lam = 0."""
+    return dft_basis(g2.n) if lam == 1.0 else graph_basis(g2, convention)
 
 
 def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
@@ -248,13 +227,14 @@ def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     T = g2_path.n
-    ends = {1.0: dft_basis(T), 0.0: graph_basis(g2_path, convention)}
     out = np.empty((4, len(beta), T, T), dtype=np.complex128)
-    for value, basis in ends.items():
-        out[:, lam == value] = dense_powers(basis, beta[lam == value])
+    for value in (1.0, 0.0):
+        at = lam == value
+        if at.any():
+            out[:, at] = dense_powers(_end_basis(g2_path, value, convention), beta[at])
     mid = (lam > 0.0) & (lam < 1.0)
     if mid.any():
-        fd, fg = (dense_powers(basis, beta[mid]) for basis in ends.values())
+        fd, fg = (dense_powers(_end_basis(g2_path, value, convention), beta[mid]) for value in (1.0, 0.0))
         w = lam[mid, None, None]
         B, dB = (w * fd[i] + (1.0 - w) * fg[i] for i in (0, 2))
         # the inverse is needed anyway, so guard with the exact 1-norm
@@ -272,15 +252,66 @@ def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
     return out
 
 
-def hybrid_transform(
-    g1: Graph,
-    g2_path: Graph,
-    T: int,
-    alpha: float,
-    beta: float,
-    lam: float,
-    convention: str = "transform-power",
-) -> ProductTransform:
+class Method(NamedTuple):
+    """A transform family: gfrft(g1, a1) times the second factor
+    w dfrft(g2.n, a2) + (1 - w) gfrft(g2, a2) of :func:`blend_parts`. Its
+    ``weight`` w is 0 for a graph power, 1 for a DFT power, and None for a
+    blend whose weight lam is searched (g2 is then a temporal path). A
+    ``tied`` family has one shared order, a2 = a1."""
+
+    kind: str
+    weight: float | None
+    tied: bool = False
+
+    @property
+    def searches_lambda(self) -> bool:
+        return self.weight is None
+
+    def build(self, g1: Graph, g2: Graph, a1: float, a2: float, lam=None,
+              convention: str = "transform-power") -> ProductTransform:
+        """The transform at orders (a1, a2), or (a1, a1) for a tied family,
+        and at blend weight ``lam`` for one that searches it. The second
+        factor is a spectral power at either endpoint and dense in between."""
+        a1, a2 = float(a1), float(a1 if self.tied else a2)
+        lam = float(lam) if self.searches_lambda else None
+        op1 = gfrft(g1, a1, convention)
+        w = self.weight if lam is None else lam
+        if w in (0.0, 1.0):
+            op2 = fractional_power(_end_basis(g2, w, convention), a2)
+        else:
+            op2 = DenseOperator(a2, *blend_parts(g2, np.array([a2]), np.array([w]), convention)[:, 0])
+        return ProductTransform(op1, op2, self.kind, (a1, a2), lam)
+
+
+METHOD_TABLE = {
+    "2d-gfrft": Method("gfrft2d", 0.0, tied=True),
+    "2d-gbfrft": Method("gbfrft2d", 0.0),
+    # a1 is the vertex-side order, a2 the time-side one
+    "jfrft": Method("jfrft", 1.0),
+    "hybrid": Method("hybrid", None),
+}
+METHODS = tuple(METHOD_TABLE)  # what the deblur and time-vertex drivers fit
+
+
+def transform_2d(g1: Graph, g2: Graph, alpha1: float, alpha2: float,
+                 convention: str = "transform-power") -> ProductTransform:
+    """Bi-fractional transform on a two-factor product with independent orders."""
+    return METHOD_TABLE["2d-gbfrft"].build(g1, g2, alpha1, alpha2, convention=convention)
+
+
+def gfrft2d(g1: Graph, g2: Graph, alpha: float, convention: str = "transform-power") -> ProductTransform:
+    """Equal-order special case of :func:`transform_2d`."""
+    return METHOD_TABLE["2d-gfrft"].build(g1, g2, alpha, alpha, convention=convention)
+
+
+def jfrft(g: Graph, T: int, alpha: float, beta: float, convention: str = "transform-power") -> ProductTransform:
+    """Joint transform: graph order ``beta`` on the vertex axis (rows),
+    time order ``alpha`` on the time axis (columns)."""
+    return METHOD_TABLE["jfrft"].build(g, path_graph(T), beta, alpha, convention=convention)
+
+
+def hybrid_transform(g1: Graph, g2_path: Graph, T: int, alpha: float, beta: float, lam: float,
+                     convention: str = "transform-power") -> ProductTransform:
     """Spatial fractional operator times a temporal blend.
 
     The temporal factor is lam * dfrft(T, beta) + (1 - lam) * gfrft(g2_path,
@@ -290,16 +321,7 @@ def hybrid_transform(
     """
     if g2_path.n != T:
         raise ShapeMismatch(f"temporal factor graph has {g2_path.n} vertices, need {T}")
-    op1 = gfrft(g1, alpha, convention)
-    if lam == 1.0:
-        op2 = dfrft(T, beta)
-    elif lam == 0.0:
-        op2 = gfrft(g2_path, beta, convention)
-    else:
-        parts = blend_parts(g2_path, np.array([float(beta)]), np.array([float(lam)]), convention)
-        op2 = DenseOperator(float(beta), *parts[:, 0])
-    return ProductTransform(op1=op1, op2=op2, kind="hybrid",
-                            orders=(float(alpha), float(beta)), lam=float(lam))
+    return METHOD_TABLE["hybrid"].build(g1, g2_path, alpha, beta, lam, convention)
 
 
 def path_graph(T: int) -> Graph:

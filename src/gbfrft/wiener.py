@@ -31,16 +31,15 @@ E = h^H T h - 2 Re(h^H q) + Tr(Rxx).
 When both factor powers are unitary, as the 2D-GBFRFT of two undirected
 graphs under ``transform-power`` is, Fi = F^H. Then Fi^H Fi = I, T is
 diagonal with T[m, m] = A[m, m], A = F E[y y^H] F^H, q = diag(F E[x y^H] F^H)
-and h = q / diag(A). ``grid_search`` takes this path at every point where
-both factor bases have ``SpectralBasis.unitary_powers`` (a unitary
+and h = q / diag(A). ``grid_search`` takes this path for a whole search
+when both factor bases have ``SpectralBasis.unitary_powers`` (a unitary
 eigenbasis and a unimodular spectrum; a symmetric adjacency under
-``shift-power`` has a unitary eigenbasis but real eigenvalues, so it keeps
-the LU path). Each diagonal is a sandwich of factor contractions, with
-no N x N product formed: the M1 half costs O(N1 N^2) and depends on alpha1
-alone, so the search computes it once per distinct alpha1, and the M2 half
-costs O(N N2^2) per point. The rcond of a diagonal
-T is min|T_mm| / max|T_mm|, guarded like the LU estimate, and the
-least-squares fallback is what ``lstsq`` gives for a diagonal matrix.
+``shift-power`` has real eigenvalues, so it keeps the LU path). Each
+diagonal is a sandwich of factor contractions, with no N x N product: the
+M1 half costs O(N1 N^2) and depends on alpha1 alone, so the search computes
+it once per distinct alpha1, and the M2 half costs O(N N2^2) per point. The
+rcond of a diagonal T is min|T_mm| / max|T_mm|, guarded like the LU
+estimate, and the fallback is what ``lstsq`` gives for a diagonal matrix.
 """
 
 from __future__ import annotations
@@ -61,7 +60,11 @@ from .errors import (
     SizeCapExceeded,
 )
 from .graphs import Graph
-from .transforms import ProductTransform, transform_2d
+from .spectral import fractional_power
+from .transforms import ProductTransform, graph_basis
+
+# Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
+from .transforms import transform_2d  # noqa: F401
 
 DEFAULT_SIZE_CAP = 1024
 HERMITIAN_RTOL = 1e-9
@@ -264,23 +267,22 @@ def assemble_normal_equations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble (T, q) through the rank-one Hadamard identities, applying
     F = kron(M2, M1) and Fi = kron(M2inv, M1inv) by factor multiplies."""
-    return _assemble(model, t, cap, model.y_covariance(), model.xy_covariance())
+    _check_sizes(model, t.n1, t.n2, cap)
+    return _assemble(t.op1.matrix, t.op2.matrix, t.op1.inverse, t.op2.inverse,
+                     model.y_covariance(), model.xy_covariance())
 
 
-def _check_sizes(model, t, cap):
-    if t.n1 != model.n1 or t.n2 != model.n2:
+def _check_sizes(model, n1, n2, cap):
+    if n1 != model.n1 or n2 != model.n2:
         raise ShapeMismatch("transform and model grid sizes differ")
     if model.n > cap:
         raise SizeCapExceeded(f"N1*N2 = {model.n} exceeds cap {cap}")
 
 
-def _assemble(model, t, cap, My, Mxy):
+def _assemble(M1, M2, M1i, M2i, My, Mxy):
     # My = E[y y^H] and Mxy = E[x y^H] do not depend on the orders, so a
     # search computes them once and passes them to every point
-    _check_sizes(model, t, cap)
-    n = model.n
-    M1, M2 = t.op1.matrix, t.op2.matrix
-    M1i, M2i = t.op1.inverse, t.op2.inverse
+    n1, n2 = M1.shape[0], M2.shape[0]
     A = _kron_sandwich(M2, M1, My)
     P1, P2 = M1i.conj().T @ M1i, M2i.conj().T @ M2i
     # T = P * A.T, formed as (P.T * A).T so that A is read in memory order;
@@ -292,7 +294,7 @@ def _assemble(model, t, cap, My, Mxy):
     # (N2, N1, N2, N1) view of Z, Fi[i, m] = M2inv[i2, m2] M1inv[i1, m1]
     Z = _kron_rmul_h(Mxy, M2, M1)
     q = np.einsum("ab,cd,acbd->bd", M2i.conj(), M1i.conj(),
-                  Z.reshape(t.n2, t.n1, t.n2, t.n1)).reshape(n)
+                  Z.reshape(n2, n1, n2, n1)).reshape(n1 * n2)
     return T, q
 
 
@@ -447,36 +449,37 @@ def grid_search(
     expected MSE; ties go to the smaller (alpha1, alpha2) pair.
 
     With ``equal_orders`` the search is restricted to alpha1 == alpha2 over
-    ``range1``. A point whose factor bases both have unitary powers is
-    designed from the diagonal normal equations (see the module docstring);
-    every other point by LU. Returns the winning FilterDesign, plus the
-    per-point rows when ``keep_grid`` is set.
+    ``range1``. The search builds no transform: it computes each axis's
+    dense powers once per distinct order. If both factor bases have unitary
+    powers, every point is designed from the diagonal normal equations (see
+    the module docstring), else by LU. Returns the winning FilterDesign,
+    plus the per-point rows when ``keep_grid`` is set.
     """
     grid1 = grid_values(range1, step)
-    if equal_orders:
-        points = [(a, a) for a in grid1]
-    else:
-        grid2 = grid_values(range2, step)
-        points = [(a1, a2) for a1 in grid1 for a2 in grid2]
+    grid2 = grid1 if equal_orders else grid_values(range2, step)
+    points = [(a, a) for a in grid1] if equal_orders else [(a1, a2) for a1 in grid1 for a2 in grid2]
+    b1, b2 = graph_basis(g1, convention), graph_basis(g2, convention)
+    _check_sizes(model, b1.n, b2.n, cap)
+    diagonal = b1.unitary_powers and b2.unitary_powers
+    # one operator per distinct order; each caches the dense parts it is asked for
+    ops1, ops2 = ({a: fractional_power(b, a) for a in grid} for b, grid in ((b1, grid1), (b2, grid2)))
     trace_rxx = float(np.real(np.trace(model.rxx)))
     My, Mxy = model.y_covariance(), model.xy_covariance()
     best = None
     rows = []
     halves_a1 = halves = None
     for a1, a2 in points:
-        t = transform_2d(g1, g2, a1, a2, convention)
-        if t.op1.basis.unitary_powers and t.op2.basis.unitary_powers:
+        op1, op2 = ops1[a1], ops2[a2]
+        if diagonal:
             # Fi = F^H, so diag T = diag(F My F^H) and q = diag(F Mxy F^H).
             # The M1 halves depend on alpha1 alone, and points run alpha1 in
             # the outer loop, so only the current alpha1's halves are kept
-            _check_sizes(model, t, cap)
             if a1 != halves_a1:
-                M1 = t.op1.matrix
-                halves_a1, halves = a1, [_sandwich_diag_m1(M1, X, t.n2) for X in (My, Mxy)]
-            T, q = (_sandwich_diag_m2(t.op2.matrix, Y) for Y in halves)
+                halves_a1, halves = a1, [_sandwich_diag_m1(op1.matrix, X, model.n2) for X in (My, Mxy)]
+            T, q = (_sandwich_diag_m2(op2.matrix, Y) for Y in halves)
             h = _solve_diagonal(T, q)
         else:
-            T, q = _assemble(model, t, cap, My, Mxy)
+            T, q = _assemble(op1.matrix, op2.matrix, op1.inverse, op2.inverse, My, Mxy)
             h = solve_filter(T, q)
         e = _mse_from_normal_eqs(T, q, h, trace_rxx)
         rows.append({"alpha1": a1, "alpha2": a2, "mse": e})

@@ -259,3 +259,16 @@ def test_deblur_rejects_bad_patch_and_blur_parameters_in_one_line(tmp_path, caps
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error[{error}]:"), (extra, err)
     assert not (tmp_path / "out").exists()
+
+
+def test_timevertex_rejects_a_bad_noise_variance_in_one_line(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    matio.write_matrix(str(tmp_path / "v.csv"), rng.normal(size=(6, 8)))
+    matio.write_matrix(str(tmp_path / "c.csv"), rng.uniform(0, 10, size=(6, 2)))
+    for bad in ("-1", "nan", "0.5,inf"):
+        rc = main(["timevertex", "--values", str(tmp_path / "v.csv"), "--coords", str(tmp_path / "c.csv"),
+                   "--k", "2", "--variances", bad, "--epochs", "1", "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[ValueError]:"), (bad, err)
+    assert not (tmp_path / "out").exists()

@@ -134,3 +134,25 @@ def test_run_deblur_rejects_a_patch_too_small_for_its_graph_before_any_work(monk
     for patch in (-5, 0, 1, 2):
         with pytest.raises(ShapeMismatch):
             run_deblur(blur_sequence(clean), clean, patch=patch)
+
+
+def test_run_deblur_rejects_a_single_frame_before_any_work(monkeypatch):
+    clean = textured_frames(t=1, size=20)
+    blurred = blur_sequence(clean)
+    for name in ("patchify", "patch_graph", "fit"):
+        monkeypatch.setattr(deblur, name, None)   # any work would raise TypeError
+    with pytest.raises(ShapeMismatch, match="2 frames"):
+        run_deblur(blurred, clean, patch=10)
+
+
+def test_deblur_rounds_build_their_patch_graph_once(monkeypatch):
+    calls, knn = [], deblur.make_knn_graph
+    monkeypatch.setattr(deblur, "make_knn_graph", lambda *a: calls.append(a) or knn(*a))
+    deblur.patch_graph.cache_clear()
+    clean = textured_frames(t=2, size=20, seed=1)
+    cfg = TrainConfig(lr_orders=7e-3, epochs=2, init_orders=(0.8, 0.8))
+    for _ in range(2):
+        run_deblur(blur_sequence(clean), clean, patch=10, cfg=cfg)
+    assert len(calls) == 1
+    # the shared graph cannot be changed through its adjacency
+    assert not patch_graph(10).adjacency.flags.writeable

@@ -27,6 +27,7 @@ from gbfrft.spectral import FACTORED_MIN_N, SpectralBasis
 from gbfrft.transforms import (
     DenseOperator,
     ProductTransform,
+    blend_parts,
     gfrft2d,
     hybrid_transform,
     jfrft,
@@ -193,9 +194,8 @@ def forward_mode_order_gradients(t, h, batch) -> np.ndarray:
 
 def method_stack(basis, batches, methods, g2):
     """A _Stack of one problem per method on ``basis``, blends at lambda = 0.5."""
-    second = [(partial(METHOD_TABLE[m].second, g2, lam=np.array([0.5]), convention="transform-power"), [p])
-              for p, m in enumerate(methods)]
-    return _Stack(basis, batches, second)
+    lam = np.array([0.5 if METHOD_TABLE[m].searches_lambda else METHOD_TABLE[m].weight for m in methods])
+    return _Stack(basis, batches, partial(blend_parts, g2, lam=lam, convention="transform-power"))
 
 
 def test_reverse_mode_order_gradients_equal_forward_mode_on_a_mixed_stack():

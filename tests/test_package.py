@@ -1,8 +1,13 @@
 import ast
+import sys
 from pathlib import Path
 from types import ModuleType
 
 import gbfrft
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import layertrace  # noqa: E402
 
 SOURCES = sorted(p for p in Path(gbfrft.__file__).parent.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
@@ -14,20 +19,23 @@ def test_public_names_resolve_and_none_is_a_module():
         assert not isinstance(getattr(gbfrft, name), ModuleType), name
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by the module's imports that its code never reads; an
-    import line marked ``# noqa: F401`` is exempt."""
-    tree = ast.parse(source)
+def imports(source: str):
+    """(name, line, exempt) for each name the module's imports bind; an
+    import line marked ``# noqa: F401`` is exempt from the unused check."""
     lines = source.splitlines()
-    bound = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and "# noqa: F401" not in lines[node.lineno - 1]:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
             for alias in node.names:
-                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+                yield alias.asname or alias.name.split(".")[0], node.lineno, "# noqa: F401" in lines[node.lineno - 1]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's non-exempt imports that its code never reads."""
+    bound = {name: line for name, line, exempt in imports(source) if not exempt}
     read = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             read.add(node.id)
         # string annotations name their types too
@@ -38,6 +46,14 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
 
 
+def untraced_exempt_imports(module: str, source: str) -> list[str]:
+    """Exempt imports of ``module`` that the benchmark's layer tracer does not
+    wrap there: an import kept only for the tracer must not outlive it."""
+    traced = {(path, attr) for path, attr, _ in layertrace.TARGETS}
+    return [f"{name} (line {line})" for name, line, exempt in imports(source)
+            if exempt and (module, name) not in traced]
+
+
 def test_unused_import_is_detected():
     source = "import os\nimport sys  # noqa: F401\nfrom json import dumps, loads\nx: 'dumps' = loads\n"
     assert unused_imports(source) == ["os (line 1)"]
@@ -46,4 +62,14 @@ def test_unused_import_is_detected():
 def test_no_module_has_an_unused_import():
     assert SOURCES and TESTS
     found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text()) for p in SOURCES + TESTS}
+    assert not {k: v for k, v in found.items() if v}
+
+
+def test_untraced_exempt_import_is_detected():
+    source = "from .learn import train, fit  # noqa: F401\nfrom .graphs import Graph\n"
+    assert untraced_exempt_imports("gbfrft.deblur", source) == ["fit (line 1)"]
+
+
+def test_exempt_imports_name_only_what_the_tracer_wraps():
+    found = {p.name: untraced_exempt_imports(f"gbfrft.{p.stem}", p.read_text()) for p in SOURCES}
     assert not {k: v for k, v in found.items() if v}

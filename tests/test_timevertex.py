@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gbfrft import learn
+from gbfrft import learn, timevertex
 from gbfrft.errors import ConstantSeries, ShapeMismatch
 from gbfrft.learn import METHODS, TrainConfig, _train_loop as train_loop
 from gbfrft.matio import write_matrix
@@ -110,3 +110,17 @@ def test_one_descent_per_run_equals_fits_per_method_and_variance(monkeypatch):
                            [single["mse"], single["alpha1"], single["alpha2"]], rtol=1e-12, atol=0)
     assert run_timevertex(ds, 3, (), cfg=cfg) == []
     assert run_timevertex(ds, 3, variances, methods=(), cfg=cfg) == []
+
+
+def test_bad_noise_variances_are_rejected_before_any_work(monkeypatch):
+    ds = toy_dataset(n=6, t=6)
+    with monkeypatch.context() as m:
+        for name in ("make_knn_graph", "path_graph", "fit"):
+            m.setattr(timevertex, name, None)   # any work would raise TypeError
+        m.setattr(np.random, "default_rng", None)
+        for variances in ((-1.0,), (0.5, np.nan), (np.inf,), (0.5, -0.1)):
+            with pytest.raises(ValueError, match="variances"):
+                run_timevertex(ds, 2, variances)
+    # a zero variance is noise-free data, not an error
+    cfg = TrainConfig(lr_orders=0.1, epochs=2)
+    assert len(run_timevertex(ds, 2, (0.0,), methods=("2d-gbfrft",), cfg=cfg)) == 1

@@ -7,8 +7,10 @@ import pytest
 from gbfrft import transforms
 from gbfrft.errors import NonFinite, ShapeMismatch, SingularBlend
 from gbfrft.graphs import Graph, make_named_graph
-from gbfrft.spectral import FactorOperator, eig_general
+from gbfrft.spectral import FactorOperator, FractionalOperator, eig_general
 from gbfrft.transforms import (
+    METHOD_TABLE,
+    DenseOperator,
     apply,
     dfrft,
     dft_matrix,
@@ -271,3 +273,26 @@ def test_blended_operator_shares_the_operator_protocol():
         op.lmul(np.zeros((T + 1, 2)))
     with pytest.raises(ValueError):
         op.lmul(X, "adjoint")
+
+
+# (family, lam, public constructor at orders (0.3, 0.7) on g1 and a second factor g2 of T vertices)
+CONSTRUCTORS = [
+    ("2d-gfrft", None, lambda g1, g2, T, lam: gfrft2d(g1, g2, 0.3)),
+    ("2d-gbfrft", None, lambda g1, g2, T, lam: transform_2d(g1, g2, 0.3, 0.7)),
+    ("jfrft", None, lambda g1, g2, T, lam: jfrft(g1, T, alpha=0.7, beta=0.3)),
+] + [("hybrid", lam, lambda g1, g2, T, lam: hybrid_transform(g1, g2, T, alpha=0.3, beta=0.7, lam=lam))
+     for lam in (0.0, 0.4, 1.0)]
+
+
+@pytest.mark.parametrize("method,lam,construct", CONSTRUCTORS)
+def test_each_public_constructor_is_its_familys_build(method, lam, construct):
+    g1, T = make_named_graph("path", 3), 5
+    g2 = make_named_graph("cycle", T) if method.startswith("2d") else path_graph(T)
+    t = construct(g1, g2, T, lam)
+    ref = METHOD_TABLE[method].build(g1, g2, 0.3, 0.7, lam)
+    assert (t.kind, t.orders, t.lam) == (ref.kind, ref.orders, ref.lam)
+    # only an interior blend is dense; every other second factor stays a lazy power
+    assert type(t.op2) is type(ref.op2) is (DenseOperator if lam == 0.4 else FractionalOperator)
+    for op, ref_op in ((t.op1, ref.op1), (t.op2, ref.op2)):
+        for part in ("matrix", "inverse", "derivative", "inverse_derivative"):
+            assert np.array_equal(getattr(op, part), getattr(ref_op, part)), part

@@ -14,7 +14,8 @@ from gbfrft.errors import (
 )
 from gbfrft.graphs import Graph, make_named_graph
 from gbfrft.synthetic import build_observation_model, sample_gaussian
-from gbfrft.transforms import transform_2d
+from gbfrft.spectral import FractionalOperator
+from gbfrft.transforms import ProductTransform, graph_basis, transform_2d
 from gbfrft.wiener import (
     ObservationModel,
     assemble_normal_equations,
@@ -408,6 +409,33 @@ def test_unitary_grid_rows_equal_one_point_searches():
             a1, a2 = r["alpha1"], r["alpha2"]
             _, one = grid_search(model, g1, g2, (a1, a1), (a2, a2), 0.25, keep_grid=True)
             assert one == [r], (k, r)
+
+
+@pytest.mark.parametrize("convention,lu", [("transform-power", False), ("shift-power", True)])
+def test_a_grid_search_builds_no_transform_and_each_power_once(convention, lu, monkeypatch):
+    # an undirected pair: unitary powers under transform-power, the LU path under shift-power
+    g1, g2 = make_named_graph("path", 4), make_named_graph("cycle", 5)
+    model = random_model(4, 5, seed=3)
+    built, powers, dense = [], [], []
+    init, power, densify = ProductTransform.__init__, wiener.fractional_power, FractionalOperator._dense
+    monkeypatch.setattr(ProductTransform, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    monkeypatch.setattr(wiener, "fractional_power", lambda b, a: powers.append((id(b), a)) or power(b, a))
+    monkeypatch.setattr(FractionalOperator, "_dense", lambda self, d: dense.append(1) or densify(self, d))
+    solves = count_solves(monkeypatch)
+    b1, b2 = (id(graph_basis(g, convention)) for g in (g1, g2))
+    grid1, grid2 = [0.25, 0.5, 0.75, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0]
+    for equal_orders, orders2 in ((False, grid2), (True, grid1)):
+        powers.clear()
+        dense.clear()
+        _, rows = grid_search(model, g1, g2, (0.25, 1.0), (0.0, 1.0), 0.25, equal_orders=equal_orders,
+                              convention=convention, keep_grid=True)
+        assert len(rows) == (len(grid1) if equal_orders else len(grid1) * len(grid2))
+        assert sorted(powers) == sorted([(b1, a) for a in grid1] + [(b2, a) for a in orders2])
+        # each power's matrix, and its inverse only on the LU path
+        assert len(dense) == (2 if lu else 1) * len(powers)
+    assert built == []
+    assert len(solves) == (len(grid1) * (len(grid2) + 1) if lu else 0)
 
 
 def rotating_eigh(monkeypatch):
