@@ -45,6 +45,7 @@ from .transforms import (
     transform_2d,
 )
 from .wiener import (
+    FactoredStatistics,
     FilterDesign,
     ObservationModel,
     assemble_normal_equations,

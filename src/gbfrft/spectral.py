@@ -235,8 +235,9 @@ def eig_general(M) -> SpectralBasis:
     """Diagonalize a square matrix with a canonical eigenvalue order.
 
     Raises DefectiveMatrix when the eigenvector matrix is numerically
-    singular (condition number above 1e12) or when the decomposition fails
-    to reconstruct the input to a 1e-9 relative Frobenius tolerance.
+    singular (n times its 1-norm condition number, a bound on the 2-norm
+    one, above 1e12) or when the decomposition fails to reconstruct the
+    input to a 1e-9 relative Frobenius tolerance.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -267,12 +268,20 @@ def eig_general(M) -> SpectralBasis:
             basis = SpectralBasis(V=Z, lam=lam, V_inv=Z.conj().T.copy(), unitary=True)
     else:
         w, V = np.linalg.eig(M)
-        if np.linalg.cond(V) > CONDITION_LIMIT:
-            raise DefectiveMatrix("eigenvector matrix is numerically singular")
         order = _canonical_order(w)
         lam = _snap_to_real_axis(w[order])
         V = V[:, order]
-        basis = SpectralBasis(V=V, lam=lam, V_inv=np.linalg.inv(V), unitary=False)
+        # the inverse is needed anyway, so guard with the exact 1-norm
+        # condition: cond_2(V) <= n * cond_1(V), so this rejects every V
+        # that cond_2(V) > CONDITION_LIMIT would
+        try:
+            V_inv = np.linalg.inv(V)
+        except np.linalg.LinAlgError:   # V is exactly singular
+            V_inv = np.full_like(V, np.nan)
+        cond = V.shape[0] * np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
+        if not cond <= CONDITION_LIMIT:   # a NaN or inf in V_inv fails too
+            raise DefectiveMatrix("eigenvector matrix is numerically singular")
+        basis = SpectralBasis(V=V, lam=lam, V_inv=V_inv, unitary=False)
 
     err = np.linalg.norm(basis.reconstruct() - M) / max(1.0, scale)
     if err > RECONSTRUCTION_RTOL:

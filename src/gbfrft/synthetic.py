@@ -4,6 +4,13 @@ The target signal is zero-mean Gaussian with an adjacency-pattern
 autocorrelation: C has 2 on the diagonal, 1 wherever two product vertices
 are adjacent (symmetrized pattern), 0 elsewhere, normalized by its largest
 eigenvalue. Observations add white Gaussian noise of a chosen variance.
+
+The two edge terms of a Cartesian product touch disjoint entries, so the
+product's pattern is the Kronecker sum P2 (+) P1 of the factors' patterns
+and C = 2I + P2 (+) P1 = kron(U2, U1) diag(2 + mu1_i + mu2_j) kron(U2, U1)^T
+from one ``eigh`` per factor (P_k = U_k diag(mu_k) U_k^T). The signal is
+thus stationary on the product graph, and ``build_observation_model``
+returns its statistics in that factored form, with no N x N array.
 Grid rows report the model-based expected MSE; descent rows report the best
 empirical loss on the sampled realizations. Both are total squared errors
 over the N1 x N2 grid.
@@ -15,9 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, ProductGraph, cartesian_product, make_named_graph
+from .graphs import Graph, ProductGraph, make_named_graph
 from .learn import TrainConfig, fit
-from .wiener import ObservationModel, draw_observations, gaussian_samples, grid_search, psd_clip
+from .wiener import FactoredStatistics, ObservationModel, draw_observations, gaussian_samples, grid_search
 
 METHODS = ("grid-gfrft", "grid-gbfrft", "gd-gfrft", "gd-gbfrft")
 VARIANTS = ("UU", "UW", "DU", "DW")
@@ -37,12 +44,17 @@ def autocorrelation_matrix(pg: ProductGraph) -> tuple[np.ndarray, np.ndarray, fl
     the product spectral radius exceeds 2, and callers that need a true
     covariance should clip it.
     """
-    adj = np.asarray(pg.adjacency)
-    pattern = ((adj + adj.T) != 0.0).astype(np.float64)
-    np.fill_diagonal(pattern, 0.0)
-    C = 2.0 * np.eye(pg.n) + pattern
+    C = 2.0 * np.eye(pg.n) + _pattern(pg)
     lam_max = float(np.linalg.eigvalsh(C).max())
     return C, C / lam_max, 2.0 * pg.n / lam_max
+
+
+def _pattern(g: Graph) -> np.ndarray:
+    """The symmetrized binary adjacency pattern, with a zero diagonal."""
+    adj = np.asarray(g.adjacency)
+    pattern = ((adj + adj.T) != 0.0).astype(np.float64)
+    np.fill_diagonal(pattern, 0.0)
+    return pattern
 
 
 def sample_gaussian(rxx, seed: int, trials: int = 1) -> np.ndarray:
@@ -54,15 +66,17 @@ def sample_gaussian(rxx, seed: int, trials: int = 1) -> np.ndarray:
 def build_observation_model(g1: Graph, g2: Graph, sigma2: float) -> ObservationModel:
     """Identity-degradation model with pattern statistics and white noise.
 
-    The signal covariance is the PSD-clipped normalized autocorrelation, so
-    the designed filter, the reported expected MSE, and sampled realizations
-    all describe the same Gaussian.
+    The signal covariance is the PSD-clipped normalized autocorrelation of
+    the product g1 x g2, so the designed filter, the reported expected MSE,
+    and sampled realizations all describe the same Gaussian. It is returned
+    factored (see the module docstring): one ``eigh`` per factor pattern,
+    and W = max((2 + mu1_i + mu2_j) / lambda_max, 0) >= 0 elementwise, with
+    lambda_max = 2 + max(mu1) + max(mu2).
     """
-    pg = cartesian_product(g1, g2)
-    _, rxx, _ = autocorrelation_matrix(pg)
-    rxx = psd_clip(rxx).real
-    rnn = sigma2 * np.eye(pg.n)
-    return ObservationModel(n1=g1.n, n2=g2.n, rxx=rxx, rnn=rnn)
+    (mu1, u1), (mu2, u2) = (np.linalg.eigh(_pattern(g)) for g in (g1, g2))
+    c = 2.0 + mu1[:, None] + mu2[None, :]
+    w = np.clip(c / c.max(), 0.0, None)
+    return ObservationModel(n1=g1.n, n2=g2.n, factored=FactoredStatistics(u1, u2, w, sigma2))
 
 
 @dataclass(frozen=True)

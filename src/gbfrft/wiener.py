@@ -40,6 +40,20 @@ M1 half costs O(N1 N^2) and depends on alpha1 alone, so the search computes
 it once per distinct alpha1, and the M2 half costs O(N N2^2) per point. The
 rcond of a diagonal T is min|T_mm| / max|T_mm|, guarded like the LU
 estimate, and the fallback is what ``lstsq`` gives for a diagonal matrix.
+
+An ``ObservationModel`` may instead hold factored statistics: a signal
+stationary on the product graph, Rxx = kron(U2, U1) diag(vec W) kron(U2, U1)^T
+with W >= 0, and white noise of variance s2 (the synthetic model is one).
+The diagonal path then reads the factors directly: with B_k = |M_k U_k|^2
+elementwise and r_k the row sums of |M_k|^2,
+
+    q = diag(F Rxx F^H) = vec(B1 W B2^T),   diag A = q + s2 vec(r1 r2^T),
+
+and Tr(Rxx) = sum(W). B1 W is computed once per alpha1, so a point costs
+O(N (N1 + N2)) and no N x N array is formed. ``DEFAULT_SIZE_CAP`` guards
+only the code that forms one: the dense diagonal path, the LU path (which
+forms a factored model's dense statistics), the assembly functions and
+``basis_matrices``.
 """
 
 from __future__ import annotations
@@ -47,6 +61,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -141,52 +157,130 @@ def _sandwich_diag_m2(M2: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.einsum("bmc,bc->bm", Y, M2.conj()).reshape(n1 * n2)
 
 
+# The same diagonals for factored statistics (white noise of variance s2, no
+# degradation): with Rxx = kron(U2, U1) diag(vec W) kron(U2, U1)^T,
+# diag(F Rxx F^H) = vec(B1 W B2^T) for B_k = |M_k U_k|^2 elementwise, and
+# diag(F F^H) = vec(r1 r2^T) for r_k the row sums of |M_k|^2. The factor-1
+# half (B1 W, r1) depends on alpha1 alone.
+
+def _power_weights(M: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|M U|^2, the row sums of |M|^2) for one factor power M."""
+    return np.abs(M @ U) ** 2, np.sum(np.abs(M) ** 2, axis=1)
+
+
+def _factored_diag(first, second, noise: float) -> tuple[np.ndarray, np.ndarray]:
+    """(diag A, q) from the factor-1 half (B1 W, r1) and factor 2's (B2, r2)."""
+    (BW, r1), (B2, r2) = first, second
+    q = (B2 @ BW.T).ravel()
+    return q + noise * np.outer(r2, r1).ravel(), q
+
+
 def psd_clip(a) -> np.ndarray:
     """Nearest-PSD repair: symmetrize and clip negative eigenvalues to zero.
-    Real input takes a real ``eigh``; complex input a complex one."""
+    Input with no imaginary part takes a real ``eigh`` and gives a real
+    result; any other input a complex one."""
     a = np.asarray(a)
-    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+    a = a.real.astype(np.float64) if not np.any(a.imag) else a.astype(np.complex128)
     a = (a + a.conj().T) / 2.0
     w, V = np.linalg.eigh(a)
-    out = (V * np.clip(w, 0.0, None)) @ V.conj().T
-    return out.real if np.allclose(out.imag, 0.0) else out
+    return (V * np.clip(w, 0.0, None)) @ V.conj().T
 
 
-@dataclass(eq=False)
+class FactoredStatistics(NamedTuple):
+    """Statistics stationary on a product graph, in its eigenbasis.
+
+    The signal covariance is kron(U2, U1) diag(vec W) kron(U2, U1)^T for
+    real orthogonal ``u1`` (N1 x N1) and ``u2`` (N2 x N2) and an (N1, N2)
+    array ``w`` >= 0 of its eigenvalues; the noise is white with variance
+    ``noise``. Entry (i1, i2) of ``w`` belongs to the eigenvector
+    kron(u2[:, i2], u1[:, i1]), index i1 + N1*i2 of the column-stacked grid.
+    """
+
+    u1: np.ndarray
+    u2: np.ndarray
+    w: np.ndarray
+    noise: float
+
+
+def _check_factored(f: FactoredStatistics, n1: int, n2: int) -> FactoredStatistics:
+    u1, u2, w = (np.asarray(a) for a in f[:3])
+    noise = float(f.noise)
+    for a, shape, name in ((u1, (n1, n1), "u1"), (u2, (n2, n2), "u2"), (w, (n1, n2), "w")):
+        if a.shape != shape:
+            raise ShapeMismatch(f"{name} must be {shape}, got {a.shape}")
+        if np.iscomplexobj(a):
+            raise ValueError(f"{name} must be real")
+        if not np.all(np.isfinite(a)):
+            raise NonFinite(f"{name} entries must be finite")
+    if not np.isfinite(noise):
+        raise NonFinite("noise variance must be finite")
+    # the eigenvalues are w and the noise variance themselves, so the PSD
+    # check of a dense model becomes elementwise
+    floor = -PSD_RTOL * max(1.0, float(w.sum()) / (n1 * n2))
+    if w.min() < floor:
+        raise NonHermitianStatistics(f"rxx has negative eigenvalue {w.min():.3e}")
+    if noise < -PSD_RTOL * max(1.0, noise):
+        raise NonHermitianStatistics(f"rnn has negative eigenvalue {noise:.3e}")
+    return FactoredStatistics(u1.astype(np.float64), u2.astype(np.float64), w.astype(np.float64), noise)
+
+
 class ObservationModel:
     """Second-order statistics for y = G1 X G2 + N on an N1 x N2 grid.
 
     ``rxx``/``rnn`` are the (N1*N2)-point covariances of the column-stacked
     signal and noise; ``rxn`` is the signal-noise cross-covariance (zero when
     omitted). ``g1``/``g2`` default to identities.
+
+    A model given ``factored`` statistics instead of ``rxx``/``rnn`` has
+    identity degradation and no cross-covariance. Its PSD check is
+    elementwise on W, and ``rxx``/``rnn`` are formed only when first read.
     """
 
-    n1: int
-    n2: int
-    rxx: np.ndarray
-    rnn: np.ndarray
-    g1: np.ndarray | None = None
-    g2: np.ndarray | None = None
-    rxn: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = self.n1 * self.n2
-        self.rxx = _as_square(self.rxx, n, "rxx")
-        self.rnn = _as_square(self.rnn, n, "rnn")
+    def __init__(self, n1: int, n2: int, rxx=None, rnn=None, g1=None, g2=None, rxn=None,
+                 factored: FactoredStatistics | None = None):
+        self.n1, self.n2 = n1, n2
+        n = n1 * n2
+        self.factored = None
+        if factored is not None:
+            if any(a is not None for a in (rxx, rnn, g1, g2, rxn)):
+                raise ValueError("a factored model takes no dense statistics, "
+                                 "degradation or cross-covariance")
+            self.factored = _check_factored(factored, n1, n2)
+            self.g1 = self.g2 = self.rxn = None
+            return
+        self.rxx = _as_square(rxx, n, "rxx")
+        self.rnn = _as_square(rnn, n, "rnn")
         _check_hermitian_psd(self.rxx, "rxx")
         _check_hermitian_psd(self.rnn, "rnn")
-        if self.g1 is not None:
-            self.g1 = _as_square(self.g1, self.n1, "g1")
-        if self.g2 is not None:
-            self.g2 = _as_square(self.g2, self.n2, "g2")
-        if self.rxn is not None:
-            self.rxn = _as_square(self.rxn, n, "rxn")
-            if not np.any(self.rxn):
-                self.rxn = None
+        self.g1 = None if g1 is None else _as_square(g1, n1, "g1")
+        self.g2 = None if g2 is None else _as_square(g2, n2, "g2")
+        self.rxn = None if rxn is None else _as_square(rxn, n, "rxn")
+        if self.rxn is not None and not np.any(self.rxn):
+            self.rxn = None
+
+    # a dense model sets these attributes in __init__, which the cached
+    # properties then never compute
+    @cached_property
+    def rxx(self) -> np.ndarray:
+        """The signal covariance, an N x N array."""
+        u1, u2, w, _ = self.factored
+        return _kron_sandwich(u2, u1, np.diag(w.ravel(order="F"))).astype(np.complex128)
+
+    @cached_property
+    def rnn(self) -> np.ndarray:
+        """The noise covariance, an N x N array."""
+        return self.factored.noise * np.eye(self.n, dtype=np.complex128)
 
     @property
     def n(self) -> int:
         return self.n1 * self.n2
+
+    @property
+    def trace_rxx(self) -> float:
+        """Tr(Rxx), the expected signal energy."""
+        if self.factored is not None:
+            return float(self.factored.w.sum())
+        return float(np.real(np.trace(self.rxx)))
 
     def gmat(self) -> np.ndarray | None:
         """Vec-form degradation operator kron(G2.T, G1), or None for identity."""
@@ -254,9 +348,7 @@ class _BasisMatrices:
 
 def basis_matrices(t: ProductTransform, cap: int = DEFAULT_SIZE_CAP):
     """The W_m basis of the estimator; sums to the identity over all m."""
-    n = t.n1 * t.n2
-    if n > cap:
-        raise SizeCapExceeded(f"N1*N2 = {n} exceeds cap {cap}")
+    _check_cap(t.n1 * t.n2, cap)
     return _BasisMatrices(t.vec_operator("forward"), t.vec_operator("inverse"))
 
 
@@ -267,16 +359,21 @@ def assemble_normal_equations(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble (T, q) through the rank-one Hadamard identities, applying
     F = kron(M2, M1) and Fi = kron(M2inv, M1inv) by factor multiplies."""
-    _check_sizes(model, t.n1, t.n2, cap)
+    _check_sizes(model, t.n1, t.n2)
+    _check_cap(model.n, cap)
     return _assemble(t.op1.matrix, t.op2.matrix, t.op1.inverse, t.op2.inverse,
                      model.y_covariance(), model.xy_covariance())
 
 
-def _check_sizes(model, n1, n2, cap):
+def _check_sizes(model, n1, n2):
     if n1 != model.n1 or n2 != model.n2:
         raise ShapeMismatch("transform and model grid sizes differ")
-    if model.n > cap:
-        raise SizeCapExceeded(f"N1*N2 = {model.n} exceeds cap {cap}")
+
+
+def _check_cap(n: int, cap: int):
+    """The size cap guards every code path that forms an N x N array."""
+    if n > cap:
+        raise SizeCapExceeded(f"N1*N2 = {n} exceeds cap {cap}")
 
 
 def _assemble(M1, M2, M1i, M2i, My, Mxy):
@@ -305,8 +402,7 @@ def assemble_normal_equations_naive(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference assembly evaluating every trace literally (small N only)."""
     n = model.n
-    if n > cap:
-        raise SizeCapExceeded(f"N1*N2 = {n} exceeds cap {cap}")
+    _check_cap(n, cap)
     W = list(basis_matrices(t, cap=cap))
     G = model.gmat()
     G = np.eye(n, dtype=np.complex128) if G is None else G
@@ -413,7 +509,7 @@ def expected_mse(model: ObservationModel, t: ProductTransform, h,
     if h.shape != (model.n,):
         raise ShapeMismatch(f"h must have length {model.n}, got {h.shape}")
     T, q = assemble_normal_equations(model, t, cap=cap)
-    return _mse_from_normal_eqs(T, q, h, float(np.real(np.trace(model.rxx))))
+    return _mse_from_normal_eqs(T, q, h, model.trace_rxx)
 
 
 def grid_values(rng: tuple[float, float], step: float) -> list[float]:
@@ -452,19 +548,26 @@ def grid_search(
     ``range1``. The search builds no transform: it computes each axis's
     dense powers once per distinct order. If both factor bases have unitary
     powers, every point is designed from the diagonal normal equations (see
-    the module docstring), else by LU. Returns the winning FilterDesign,
-    plus the per-point rows when ``keep_grid`` is set.
+    the module docstring), else by LU. The diagonal path reads a model's
+    factored statistics directly and then forms no N x N array, so ``cap``
+    does not apply to it. Returns the winning FilterDesign, plus the
+    per-point rows when ``keep_grid`` is set.
     """
     grid1 = grid_values(range1, step)
     grid2 = grid1 if equal_orders else grid_values(range2, step)
     points = [(a, a) for a in grid1] if equal_orders else [(a1, a2) for a1 in grid1 for a2 in grid2]
     b1, b2 = graph_basis(g1, convention), graph_basis(g2, convention)
-    _check_sizes(model, b1.n, b2.n, cap)
+    _check_sizes(model, b1.n, b2.n)
     diagonal = b1.unitary_powers and b2.unitary_powers
+    factored = model.factored if diagonal else None
     # one operator per distinct order; each caches the dense parts it is asked for
     ops1, ops2 = ({a: fractional_power(b, a) for a in grid} for b, grid in ((b1, grid1), (b2, grid2)))
-    trace_rxx = float(np.real(np.trace(model.rxx)))
-    My, Mxy = model.y_covariance(), model.xy_covariance()
+    if factored is None:
+        _check_cap(model.n, cap)
+        My, Mxy = model.y_covariance(), model.xy_covariance()
+    else:
+        weights2 = {a: _power_weights(op.matrix, factored.u2) for a, op in ops2.items()}
+    trace_rxx = model.trace_rxx
     best = None
     rows = []
     halves_a1 = halves = None
@@ -472,11 +575,19 @@ def grid_search(
         op1, op2 = ops1[a1], ops2[a2]
         if diagonal:
             # Fi = F^H, so diag T = diag(F My F^H) and q = diag(F Mxy F^H).
-            # The M1 halves depend on alpha1 alone, and points run alpha1 in
-            # the outer loop, so only the current alpha1's halves are kept
+            # The factor-1 halves depend on alpha1 alone, and points run
+            # alpha1 in the outer loop, so only the current alpha1's are kept
             if a1 != halves_a1:
-                halves_a1, halves = a1, [_sandwich_diag_m1(op1.matrix, X, model.n2) for X in (My, Mxy)]
-            T, q = (_sandwich_diag_m2(op2.matrix, Y) for Y in halves)
+                if factored is None:
+                    halves = [_sandwich_diag_m1(op1.matrix, X, model.n2) for X in (My, Mxy)]
+                else:
+                    B1, r1 = _power_weights(op1.matrix, factored.u1)
+                    halves = (B1 @ factored.w, r1)
+                halves_a1 = a1
+            if factored is None:
+                T, q = (_sandwich_diag_m2(op2.matrix, Y) for Y in halves)
+            else:
+                T, q = _factored_diag(halves, weights2[a2], factored.noise)
             h = _solve_diagonal(T, q)
         else:
             T, q = _assemble(op1.matrix, op2.matrix, op1.inverse, op2.inverse, My, Mxy)
@@ -502,29 +613,47 @@ def gaussian_samples(R, rng: np.random.Generator, trials: int) -> np.ndarray:
     R = np.asarray(R)
     n = R.shape[0]
     w, V = np.linalg.eigh((R + R.conj().T) / 2.0)
-    w = np.where(w > n * np.finfo(np.float64).eps * max(w.max(), 0.0), w, 0.0)
-    root = (V * np.sqrt(w)) @ V.conj().T
+    root = (V * _root_eigenvalues(w, n)) @ V.conj().T
     if not np.any(R.imag):
         return (root.real @ rng.standard_normal((n, trials))).T
     z = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
     return (root @ z).T / np.sqrt(2.0)
 
 
+def _root_eigenvalues(w: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(w), with eigenvalues at or below n eps max(w) counted as zero."""
+    return np.sqrt(np.where(w > n * np.finfo(np.float64).eps * max(w.max(), 0.0), w, 0.0))
+
+
+def _unstack(v: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """(trials, N1, N2) matrices from (trials, N1*N2) column-stacked rows."""
+    return v.reshape(-1, n2, n1).transpose(0, 2, 1)
+
+
 def draw_observations(model: ObservationModel, trials: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Sample (Y, X) matrix pairs from the model, one per trial.
 
     Signal and noise are drawn independently; a nonzero ``rxn`` influences
-    the normal equations but not these draws.
+    the normal equations but not these draws. For factored statistics the
+    signal is the principal root in factor form, U1 (sqrt(W) * (U1^T Z U2)) U2^T
+    for each standard normal matrix Z, and the noise sqrt(s2) Z': the draws
+    of ``gaussian_samples`` on the dense statistics, from the same stream,
+    without an N x N array.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    xs = gaussian_samples(model.rxx, rng, trials)
-    ns = gaussian_samples(model.rnn, rng, trials)
+    n1, n2 = model.n1, model.n2
+    if model.factored is None:
+        xs = _unstack(gaussian_samples(model.rxx, rng, trials), n1, n2)
+        ns = _unstack(gaussian_samples(model.rnn, rng, trials), n1, n2)
+    else:
+        u1, u2, w, noise = model.factored
+        Z = _unstack(rng.standard_normal((model.n, trials)).T, n1, n2)
+        xs = u1 @ (_root_eigenvalues(w, model.n) * (u1.T @ Z @ u2)) @ u2.T
+        ns = np.sqrt(noise) * _unstack(rng.standard_normal((model.n, trials)).T, n1, n2)
     out = []
-    for k in range(trials):
-        X = xs[k].reshape(model.n1, model.n2, order="F")
-        N = ns[k].reshape(model.n1, model.n2, order="F")
+    for X, N in zip(xs, ns):
         Y = X
         if model.g1 is not None:
             Y = model.g1 @ Y

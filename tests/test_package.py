@@ -65,6 +65,25 @@ def test_no_module_has_an_unused_import():
     assert not {k: v for k, v in found.items() if v}
 
 
+def called_names(source: str) -> set[str]:
+    """The names of the functions and methods the module's code calls."""
+    return {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)}
+
+
+def test_svd_call_is_detected():
+    source = "import numpy as np\nnp.linalg.svd(a)\nc = cond(a)\nsvd = 1\n"
+    assert called_names(source) & {"svd", "cond"} == {"svd", "cond"}
+
+
+def test_no_module_calls_svd_or_cond():
+    # a full SVD costs several eigendecompositions; every condition guard in
+    # the library inverts the matrix anyway and takes its exact 1-norm condition
+    found = {p.name: sorted(called_names(p.read_text()) & {"svd", "cond"})
+             for p in Path(gbfrft.__file__).parent.glob("*.py")}
+    assert not {k: v for k, v in found.items() if v}
+
+
 def test_untraced_exempt_import_is_detected():
     source = "from .learn import train, fit  # noqa: F401\nfrom .graphs import Graph\n"
     assert untraced_exempt_imports("gbfrft.deblur", source) == ["fit (line 1)"]

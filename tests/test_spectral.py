@@ -7,6 +7,7 @@ from gbfrft.errors import DefectiveMatrix, NonFinite, ShapeMismatch, SingularPow
 from gbfrft.graphs import make_named_graph
 from gbfrft.spectral import (
     BASIS_PARTS,
+    CONDITION_LIMIT,
     FACTORED_MIN_N,
     RECONSTRUCTION_RTOL,
     SpectralBasis,
@@ -60,6 +61,19 @@ def test_general_path_reconstructs():
 def test_defective_matrix_is_rejected():
     with pytest.raises(DefectiveMatrix):
         eig_general(np.array([[0.0, 1.0], [0.0, 0.0]]))  # nilpotent Jordan block
+
+
+def test_near_defective_matrix_is_rejected():
+    # a Jordan block split by eps has eigenvectors at an angle of about eps,
+    # so cond_2(V) is about 2 / eps; the guard rejects what cond_2 would
+    for eps, rejected in ((1e-6, False), (1e-10, False), (1e-12, True), (1e-14, True)):
+        M = np.array([[1.0, 1.0, 0.0], [0.0, 1.0 + eps, 0.0], [0.0, 0.5, 2.0]])
+        assert (np.linalg.cond(np.linalg.eig(M)[1]) > CONDITION_LIMIT) == rejected
+        if rejected:
+            with pytest.raises(DefectiveMatrix, match="numerically singular"):
+                eig_general(M)
+        else:
+            assert np.allclose(eig_general(M).reconstruct(), M, atol=1e-9)
 
 
 def test_eig_general_input_checks():

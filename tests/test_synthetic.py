@@ -13,6 +13,7 @@ from gbfrft.synthetic import (
     run_synthetic,
     sample_gaussian,
 )
+from gbfrft.wiener import ObservationModel, draw_observations, grid_search, psd_clip
 
 
 def test_autocorrelation_of_the_square_cycle():
@@ -53,6 +54,55 @@ def test_build_observation_model_is_psd_and_sized():
     w = np.linalg.eigvalsh(model.rxx)
     assert w.min() > -1e-12
     assert np.allclose(model.rnn, 1.5 * np.eye(32), atol=1e-15)
+
+
+def dense_copy(model):
+    """The same statistics as a dense model."""
+    return ObservationModel(n1=model.n1, n2=model.n2, rxx=model.rxx, rnn=model.rnn)
+
+
+def test_factored_covariance_is_the_clipped_product_autocorrelation():
+    for topology in TOPOLOGIES:
+        for variant in ("UU", "UW", "DU"):
+            g1, g2 = build_factors(SyntheticSpec(topology=topology), variant)
+            model = build_observation_model(g1, g2, 0.7)
+            assert model.factored.w.min() >= 0.0
+            _, rxx, power = autocorrelation_matrix(cartesian_product(g1, g2))
+            assert np.abs(model.rxx - psd_clip(rxx)).max() <= 1e-12, (topology, variant)
+            assert abs(model.trace_rxx - np.trace(psd_clip(rxx))) <= 1e-12 * power
+
+
+def test_factored_grid_rows_equal_dense_rows():
+    for topology in TOPOLOGIES:
+        for variant in ("UU", "UW"):
+            g1, g2 = build_factors(SyntheticSpec(topology=topology), variant)
+            for sigma2 in (0.5, 2.0):
+                model = build_observation_model(g1, g2, sigma2)
+                dense = dense_copy(model)
+                del model.rxx, model.rnn   # formed for the dense copy only
+                for equal_orders in (False, True):
+                    best, rows = grid_search(model, g1, g2, equal_orders=equal_orders, keep_grid=True)
+                    ref, ref_rows = grid_search(dense, g1, g2, equal_orders=equal_orders, keep_grid=True)
+                    assert len(rows) == len(ref_rows)
+                    for r, d in zip(rows, ref_rows):
+                        assert (r["alpha1"], r["alpha2"]) == (d["alpha1"], d["alpha2"])
+                        assert abs(r["mse"] - d["mse"]) <= 1e-12 * d["mse"], (topology, variant, r, d)
+                    assert np.abs(best.h - ref.h).max() <= 1e-12 * np.abs(ref.h).max()
+                # the search formed no N x N array
+                assert "rxx" not in vars(model) and "rnn" not in vars(model)
+
+
+def test_factored_draws_equal_dense_principal_root_draws():
+    # cycle4 x cycle4 has eigenvalues 2 + 0 - 2 = 0, which come out as
+    # roundoff and are zeroed the same way in both forms
+    pairs = [(("path", 3), ("cycle", 4), 0.8), (("cycle", 4), ("cycle", 4), 1.0),
+             (("complete", 5), ("star", 5), 0.0), (("path", 2), ("path", 2), 1.0)]
+    for (k1, n1), (k2, n2), sigma2 in pairs:
+        model = build_observation_model(make_named_graph(k1, n1), make_named_graph(k2, n2), sigma2)
+        for (Y, X), (Yd, Xd) in zip(draw_observations(model, 4, seed=5),
+                                    draw_observations(dense_copy(model), 4, seed=5)):
+            assert np.abs(X - Xd).max() <= 1e-12, (k1, k2)
+            assert np.abs(Y - Yd).max() <= 1e-12, (k1, k2)
 
 
 def test_spec_validation():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from gbfrft.synthetic import build_observation_model, sample_gaussian
 from gbfrft.spectral import FractionalOperator
 from gbfrft.transforms import ProductTransform, graph_basis, transform_2d
 from gbfrft.wiener import (
+    DEFAULT_SIZE_CAP,
+    FactoredStatistics,
     ObservationModel,
     assemble_normal_equations,
     assemble_normal_equations_naive,
@@ -174,8 +177,11 @@ def test_model_checks_statistics_without_complex_or_diagonal_eigensolves(monkeyp
         seen.append((a.dtype, np.count_nonzero(a) == np.count_nonzero(np.diagonal(a))))
         return eigvalsh(a, *args, **kwargs)
 
+    # the synthetic model is factored; its dense arrays make a dense model
+    synth = build_observation_model(make_named_graph("path", 4), make_named_graph("cycle", 3), 0.7)
+    rxx, rnn = synth.rxx, synth.rnn
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    build_observation_model(make_named_graph("path", 4), make_named_graph("cycle", 3), 0.7)
+    ObservationModel(n1=4, n2=3, rxx=rxx, rnn=rnn)
     assert seen
     assert not any(np.issubdtype(dtype, np.complexfloating) for dtype, _ in seen), seen
     assert not any(diagonal for _, diagonal in seen), seen
@@ -196,6 +202,15 @@ def test_psd_clip_repairs_indefinite_matrices():
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
     w = np.linalg.eigvalsh(psd_clip(np.random.default_rng(3).normal(size=(5, 5))))
     assert w.min() > -1e-12
+
+
+def test_psd_clip_keeps_a_small_imaginary_part():
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    R = 1e-9 * B @ B.conj().T
+    assert np.linalg.norm(psd_clip(R) - R) <= 1e-12 * np.linalg.norm(R)
+    # input with no imaginary part gives a real result
+    assert np.isrealobj(psd_clip(np.array([[1.0, 0.5], [0.5, 1.0]], dtype=complex)))
 
 
 def test_solve_filter_warns_and_recovers_on_singular_system():
@@ -518,3 +533,52 @@ def test_draw_observations_match_model_statistics():
     emp_ryy = ys.T @ ys / len(pairs)
     assert np.abs(emp_rxx - model.rxx).max() < 0.35
     assert np.abs(emp_ryy - model.y_covariance().real).max() < 0.4
+
+
+def test_factored_model_validation():
+    u1, u2, w = np.eye(2), np.eye(3), np.ones((2, 3))
+    ObservationModel(n1=2, n2=3, factored=FactoredStatistics(u1, u2, w, 0.0))
+    with pytest.raises(NonHermitianStatistics, match="negative eigenvalue"):
+        ObservationModel(n1=2, n2=3, factored=FactoredStatistics(u1, u2, w - 2.0, 1.0))
+    with pytest.raises(NonHermitianStatistics, match="negative eigenvalue"):
+        ObservationModel(n1=2, n2=3, factored=FactoredStatistics(u1, u2, w, -0.5))
+    with pytest.raises(ShapeMismatch):
+        ObservationModel(n1=2, n2=3, factored=FactoredStatistics(u1, u2, w.T, 1.0))
+    with pytest.raises(NonFinite):
+        ObservationModel(n1=2, n2=3, factored=FactoredStatistics(u1, u2, w, np.nan))
+    with pytest.raises(ValueError):
+        ObservationModel(n1=2, n2=3, rxx=np.eye(6), factored=FactoredStatistics(u1, u2, w, 1.0))
+
+
+def test_size_cap_guards_only_searches_that_form_n_by_n_arrays():
+    g1, g2 = make_named_graph("path", 33), make_named_graph("cycle", 32)
+    assert g1.n * g2.n > DEFAULT_SIZE_CAP
+    eye = np.eye(g1.n * g2.n)
+    with pytest.raises(SizeCapExceeded):
+        grid_search(ObservationModel(n1=33, n2=32, rxx=eye, rnn=eye), g1, g2, step=1.0)
+    grid_search(build_observation_model(g1, g2, 1.0), g1, g2, step=1.0)
+    # a factored model on the LU path forms the dense statistics
+    g1, g2 = make_named_graph("path", 4), make_named_graph("cycle", 5)
+    with pytest.raises(SizeCapExceeded):
+        grid_search(build_observation_model(g1, g2, 1.0), g1, g2, step=1.0,
+                    convention="shift-power", cap=8)
+
+
+def test_factored_search_at_n_4096_stays_below_one_n_by_n_array():
+    g1, g2 = make_named_graph("path", 64), make_named_graph("cycle", 64)
+    graph_basis(g1), graph_basis(g2)
+    n = g1.n * g2.n
+    tracemalloc.start()
+    try:
+        model = build_observation_model(g1, g2, 1.0)
+        best, rows = grid_search(model, g1, g2, step=0.25, keep_grid=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert len(rows) == 25 and "rxx" not in vars(model)
+    # at orders (1, 1) the transform is the eigenbasis of Rxx, where the
+    # diagonal filter reaches the linear MMSE
+    w = model.factored.w
+    assert (best.alpha1, best.alpha2) == (1.0, 1.0)
+    assert abs(best.mse - np.sum(w / (w + 1.0))) <= 1e-9 * best.mse
