@@ -159,6 +159,8 @@ def read_pgm(path: str) -> np.ndarray:
         w, h, maxval = int(w), int(h), int(maxval)
     except (StopIteration, ValueError) as e:
         raise ParseError(f"{path}: truncated or malformed PGM header") from e
+    if w < 1 or h < 1:
+        raise ParseError(f"{path}: bad size {w}x{h}")
     if maxval <= 0 or maxval > 65535:
         raise ParseError(f"{path}: bad maxval {maxval}")
     if magic == b"P2":
@@ -173,11 +175,11 @@ def read_pgm(path: str) -> np.ndarray:
         img = np.asarray(vals, dtype=np.float64)
     else:
         start = pos + len(str(maxval)) + 1  # single whitespace after maxval
-        dtype = np.uint8 if maxval < 256 else ">u2"
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
         count = w * h
-        img = np.frombuffer(raw, dtype=dtype, count=count, offset=start).astype(np.float64)
-        if img.size != count:
+        if len(raw) - start < count * dtype.itemsize:
             raise ParseError(f"{path}: truncated pixel data")
+        img = np.frombuffer(raw, dtype=dtype, count=count, offset=start).astype(np.float64)
     if img.max(initial=0) > maxval:
         raise ParseError(f"{path}: pixel value exceeds maxval")
     return img.reshape(h, w)

@@ -172,14 +172,21 @@ class SpectralBasis:
         """``part`` @ A along the first axis of A, all other axes as columns,
         for ``part`` one of V, V_inv, V_h and V_inv_h. With a real factor Z
         (V is then unitary, so V_h = V_inv and V_inv_h = V) the product is
-        one real GEMM by Z and one pass of the pair mixing."""
+        one real GEMM by Z and one pass of the pair mixing; when the mixed
+        block U A has no imaginary part (real A under a real matrix function,
+        the descent's first product), Z multiplies its real part alone and the
+        result is still complex."""
         if part not in BASIS_PARTS:
             raise ValueError(f"part must be one of {BASIS_PARTS}, got {part!r}")
         A2 = A.reshape(A.shape[0], -1)
         if self.Z is None or self.n < FACTORED_MIN_N:
             out = getattr(self, part) @ A2
         elif part in ("V", "V_inv_h"):
-            out = _real_lmul(self.Z, self.mix.apply(A2))
+            mixed = self.mix.apply(A2)
+            if np.any(mixed.imag):
+                out = _real_lmul(self.Z, mixed)
+            else:
+                out = (self.Z @ mixed.real).astype(np.complex128)
         else:
             out = self.mix.apply_h(_real_lmul(self.Z.T, A2))
         return out.reshape(A.shape)

@@ -261,6 +261,26 @@ def test_deblur_rejects_bad_patch_and_blur_parameters_in_one_line(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_deblur_rejects_a_blur_window_wider_than_a_frame_in_one_line(tmp_path, capsys):
+    frame = str(tmp_path / "clean.pgm")
+    matio.write_pgm(frame, np.random.default_rng(4).uniform(0, 255, size=(20, 40)))
+    for size in ("21", "22", "41"):
+        assert main(["deblur", "--clean", f"{frame},{frame}", "--synthesize-blur", "--blur-size", size,
+                     "--epochs", "1", "--outdir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[ShapeMismatch]:") and ">= " + size in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_deblur_reports_a_truncated_binary_frame_in_one_line(tmp_path, capsys):
+    short = tmp_path / "t.pgm"
+    short.write_bytes(b"P5\n4 4\n255\n\x01\x02\x03")
+    assert main(["deblur", "--clean", str(short), "--synthesize-blur", "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[ParseError]:") and "truncated pixel data" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 def test_timevertex_rejects_a_bad_noise_variance_in_one_line(tmp_path, capsys):
     rng = np.random.default_rng(5)
     matio.write_matrix(str(tmp_path / "v.csv"), rng.normal(size=(6, 8)))

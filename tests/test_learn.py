@@ -487,19 +487,21 @@ def counting_basis(basis: SpectralBasis) -> SpectralBasis:
     return counted
 
 
-def products_per_epoch(method, g, counted, rng, monkeypatch):
+def products_per_epoch(method, g, counted, rng, monkeypatch, complex_data=False):
     """(products, columns) with CountingMatrix parts of the basis per epoch,
     for one problem of one sample and for four problems of three samples
-    each."""
+    each, on real samples or on complex ones."""
     n, T = g.n, 3
     monkeypatch.setattr(transforms, "_BASES", transforms._BasisCache())
     with monkeypatch.context() as m:   # make ``counted`` the cached basis of g
         m.setattr(transforms, "eig_general", lambda M: counted)
         assert transforms.graph_basis(g) is counted
 
+    def sample():
+        return rng.normal(size=(n, T)) + (1j * rng.normal(size=(n, T)) if complex_data else 0.0)
+
     def counts(epochs, problems, batch):
-        sources = [[(rng.normal(size=(n, T)), rng.normal(size=(n, T))) for _ in range(batch)]
-                   for _ in range(problems)]
+        sources = [[(sample(), sample()) for _ in range(batch)] for _ in range(problems)]
         CountingMatrix.products = CountingMatrix.columns = 0
         fit_method(method, g, T, TrainConfig(epochs=epochs), sources)
         return np.array([CountingMatrix.products, CountingMatrix.columns])
@@ -529,13 +531,28 @@ def test_one_epoch_multiplies_by_the_spatial_basis_a_fixed_number_of_times(metho
     check_blocks(method, per_epoch, products=3, blocks=4)
 
 
+def real_factor_products(method, monkeypatch, complex_data):
+    # deblur's 400-vertex patch graph: big enough for products through the
+    # real factor Z, and with no real eigenvalue of F_G, so every power of
+    # F_G is a real matrix
+    g = patch_graph(20)
+    basis = transforms.graph_basis(g)
+    assert basis.Z is not None and basis.n >= FACTORED_MIN_N and not len(basis.mix.single)
+    return products_per_epoch(method, g, replace(basis, Z=basis.Z.view(CountingMatrix)),
+                              np.random.default_rng(24), monkeypatch, complex_data)
+
+
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
 def test_one_epoch_multiplies_by_the_real_factor_three_times(method, monkeypatch):
-    g = patch_graph(16)   # big enough for products through the real factor Z
-    basis = transforms.graph_basis(g)
-    assert basis.Z is not None and basis.n >= FACTORED_MIN_N
-    per_epoch = products_per_epoch(method, g, replace(basis, Z=basis.Z.view(CountingMatrix)),
-                                   np.random.default_rng(24), monkeypatch)
+    # the first product, [M1 Y | dM1 Y] of real samples, is real after the
+    # pair mixing: Z takes its real columns only, so it counts as one block
+    per_epoch = real_factor_products(method, monkeypatch, complex_data=False)
+    check_blocks(method, per_epoch, products=3, blocks=3)
+
+
+@pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
+def test_complex_samples_keep_every_real_factor_product_complex(method, monkeypatch):
+    per_epoch = real_factor_products(method, monkeypatch, complex_data=True)
     check_blocks(method, per_epoch, products=3, blocks=4)
 
 

@@ -136,3 +136,22 @@ def test_pgm_rejects_garbage(tmp_path):
     p.write_bytes(b"P2\n2 2\n255\n1 2 3\n")
     with pytest.raises(ParseError):
         matio.read_pgm(str(p))
+
+
+@pytest.mark.parametrize("header, pixels", [(b"P5\n4 4\n255\n", b"\x01\x02\x03"),
+                                            (b"P5\n2 2\n65535\n", b"\x00\x01" * 3 + b"\x02"),
+                                            (b"P5\n2 2\n255", b"")])
+def test_pgm_rejects_truncated_binary_pixels(tmp_path, header, pixels):
+    p = tmp_path / "short.pgm"
+    p.write_bytes(header + pixels)
+    with pytest.raises(ParseError, match="truncated pixel data"):
+        matio.read_pgm(str(p))
+
+
+@pytest.mark.parametrize("data", [b"P5\n-4 4\n255\n\x01\x02\x03", b"P2\n-2 -2\n255\n1 2 3 4\n",
+                                  b"P5\n0 3\n255\n"])
+def test_pgm_rejects_a_size_below_one_pixel(tmp_path, data):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(data)
+    with pytest.raises(ParseError, match="bad size"):
+        matio.read_pgm(str(p))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gbfrft
+from gbfrft import metrics
 from gbfrft.errors import ShapeMismatch
 from gbfrft.metrics import (
     frame_metrics,
@@ -93,13 +94,72 @@ def test_gaussian_blur_preserves_mean_and_smooths():
 
 
 def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal takes about a second to import; only ssim and
-    # gaussian_blur need it, so `import gbfrft` must not pay for it
+    # scipy.signal costs about 0.7 s and 45 MB to import, and nothing in the
+    # library needs it: neither `import gbfrft` nor a blur, a tiny deblur
+    # run and its frame metrics may load it
     src = str(Path(gbfrft.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", "import sys, gbfrft; print('scipy.signal' in sys.modules)"],
-                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    code = "\n".join([
+        "import sys, numpy as np, gbfrft",
+        "from gbfrft.deblur import FrameSequence, blur_sequence, run_deblur",
+        "from gbfrft.learn import TrainConfig",
+        "clean = FrameSequence(np.random.default_rng(0).uniform(0, 255, size=(2, 12, 12)))",
+        "blurred = blur_sequence(clean)",
+        "run_deblur(blurred, clean, patch=6, cfg=TrainConfig(epochs=1))",
+        "gbfrft.frame_metrics(clean.frames[0], blurred.frames[0])",
+        "print('scipy.signal' in sys.modules)"])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+SIZES = [1, 2, 3, 4, 5, 6, 11]
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_gaussian_blur_matches_the_symmetric_2d_convolution(size):
+    from scipy.signal import convolve2d   # the oracle; the library does without it
+
+    rng = np.random.default_rng(10 + size)
+    for shape in [(11, 17), (19, 12), (size, size + 3)]:
+        img = rng.uniform(0, 255, size=shape)
+        want = convolve2d(img, gaussian_window(size, 1.3), mode="same", boundary="symm")
+        assert_close(gaussian_blur(img, size, 1.3), want)
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_ssim_window_sums_match_the_valid_2d_convolution(size):
+    from scipy.signal import convolve2d
+
+    rng = np.random.default_rng(20 + size)
+    a = rng.uniform(0, 255, size=(13, 18))
+    b = np.clip(a + rng.normal(scale=30.0, size=a.shape), 0, 255)
+    images = np.stack([a, b, a * a, b * b, a * b])
+    want = [convolve2d(x, gaussian_window(size), mode="valid") for x in images]
+    for got, ref in zip(metrics._convolve(images, metrics._gaussian_taps(size, metrics.SSIM_SIGMA), valid=True),
+                        want):
+        assert_close(got, ref)
+    # the index from the oracle's sums
+    mu_a, mu_b, aa, bb, ab = want
+    c1, c2 = (metrics.SSIM_K1 * 255.0) ** 2, (metrics.SSIM_K2 * 255.0) ** 2
+    ref = np.mean((2.0 * mu_a * mu_b + c1) * (2.0 * (ab - mu_a * mu_b) + c2)
+                  / ((mu_a * mu_a + mu_b * mu_b + c1) * (aa - mu_a * mu_a + bb - mu_b * mu_b + c2)))
+    assert abs(ssim(a, b, size=size) - ref) <= 1e-12 * abs(ref)
+    assert ssim(a, a, size=size) == 1.0
+
+
+def test_gaussian_blur_rejects_a_window_wider_than_the_frame():
+    for shape in [(3, 8), (8, 3)]:
+        assert gaussian_blur(np.ones(shape), 3, 1.0).shape == shape
+        with pytest.raises(ShapeMismatch):
+            gaussian_blur(np.ones(shape), 4, 1.0)
+    with pytest.raises(ShapeMismatch):
+        gaussian_blur(np.ones(8), 3, 1.0)
 
 
 @pytest.mark.parametrize("size, sigma", [(0, 1.0), (-3, 1.0), (5, 0.0), (5, -1.0),

@@ -92,3 +92,34 @@ def test_untraced_exempt_import_is_detected():
 def test_exempt_imports_name_only_what_the_tracer_wraps():
     found = {p.name: untraced_exempt_imports(f"gbfrft.{p.stem}", p.read_text()) for p in SOURCES}
     assert not {k: v for k, v in found.items() if v}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module the source imports, anywhere in it (a function-level
+    import too), with ``from x import y`` read as both x and x.y."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def signal_imports(source: str) -> list[str]:
+    return sorted(m for m in imported_modules(source) if m == "scipy.signal" or m.startswith("scipy.signal."))
+
+
+def test_scipy_signal_import_is_detected():
+    for source in ["import scipy.signal\n", "def f():\n    from scipy.signal import convolve2d\n",
+                   "from scipy import signal\n", "import scipy.signal.windows as w\n"]:
+        assert signal_imports(source), source
+    assert not signal_imports("import scipy.linalg\nfrom scipy.linalg import schur\n")
+
+
+def test_no_module_imports_scipy_signal():
+    # scipy.signal costs about 0.7 s and 45 MB to import; the metrics
+    # convolve with separable Gaussian windows in numpy instead
+    found = {p.name: signal_imports(p.read_text()) for p in Path(gbfrft.__file__).parent.glob("*.py")}
+    assert not {k: v for k, v in found.items() if v}
