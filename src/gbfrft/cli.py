@@ -103,30 +103,12 @@ class _Command:
             self.defaults[action.dest] = default
 
 
-def _read_config(path: str, known) -> dict:
-    out = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            if "=" not in s:
-                raise ParseError(f"{path}:{lineno}: expected key=value")
-            k, v = (p.strip() for p in s.split("=", 1))
-            if k not in known:
-                raise ParseError(f"{path}:{lineno}: unknown key {k!r}")
-            if k in out:
-                raise ParseError(f"{path}:{lineno}: duplicate key {k!r}")
-            out[k] = v
-    return out
-
-
 def _merge_config(args):
     types = getattr(args, "_types", {})
     defaults = getattr(args, "_defaults", {})
     file_vals = {}
     if getattr(args, "config", None):
-        file_vals = _read_config(args.config, set(defaults))
+        file_vals = matio.read_key_values(args.config, defaults)
     for dest, default in defaults.items():
         if getattr(args, dest, None) is None:
             if dest in file_vals:
@@ -238,10 +220,10 @@ def cmd_denoise_grid(args) -> int:
 
 def cmd_denoise_gd(args) -> int:
     _require(args, "graph1", "graph2", "outdir")
+    cfg = _descent_config(args, TrainConfig)
     samples, g1, g2 = _gd_samples(args)
     method = "2d-gfrft" if args.equal_orders else "2d-gbfrft"
-    design, trace = fit([(method, samples)], g1, g2, _descent_config(args, TrainConfig),
-                        convention=args.convention)[0]
+    design, trace = fit([(method, samples)], g1, g2, cfg, convention=args.convention)[0]
     results.emit_results(trace.rows(), "trace", args.outdir, "trace", config=_echo(args))
     matio.write_vector(os.path.join(args.outdir, "filter.csv"), design.h)
     print(f"best orders ({design.alpha1:.6g}, {design.alpha2:.6g}) "
@@ -251,9 +233,9 @@ def cmd_denoise_gd(args) -> int:
 
 def cmd_denoise_hybrid(args) -> int:
     _require(args, "graph1", "outdir")
+    cfg = _descent_config(args, TrainConfig)
     samples, g1, _ = _gd_samples(args)
     T = samples[0][0].shape[1]
-    cfg = _descent_config(args, TrainConfig)
     design, trace = train_hybrid(samples, g1, T, cfg,
                                  lambda_grid=grid_values((0.0, 1.0), args.lambda_step),
                                  convention=args.convention)
@@ -283,8 +265,8 @@ def cmd_synth(args) -> int:
 
 def cmd_timevertex(args) -> int:
     _require(args, "values", "coords", "outdir")
-    ds = ingest_timevertex(args.values, args.coords)
     cfg = _descent_config(args, timevertex_config)
+    ds = ingest_timevertex(args.values, args.coords)
     rows = []
     for k in args.k:
         rows.extend(run_timevertex(ds, k, args.variances, methods=args.methods,
@@ -296,6 +278,7 @@ def cmd_timevertex(args) -> int:
 
 def cmd_deblur(args) -> int:
     _require(args, "clean", "outdir")
+    cfg = _descent_config(args, deblur_config)
     clean = FrameSequence(np.stack([matio.read_pgm(p) for p in args.clean]))
     if args.blurred:
         blurred = FrameSequence(np.stack([matio.read_pgm(p) for p in args.blurred]))
@@ -303,7 +286,6 @@ def cmd_deblur(args) -> int:
         blurred = blur_sequence(clean, size=args.blur_size, sigma=args.blur_sigma)
     else:
         raise ParseError("need --blurred files or --synthesize-blur")
-    cfg = _descent_config(args, deblur_config)
     restored, rows = run_deblur(blurred, clean, patch=args.patch, method=args.method, cfg=cfg)
     for f in range(clean.t):
         err, p_db, s = frame_metrics(clean.frames[f], blurred.frames[f])

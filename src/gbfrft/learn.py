@@ -48,12 +48,13 @@ order from one :func:`~gbfrft.transforms.blend_parts` call, at the blend
 weight its family in ``transforms.METHOD_TABLE`` gives it. Each product by
 a second factor is one batched matmul over the samples; the adjoint ones
 use the conjugates. Each problem keeps its own orders, filter, Adam
-moments, trace and best iterate, and :func:`fit` stacks any mix of
-(method, samples) jobs.
+moments (fixed ``ADAM_BETAS`` and ``ADAM_EPS``), trace and best iterate as
+rows of stacked arrays, and :func:`fit` stacks any mix of (method, samples) jobs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -69,6 +70,8 @@ from .wiener import FilterDesign, grid_values
 from .transforms import hybrid_transform, jfrft, transform_2d  # noqa: F401
 
 OPTIMIZERS = ("adam", "sgd")
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 DEFAULT_LAMBDA_GRID = tuple(grid_values((0.0, 1.0), 0.1))
 
 
@@ -76,10 +79,12 @@ DEFAULT_LAMBDA_GRID = tuple(grid_values((0.0, 1.0), 0.1))
 class TrainConfig:
     """Hyper-parameters for the descent loops.
 
-    ``init_orders`` is either a pair of floats or the string
-    ``"uniform[a,b]"`` for a seeded draw. Every filter starts at h = 1.
-    Whether the two orders are tied is the method's, not the config's: the
-    equal-order baseline is the ``2d-gfrft`` method of METHOD_TABLE.
+    ``init_orders`` is either a pair of finite floats or the string
+    ``"uniform[a,b]"``, finite a <= b, for a seeded draw; both learning rates
+    must be finite and positive. Every filter starts at h = 1. Adam runs with
+    the fixed ``ADAM_BETAS`` and ``ADAM_EPS``. Whether the two orders are
+    tied is the method's, not the config's: the equal-order baseline is the
+    ``2d-gfrft`` method of METHOD_TABLE.
     """
 
     lr_orders: float = 0.03
@@ -87,21 +92,34 @@ class TrainConfig:
     epochs: int = 200
     init_orders: tuple[float, float] | str = (0.5, 0.5)
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     real_filter: bool = False
 
     def __post_init__(self):
-        if self.lr_orders <= 0:
-            raise ValueError("lr_orders must be positive")
-        if self.lr_filter is not None and self.lr_filter <= 0:
-            raise ValueError("lr_filter must be positive")
+        for name in ("lr_orders", "lr_filter"):
+            rate = getattr(self, name)
+            if rate is not None and not (math.isfinite(rate) and rate > 0):
+                raise ValueError(f"{name} must be finite and positive, got {rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+        # parse init_orders once; _initial_orders only draws
+        spec = self.init_orders
+        self._uniform = isinstance(spec, str)
+        if self._uniform:
+            s = spec.strip()
+            if not (s.startswith("uniform[") and s.endswith("]")):
+                raise ValueError(f"unrecognized init_orders {spec!r}")
+            spec = s[len("uniform["):-1].split(",")
+        try:
+            a, b = (float(v) for v in spec)
+        except (TypeError, ValueError):
+            a = b = math.nan
+        if not (math.isfinite(a) and math.isfinite(b) and (a <= b or not self._uniform)):
+            raise ValueError("init_orders must be two finite orders or uniform[a,b] with finite a <= b, "
+                             f"got {self.init_orders!r}")
+        self._orders = (a, b)
 
     @property
     def filter_rate(self) -> float:
@@ -256,50 +274,32 @@ class _Stack:
         return value, d_orders, gh.transpose(1, 2, 0).reshape(P, n1 * n2)
 
 
-class _Adam:
-    """Plain Adam with bias correction; |g|^2 second moments for complex params."""
-
-    def __init__(self, beta1: float, beta2: float, eps: float):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.m = {}
-        self.v = {}
-
-    def step(self, params: dict, grads: dict, rates: dict):
-        self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for k, g in grads.items():
-            m = self.m.get(k, 0.0)
-            v = self.v.get(k, 0.0)
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * np.abs(g) ** 2
-            self.m[k] = m
-            self.v[k] = v
-            mhat = m / (1.0 - b1 ** self.t)
-            vhat = v / (1.0 - b2 ** self.t)
-            params[k] = params[k] - rates[k] * mhat / (np.sqrt(vhat) + self.eps)
+def _adam_step(x, g, m, v, step: int, rate: float):
+    """One bias-corrected Adam step at ``step`` (1-based) with |g|^2 second
+    moments, so complex parameters take real ones; the updated (x, m, v).
+    The moments start as the scalar 0.0."""
+    b1, b2 = ADAM_BETAS
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * np.abs(g) ** 2
+    mhat = m / (1.0 - b1 ** step)
+    vhat = v / (1.0 - b2 ** step)
+    return x - rate * mhat / (np.sqrt(vhat) + ADAM_EPS), m, v
 
 
 def _initial_orders(cfg: TrainConfig, rng: np.random.Generator) -> tuple[float, float]:
-    spec = cfg.init_orders
-    if isinstance(spec, str):
-        s = spec.strip()
-        if not (s.startswith("uniform[") and s.endswith("]")):
-            raise ValueError(f"unrecognized init_orders {spec!r}")
-        lo, hi = (float(p) for p in s[len("uniform["):-1].split(","))
-        spec = (rng.uniform(lo, hi), rng.uniform(lo, hi))
-    return float(spec[0]), float(spec[1])
+    a, b = cfg._orders
+    if cfg._uniform:
+        return float(rng.uniform(a, b)), float(rng.uniform(a, b))
+    return a, b
 
 
 def _train_loop(stack: _Stack, cfg: TrainConfig, tied) -> list[tuple[FilterDesign, TrainTrace]]:
     """Descend on every problem of the stack at once, one fused pass per
     epoch; each problem keeps its own orders (a row of a (P, 2) array),
-    filter, optimizer moments, trace and best iterate, so the result equals
-    P separate descents. A ``tied`` problem (one flag each) starts at
-    (o1, o1) and gives both columns the summed gradient, so they stay equal
-    bit for bit."""
+    filter, Adam moments, trace and best iterate, so the result equals P
+    separate descents. A ``tied`` problem (one flag each) starts at (o1, o1)
+    and gives both columns the summed gradient, so they stay equal bit for
+    bit. The record holds every epoch's (alpha1, alpha2, loss) per problem."""
     rng = np.random.default_rng(cfg.seed)
     o1, o2 = _initial_orders(cfg, rng)
     P = len(tied)
@@ -309,11 +309,10 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied) -> list[tuple[FilterDesig
     orders = np.where(tied, o1, np.array([[o1, o2]]))
     h = np.ones((P, n1 * n2), dtype=dtype)
 
-    adam = _Adam(cfg.beta1, cfg.beta2, cfg.eps) if cfg.optimizer == "adam" else None
-    rates = {"orders": cfg.lr_orders, "h": cfg.filter_rate}
-    traces = [TrainTrace() for _ in range(P)]
+    m_orders = v_orders = m_h = v_h = 0.0
+    record = np.empty((cfg.epochs, P, 3))
+    best_epoch = np.full(P, -1)
     best_loss = np.full(P, np.inf)
-    best_pairs = np.empty((P, 2))
     best_h = h.copy()
 
     for epoch in range(cfg.epochs):
@@ -322,16 +321,12 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied) -> list[tuple[FilterDesig
         if bad.size:
             where = f" in problem {bad[0]}" if P > 1 else ""
             raise DivergedLoss(f"loss became {values[bad[0]]} at epoch {epoch}{where}")
-        for trace, (a, b), value in zip(traces, orders.tolist(), values.tolist()):
-            trace.alpha1.append(a)
-            trace.alpha2.append(b)
-            trace.loss.append(value)
+        record[epoch, :, :2] = orders
+        record[epoch, :, 2] = values
         better = values < best_loss
         best_loss[better] = values[better]
-        best_pairs[better] = orders[better]
+        best_epoch[better] = epoch
         best_h[better] = h[better]
-        for p in np.flatnonzero(better):
-            traces[p].best_epoch = epoch
 
         if epoch == 0:
             # h = 1 makes the estimate y at every order, so the exact order
@@ -340,17 +335,16 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied) -> list[tuple[FilterDesig
         if cfg.real_filter:
             gh = gh.real
         g_orders = np.where(tied, d_orders.sum(axis=1, keepdims=True), d_orders)
-        params = {"orders": orders, "h": h}
-        grads = {"orders": g_orders, "h": gh}
-        if adam is not None:
-            adam.step(params, grads, rates)
+        if cfg.optimizer == "adam":
+            orders, m_orders, v_orders = _adam_step(orders, g_orders, m_orders, v_orders, epoch + 1, cfg.lr_orders)
+            h, m_h, v_h = _adam_step(h, gh, m_h, v_h, epoch + 1, cfg.filter_rate)
         else:
-            for k in params:
-                params[k] = params[k] - rates[k] * grads[k]
-        orders, h = params["orders"], params["h"]
+            orders, h = orders - cfg.lr_orders * g_orders, h - cfg.filter_rate * gh
 
-    return [(FilterDesign(alpha1=a, alpha2=b, h=best_h[p].copy(), mse=float(best_loss[p])), trace)
-            for p, ((a, b), trace) in enumerate(zip(best_pairs.tolist(), traces))]
+    best = record[best_epoch, np.arange(P)].tolist()
+    return [(FilterDesign(alpha1=a, alpha2=b, h=best_h[p].copy(), mse=value),
+             TrainTrace(*record[:, p].T.tolist(), best_epoch=int(best_epoch[p])))
+            for p, (a, b, value) in enumerate(best)]
 
 
 def fit(

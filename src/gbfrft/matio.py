@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .errors import NonFinite, ParseError, RaggedRows
+from .errors import NonFinite, ParseError, RaggedRows, ShapeMismatch
 from .graphs import Graph
 
 
@@ -87,6 +87,30 @@ def read_vector(path: str, complex_: bool = False) -> np.ndarray:
     return read_matrix(path, complex_=complex_).ravel()
 
 
+def read_key_values(path: str, known) -> dict[str, str]:
+    """The ``key=value`` lines of a file, skipping blanks and ``#`` comments;
+    an unknown or repeated key is a ParseError that names the line."""
+    out = {}
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            s = line.strip()
+            if not s or s.startswith("#"):
+                continue
+            if "=" not in s:
+                raise ParseError(f"{path}:{lineno}: expected key=value")
+            k, v = (p.strip() for p in s.split("=", 1))
+            if k not in known:
+                raise ParseError(f"{path}:{lineno}: unknown key {k!r}")
+            if k in out:
+                raise ParseError(f"{path}:{lineno}: duplicate key {k!r}")
+            out[k] = v
+    return out
+
+
+# the keys of a graph's metadata sidecar, as save_graph writes them
+_META_KEYS = ("n", "directed", "weighted", "label", "seed")
+
+
 def _meta_path(csv_path: str) -> str:
     stem, _ = os.path.splitext(csv_path)
     return stem + ".meta"
@@ -105,27 +129,25 @@ def save_graph(g: Graph, path: str) -> None:
 
 
 def load_graph(path: str) -> Graph:
-    """Read a graph CSV; flags come from the sidecar or are inferred."""
+    """Read a graph CSV; flags come from the sidecar or are inferred. The
+    sidecar's flags are ``true`` or ``false``, and its ``n`` the adjacency's size."""
     adj = read_matrix(path)
     meta_file = _meta_path(path)
-    meta: dict[str, str] = {}
-    if os.path.exists(meta_file):
-        with open(meta_file) as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"{meta_file}:{lineno}: expected key=value")
-                k, v = line.split("=", 1)
-                meta[k.strip()] = v.strip()
-    directed = meta.get("directed", str(not np.array_equal(adj, adj.T)).lower()) == "true"
+    meta = read_key_values(meta_file, _META_KEYS) if os.path.exists(meta_file) else {}
+    if int(meta.get("n", adj.shape[0])) != adj.shape[0]:
+        raise ShapeMismatch(f"{meta_file}: n={meta['n']} but {path} has {adj.shape[0]} rows")
+
+    def flag(key: str, inferred: bool) -> bool:
+        value = meta.get(key, str(inferred).lower())
+        if value not in ("true", "false"):
+            raise ParseError(f"{meta_file}: {key} must be true or false, got {value!r}")
+        return value == "true"
+
     nz = adj[adj != 0.0]
-    weighted_default = bool(nz.size) and not np.all(nz == 1.0)
-    weighted = meta.get("weighted", str(weighted_default).lower()) == "true"
-    seed = int(meta["seed"]) if "seed" in meta else None
-    return Graph(n=adj.shape[0], adjacency=adj, directed=directed, weighted=weighted,
-                 label=meta.get("label", ""), seed=seed)
+    return Graph(n=adj.shape[0], adjacency=adj,
+                 directed=flag("directed", not np.array_equal(adj, adj.T)),
+                 weighted=flag("weighted", bool(nz.size) and not np.all(nz == 1.0)),
+                 label=meta.get("label", ""), seed=int(meta["seed"]) if "seed" in meta else None)
 
 
 def read_pgm(path: str) -> np.ndarray:

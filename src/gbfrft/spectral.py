@@ -238,6 +238,18 @@ def _real_schur_basis(M: np.ndarray) -> SpectralBasis:
                          unitary=True, Z=Z, mix=mix)
 
 
+def guarded_inverse(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse of a square matrix, or of each in a stack, and n times its
+    1-norm condition number, a bound on the 2-norm one. An exactly singular
+    stack gives NaN for both, so ``not cond <= CONDITION_LIMIT`` rejects it."""
+    try:
+        B_inv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        B_inv = np.full_like(B, np.nan)
+    cond = B.shape[-1] * np.linalg.norm(B, 1, axis=(-2, -1)) * np.linalg.norm(B_inv, 1, axis=(-2, -1))
+    return B_inv, cond
+
+
 def eig_general(M) -> SpectralBasis:
     """Diagonalize a square matrix with a canonical eigenvalue order.
 
@@ -278,15 +290,8 @@ def eig_general(M) -> SpectralBasis:
         order = _canonical_order(w)
         lam = _snap_to_real_axis(w[order])
         V = V[:, order]
-        # the inverse is needed anyway, so guard with the exact 1-norm
-        # condition: cond_2(V) <= n * cond_1(V), so this rejects every V
-        # that cond_2(V) > CONDITION_LIMIT would
-        try:
-            V_inv = np.linalg.inv(V)
-        except np.linalg.LinAlgError:   # V is exactly singular
-            V_inv = np.full_like(V, np.nan)
-        cond = V.shape[0] * np.linalg.norm(V, 1) * np.linalg.norm(V_inv, 1)
-        if not cond <= CONDITION_LIMIT:   # a NaN or inf in V_inv fails too
+        V_inv, cond = guarded_inverse(V)
+        if not cond <= CONDITION_LIMIT:
             raise DefectiveMatrix("eigenvector matrix is numerically singular")
         basis = SpectralBasis(V=V, lam=lam, V_inv=V_inv, unitary=False)
 

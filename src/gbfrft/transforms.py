@@ -41,6 +41,7 @@ from .spectral import (
     dense_powers,
     eig_general,
     fractional_power,
+    guarded_inverse,
 )
 
 CONVENTIONS = ("transform-power", "shift-power")
@@ -237,15 +238,8 @@ def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
         fd, fg = (dense_powers(_end_basis(g2_path, value, convention), beta[mid]) for value in (1.0, 0.0))
         w = lam[mid, None, None]
         B, dB = (w * fd[i] + (1.0 - w) * fg[i] for i in (0, 2))
-        # the inverse is needed anyway, so guard with the exact 1-norm
-        # condition: cond_2(B) <= T * cond_1(B), so this rejects every blend
-        # that cond_2(B) > CONDITION_LIMIT would
-        try:
-            B_inv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:   # some blend is exactly singular
-            B_inv = np.full_like(B, np.nan)
-        cond = T * np.linalg.norm(B, 1, axis=(1, 2)) * np.linalg.norm(B_inv, 1, axis=(1, 2))
-        bad = ~(cond <= CONDITION_LIMIT)   # a NaN or inf in B_inv is bad too
+        B_inv, cond = guarded_inverse(B)
+        bad = ~(cond <= CONDITION_LIMIT)
         if bad.any():
             raise SingularBlend(f"blend at lambda={lam[mid][bad]}, beta={beta[mid][bad]} is numerically singular")
         out[:, mid] = B, B_inv, dB, -B_inv @ dB @ B_inv

@@ -292,3 +292,26 @@ def test_timevertex_rejects_a_bad_noise_variance_in_one_line(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[ValueError]:"), (bad, err)
     assert not (tmp_path / "out").exists()
+
+
+def test_descent_rejects_a_non_finite_initial_order_in_one_line(tmp_path, capsys):
+    g1, g2, rxx, rnn = write_model(tmp_path)
+    for bad in ("uniform[0,nan]", "uniform[0,inf]", "uniform[1]", "0.5,nan"):
+        rc = main(["denoise-gd", "--graph1", g1, "--graph2", g2, "--rxx", rxx, "--rnn", rnn,
+                   "--init-orders", bad, "--epochs", "2", "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[ValueError]:") and "init_orders" in err[0], (bad, err)
+    for option in ("--lr", "--lr-filter"):
+        rc = main(["denoise-gd", "--graph1", g1, "--graph2", g2, "--rxx", rxx, "--rnn", rnn,
+                   option, "nan", "--epochs", "2", "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[ValueError]:") and "finite" in err[0], (option, err)
+    # the config is checked before any input is read
+    for command in (["deblur", "--clean", str(tmp_path / "missing.pgm"), "--synthesize-blur"],
+                    ["timevertex", "--values", str(tmp_path / "v.csv"), "--coords", str(tmp_path / "c.csv")]):
+        assert main(command + ["--lr", "inf", "--outdir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[ValueError]: lr_orders"), (command, err)
+    assert not (tmp_path / "out").exists()

@@ -227,6 +227,20 @@ def test_train_config_validation():
     assert TrainConfig(lr_orders=0.2, lr_filter=0.05).filter_rate == 0.05
 
 
+@pytest.mark.parametrize("bad", [
+    {"lr_orders": float("nan")}, {"lr_orders": float("inf")}, {"lr_orders": -0.1},
+    {"lr_filter": float("nan")}, {"lr_filter": float("inf")}, {"lr_filter": 0.0},
+    {"init_orders": "uniform[0,nan]"}, {"init_orders": "uniform[0,inf]"}, {"init_orders": "uniform[1]"},
+    {"init_orders": "uniform[1,0]"}, {"init_orders": "uniform[0,1,2]"}, {"init_orders": "uniform[a,1]"},
+    {"init_orders": (0.5, float("nan"))}, {"init_orders": (0.5,)}, {"init_orders": (0.1, 0.2, 0.3)},
+])
+def test_train_config_rejects_bad_rates_and_initial_orders(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)
+    with pytest.raises(ValueError):
+        replace(TrainConfig(), **bad)
+
+
 def test_uniform_init_is_seeded_and_tied_when_asked():
     cfg = TrainConfig(init_orders="uniform[-1,1]", seed=3)
     from gbfrft.learn import _initial_orders
@@ -239,6 +253,7 @@ def test_uniform_init_is_seeded_and_tied_when_asked():
     assert [(t.alpha1[0], t.alpha2[0]) for _, t in fits] == [(a1, a1), (a1, a2)]
     with pytest.raises(ValueError):
         _initial_orders(TrainConfig(init_orders="gauss[0,1]"), rng)
+    assert _initial_orders(TrainConfig(init_orders=" uniform[0.3, 0.3] "), rng) == (0.3, 0.3)
 
 
 def test_training_drives_noiseless_identity_loss_to_zero():
@@ -279,6 +294,67 @@ def test_sgd_and_adam_take_different_paths():
     s = train(batch, g1, g2, TrainConfig(lr_orders=0.05, epochs=10, seed=3,
                                          optimizer="sgd"))[1]
     assert a.alpha1[2] != s.alpha1[2]
+
+
+def reference_descent(stack, tied, cfg, start):
+    """The descent written out plainly: textbook bias-corrected Adam with
+    |g|^2 second moments (beta = 0.9, 0.999, eps = 1e-8), or plain SGD, on
+    each parameter, driving the stack's own pass. One (alpha1, alpha2, loss)
+    row list and one best (loss, epoch, orders, h) per problem."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    n1, _, n2 = stack.Yh.shape
+    orders = np.array([(start[0], start[0]) if t else start for t in tied], dtype=np.float64)
+    h = np.ones((len(tied), n1 * n2), dtype=np.float64 if cfg.real_filter else np.complex128)
+    params = [orders, h]
+    rates = [cfg.lr_orders, cfg.filter_rate]
+    moments = [[0.0, 0.0], [0.0, 0.0]]
+    rows = [[] for _ in tied]
+    best = [(np.inf, -1, None, None) for _ in tied]
+    for epoch in range(cfg.epochs):
+        values, d_orders, gh = stack.value_and_grad(params[0], params[1])
+        for p in range(len(tied)):
+            rows[p].append((float(params[0][p, 0]), float(params[0][p, 1]), float(values[p])))
+            if values[p] < best[p][0]:
+                best[p] = (float(values[p]), epoch, params[0][p].copy(), params[1][p].copy())
+        if epoch == 0:
+            d_orders = np.zeros_like(d_orders)
+        for p, t in enumerate(tied):
+            if t:
+                d_orders[p] = d_orders[p, 0] + d_orders[p, 1]
+        grads = [d_orders, gh.real if cfg.real_filter else gh]
+        for k in range(2):
+            g = grads[k]
+            if cfg.optimizer == "sgd":
+                params[k] = params[k] - rates[k] * g
+                continue
+            m, v = moments[k]
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * np.abs(g) ** 2
+            moments[k] = [m, v]
+            mhat = m / (1.0 - b1 ** (epoch + 1))
+            vhat = v / (1.0 - b2 ** (epoch + 1))
+            params[k] = params[k] - rates[k] * mhat / (np.sqrt(vhat) + eps)
+    return rows, best
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("real_filter", [False, True])
+def test_fit_equals_the_textbook_update_bit_for_bit(optimizer, real_filter):
+    g1, g2, _, _, first = small_problem(seed=30)
+    _, _, _, _, second = small_problem(seed=31)
+    second = second + small_problem(seed=32)[4]
+    cfg = TrainConfig(lr_orders=0.05, lr_filter=0.02, epochs=6, init_orders=(0.3, 0.8),
+                      optimizer=optimizer, real_filter=real_filter)
+    fits = fit([("2d-gfrft", first), ("2d-gbfrft", second)], g1, g2, cfg)
+    stack = method_stack(transforms.graph_basis(g1), [first, second], ["2d-gfrft", "2d-gbfrft"], g2)
+    rows, best = reference_descent(stack, [True, False], cfg, (0.3, 0.8))
+    for (design, trace), p_rows, (mse, epoch, orders, h) in zip(fits, rows, best):
+        assert trace.rows() == [{"epoch": k, "alpha1": a, "alpha2": b, "loss": v}
+                                for k, (a, b, v) in enumerate(p_rows)]
+        assert trace.best_epoch == epoch
+        assert (design.alpha1, design.alpha2, design.mse) == (orders[0], orders[1], mse)
+        assert design.h.dtype == h.dtype and np.array_equal(design.h, h)
+    assert fits[0][1].alpha1 == fits[0][1].alpha2 and fits[1][1].alpha1 != fits[1][1].alpha2
 
 
 def test_real_filter_stays_real():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gbfrft import matio
-from gbfrft.errors import NonFinite, ParseError, RaggedRows
+from gbfrft.errors import NonFinite, ParseError, RaggedRows, ShapeMismatch
 from gbfrft.graphs import make_named_graph
 
 
@@ -98,6 +98,30 @@ def test_graph_flags_inferred_without_sidecar(tmp_path):
     assert not back.directed
     assert back.weighted
     assert back.seed is None
+
+
+@pytest.mark.parametrize("sidecar, error, words", [
+    ("n=7\n", ShapeMismatch, "n=7"),
+    ("directed=maybe\n", ParseError, "directed"),
+    ("weighted=True\n", ParseError, "weighted"),
+    ("n=4\ncolor=red\n", ParseError, ":2: unknown key 'color'"),
+    ("n=4\nn=4\n", ParseError, ":2: duplicate key 'n'"),
+    ("# note\nn 4\n", ParseError, ":2: expected key=value"),
+])
+def test_graph_sidecar_is_checked(tmp_path, sidecar, error, words):
+    p = tmp_path / "g.csv"
+    matio.save_graph(make_named_graph("cycle", 4), str(p))
+    (tmp_path / "g.meta").write_text(sidecar)
+    with pytest.raises(error, match=words):
+        matio.load_graph(str(p))
+
+
+def test_graph_sidecar_keys_are_optional(tmp_path):
+    p = tmp_path / "g.csv"
+    matio.save_graph(make_named_graph("path", 4, weighted=True, seed=2), str(p))
+    (tmp_path / "g.meta").write_text("# only a label\n\nlabel = a=b\n")
+    back = matio.load_graph(str(p))
+    assert (back.n, back.directed, back.weighted, back.label, back.seed) == (4, False, True, "a=b", None)
 
 
 def test_pgm_binary_round_trip(tmp_path):

@@ -13,6 +13,7 @@ from gbfrft.spectral import (
     SpectralBasis,
     eig_general,
     fractional_power,
+    guarded_inverse,
 )
 
 
@@ -74,6 +75,20 @@ def test_near_defective_matrix_is_rejected():
                 eig_general(M)
         else:
             assert np.allclose(eig_general(M).reconstruct(), M, atol=1e-9)
+
+
+def test_guarded_inverse_bounds_the_condition_of_one_matrix_or_a_stack():
+    rng = np.random.default_rng(3)
+    B = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    B_inv, cond = guarded_inverse(B)
+    assert cond.shape == (3,)
+    for b, b_inv, c in zip(B, B_inv, cond):
+        one_inv, one_cond = guarded_inverse(b)
+        assert np.array_equal(one_inv, b_inv) and one_cond == c
+        assert np.isclose(c, 4 * np.linalg.cond(b, 1), rtol=1e-12)
+        assert c >= np.linalg.cond(b)
+    singular, cond = guarded_inverse(np.stack([np.eye(2), np.zeros((2, 2))]))
+    assert np.all(np.isnan(singular)) and np.all(np.isnan(cond))
 
 
 def test_eig_general_input_checks():
