@@ -1,9 +1,13 @@
 """Command line front end.
 
 Every subcommand accepts ``--config FILE`` with ``key=value`` lines (keys
-are the flag names with dashes as underscores); explicit flags override the
-file, the file overrides built-in defaults, and unknown keys are errors.
-Failures exit nonzero with a single ``error[ClassName]: message`` line.
+are the flag names with dashes as underscores). argparse reads each line as
+the flag ``--key=value`` placed before the command line's own flags, so the
+file gets the same type and choice checks as flags, explicit flags override
+it, and it overrides the built-in defaults; an unknown or repeated key is an
+error that names its line. A flag such as ``--heatmap`` also takes
+``--heatmap=false``. Failures, argparse's own included, exit 1 with a single
+``error[ClassName]: message`` line.
 """
 
 from __future__ import annotations
@@ -40,20 +44,20 @@ def _parse_bool(s: str) -> bool:
         return True
     if v in ("0", "false", "no", "off"):
         return False
-    raise ParseError(f"expected a boolean, got {s!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {s!r}")
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:
     try:
         return tuple(float(p) for p in s.split(",") if p.strip())
     except ValueError as e:
-        raise ParseError(f"expected comma-separated numbers, got {s!r}") from e
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {s!r}") from e
 
 
 def _parse_ints(s: str) -> tuple[int, ...]:
     vals = _parse_floats(s)
     if not all(v.is_integer() for v in vals):
-        raise ParseError(f"expected comma-separated integers, got {s!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {s!r}")
     return tuple(int(v) for v in vals)
 
 
@@ -64,7 +68,7 @@ def _parse_strs(s: str) -> tuple[str, ...]:
 def _parse_range(s: str) -> tuple[float, float]:
     vals = _parse_floats(s)
     if len(vals) != 2:
-        raise ParseError(f"expected lo,hi range, got {s!r}")
+        raise argparse.ArgumentTypeError(f"expected lo,hi range, got {s!r}")
     return vals
 
 
@@ -76,45 +80,19 @@ def _parse_init(s: str):
     if len(vals) == 1:
         return (vals[0], vals[0])
     if len(vals) != 2:
-        raise ParseError(f"expected two init orders or uniform[a,b], got {s!r}")
+        raise argparse.ArgumentTypeError(f"expected two init orders or uniform[a,b], got {s!r}")
     return vals
 
 
-class _Command:
-    """A subparser plus the type/default tables used for config merging."""
-
-    def __init__(self, subparsers, name: str, help_: str, func):
-        self.parser = subparsers.add_parser(name, help=help_)
-        self.types: dict = {}
-        self.defaults: dict = {}
-        self.parser.set_defaults(_types=self.types, _defaults=self.defaults, _func=func)
-        self.opt("--config", type=str, help="key=value config file")
-
-    def opt(self, *flags, type=str, default=None, help="", flag=False, choices=None):
-        if flag:
-            action = self.parser.add_argument(*flags, action="store_const", const=True,
-                                              default=None, help=help)
-            self.types[action.dest] = _parse_bool
-            self.defaults[action.dest] = False if default is None else default
-        else:
-            action = self.parser.add_argument(*flags, type=type, default=None,
-                                              help=help, choices=choices)
-            self.types[action.dest] = type
-            self.defaults[action.dest] = default
+# a flag: bare ``--name`` is true, and ``--name=false`` (or a config line) sets it
+_FLAG = dict(nargs="?", const=True, type=_parse_bool, default=False, metavar="BOOL")
 
 
-def _merge_config(args):
-    types = getattr(args, "_types", {})
-    defaults = getattr(args, "_defaults", {})
-    file_vals = {}
-    if getattr(args, "config", None):
-        file_vals = matio.read_key_values(args.config, defaults)
-    for dest, default in defaults.items():
-        if getattr(args, dest, None) is None:
-            if dest in file_vals:
-                setattr(args, dest, types[dest](file_vals[dest]))
-            else:
-                setattr(args, dest, default)
+def _command(subparsers, name: str, help_: str, func) -> argparse.ArgumentParser:
+    parser = subparsers.add_parser(name, help=help_)
+    parser.set_defaults(_func=func)
+    parser.add_argument("--config", help="key=value config file")
+    return parser
 
 
 def _require(args, *dests):
@@ -124,8 +102,7 @@ def _require(args, *dests):
 
 
 def _echo(args, extra=None) -> dict:
-    skip = {"_types", "_defaults", "_func", "config"}
-    out = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    out = {k: v for k, v in sorted(vars(args).items()) if k not in ("_func", "config")}
     out = {k: (list(v) if isinstance(v, tuple) else v) for k, v in out.items()}
     if extra:
         out.update(extra)
@@ -332,135 +309,156 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors raise ParseError; subparsers share the class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gbfrft",
         description="Bi-fractional spectral transforms and filtering on product graphs")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    c = _Command(sub, "graph", "build and save a factor graph", cmd_graph)
-    c.opt("--kind", choices=NAMED_KINDS, help="named topology")
-    c.opt("--n", type=int, help="vertex count")
-    c.opt("--directed", flag=True)
-    c.opt("--weighted", flag=True)
-    c.opt("--coords", help="coordinate CSV for a k-NN graph instead of a named kind")
-    c.opt("--k", type=int, default=4, help="neighbours for the k-NN graph")
-    c.opt("--seed", type=int, default=0)
-    c.opt("--output", help="adjacency CSV path (metadata sidecar gets .meta)")
+    c = _command(sub, "graph", "build and save a factor graph", cmd_graph)
+    c.add_argument("--kind", choices=NAMED_KINDS, help="named topology")
+    c.add_argument("--n", type=int, help="vertex count")
+    c.add_argument("--directed", **_FLAG)
+    c.add_argument("--weighted", **_FLAG)
+    c.add_argument("--coords", help="coordinate CSV for a k-NN graph instead of a named kind")
+    c.add_argument("--k", type=int, default=4, help="neighbours for the k-NN graph")
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--output", help="adjacency CSV path (metadata sidecar gets .meta)")
 
-    c = _Command(sub, "transform", "apply a product transform to a signal", cmd_transform)
-    c.opt("--kind", default="gbfrft2d", choices=tuple(_KIND_METHODS))
-    c.opt("--graph1", help="row-factor graph CSV")
-    c.opt("--graph2", help="column-factor graph CSV")
-    c.opt("--t", type=int, help="time length for jfrft/hybrid (defaults to signal width)")
-    c.opt("--alpha1", type=float, default=1.0, help="op1 (row side) order")
-    c.opt("--alpha2", type=float, default=1.0, help="op2 (column side) order")
-    c.opt("--lam", type=float, default=0.5, help="hybrid blend weight")
-    c.opt("--direction", default="forward", choices=("forward", "inverse"))
-    c.opt("--convention", default="transform-power", choices=CONVENTIONS)
-    c.opt("--complex-data", flag=True, help="parse the input as complex")
-    c.opt("--input")
-    c.opt("--output")
+    c = _command(sub, "transform", "apply a product transform to a signal", cmd_transform)
+    c.add_argument("--kind", default="gbfrft2d", choices=tuple(_KIND_METHODS))
+    c.add_argument("--graph1", help="row-factor graph CSV")
+    c.add_argument("--graph2", help="column-factor graph CSV")
+    c.add_argument("--t", type=int, help="time length for jfrft/hybrid (defaults to signal width)")
+    c.add_argument("--alpha1", type=float, default=1.0, help="op1 (row side) order")
+    c.add_argument("--alpha2", type=float, default=1.0, help="op2 (column side) order")
+    c.add_argument("--lam", type=float, default=0.5, help="hybrid blend weight")
+    c.add_argument("--direction", default="forward", choices=("forward", "inverse"))
+    c.add_argument("--convention", default="transform-power", choices=CONVENTIONS)
+    c.add_argument("--complex-data", **_FLAG, help="parse the input as complex")
+    c.add_argument("--input")
+    c.add_argument("--output")
 
     def model_opts(c):
-        c.opt("--rxx", help="signal covariance CSV")
-        c.opt("--rnn", help="noise covariance CSV")
-        c.opt("--rxn", help="cross covariance CSV")
-        c.opt("--g1-filter", help="row-side degradation matrix CSV")
-        c.opt("--g2-filter", help="column-side degradation matrix CSV")
+        c.add_argument("--rxx", help="signal covariance CSV")
+        c.add_argument("--rnn", help="noise covariance CSV")
+        c.add_argument("--rxn", help="cross covariance CSV")
+        c.add_argument("--g1-filter", help="row-side degradation matrix CSV")
+        c.add_argument("--g2-filter", help="column-side degradation matrix CSV")
 
-    c = _Command(sub, "denoise-grid", "statistical filter design by order search", cmd_denoise_grid)
-    c.opt("--graph1")
-    c.opt("--graph2")
+    c = _command(sub, "denoise-grid", "statistical filter design by order search", cmd_denoise_grid)
+    c.add_argument("--graph1")
+    c.add_argument("--graph2")
     model_opts(c)
-    c.opt("--range1", type=_parse_range, default=(0.0, 1.0))
-    c.opt("--range2", type=_parse_range, default=(0.0, 1.0))
-    c.opt("--step", type=float, default=0.1)
-    c.opt("--equal-orders", flag=True)
-    c.opt("--cap", type=int, default=DEFAULT_SIZE_CAP)
-    c.opt("--convention", default="transform-power", choices=CONVENTIONS)
-    c.opt("--outdir")
+    c.add_argument("--range1", type=_parse_range, default=(0.0, 1.0))
+    c.add_argument("--range2", type=_parse_range, default=(0.0, 1.0))
+    c.add_argument("--step", type=float, default=0.1)
+    c.add_argument("--equal-orders", **_FLAG)
+    c.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
+    c.add_argument("--convention", default="transform-power", choices=CONVENTIONS)
+    c.add_argument("--outdir")
 
     def descent_opts(c, defaults: TrainConfig):
         # defaults from the library's config, which the command extends
-        c.opt("--lr", type=float, default=defaults.lr_orders)
-        c.opt("--epochs", type=int, default=defaults.epochs)
-        c.opt("--init-orders", type=_parse_init, default=defaults.init_orders)
+        c.add_argument("--lr", type=float, default=defaults.lr_orders)
+        c.add_argument("--epochs", type=int, default=defaults.epochs)
+        c.add_argument("--init-orders", type=_parse_init, default=defaults.init_orders)
 
     def gd_opts(c):
-        c.opt("--y", help="observation matrix CSV")
-        c.opt("--x", help="target matrix CSV")
-        c.opt("--complex-data", flag=True)
+        c.add_argument("--y", help="observation matrix CSV")
+        c.add_argument("--x", help="target matrix CSV")
+        c.add_argument("--complex-data", **_FLAG)
         model_opts(c)
-        c.opt("--batch", type=int, default=1, help="realizations to sample from the model")
+        c.add_argument("--batch", type=int, default=1, help="realizations to sample from the model")
         descent_opts(c, TrainConfig())
-        c.opt("--lr-filter", type=float)
-        c.opt("--optimizer", default="adam", choices=("adam", "sgd"))
-        c.opt("--seed", type=int, default=0)
-        c.opt("--convention", default="transform-power", choices=CONVENTIONS)
-        c.opt("--outdir")
+        c.add_argument("--lr-filter", type=float)
+        c.add_argument("--optimizer", default="adam", choices=("adam", "sgd"))
+        c.add_argument("--seed", type=int, default=0)
+        c.add_argument("--convention", default="transform-power", choices=CONVENTIONS)
+        c.add_argument("--outdir")
 
-    c = _Command(sub, "denoise-gd", "joint order/filter descent on a product", cmd_denoise_gd)
-    c.opt("--graph1")
-    c.opt("--graph2")
-    c.opt("--equal-orders", flag=True)
+    c = _command(sub, "denoise-gd", "joint order/filter descent on a product", cmd_denoise_gd)
+    c.add_argument("--graph1")
+    c.add_argument("--graph2")
+    c.add_argument("--equal-orders", **_FLAG)
     gd_opts(c)
 
-    c = _Command(sub, "denoise-hybrid", "descent with a blended temporal factor", cmd_denoise_hybrid)
-    c.opt("--graph1", help="spatial graph CSV")
-    c.opt("--graph2", help="unused; temporal factor is a path")
-    c.opt("--lambda-step", type=float, default=0.1)
+    c = _command(sub, "denoise-hybrid", "descent with a blended temporal factor", cmd_denoise_hybrid)
+    c.add_argument("--graph1", help="spatial graph CSV")
+    c.add_argument("--graph2", help="unused; temporal factor is a path")
+    c.add_argument("--lambda-step", type=float, default=0.1)
     gd_opts(c)
 
-    c = _Command(sub, "synth", "synthetic denoising tables", cmd_synth)
-    c.opt("--topology", default="path-cycle", choices=tuple(TOPOLOGIES) + ("all",))
-    c.opt("--variants", type=_parse_strs, default=("UU", "UW"))
-    c.opt("--variances", type=_parse_floats, default=DEFAULT_VARIANCES)
-    c.opt("--methods", type=_parse_strs, default=("grid-gfrft", "grid-gbfrft"))
-    c.opt("--trials", type=int, default=1)
-    c.opt("--range1", type=_parse_range, default=(0.0, 1.0))
-    c.opt("--step", type=float, default=0.1)
+    c = _command(sub, "synth", "synthetic denoising tables", cmd_synth)
+    c.add_argument("--topology", default="path-cycle", choices=tuple(TOPOLOGIES) + ("all",))
+    c.add_argument("--variants", type=_parse_strs, default=("UU", "UW"))
+    c.add_argument("--variances", type=_parse_floats, default=DEFAULT_VARIANCES)
+    c.add_argument("--methods", type=_parse_strs, default=("grid-gfrft", "grid-gbfrft"))
+    c.add_argument("--trials", type=int, default=1)
+    c.add_argument("--range1", type=_parse_range, default=(0.0, 1.0))
+    c.add_argument("--step", type=float, default=0.1)
     descent_opts(c, synthetic_config())
-    c.opt("--seed", type=int, default=0)
-    c.opt("--convention", default="transform-power", choices=CONVENTIONS)
-    c.opt("--outdir")
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--convention", default="transform-power", choices=CONVENTIONS)
+    c.add_argument("--outdir")
 
-    c = _Command(sub, "timevertex", "sensor time series denoising table", cmd_timevertex)
-    c.opt("--values", help="(N, T) values CSV")
-    c.opt("--coords", help="(N, d) coordinates CSV")
-    c.opt("--k", type=_parse_ints, default=(3,), help="k-NN sizes, comma separated")
-    c.opt("--variances", type=_parse_floats, default=(0.6, 0.9, 1.2))
-    c.opt("--methods", type=_parse_strs, default=METHODS)
+    c = _command(sub, "timevertex", "sensor time series denoising table", cmd_timevertex)
+    c.add_argument("--values", help="(N, T) values CSV")
+    c.add_argument("--coords", help="(N, d) coordinates CSV")
+    c.add_argument("--k", type=_parse_ints, default=(3,), help="k-NN sizes, comma separated")
+    c.add_argument("--variances", type=_parse_floats, default=(0.6, 0.9, 1.2))
+    c.add_argument("--methods", type=_parse_strs, default=METHODS)
     descent_opts(c, timevertex_config())
-    c.opt("--seed", type=int, default=0)
-    c.opt("--outdir")
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--outdir")
 
-    c = _Command(sub, "deblur", "patch-wise restoration of blurred frames", cmd_deblur)
-    c.opt("--clean", type=_parse_strs, help="clean PGM frames, comma separated")
-    c.opt("--blurred", type=_parse_strs, help="blurred PGM frames, comma separated")
-    c.opt("--synthesize-blur", flag=True, help="blur the clean frames instead")
-    c.opt("--blur-size", type=int, default=5)
-    c.opt("--blur-sigma", type=float, default=1.0)
-    c.opt("--patch", type=int, default=20)
-    c.opt("--method", default="2d-gbfrft", choices=METHODS)
+    c = _command(sub, "deblur", "patch-wise restoration of blurred frames", cmd_deblur)
+    c.add_argument("--clean", type=_parse_strs, help="clean PGM frames, comma separated")
+    c.add_argument("--blurred", type=_parse_strs, help="blurred PGM frames, comma separated")
+    c.add_argument("--synthesize-blur", **_FLAG, help="blur the clean frames instead")
+    c.add_argument("--blur-size", type=int, default=5)
+    c.add_argument("--blur-sigma", type=float, default=1.0)
+    c.add_argument("--patch", type=int, default=20)
+    c.add_argument("--method", default="2d-gbfrft", choices=METHODS)
     descent_opts(c, deblur_config())
-    c.opt("--seed", type=int, default=0)
-    c.opt("--heatmap", flag=True, help="also write per-pixel absolute error PGMs")
-    c.opt("--outdir")
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--heatmap", **_FLAG, help="also write per-pixel absolute error PGMs")
+    c.add_argument("--outdir")
 
-    c = _Command(sub, "selftest", "deterministic battery writing reference CSVs", cmd_selftest)
-    c.opt("--seed", type=int, default=0)
-    c.opt("--outdir")
+    c = _command(sub, "selftest", "deterministic battery writing reference CSVs", cmd_selftest)
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--outdir")
 
     return parser
+
+
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's lines are parsed again as ``--key=value``
+    flags placed before argv's own, so an explicit flag wins."""
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    lines = matio.read_key_values(args.config, set(vars(args)) - {"_func", "command", "config"})
+    at = argv.index(args.command) + 1
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in lines.items()]
+    try:
+        return parser.parse_args(argv[:at] + flags + argv[at:])
+    except ParseError as e:
+        raise ParseError(f"{args.config}: {e}") from e
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)  # the option types raise ParseError
-        _merge_config(args)
+        args = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         return args._func(args)
     except (GbfrftError, OSError, ValueError) as e:
         msg = str(e).replace("\n", " ")

@@ -64,12 +64,8 @@ def patchify(fs: FrameSequence, patch: int) -> np.ndarray:
     if H % patch or W % patch:
         raise ShapeMismatch(f"{H}x{W} frames are not divisible into {patch}x{patch} patches")
     rows, cols = H // patch, W // patch
-    out = np.empty((rows * cols, patch * patch, T))
-    for r in range(rows):
-        for c in range(cols):
-            block = fs.frames[:, r * patch:(r + 1) * patch, c * patch:(c + 1) * patch]
-            out[r * cols + c] = block.reshape(T, patch * patch).T
-    return out
+    blocks = fs.frames.reshape(T, rows, patch, cols, patch).transpose(1, 3, 2, 4, 0)
+    return blocks.reshape(rows * cols, patch * patch, T)
 
 
 def reassemble(blocks: np.ndarray, shape: tuple[int, int, int], patch: int) -> FrameSequence:
@@ -78,12 +74,8 @@ def reassemble(blocks: np.ndarray, shape: tuple[int, int, int], patch: int) -> F
     rows, cols = H // patch, W // patch
     if blocks.shape != (rows * cols, patch * patch, T):
         raise ShapeMismatch(f"blocks shape {blocks.shape} does not match target {shape}")
-    frames = np.empty(shape)
-    for r in range(rows):
-        for c in range(cols):
-            block = blocks[r * cols + c].T.reshape(T, patch, patch)
-            frames[:, r * patch:(r + 1) * patch, c * patch:(c + 1) * patch] = block
-    return FrameSequence(frames)
+    frames = blocks.reshape(rows, cols, patch, patch, T).transpose(4, 0, 2, 1, 3)
+    return FrameSequence(frames.reshape(shape))
 
 
 def pixel_grid_coords(patch: int) -> np.ndarray:

@@ -8,6 +8,7 @@ form.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -130,11 +131,19 @@ def save_graph(g: Graph, path: str) -> None:
 
 def load_graph(path: str) -> Graph:
     """Read a graph CSV; flags come from the sidecar or are inferred. The
-    sidecar's flags are ``true`` or ``false``, and its ``n`` the adjacency's size."""
+    sidecar's flags are ``true`` or ``false``, its ``n`` the adjacency's size,
+    and its ``seed`` an integer."""
     adj = read_matrix(path)
     meta_file = _meta_path(path)
     meta = read_key_values(meta_file, _META_KEYS) if os.path.exists(meta_file) else {}
-    if int(meta.get("n", adj.shape[0])) != adj.shape[0]:
+
+    def integer(key: str):
+        try:
+            return int(meta[key]) if key in meta else None
+        except ValueError as e:
+            raise ParseError(f"{meta_file}: {key} must be an integer, got {meta[key]!r}") from e
+
+    if integer("n") not in (None, adj.shape[0]):
         raise ShapeMismatch(f"{meta_file}: n={meta['n']} but {path} has {adj.shape[0]} rows")
 
     def flag(key: str, inferred: bool) -> bool:
@@ -147,7 +156,7 @@ def load_graph(path: str) -> Graph:
     return Graph(n=adj.shape[0], adjacency=adj,
                  directed=flag("directed", not np.array_equal(adj, adj.T)),
                  weighted=flag("weighted", bool(nz.size) and not np.all(nz == 1.0)),
-                 label=meta.get("label", ""), seed=int(meta["seed"]) if "seed" in meta else None)
+                 label=meta.get("label", ""), seed=integer("seed"))
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -155,30 +164,14 @@ def read_pgm(path: str) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
 
-    def tokens():
-        i = 0
-        while i < len(raw):
-            if raw[i:i + 1] == b"#":
-                while i < len(raw) and raw[i:i + 1] != b"\n":
-                    i += 1
-            elif raw[i:i + 1].isspace():
-                i += 1
-            else:
-                j = i
-                while j < len(raw) and not raw[j:j + 1].isspace() and raw[j:j + 1] != b"#":
-                    j += 1
-                yield i, raw[i:j]
-                i = j
-
-    it = tokens()
+    # header tokens, skipping comments; the raster is not scanned unless it is P2 text
+    header = (m for m in re.finditer(rb"#[^\n]*|[^\s#]+", raw) if m[0][:1] != b"#")
     try:
-        _, magic = next(it)
+        magic = next(header)[0]
         if magic not in (b"P2", b"P5"):
             raise ParseError(f"{path}: not a PGM file (magic {magic!r})")
-        _, w = next(it)
-        _, h = next(it)
-        pos, maxval = next(it)
-        w, h, maxval = int(w), int(h), int(maxval)
+        w, h, last = next(header), next(header), next(header)
+        w, h, maxval = int(w[0]), int(h[0]), int(last[0])
     except (StopIteration, ValueError) as e:
         raise ParseError(f"{path}: truncated or malformed PGM header") from e
     if w < 1 or h < 1:
@@ -187,16 +180,16 @@ def read_pgm(path: str) -> np.ndarray:
         raise ParseError(f"{path}: bad maxval {maxval}")
     if magic == b"P2":
         vals = []
-        for _, tok in it:
+        for m in header:
             try:
-                vals.append(int(tok))
+                vals.append(int(m[0]))
             except ValueError as e:
-                raise ParseError(f"{path}: bad pixel token {tok!r}") from e
+                raise ParseError(f"{path}: bad pixel token {m[0]!r}") from e
         if len(vals) != w * h:
             raise ParseError(f"{path}: expected {w * h} pixels, found {len(vals)}")
         img = np.asarray(vals, dtype=np.float64)
     else:
-        start = pos + len(str(maxval)) + 1  # single whitespace after maxval
+        start = last.end() + 1  # single whitespace after maxval
         dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
         count = w * h
         if len(raw) - start < count * dtype.itemsize:

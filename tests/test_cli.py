@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gbfrft import cli, deblur, matio, results, synthetic, timevertex
 from gbfrft.cli import main
@@ -226,7 +227,6 @@ def test_deblur_and_timevertex_training_defaults_come_from_the_library():
                                      ("denoise-hybrid", TrainConfig),
                                      ("synth", synthetic.default_config)]:
         args = parser.parse_args([command])
-        cli._merge_config(args)
         lib = default_config()
         assert (args.lr, args.epochs, args.init_orders) == (lib.lr_orders, lib.epochs, lib.init_orders)
         assert cli._descent_config(args, default_config) == lib
@@ -239,7 +239,6 @@ def test_denoise_gd_equal_orders_traces_the_2d_gfrft_fit(tmp_path):
             "--outdir", str(tmp_path / "out")]
     assert main(argv) == 0
     args = cli.build_parser().parse_args(argv)
-    cli._merge_config(args)
     samples, graph1, graph2 = cli._gd_samples(args)
     _, trace = fit([("2d-gfrft", samples)], graph1, graph2,
                    TrainConfig(epochs=20, init_orders=(0.3, 0.9)))[0]
@@ -315,3 +314,83 @@ def test_descent_rejects_a_non_finite_initial_order_in_one_line(tmp_path, capsys
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error[ValueError]: lr_orders"), (command, err)
     assert not (tmp_path / "out").exists()
+
+
+# per subcommand: an integer option and, where it has one, an option with choices
+_OPTIONS = {"graph": ("n", "kind"), "transform": ("t", "kind"), "denoise-grid": ("cap", "convention"),
+            "denoise-gd": ("epochs", "optimizer"), "denoise-hybrid": ("epochs", "convention"),
+            "synth": ("epochs", "topology"), "timevertex": ("epochs", None),
+            "deblur": ("patch", "method"), "selftest": ("seed", None)}
+_BAD = [(command, key, value) for command, (integer, choice) in _OPTIONS.items()
+        for key, value in [("bogus", "1"), (integer, "abc")] + ([(choice, "bogus")] if choice else [])]
+
+
+@pytest.mark.parametrize("source", ["argv", "config"])
+@pytest.mark.parametrize("command, key, value", _BAD)
+def test_a_bad_option_is_one_parse_error_line_from_argv_or_config(tmp_path, capsys, source,
+                                                                  command, key, value):
+    cfg = tmp_path / "bad.cfg"
+    if source == "argv":
+        argv = [command, f"--{key}", value]
+    else:
+        cfg.write_text(f"# from a file\n{key}={value}\n")
+        argv = [command, "--config", str(cfg)]
+    output = "--output" if command in ("graph", "transform") else "--outdir"
+    assert main(argv + [output, str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    err = err.splitlines()
+    assert out == "" and len(err) == 1 and err[0].startswith("error[ParseError]:"), err
+    assert (str(cfg) in err[0]) == (source == "config"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_missing_subcommand_or_option_value_is_one_line(capsys):
+    for argv in ([], ["bogus"], ["--bogus"], ["synth", "--epochs"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[ParseError]:"), (argv, err)
+
+
+def test_config_values_get_the_flag_checks_and_name_the_file(tmp_path, capsys):
+    cases = [("transform", "kind=bogus", "argument --kind: invalid choice: 'bogus'"),
+             ("synth", "epochs=abc", "argument --epochs: invalid int value: 'abc'"),
+             ("deblur", "heatmap=maybe", "argument --heatmap: expected a boolean, got 'maybe'"),
+             ("timevertex", "k=3,2.5", "argument --k: expected comma-separated integers")]
+    for command, line, words in cases:
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text(line + "\n")
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error[ParseError]: {cfg}: {words}"), err
+
+
+def _trace_orders(outdir):
+    rows = [line.split(",") for line in open(f"{outdir}/trace.csv").read().splitlines()[1:]]
+    return [(float(r[1]), float(r[2])) for r in rows]
+
+
+def test_a_flag_on_argv_overrides_its_config_line(tmp_path):
+    g1, g2, rxx, rnn = write_model(tmp_path)
+    argv = ["denoise-gd", "--graph1", g1, "--graph2", g2, "--rxx", rxx, "--rnn", rnn]
+    untied = tmp_path / "untied.cfg"
+    untied.write_text("equal_orders=false\ninit_orders=0.3,0.9\nepochs=6\n")
+    tied = tmp_path / "tied.cfg"
+    tied.write_text("equal_orders=true\ninit_orders=0.3,0.9\nepochs=6\n")
+    for name, cfg, extra, is_tied in [("file", untied, [], False), ("flag", untied, ["--equal-orders"], True),
+                                      ("off", tied, ["--equal-orders=false"], False)]:
+        assert main(argv + ["--config", str(cfg)] + extra + ["--outdir", str(tmp_path / name)]) == 0
+        orders = _trace_orders(tmp_path / name)
+        assert len(orders) == 6
+        assert all(a1 == a2 for a1, a2 in orders) == is_tied, (name, orders)
+
+
+def test_config_keeps_a_negative_initial_order(tmp_path):
+    g1, g2, rxx, rnn = write_model(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("init_orders=-0.5,0.5\nepochs=3\n")
+    assert main(["denoise-gd", "--config", str(cfg), "--graph1", g1, "--graph2", g2,
+                 "--rxx", rxx, "--rnn", rnn, "--outdir", str(tmp_path / "out")]) == 0
+    import json
+    meta = json.load(open(tmp_path / "out" / "trace.meta.json"))
+    assert meta["config"]["init_orders"] == [-0.5, 0.5]
+    assert meta["config"]["equal_orders"] is False

@@ -107,6 +107,9 @@ def test_graph_flags_inferred_without_sidecar(tmp_path):
     ("n=4\ncolor=red\n", ParseError, ":2: unknown key 'color'"),
     ("n=4\nn=4\n", ParseError, ":2: duplicate key 'n'"),
     ("# note\nn 4\n", ParseError, ":2: expected key=value"),
+    ("seed=x\n", ParseError, r"g\.meta: seed must be an integer, got 'x'"),
+    ("n=four\n", ParseError, r"g\.meta: n must be an integer, got 'four'"),
+    ("n=4\nseed=1.5\n", ParseError, r"g\.meta: seed must be an integer"),
 ])
 def test_graph_sidecar_is_checked(tmp_path, sidecar, error, words):
     p = tmp_path / "g.csv"
@@ -160,6 +163,17 @@ def test_pgm_rejects_garbage(tmp_path):
     p.write_bytes(b"P2\n2 2\n255\n1 2 3\n")
     with pytest.raises(ParseError):
         matio.read_pgm(str(p))
+
+
+@pytest.mark.parametrize("data, pixels", [
+    (b"P5\n2 1\n0255\n\x07\x09", [[7.0, 9.0]]),   # maxval written with a leading zero
+    (b"P5 2 1 00255 \x07\x09", [[7.0, 9.0]]),
+    (b"P5\n# w h\n2 1\n# maxval\n255\n#\n", [[35.0, 10.0]]),  # raster bytes '#' and newline
+])
+def test_pgm_binary_raster_starts_one_byte_after_the_maxval_token(tmp_path, data, pixels):
+    p = tmp_path / "r.pgm"
+    p.write_bytes(data)
+    assert matio.read_pgm(str(p)).tolist() == pixels
 
 
 @pytest.mark.parametrize("header, pixels", [(b"P5\n4 4\n255\n", b"\x01\x02\x03"),
