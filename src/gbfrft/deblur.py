@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .graphs import Graph, make_knn_graph
 from .learn import TrainConfig, apply_filter, fit
-from .metrics import frame_metrics, gaussian_blur
+from .metrics import SSIM_WINDOW, frame_metrics, gaussian_blur
 from .transforms import METHOD_TABLE, METHODS, path_graph
 
 # Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
@@ -110,7 +110,8 @@ def run_deblur(
     """Restore ``blurred`` against ``clean`` patch by patch.
 
     Returns the restored sequence (clamped to [0, 255]) and metric rows,
-    one per frame plus an average row.
+    one per frame plus an average row. Frames smaller than the SSIM window
+    on either side are rejected before any work.
     """
     if blurred.frames.shape != clean.frames.shape:
         raise ShapeMismatch("blurred and clean sequences differ in shape")
@@ -121,6 +122,9 @@ def run_deblur(
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if blurred.t < 2:
         raise ShapeMismatch(f"a sequence needs at least 2 frames for its temporal graph, got {blurred.t}")
+    if min(blurred.height, blurred.width) < SSIM_WINDOW:
+        raise ShapeMismatch(f"{blurred.height}x{blurred.width} frames are too small for the "
+                            f"{SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
     cfg = cfg if cfg is not None else default_config()
     y_blocks = patchify(blurred, patch)
     spatial, temporal = patch_graph(patch), path_graph(blurred.t)

@@ -17,24 +17,44 @@ imaginary parts are the plain partial derivatives). Training evaluates the
 loss before each update and returns the best iterate seen.
 
 The loss and all three gradients come from one fused forward/backward pass.
-With M1 = V diag(p) V_inv held on its eigenbasis, V_inv Y is computed once
-per fit. The forward pass takes A = V [p Yh | dp Yh] = [M1 Y | dM1 Y],
+With M1 = V diag(p) V_inv held on its eigenbasis, Yh = V_inv Y is computed
+once per fit. When every transform of a stack is unitary (the first basis
+and every second factor have unitary powers: undirected graphs under
+``transform-power`` and the DFT, but not a blend strictly inside (0, 1);
+see ``transforms.all_unitary``), F^{-1} = F^H and Parseval moves the loss
+into the transform domain,
+
+    L = mean_b || H * (M1 Y_b M2^T) - M1 X_b M2^T ||_F^2,
+
+with Xh = V^H X also computed once per fit. One basis product,
+V [p Yh | dp Yh | p Xh | dp Xh] = [M1 Y | dM1 Y | M1 X | dM1 X], feeds the
+loss and every gradient: with U_Y = M1 Y M2^T, U_X = M1 X M2^T,
+E = H * U_Y - U_X and <A, B> = Re tr(A^H B), means over each problem's
+samples,
+
+    g_h = 2 mean conj(U_Y) * E,
+    dL/dalpha1 = 2 mean <E, H * (dM1 Y M2^T) - dM1 X M2^T>,
+    dL/dalpha2 = 2 mean <E, H * (M1 Y dM2^T) - M1 X dM2^T>,
+
+and an epoch multiplies four blocks by the basis in one product.
+
+A stack with a non-unitary problem takes the residual in the original
+domain. Its forward pass takes A = V [p Yh | dp Yh] = [M1 Y | dM1 Y],
 U = A M2^T and W0 = V_inv (H * U0); pi are the powers of M1inv. On a
-unitary basis (V_inv = V^H: every undirected graph, and the DFT) the
-residual stays in eigen-coordinates, Rh = V^H R = (pi W0) M2inv^T - Xh with
-Xh = V^H X computed once per fit, so the loss is its mean squared norm and
+unitary basis (V_inv = V^H) the residual stays in eigen-coordinates,
+Rh = V^H R = (pi W0) M2inv^T - Xh, so the loss is its mean squared norm and
 the backward pass takes Q = Rh conj(M2inv) and back = V_inv^H (conj(pi) Q)
-= F^{-H} r. That gives g_h and, in reverse mode, both order gradients:
-with <A, B> = Re tr(A^H B) and means over each problem's samples,
+= F^{-H} r. That gives g_h = 2 mean conj(u) * back and, in reverse mode,
+both order gradients:
 
     dL/dalpha1 = 2 mean(<Q, dpi * W0> + <back, H * (dM1 Y M2^T)>),
-    dL/dalpha2 = 2 mean(<Rh conj(dM2inv), pi W0> + <back, H * (M1 Y dM2^T)>).
+    dL/dalpha2 = 2 mean(<Rh conj(dM2inv), pi W0> + <back, H * (M1 Y dM2^T)>),
 
-An epoch then multiplies four blocks by the basis in three products. A
-non-unitary basis (that of a directed graph, in general) takes the
-residual in the vertex domain, R = V (pi W0) M2inv^T - X, and projects its
-adjoint with Q = V^H (R conj(M2inv)); the same formulas hold with R and
-V (pi W0) in place of Rh and pi W0, for six blocks in five products.
+for four blocks in three products. A non-unitary basis (that of a directed
+graph, in general) takes the residual in the vertex domain,
+R = V (pi W0) M2inv^T - X, and projects its adjoint with
+Q = V^H (R conj(M2inv)); the same formulas hold with R and V (pi W0) in
+place of Rh and pi W0, for six blocks in five products.
 
 All basis products go through :meth:`SpectralBasis.lmul`: on a large
 basis with a real Schur factor (undirected graphs under
@@ -63,7 +83,17 @@ import numpy as np
 from .errors import DivergedLoss, ShapeMismatch
 from .graphs import Graph
 from .spectral import FractionalOperator, SpectralBasis, power_parts
-from .transforms import METHOD_TABLE, METHODS, ProductTransform, apply, blend_parts, graph_basis, path_graph
+from .transforms import (
+    METHOD_TABLE,
+    METHODS,
+    ProductTransform,
+    all_unitary,
+    apply,
+    blend_basis,
+    blend_parts,
+    graph_basis,
+    path_graph,
+)
 from .wiener import FilterDesign, grid_values
 
 # Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
@@ -177,7 +207,9 @@ def loss(t: ProductTransform, h, batch) -> float:
 
 
 def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
-    """(dL/dalpha1, dL/dalpha2, g_h) averaged over the batch, from the fused pass.
+    """(dL/dalpha1, dL/dalpha2, g_h) averaged over the batch, from the fused
+    pass: in the transform domain when the transform is unitary (a
+    fractional second factor with unitary powers), else on the residual.
 
     g_h is the length-N1*N2 conjugate gradient (column-major vec order).
     """
@@ -188,7 +220,8 @@ def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
     _check_batch((t.n1, t.n2), batch)
     o2 = t.op2
     parts = np.stack([o2.matrix, o2.inverse, o2.derivative, o2.inverse_derivative])[:, None]
-    stack = _Stack(t.op1.basis, [batch], lambda a2: parts)
+    basis2 = o2.basis if isinstance(o2, FractionalOperator) else None
+    stack = _Stack(t.op1.basis, [batch], lambda a2: parts, all_unitary(t.op1.basis, [basis2]))
     _, d_orders, gh = stack.value_and_grad(np.array([[t.op1.order, o2.order]]), h[None])
     return float(d_orders[0, 0]), float(d_orders[0, 1]), gh[0]
 
@@ -214,14 +247,17 @@ class _Stack:
     problem's own powers of the eigenvalues scale its columns. Arrays are
     (n1, K, S, n2) for K stacked blocks, or (n1, S, n2) for one. ``second``
     maps the P second orders to every problem's dense M2, M2inv, dM2 and
-    dM2inv, (4, P, n2, n2). The stack keeps Yh = V_inv Y and the residual's
-    target: Xh = V^H X on a unitary basis, where the residual stays in
-    eigen-coordinates, else X itself.
+    dM2inv, (4, P, n2, n2). ``unitary`` says that every problem's transform
+    is unitary (``transforms.all_unitary``): the pass then takes the loss
+    in the transform domain, else on the residual (module docstring). The
+    stack keeps Yh = V_inv Y and the target: Xh = V^H X on a unitary basis,
+    else X itself.
     """
 
-    def __init__(self, basis: SpectralBasis, batches, second):
+    def __init__(self, basis: SpectralBasis, batches, second, unitary: bool):
         self.basis = basis
         self.second = second
+        self.unitary = unitary
         self.counts = np.array([len(b) for b in batches])
         self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
         self.owner = np.repeat(np.arange(len(batches)), self.counts)
@@ -240,20 +276,44 @@ class _Stack:
     def value_and_grad(self, orders: np.ndarray, h: np.ndarray):
         """Loss, order gradients (P, 2) and filter gradients (P, N1*N2) of
         every problem, at the orders (P, 2) and filters ``h`` (P, N1*N2)."""
-        b = self.basis
         n1, _, n2 = self.Yh.shape
         P = len(orders)
-        # each sample's powers of M1 (and of M1inv), (n1, 1, S, 1)
-        pf, pi, dpf, dpi = (p[self.owner].T[:, None, :, None] for p in power_parts(b, orders[:, 0]))
+        # each sample's powers of M1, and of M1inv for the residual, (n1, 1, S, 1)
+        powers = [p[self.owner].T[:, None, :, None]
+                  for p in power_parts(self.basis, orders[:, 0], inverse=not self.unitary)]
         M2 = self.second(orders[:, 1])[:, self.owner]   # each sample's M2, M2inv, dM2, dM2inv
+        H = h.reshape(P, n2, n1).transpose(2, 0, 1)[:, self.owner]
+        pass_ = self._transform_pass if self.unitary else self._residual_pass
+        value, d_orders, gh = pass_(powers, M2, H)
+        return value, d_orders, gh.transpose(1, 2, 0).reshape(P, n1 * n2)
+
+    def _transform_pass(self, powers, M2, H):
+        """The pass on the loss in the transform domain: one basis product."""
+        pf, dpf = powers
+        fwd_t, _, dfwd_t, _ = M2.swapaxes(-1, -2)
+        Yh, Xh = self.Yh[:, None], self.target[:, None]
+        A = self.basis.lmul(np.concatenate([pf * Yh, dpf * Yh, pf * Xh, dpf * Xh], axis=1), "V")
+        U = _rmul(A, fwd_t)             # M1 Y M2^T, dM1 Y M2^T, M1 X M2^T, dM1 X M2^T
+        dU2 = _rmul(A[:, ::2], dfwd_t)  # M1 Y dM2^T, M1 X dM2^T
+        E = H * U[:, 0] - U[:, 2]
+        d_orders = 2.0 * np.stack([
+            self._mean(_re_inner(E, H * U[:, 1] - U[:, 3])),
+            self._mean(_re_inner(E, H * dU2[:, 0] - dU2[:, 1]))], axis=1)
+        gh = 2.0 * self._mean(np.conj(U[:, 0]) * E, axis=1)
+        return self._mean(_re_inner(E, E)), d_orders, gh
+
+    def _residual_pass(self, powers, M2, H):
+        """The pass on the residual: in eigen-coordinates on a unitary basis,
+        else in the vertex domain."""
+        b = self.basis
+        pf, pi, dpf, dpi = powers
         fwd_t, inv_t, dfwd_t, _ = M2.swapaxes(-1, -2)
-        H = h.reshape(P, n2, n1).transpose(2, 0, 1)[:, None, self.owner]
         Yh = self.Yh[:, None]
 
         A = b.lmul(np.concatenate([pf * Yh, dpf * Yh], axis=1), "V")   # M1 Y, dM1 Y
         U = _rmul(A, fwd_t)                                             # M1 Y M2^T, dM1 Y M2^T
         dU2 = _rmul(A[:, :1], dfwd_t)[:, 0]                             # M1 Y dM2^T
-        W0 = b.lmul(H[:, 0] * U[:, 0], "V_inv")
+        W0 = b.lmul(H * U[:, 0], "V_inv")
         # the residual stays in eigen-coordinates on a unitary basis, where
         # V^H V = I; otherwise it is taken in the vertex domain
         C0 = pi[:, 0] * W0 if b.unitary else b.lmul(pi[:, 0] * W0, "V")
@@ -264,14 +324,13 @@ class _Stack:
         Q = S if b.unitary else b.lmul(S, "V_h")
         back = b.lmul(pi.conj() * Q, "V_inv_h")[:, 0]
 
-        value = self._mean(_re_inner(R, R))
         # both order derivatives of the estimate, paired with r through the adjoint
-        Hb = H[:, 0].conj() * back
+        Hb = H.conj() * back
         d_orders = 2.0 * np.stack([
             self._mean(_re_inner(Q[:, 0], dpi[:, 0] * W0) + _re_inner(Hb, U[:, 1])),
             self._mean(_re_inner(dS, C0) + _re_inner(Hb, dU2))], axis=1)
         gh = 2.0 * self._mean(np.conj(U[:, 0]) * back, axis=1)
-        return value, d_orders, gh.transpose(1, 2, 0).reshape(P, n1 * n2)
+        return self._mean(_re_inner(R, R)), d_orders, gh
 
 
 def _adam_step(x, g, m, v, step: int, rate: float):
@@ -384,7 +443,9 @@ def fit(
             weights.append(m.weight if lam is None else lam)
     # every problem's second factor, at its own blend weight, in one call
     second = partial(blend_parts, g2, lam=np.array(weights), convention=convention)
-    stack = _Stack(graph_basis(g1, convention), batches, second)
+    basis = graph_basis(g1, convention)
+    unitary = all_unitary(basis, [blend_basis(g2, w, convention) for w in set(weights)])
+    stack = _Stack(basis, batches, second, unitary)
     results = [None] * len(jobs)
     for (j, lam), (design, trace) in zip(owners, _train_loop(stack, cfg, tied)):
         if results[j] is None or design.mse < results[j][0].mse:

@@ -172,10 +172,12 @@ class SpectralBasis:
         """``part`` @ A along the first axis of A, all other axes as columns,
         for ``part`` one of V, V_inv, V_h and V_inv_h. With a real factor Z
         (V is then unitary, so V_h = V_inv and V_inv_h = V) the product is
-        one real GEMM by Z and one pass of the pair mixing; when the mixed
-        block U A has no imaginary part (real A under a real matrix function,
-        the descent's first product), Z multiplies its real part alone and the
-        result is still complex."""
+        one real GEMM by Z and one pass of the pair mixing. When only some
+        rows of the mixed block U A have an imaginary part (real A under a
+        real matrix function, the descent's first product: none, or the
+        rows of negative real eigenvalues, whose powers are complex), Z
+        multiplies the real part and only those rows' columns of Z the
+        imaginary part; the result is complex."""
         if part not in BASIS_PARTS:
             raise ValueError(f"part must be one of {BASIS_PARTS}, got {part!r}")
         A2 = A.reshape(A.shape[0], -1)
@@ -183,10 +185,13 @@ class SpectralBasis:
             out = getattr(self, part) @ A2
         elif part in ("V", "V_inv_h"):
             mixed = self.mix.apply(A2)
-            if np.any(mixed.imag):
+            rows = np.flatnonzero(mixed.imag.any(axis=1))
+            if len(rows) == self.n:
                 out = _real_lmul(self.Z, mixed)
             else:
                 out = (self.Z @ mixed.real).astype(np.complex128)
+                if len(rows):
+                    out.imag = self.Z[:, rows] @ mixed.imag[rows]
         else:
             out = self.mix.apply_h(_real_lmul(self.Z.T, A2))
         return out.reshape(A.shape)
@@ -366,11 +371,12 @@ class FractionalOperator(FactorOperator):
     inverse_derivative = cached_property(lambda self: self._dense(self.dpow_inv))
 
 
-def power_parts(basis: SpectralBasis, alpha):
+def power_parts(basis: SpectralBasis, alpha, inverse: bool = True):
     """lam**alpha, lam**-alpha and their order derivatives on the eigenvalues
     of ``basis``: four (n,) arrays for a float alpha, (k, n) for a 1-D array
-    of k orders. Zero eigenvalues need alpha > 0 (SingularPower otherwise)
-    and map to 0 in both powers, the inverse by pseudoinverse convention."""
+    of k orders; with ``inverse=False`` only lam**alpha and its derivative.
+    Zero eigenvalues need alpha > 0 (SingularPower otherwise) and map to 0
+    in both powers, the inverse by pseudoinverse convention."""
     # a float order keeps to scalar arithmetic: fractional_power runs per grid point
     vector = isinstance(alpha, np.ndarray)
     orders = alpha.tolist() if vector else [alpha]
@@ -382,8 +388,10 @@ def power_parts(basis: SpectralBasis, alpha):
 
     a = alpha[:, None] if vector else alpha
     pow_fwd = np.exp(a * log_lam)
-    pow_inv = np.exp(-a * log_lam)
     pow_fwd.T[zero] = 0.0   # the eigenvalue axis is the last one
+    if not inverse:
+        return pow_fwd, pow_fwd * log_lam
+    pow_inv = np.exp(-a * log_lam)
     pow_inv.T[zero] = 0.0
     return pow_fwd, pow_inv, pow_fwd * log_lam, -pow_inv * log_lam
 

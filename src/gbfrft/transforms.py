@@ -212,10 +212,22 @@ def apply(t: ProductTransform, X, direction: str = "forward") -> np.ndarray:
     return t.op2.rmul_t(t.op1.lmul(X, kind), kind)
 
 
-def _end_basis(g2: Graph, lam: float, convention: str) -> SpectralBasis:
-    """The basis of a blend's endpoint: the DFT on g2.n points at lam = 1,
-    the graph basis of g2 at lam = 0."""
-    return dft_basis(g2.n) if lam == 1.0 else graph_basis(g2, convention)
+def blend_basis(g2: Graph, lam: float, convention: str = "transform-power") -> SpectralBasis | None:
+    """The spectral basis of the second factor at blend weight ``lam``: the
+    DFT on g2.n points at lam = 1, the graph basis of g2 at lam = 0, and None
+    in between, where the blend is a dense matrix with no eigenbasis here."""
+    if lam == 1.0:
+        return dft_basis(g2.n)
+    return graph_basis(g2, convention) if lam == 0.0 else None
+
+
+def all_unitary(first: SpectralBasis, seconds) -> bool:
+    """Whether every transform with factor-1 basis ``first`` and a second
+    factor from ``seconds`` (bases, None for a dense blend) is unitary: every
+    basis has ``SpectralBasis.unitary_powers``. The Wiener search then
+    solves diagonal normal equations and the descent takes its loss in the
+    transform domain, both by Parseval."""
+    return first.unitary_powers and all(b is not None and b.unitary_powers for b in seconds)
 
 
 def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
@@ -232,10 +244,10 @@ def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
     for value in (1.0, 0.0):
         at = lam == value
         if at.any():
-            out[:, at] = dense_powers(_end_basis(g2_path, value, convention), beta[at])
+            out[:, at] = dense_powers(blend_basis(g2_path, value, convention), beta[at])
     mid = (lam > 0.0) & (lam < 1.0)
     if mid.any():
-        fd, fg = (dense_powers(_end_basis(g2_path, value, convention), beta[mid]) for value in (1.0, 0.0))
+        fd, fg = (dense_powers(blend_basis(g2_path, value, convention), beta[mid]) for value in (1.0, 0.0))
         w = lam[mid, None, None]
         B, dB = (w * fd[i] + (1.0 - w) * fg[i] for i in (0, 2))
         B_inv, cond = guarded_inverse(B)
@@ -270,8 +282,9 @@ class Method(NamedTuple):
         lam = float(lam) if self.searches_lambda else None
         op1 = gfrft(g1, a1, convention)
         w = self.weight if lam is None else lam
-        if w in (0.0, 1.0):
-            op2 = fractional_power(_end_basis(g2, w, convention), a2)
+        b2 = blend_basis(g2, w, convention)
+        if b2 is not None:
+            op2 = fractional_power(b2, a2)
         else:
             op2 = DenseOperator(a2, *blend_parts(g2, np.array([a2]), np.array([w]), convention)[:, 0])
         return ProductTransform(op1, op2, self.kind, (a1, a2), lam)

@@ -34,12 +34,14 @@ diagonal with T[m, m] = A[m, m], A = F E[y y^H] F^H, q = diag(F E[x y^H] F^H)
 and h = q / diag(A). ``grid_search`` takes this path for a whole search
 when both factor bases have ``SpectralBasis.unitary_powers`` (a unitary
 eigenbasis and a unimodular spectrum; a symmetric adjacency under
-``shift-power`` has real eigenvalues, so it keeps the LU path). Each
-diagonal is a sandwich of factor contractions, with no N x N product: the
-M1 half costs O(N1 N^2) and depends on alpha1 alone, so the search computes
-it once per distinct alpha1, and the M2 half costs O(N N2^2) per point. The
-rcond of a diagonal T is min|T_mm| / max|T_mm|, guarded like the LU
-estimate, and the fallback is what ``lstsq`` gives for a diagonal matrix.
+``shift-power`` has real eigenvalues, so it keeps the LU path). That rule
+is ``transforms.all_unitary``; it also puts the descent of ``learn`` on its
+transform-domain loss. Each diagonal is a sandwich of factor contractions,
+with no N x N product: the M1 half costs O(N1 N^2) and depends on alpha1
+alone, so the search computes it once per distinct alpha1, and the M2 half
+costs O(N N2^2) per point. The rcond of a diagonal T is min|T_mm| /
+max|T_mm|, guarded like the LU estimate, and the fallback is what ``lstsq``
+gives for a diagonal matrix.
 
 An ``ObservationModel`` may instead hold factored statistics: a signal
 stationary on the product graph, Rxx = kron(U2, U1) diag(vec W) kron(U2, U1)^T
@@ -77,7 +79,7 @@ from .errors import (
 )
 from .graphs import Graph
 from .spectral import fractional_power
-from .transforms import ProductTransform, graph_basis
+from .transforms import ProductTransform, all_unitary, graph_basis
 
 # Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
 from .transforms import transform_2d  # noqa: F401
@@ -558,7 +560,7 @@ def grid_search(
     points = [(a, a) for a in grid1] if equal_orders else [(a1, a2) for a1 in grid1 for a2 in grid2]
     b1, b2 = graph_basis(g1, convention), graph_basis(g2, convention)
     _check_sizes(model, b1.n, b2.n)
-    diagonal = b1.unitary_powers and b2.unitary_powers
+    diagonal = all_unitary(b1, [b2])
     factored = model.factored if diagonal else None
     # one operator per distinct order; each caches the dense parts it is asked for
     ops1, ops2 = ({a: fractional_power(b, a) for a in grid} for b, grid in ((b1, grid1), (b2, grid2)))

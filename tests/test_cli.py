@@ -271,6 +271,16 @@ def test_deblur_rejects_a_blur_window_wider_than_a_frame_in_one_line(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+def test_deblur_rejects_frames_too_small_for_ssim_in_one_line(tmp_path, capsys):
+    frame = str(tmp_path / "clean.pgm")
+    matio.write_pgm(frame, np.random.default_rng(6).uniform(0, 255, size=(8, 8)))
+    assert main(["deblur", "--clean", ",".join([frame] * 3), "--synthesize-blur", "--patch", "4",
+                 "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[ShapeMismatch]:") and "SSIM window" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
 def test_deblur_reports_a_truncated_binary_frame_in_one_line(tmp_path, capsys):
     short = tmp_path / "t.pgm"
     short.write_bytes(b"P5\n4 4\n255\n\x01\x02\x03")

@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from test_learn import CountingMatrix
 
 from gbfrft import deblur, transforms
 from gbfrft.errors import ShapeMismatch
 from gbfrft.deblur import (
+    DEFAULT_PATCH,
     FrameSequence,
     blur_sequence,
+    default_config,
     patch_graph,
     patchify,
     pixel_grid_coords,
@@ -143,6 +148,38 @@ def test_run_deblur_rejects_a_single_frame_before_any_work(monkeypatch):
         monkeypatch.setattr(deblur, name, None)   # any work would raise TypeError
     with pytest.raises(ShapeMismatch, match="2 frames"):
         run_deblur(blurred, clean, patch=10)
+
+
+def test_run_deblur_rejects_frames_too_small_for_ssim_before_any_work(monkeypatch):
+    clean = textured_frames(t=3, size=8)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(deblur, "fit", no_fit)
+    with pytest.raises(ShapeMismatch, match="SSIM window"):
+        run_deblur(blur_sequence(clean), clean, patch=4)
+
+
+def test_a_default_deblur_multiplies_by_the_real_factor_once_per_epoch(monkeypatch):
+    # the gated deblur benchmark runs this path: 2d-gbfrft on 20x20 patches,
+    # whose unitary transform takes one basis product per epoch
+    g = patch_graph(DEFAULT_PATCH)
+    basis = transforms.graph_basis(g)
+    counted = replace(basis, Z=basis.Z.view(CountingMatrix))
+    monkeypatch.setattr(transforms, "_BASES", transforms._BasisCache())
+    with monkeypatch.context() as m:   # make ``counted`` the cached basis of g
+        m.setattr(transforms, "eig_general", lambda M: counted)
+        assert transforms.graph_basis(g) is counted
+    clean = textured_frames(t=3, size=40, seed=2)
+    blurred = blur_sequence(clean)
+
+    def products(epochs):
+        CountingMatrix.products = 0
+        run_deblur(blurred, clean, cfg=replace(default_config(), epochs=epochs))
+        return CountingMatrix.products
+
+    assert (products(5) - products(1)) / 4 == 1
 
 
 def test_deblur_rounds_build_their_patch_graph_once(monkeypatch):

@@ -27,6 +27,8 @@ from gbfrft.spectral import FACTORED_MIN_N, SpectralBasis
 from gbfrft.transforms import (
     DenseOperator,
     ProductTransform,
+    all_unitary,
+    blend_basis,
     blend_parts,
     gfrft2d,
     hybrid_transform,
@@ -192,10 +194,12 @@ def forward_mode_order_gradients(t, h, batch) -> np.ndarray:
     return d / len(batch)
 
 
-def method_stack(basis, batches, methods, g2):
-    """A _Stack of one problem per method on ``basis``, blends at lambda = 0.5."""
+def method_stack(basis, batches, methods, g2, residual=False):
+    """A _Stack of one problem per method on ``basis``, blends at lambda = 0.5,
+    on the pass ``fit`` would take, or on the residual pass when asked."""
     lam = np.array([0.5 if METHOD_TABLE[m].searches_lambda else METHOD_TABLE[m].weight for m in methods])
-    return _Stack(basis, batches, partial(blend_parts, g2, lam=lam, convention="transform-power"))
+    unitary = not residual and all_unitary(basis, [blend_basis(g2, w) for w in lam])
+    return _Stack(basis, batches, partial(blend_parts, g2, lam=lam, convention="transform-power"), unitary)
 
 
 def test_reverse_mode_order_gradients_equal_forward_mode_on_a_mixed_stack():
@@ -540,7 +544,8 @@ def test_one_diverging_stacked_problem_raises():
 class CountingMatrix(np.ndarray):
     """An array that counts the matrix products it takes part in, and the
     complex columns it multiplies from the left: a complex column goes
-    through a real factor as two real ones, so a real column counts half."""
+    through a real factor as two real ones, so a real column counts half,
+    and a product by k of an n x n matrix's columns counts k / n of one."""
 
     products = 0
     columns = 0
@@ -548,9 +553,10 @@ class CountingMatrix(np.ndarray):
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
             CountingMatrix.products += 1
-            if isinstance(inputs[0], CountingMatrix):
-                right = inputs[1]
-                CountingMatrix.columns += right.shape[-1] * (1.0 if np.iscomplexobj(right) else 0.5)
+            left, right = inputs
+            if isinstance(left, CountingMatrix):
+                width = left.shape[-1] / left.shape[-2]
+                CountingMatrix.columns += right.shape[-1] * width * (1.0 if np.iscomplexobj(right) else 0.5)
         plain = [x.view(np.ndarray) if isinstance(x, CountingMatrix) else x for x in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
 
@@ -587,14 +593,21 @@ def products_per_epoch(method, g, counted, rng, monkeypatch, complex_data=False)
 
 def check_blocks(method, per_epoch, products, blocks, T=3):
     """An epoch takes ``products`` products with the basis, on ``blocks``
-    column blocks per sample. A unitary basis takes [M1 Y | dM1 Y] through
-    V, then one block each through V_inv and V_inv^H: the residual stays in
-    eigen-coordinates. A non-unitary one adds a block each through V and
+    column blocks per sample. A unitary transform takes its loss in the
+    transform domain: [M1 Y | dM1 Y | M1 X | dM1 X] through V, one product.
+    The residual pass on a unitary basis takes [M1 Y | dM1 Y] through V, then
+    one block each through V_inv and V_inv^H: the residual stays in
+    eigen-coordinates. A non-unitary basis adds a block each through V and
     V^H for the vertex-domain residual. The order gradients come off the
     adjoint, so no derivative block follows the primal."""
     lambdas = 3 if METHOD_TABLE[method].searches_lambda else 1   # fit_method's lambda grid
     for (P, B), per_epoch_counts in per_epoch.items():
         assert per_epoch_counts == (products, blocks * P * B * lambdas * T)
+
+
+# (products, blocks) per epoch: the 2d-gbfrft transform is unitary, the
+# hybrid's lambda grid holds a blend strictly inside (0, 1)
+DENSE_BASIS_COUNTS = {"2d-gbfrft": (1, 4), "hybrid": (3, 4)}
 
 
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
@@ -604,32 +617,42 @@ def test_one_epoch_multiplies_by_the_spatial_basis_a_fixed_number_of_times(metho
     basis = transforms.graph_basis(g)
     assert basis.unitary
     per_epoch = products_per_epoch(method, g, counting_basis(basis), rng, monkeypatch)
-    check_blocks(method, per_epoch, products=3, blocks=4)
+    check_blocks(method, per_epoch, *DENSE_BASIS_COUNTS[method])
 
 
-def real_factor_products(method, monkeypatch, complex_data):
-    # deblur's 400-vertex patch graph: big enough for products through the
-    # real factor Z, and with no real eigenvalue of F_G, so every power of
-    # F_G is a real matrix
-    g = patch_graph(20)
+def real_factor_products(method, monkeypatch, complex_data, patch=20):
+    # deblur's patch graphs are big enough for products through the real
+    # factor Z. The 400-vertex one has no real eigenvalue of F_G, so every
+    # power of F_G is a real matrix; the 256-vertex one has two, 1 and -1
+    g = patch_graph(patch)
     basis = transforms.graph_basis(g)
-    assert basis.Z is not None and basis.n >= FACTORED_MIN_N and not len(basis.mix.single)
+    assert basis.Z is not None and basis.n >= FACTORED_MIN_N
+    assert len(basis.mix.single) == {20: 0, 16: 2}[patch]
     return products_per_epoch(method, g, replace(basis, Z=basis.Z.view(CountingMatrix)),
                               np.random.default_rng(24), monkeypatch, complex_data)
 
 
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
-def test_one_epoch_multiplies_by_the_real_factor_three_times(method, monkeypatch):
-    # the first product, [M1 Y | dM1 Y] of real samples, is real after the
-    # pair mixing: Z takes its real columns only, so it counts as one block
+def test_one_epoch_multiplies_by_the_real_factor_a_fixed_number_of_times(method, monkeypatch):
+    # real samples make every block through V real after the pair mixing, so
+    # Z takes their real columns only and each counts half: the four of the
+    # transform-domain product and [M1 Y | dM1 Y] of the residual pass
     per_epoch = real_factor_products(method, monkeypatch, complex_data=False)
-    check_blocks(method, per_epoch, products=3, blocks=3)
+    check_blocks(method, per_epoch, *{"2d-gbfrft": (1, 2), "hybrid": (3, 3)}[method])
 
 
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
 def test_complex_samples_keep_every_real_factor_product_complex(method, monkeypatch):
     per_epoch = real_factor_products(method, monkeypatch, complex_data=True)
-    check_blocks(method, per_epoch, products=3, blocks=4)
+    check_blocks(method, per_epoch, *DENSE_BASIS_COUNTS[method])
+
+
+def test_only_the_complex_rows_of_a_mixed_block_take_complex_products(monkeypatch):
+    # of the 256 eigenvalues of F_G on patch_graph(16), only -1 has complex
+    # powers, so one row of the mixed block of real samples is complex. Z
+    # takes the real part, and that row's one column of Z the imaginary part
+    per_epoch = real_factor_products("2d-gbfrft", monkeypatch, complex_data=False, patch=16)
+    check_blocks("2d-gbfrft", per_epoch, products=2, blocks=2 * (1 + 1 / 256))
 
 
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
@@ -640,15 +663,16 @@ def test_one_epoch_multiplies_by_a_non_unitary_basis_five_times(method, monkeypa
     check_blocks(method, per_epoch, products=5, blocks=6)
 
 
-def two_problem_pass(basis, method, T=3):
-    """value_and_grad of two ``method`` problems of two samples each on ``basis``."""
+def two_problem_pass(basis, method, T=3, residual=False):
+    """value_and_grad of two ``method`` problems of two samples each on
+    ``basis``, on the residual pass when asked."""
     rng = np.random.default_rng(26)
     batches = [[(rng.normal(size=(basis.n, T)), rng.normal(size=(basis.n, T))) for _ in range(2)]
                for _ in range(2)]
     h = 1.0 + 0.2 * (rng.normal(size=(2, basis.n * T)) + 1j * rng.normal(size=(2, basis.n * T)))
     tied = METHOD_TABLE[method].tied
     orders = np.array([[0.4 + 0.2 * p, 0.4 + 0.2 * p if tied else 0.7] for p in range(2)])
-    return method_stack(basis, batches, [method] * 2, path_graph(T)).value_and_grad(orders, h)
+    return method_stack(basis, batches, [method] * 2, path_graph(T), residual).value_and_grad(orders, h)
 
 
 def assert_same_pass(got, want):
@@ -665,17 +689,32 @@ def test_real_factor_products_equal_dense_products(method):
     assert_same_pass(two_problem_pass(basis, method), two_problem_pass(dense, method))
 
 
+def unitary_graph_basis(graph):
+    rng = np.random.default_rng(28)
+    g = patch_graph(16) if graph == "patch" else make_knn_graph(rng.normal(size=(6, 2)), 2)
+    basis = transforms.graph_basis(g)
+    assert basis.unitary and (basis.n >= FACTORED_MIN_N) == (graph == "patch")
+    return basis
+
+
 @pytest.mark.parametrize("graph", ["knn", "patch"])
 @pytest.mark.parametrize("method", METHODS)
 def test_eigen_coordinate_residual_equals_the_vertex_domain_residual(method, graph):
     # unitary=False takes the residual through V and back through V^H; on a
     # unitary basis (V_inv = V^H) that is exact, so both branches agree
-    rng = np.random.default_rng(28)
-    g = patch_graph(16) if graph == "patch" else make_knn_graph(rng.normal(size=(6, 2)), 2)
-    basis = transforms.graph_basis(g)
-    assert basis.unitary and (basis.n >= FACTORED_MIN_N) == (graph == "patch")
+    basis = unitary_graph_basis(graph)
     vertex = replace(basis, unitary=False)
-    assert_same_pass(two_problem_pass(basis, method), two_problem_pass(vertex, method))
+    assert_same_pass(two_problem_pass(basis, method, residual=True), two_problem_pass(vertex, method))
+
+
+@pytest.mark.parametrize("graph", ["knn", "patch"])
+@pytest.mark.parametrize("method", [m for m in METHODS if not METHOD_TABLE[m].searches_lambda])
+def test_transform_domain_pass_equals_the_residual_pass(method, graph):
+    # a unitary transform keeps norms, so the loss and its gradients are the
+    # same taken on h * F y - F x as on the residual F^{-1}(h * F y) - x
+    basis = unitary_graph_basis(graph)
+    assert all_unitary(basis, [blend_basis(path_graph(3), METHOD_TABLE[method].weight)])
+    assert_same_pass(two_problem_pass(basis, method), two_problem_pass(basis, method, residual=True))
 
 
 def test_a_full_fit_takes_the_same_path_through_either_residual_branch(monkeypatch):
@@ -688,19 +727,27 @@ def test_a_full_fit_takes_the_same_path_through_either_residual_branch(monkeypat
     jobs = [(m, s) for s in sources for m in METHODS]
     cfg = TrainConfig(lr_orders=7e-3, epochs=120, init_orders=(0.8, 0.8))   # deblur's defaults
 
-    def designs():
-        return [d for d, _ in fit(jobs, g, path_graph(T), cfg, lambda_grid=(0.0, 0.5, 1.0))]
+    def designs(lambdas):
+        return [d for d, _ in fit(jobs, g, path_graph(T), cfg, lambda_grid=lambdas)]
 
-    eigen = designs()
+    def assert_same_designs(got, want):
+        for e, v in zip(got, want, strict=True):
+            assert np.allclose([e.alpha1, e.alpha2, e.mse], [v.alpha1, v.alpha2, v.mse], rtol=1e-9, atol=0)
+            assert np.linalg.norm(e.h - v.h) <= 1e-9 * np.linalg.norm(v.h)
+            assert e.lam == v.lam
+
     basis = transforms.graph_basis(g)
     assert basis.unitary
+    # lambdas 0 and 1 keep every transform unitary: the transform-domain pass
+    assert all_unitary(basis, [blend_basis(path_graph(T), w) for w in (0.0, 1.0)])
+    spectral = designs((0.0, 1.0))
+    eigen = designs((0.0, 0.5, 1.0))   # a blend inside (0, 1): the eigen-coordinate residual
+    monkeypatch.setattr(learn, "all_unitary", lambda first, seconds: False)
+    assert_same_designs(spectral, designs((0.0, 1.0)))
     vertex = replace(basis, unitary=False)
     monkeypatch.setattr(learn, "graph_basis",
                         lambda h, convention: vertex if h is g else transforms.graph_basis(h, convention))
-    for e, v in zip(eigen, designs()):
-        assert np.allclose([e.alpha1, e.alpha2, e.mse], [v.alpha1, v.alpha2, v.mse], rtol=1e-9, atol=0)
-        assert np.linalg.norm(e.h - v.h) <= 1e-9 * np.linalg.norm(v.h)
-        assert e.lam == v.lam
+    assert_same_designs(eigen, designs((0.0, 0.5, 1.0)))
 
 
 def test_one_fit_stacks_every_method_tied_and_untied():
