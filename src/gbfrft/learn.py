@@ -36,7 +36,28 @@ samples,
     dL/dalpha1 = 2 mean <E, H * (dM1 Y M2^T) - dM1 X M2^T>,
     dL/dalpha2 = 2 mean <E, H * (M1 Y dM2^T) - M1 X dM2^T>,
 
-and an epoch multiplies four blocks by the basis in one product.
+and an epoch multiplies four blocks by the basis in one product. That
+product is copied once into a sample-major layout, (S, K, n2, n1) for S
+samples and K blocks: each block is the transpose of an n1 x n2 signal, so
+a product by a second factor is a batched M2 @ A, and the filter h and g_h
+are read and written by reshape alone.
+
+A unitary stack is *real* when its samples are real and every basis has
+real powers (``transforms.all_real``: the real Schur factor Z and no
+eigenvalue on the negative real axis, as for F_G of ``patch_graph(20)`` or
+of a path of three vertices). Each power of M1 = Z R Z^T is then a real
+matrix: on Z's columns a real eigenvalue scales by its power p, and the
+pair (x + jy, x - jy)/sqrt(2) with powers p and conj(p) turns its two
+columns (x, y) by [[Re p, Im p], [-Im p, Re p]]. With W = Z^T [Y | X] and
+its pair-swapped copy W' (rows [singles | x | y] -> [0 | y | -x]), both
+kept once per fit,
+
+    R W = Re(p) W + Im(p) W',
+
+for p and for dp on Z's rows, and one real GEMM by Z gives
+[M1 Y | dM1 Y | M1 X | dM1 X]. M2 and dM2 are real too, so the filter
+descends in float64; :func:`fit` returns it as complex128 unless
+``TrainConfig.real_filter`` is set.
 
 A stack with a non-unitary problem takes the residual in the original
 domain. Its forward pass takes A = V [p Yh | dp Yh] = [M1 Y | dM1 Y],
@@ -56,20 +77,22 @@ R = V (pi W0) M2inv^T - X, and projects its adjoint with
 Q = V^H (R conj(M2inv)); the same formulas hold with R and V (pi W0) in
 place of Rh and pi W0, for six blocks in five products.
 
-All basis products go through :meth:`SpectralBasis.lmul`: on a large
+Other basis products go through :meth:`SpectralBasis.lmul`: on a large
 basis with a real Schur factor (undirected graphs under
 ``transform-power``) each is one real GEMM by that factor plus an O(n)
 pair mixing per column. The descent takes orders, not transforms. Problems
 whose first factors share one basis descend stacked: the patches of a
 deblur run, and every method, noise variance and lambda of a time-vertex
 run. Each epoch gets every problem's powers of M1 from one vectorized
-``exp``, and every problem's dense M2, M2inv, dM2 and dM2inv at its second
-order from one :func:`~gbfrft.transforms.blend_parts` call, at the blend
-weight its family in ``transforms.METHOD_TABLE`` gives it. Each product by
-a second factor is one batched matmul over the samples; the adjoint ones
-use the conjugates. Each problem keeps its own orders, filter, Adam
-moments (fixed ``ADAM_BETAS`` and ``ADAM_EPS``), trace and best iterate as
-rows of stacked arrays, and :func:`fit` stacks any mix of (method, samples) jobs.
+``exp``, and every problem's dense second-factor parts at its second order
+from one :func:`~gbfrft.transforms.blend_parts` call, at the blend weight
+its family in ``transforms.METHOD_TABLE`` gives it: M2 and dM2 for the
+transform-domain pass, with M2inv and dM2inv for the residual one, which
+alone also takes the powers of M1inv. Each product by a second factor is
+one batched matmul over the samples; the adjoint ones use the conjugates.
+Each problem keeps its own orders, filter, Adam moments (fixed
+``ADAM_BETAS`` and ``ADAM_EPS``), trace and best iterate as rows of stacked
+arrays, and :func:`fit` stacks any mix of (method, samples) jobs.
 """
 
 from __future__ import annotations
@@ -82,11 +105,12 @@ import numpy as np
 
 from .errors import DivergedLoss, ShapeMismatch
 from .graphs import Graph
-from .spectral import FractionalOperator, SpectralBasis, power_parts
+from .spectral import FractionalOperator, SpectralBasis, dense_powers, power_parts
 from .transforms import (
     METHOD_TABLE,
     METHODS,
     ProductTransform,
+    all_real,
     all_unitary,
     apply,
     blend_basis,
@@ -208,8 +232,7 @@ def loss(t: ProductTransform, h, batch) -> float:
 
 def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
     """(dL/dalpha1, dL/dalpha2, g_h) averaged over the batch, from the fused
-    pass: in the transform domain when the transform is unitary (a
-    fractional second factor with unitary powers), else on the residual.
+    pass that :func:`fit` would take for this transform.
 
     g_h is the length-N1*N2 conjugate gradient (column-major vec order).
     """
@@ -219,9 +242,14 @@ def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
     _filter_grid(t, h)  # ShapeMismatch for a wrong-length h
     _check_batch((t.n1, t.n2), batch)
     o2 = t.op2
-    parts = np.stack([o2.matrix, o2.inverse, o2.derivative, o2.inverse_derivative])[:, None]
-    basis2 = o2.basis if isinstance(o2, FractionalOperator) else None
-    stack = _Stack(t.op1.basis, [batch], lambda a2: parts, all_unitary(t.op1.basis, [basis2]))
+    if isinstance(o2, FractionalOperator):
+        # the second factor at any order, as fit's spectral endpoints give it
+        basis2, second = o2.basis, partial(dense_powers, o2.basis)
+    else:
+        # a dense blend has no basis: its parts at its own order are all there is
+        parts = np.stack([o2.matrix, o2.inverse, o2.derivative, o2.inverse_derivative])[:, None]
+        basis2, second = None, lambda a2, inverse: parts
+    stack = _Stack(t.op1.basis, [batch], second, [basis2])
     _, d_orders, gh = stack.value_and_grad(np.array([[t.op1.order, o2.order]]), h[None])
     return float(d_orders[0, 0]), float(d_orders[0, 1]), gh[0]
 
@@ -244,31 +272,60 @@ class _Stack:
     Every problem's samples are laid side by side on a sample axis of
     length S, so each factor-1 multiply of the pass is one product with V,
     V_inv or their adjoints for all problems and samples at once; each
-    problem's own powers of the eigenvalues scale its columns. Arrays are
-    (n1, K, S, n2) for K stacked blocks, or (n1, S, n2) for one. ``second``
-    maps the P second orders to every problem's dense M2, M2inv, dM2 and
-    dM2inv, (4, P, n2, n2). ``unitary`` says that every problem's transform
-    is unitary (``transforms.all_unitary``): the pass then takes the loss
-    in the transform domain, else on the residual (module docstring). The
-    stack keeps Yh = V_inv Y and the target: Xh = V^H X on a unitary basis,
-    else X itself.
+    problem's own powers of the eigenvalues scale its rows. ``second`` maps
+    the P second orders to every problem's dense M2, M2inv, dM2 and dM2inv,
+    (4, P, n2, n2), or to M2 and dM2 alone with ``inverse=False``.
+    ``seconds`` holds the second factors' bases (None for a dense blend).
+
+    The stack picks its pass once, here, from the bases and the samples
+    (module docstring). Unitary transforms (``transforms.all_unitary``)
+    take the transform-domain pass. Its block [Y | X] of samples is held in
+    eigen-coordinates, V^H [Y | X], or, on a *real* stack (real samples,
+    and ``transforms.all_real``), as Z^T [Y | X] with a pair-swapped copy
+    whose rows [singles | x | y] hold [0 | y | -x]. After the one basis
+    product the blocks are copied once into the sample-major layout
+    (S, K, n2, n1), K = 2 x 2 for (Y, X) x (M1, dM1): each is the transpose of an n1 x n2 signal, a product
+    by a second factor is a batched M2 @ A, and a filter h is read and
+    its gradient written by reshape alone. Other stacks take the residual
+    pass on (n1, K, S, n2) stacks, and keep Yh = V_inv Y and the target:
+    Xh = V^H X on a unitary basis, else X itself.
     """
 
-    def __init__(self, basis: SpectralBasis, batches, second, unitary: bool):
+    def __init__(self, basis: SpectralBasis, batches, second, seconds):
         self.basis = basis
         self.second = second
-        self.unitary = unitary
         self.counts = np.array([len(b) for b in batches])
         self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
         self.owner = np.repeat(np.arange(len(batches)), self.counts)
         Y = np.stack([np.asarray(Y) for b in batches for Y, _ in b], axis=1)
         X = np.stack([np.asarray(X) for b in batches for _, X in b], axis=1)
-        self.Yh = basis.lmul(Y, "V_inv")  # V_inv Y does not depend on the orders
-        # V_inv = V^H on a unitary basis, so this target is Xh = V^H X there
-        self.target = basis.lmul(X, "V_inv") if basis.unitary else X
+        self.n1, _, self.n2 = Y.shape
+        self.unitary = all_unitary(basis, seconds)
+        self.real = (self.unitary and all_real(basis, seconds)
+                     and not (np.iscomplexobj(Y) or np.iscomplexobj(X)))
+        # the samples by block (Y, X) and sample, each transposed, (2, 1, S, n2, n1),
+        # in the rows the orders scale: eigen-coordinates, or Z's columns
+        if self.real:
+            W = basis.Z.T @ np.stack([Y, X], axis=1).reshape(self.n1, -1)
+            W = np.ascontiguousarray(W.reshape(self.n1, 2, 1, -1, self.n2).transpose(1, 2, 3, 4, 0))
+            ns, nq = len(basis.mix.single), len(basis.mix.plus)
+            swapped = np.zeros_like(W)
+            swapped[..., ns:ns + nq] = W[..., ns + nq:]
+            swapped[..., ns + nq:] = -W[..., ns:ns + nq]
+            self.blocks = W, swapped
+            self.rows = np.concatenate([basis.mix.single, basis.mix.plus, basis.mix.plus])
+        elif self.unitary:
+            W = basis.lmul(np.stack([Y, X], axis=1), "V_inv")
+            self.blocks = np.ascontiguousarray(np.moveaxis(W, 0, -1)[:, None])
+        else:
+            self.Yh = basis.lmul(Y, "V_inv")  # V_inv Y does not depend on the orders
+            # V_inv = V^H on a unitary basis, so this target is Xh = V^H X there
+            self.target = basis.lmul(X, "V_inv") if basis.unitary else X
 
     def _mean(self, per_sample: np.ndarray, axis: int = 0) -> np.ndarray:
         """Per-problem means of per-sample values along ``axis``."""
+        if len(self.owner) == len(self.counts):
+            return per_sample   # one sample each; reduceat would copy it slowly
         shape = [1] * per_sample.ndim
         shape[axis] = -1
         return np.add.reduceat(per_sample, self.starts, axis=axis) / self.counts.reshape(shape)
@@ -276,39 +333,55 @@ class _Stack:
     def value_and_grad(self, orders: np.ndarray, h: np.ndarray):
         """Loss, order gradients (P, 2) and filter gradients (P, N1*N2) of
         every problem, at the orders (P, 2) and filters ``h`` (P, N1*N2)."""
-        n1, _, n2 = self.Yh.shape
         P = len(orders)
-        # each sample's powers of M1, and of M1inv for the residual, (n1, 1, S, 1)
-        powers = [p[self.owner].T[:, None, :, None]
-                  for p in power_parts(self.basis, orders[:, 0], inverse=not self.unitary)]
-        M2 = self.second(orders[:, 1])[:, self.owner]   # each sample's M2, M2inv, dM2, dM2inv
-        H = h.reshape(P, n2, n1).transpose(2, 0, 1)[:, self.owner]
-        pass_ = self._transform_pass if self.unitary else self._residual_pass
-        value, d_orders, gh = pass_(powers, M2, H)
-        return value, d_orders, gh.transpose(1, 2, 0).reshape(P, n1 * n2)
+        # each problem's powers of M1 (and of M1inv for the residual), (P, n1)
+        powers = power_parts(self.basis, orders[:, 0], inverse=not self.unitary)
+        parts = self.second(orders[:, 1], inverse=not self.unitary)[:, self.owner]
+        H = h.reshape(P, self.n2, self.n1)[self.owner]   # each sample's filter, transposed
+        if not self.unitary:
+            value, d_orders, gh = self._residual_pass(powers, parts, H)
+        elif self.real:
+            value, d_orders, gh = self._transform_pass(self._real_product(powers), parts.real, H)
+        else:
+            pw = np.stack(powers)[:, self.owner, None, :]    # (2, S, 1, n1)
+            A = self.basis.lmul(np.moveaxis(pw * self.blocks, -1, 0), "V")
+            value, d_orders, gh = self._transform_pass(A, parts, H)
+        return value, d_orders, gh.reshape(P, -1)
 
-    def _transform_pass(self, powers, M2, H):
-        """The pass on the loss in the transform domain: one basis product."""
-        pf, dpf = powers
-        fwd_t, _, dfwd_t, _ = M2.swapaxes(-1, -2)
-        Yh, Xh = self.Yh[:, None], self.target[:, None]
-        A = self.basis.lmul(np.concatenate([pf * Yh, dpf * Yh, pf * Xh, dpf * Xh], axis=1), "V")
-        U = _rmul(A, fwd_t)             # M1 Y M2^T, dM1 Y M2^T, M1 X M2^T, dM1 X M2^T
-        dU2 = _rmul(A[:, ::2], dfwd_t)  # M1 Y dM2^T, M1 X dM2^T
-        E = H * U[:, 0] - U[:, 2]
-        d_orders = 2.0 * np.stack([
-            self._mean(_re_inner(E, H * U[:, 1] - U[:, 3])),
-            self._mean(_re_inner(E, H * dU2[:, 0] - dU2[:, 1]))], axis=1)
-        gh = 2.0 * self._mean(np.conj(U[:, 0]) * E, axis=1)
-        return self._mean(_re_inner(E, E)), d_orders, gh
+    def _real_product(self, powers) -> np.ndarray:
+        """Z R [Z^T Y | Z^T X] for R the rotation of M1 and of dM1: each pair
+        of Z's columns turns by [[Re p, Im p], [-Im p, Re p]], a single
+        scales by p. One real GEMM by Z."""
+        W, swapped = self.blocks
+        pw = np.stack(powers)[:, self.owner[:, None], self.rows][:, :, None]   # (2, S, 1, n1)
+        B = pw.real.copy() * W   # contiguous factors: a strided one costs more than the copy
+        B += pw.imag.copy() * swapped
+        return (self.basis.Z @ B.reshape(-1, self.n1).T).reshape((self.n1,) + B.shape[:-1])
+
+    def _transform_pass(self, A, parts, H):
+        """The pass on the loss in the transform domain, from the one basis
+        product A = [M1 Y | dM1 Y | M1 X | dM1 X], (n1, 2, 2, S, n2)."""
+        A = np.ascontiguousarray(A.transpose(3, 1, 2, 4, 0))   # sample-major (S, 2, 2, n2, n1)
+        M2, dM2 = parts
+        # per block Y, X: U = M1 . M2^T, dM1 . M2^T and M1 . dM2^T, transposed
+        U = np.empty(A.shape[:2] + (3,) + A.shape[3:], np.result_type(A, M2))
+        np.matmul(M2[:, None, None], A, out=U[:, :, :2])
+        np.matmul(dM2[:, None], A[:, :, 0], out=U[:, :, 2])
+        # E = H * U_Y - U_X and its derivatives along both orders
+        G = H[:, None] * U[:, 0] - U[:, 1]
+        E = G[:, 0]
+        means = self._mean(np.einsum("sij,skij->sk", E.conj(), G).real)   # <E, E>, <E, dE>
+        gh = 2.0 * self._mean(np.conj(U[:, 0, 0]) * E)
+        return means[:, 0], 2.0 * means[:, 1:], gh
 
     def _residual_pass(self, powers, M2, H):
         """The pass on the residual: in eigen-coordinates on a unitary basis,
         else in the vertex domain."""
         b = self.basis
-        pf, pi, dpf, dpi = powers
+        pf, pi, dpf, dpi = (p[self.owner].T[:, None, :, None] for p in powers)
         fwd_t, inv_t, dfwd_t, _ = M2.swapaxes(-1, -2)
         Yh = self.Yh[:, None]
+        H = np.ascontiguousarray(H.transpose(2, 0, 1))
 
         A = b.lmul(np.concatenate([pf * Yh, dpf * Yh], axis=1), "V")   # M1 Y, dM1 Y
         U = _rmul(A, fwd_t)                                             # M1 Y M2^T, dM1 Y M2^T
@@ -330,7 +403,7 @@ class _Stack:
             self._mean(_re_inner(Q[:, 0], dpi[:, 0] * W0) + _re_inner(Hb, U[:, 1])),
             self._mean(_re_inner(dS, C0) + _re_inner(Hb, dU2))], axis=1)
         gh = 2.0 * self._mean(np.conj(U[:, 0]) * back, axis=1)
-        return self._mean(_re_inner(R, R)), d_orders, gh
+        return self._mean(_re_inner(R, R)), d_orders, gh.transpose(1, 2, 0)
 
 
 def _adam_step(x, g, m, v, step: int, rate: float):
@@ -363,10 +436,10 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied) -> list[tuple[FilterDesig
     o1, o2 = _initial_orders(cfg, rng)
     P = len(tied)
     tied = np.asarray(tied, bool)[:, None]
-    n1, _, n2 = stack.Yh.shape
-    dtype = np.float64 if cfg.real_filter else np.complex128
+    # a real stack's filter gradients are real: its filters descend in float64
+    dtype = np.float64 if cfg.real_filter or stack.real else np.complex128
     orders = np.where(tied, o1, np.array([[o1, o2]]))
-    h = np.ones((P, n1 * n2), dtype=dtype)
+    h = np.ones((P, stack.n1 * stack.n2), dtype=dtype)
 
     m_orders = v_orders = m_h = v_h = 0.0
     record = np.empty((cfg.epochs, P, 3))
@@ -401,6 +474,7 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied) -> list[tuple[FilterDesig
             orders, h = orders - cfg.lr_orders * g_orders, h - cfg.filter_rate * gh
 
     best = record[best_epoch, np.arange(P)].tolist()
+    best_h = best_h.astype(np.float64 if cfg.real_filter else np.complex128, copy=False)
     return [(FilterDesign(alpha1=a, alpha2=b, h=best_h[p].copy(), mse=value),
              TrainTrace(*record[:, p].T.tolist(), best_epoch=int(best_epoch[p])))
             for p, (a, b, value) in enumerate(best)]
@@ -443,9 +517,8 @@ def fit(
             weights.append(m.weight if lam is None else lam)
     # every problem's second factor, at its own blend weight, in one call
     second = partial(blend_parts, g2, lam=np.array(weights), convention=convention)
-    basis = graph_basis(g1, convention)
-    unitary = all_unitary(basis, [blend_basis(g2, w, convention) for w in set(weights)])
-    stack = _Stack(basis, batches, second, unitary)
+    seconds = [blend_basis(g2, w, convention) for w in set(weights)]
+    stack = _Stack(graph_basis(g1, convention), batches, second, seconds)
     results = [None] * len(jobs)
     for (j, lam), (design, trace) in zip(owners, _train_loop(stack, cfg, tied)):
         if results[j] is None or design.mse < results[j][0].mse:

@@ -152,6 +152,15 @@ class SpectralBasis:
         return self.unitary and bool(np.all(np.abs(np.abs(self.lam) - 1.0) <= STRUCTURE_RTOL))
 
     @cached_property
+    def real_powers(self) -> bool:
+        """Every fractional power is a real matrix, Z R Z^T with R real: the
+        basis has the real factor Z and no eigenvalue on the negative real
+        axis, so each pair's powers stay conjugate (Higham, *Functions of
+        Matrices*, 2008). A negative real eigenvalue has the complex powers
+        of Log(-r) = ln r + j*pi."""
+        return self.Z is not None and not np.any((self.lam.real < 0.0) & (self.lam.imag == 0.0))
+
+    @cached_property
     def zero(self) -> np.ndarray:
         """Mask of the eigenvalues treated as zero, relative to the largest."""
         biggest = float(np.max(np.abs(self.lam))) if self.lam.size else 0.0
@@ -396,10 +405,11 @@ def power_parts(basis: SpectralBasis, alpha, inverse: bool = True):
     return pow_fwd, pow_inv, pow_fwd * log_lam, -pow_inv * log_lam
 
 
-def dense_powers(basis: SpectralBasis, alphas: np.ndarray) -> np.ndarray:
+def dense_powers(basis: SpectralBasis, alphas: np.ndarray, inverse: bool = True) -> np.ndarray:
     """The dense M^a, M^{-a}, dM^a/da and dM^{-a}/da at the k orders of the
-    1-D array ``alphas``, shape (4, k, n, n)."""
-    return (basis.V * np.stack(power_parts(basis, alphas))[..., None, :]) @ basis.V_inv
+    1-D array ``alphas``, shape (4, k, n, n); with ``inverse=False`` only
+    M^a and dM^a/da, (2, k, n, n)."""
+    return (basis.V * np.stack(power_parts(basis, alphas, inverse))[..., None, :]) @ basis.V_inv
 
 
 def fractional_power(basis: SpectralBasis, alpha: float) -> FractionalOperator:

@@ -230,31 +230,43 @@ def all_unitary(first: SpectralBasis, seconds) -> bool:
     return first.unitary_powers and all(b is not None and b.unitary_powers for b in seconds)
 
 
+def all_real(first: SpectralBasis, seconds) -> bool:
+    """Whether every such transform is a real matrix at every pair of
+    orders: every basis has ``SpectralBasis.real_powers``. A unitary descent
+    on real samples then runs in real arithmetic."""
+    return first.real_powers and all(b is not None and b.real_powers for b in seconds)
+
+
 def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
-                convention: str = "transform-power") -> np.ndarray:
+                convention: str = "transform-power", inverse: bool = True) -> np.ndarray:
     """Dense matrix, inverse, derivative and inverse derivative, (4, k, T, T),
     of the temporal blends lam dfrft(T, beta) + (1 - lam) gfrft(g2_path, beta)
-    at k orders and weights (1-D arrays), T = g2_path.n. The endpoints are
-    the exact spectral powers; in between the inverse is direct, and a
-    numerically singular blend raises SingularBlend."""
+    at k orders and weights (1-D arrays), T = g2_path.n; with
+    ``inverse=False`` only the matrix and its derivative, (2, k, T, T). The
+    endpoints are the exact spectral powers; in between the inverse is
+    direct, and a numerically singular blend raises SingularBlend."""
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     T = g2_path.n
-    out = np.empty((4, len(beta), T, T), dtype=np.complex128)
+    out = np.empty((4 if inverse else 2, len(beta), T, T), dtype=np.complex128)
     for value in (1.0, 0.0):
         at = lam == value
         if at.any():
-            out[:, at] = dense_powers(blend_basis(g2_path, value, convention), beta[at])
+            out[:, at] = dense_powers(blend_basis(g2_path, value, convention), beta[at], inverse)
     mid = (lam > 0.0) & (lam < 1.0)
     if mid.any():
-        fd, fg = (dense_powers(blend_basis(g2_path, value, convention), beta[mid]) for value in (1.0, 0.0))
+        fd, fg = (dense_powers(blend_basis(g2_path, value, convention), beta[mid], inverse=False)
+                  for value in (1.0, 0.0))
         w = lam[mid, None, None]
-        B, dB = (w * fd[i] + (1.0 - w) * fg[i] for i in (0, 2))
-        B_inv, cond = guarded_inverse(B)
-        bad = ~(cond <= CONDITION_LIMIT)
-        if bad.any():
-            raise SingularBlend(f"blend at lambda={lam[mid][bad]}, beta={beta[mid][bad]} is numerically singular")
-        out[:, mid] = B, B_inv, dB, -B_inv @ dB @ B_inv
+        B, dB = w * fd + (1.0 - w) * fg
+        if inverse:
+            B_inv, cond = guarded_inverse(B)
+            bad = ~(cond <= CONDITION_LIMIT)
+            if bad.any():
+                raise SingularBlend(f"blend at lambda={lam[mid][bad]}, beta={beta[mid][bad]} is numerically singular")
+            out[:, mid] = B, B_inv, dB, -B_inv @ dB @ B_inv
+        else:
+            out[:, mid] = B, dB
     return out
 
 

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_learn import CountingMatrix
+from test_learn import CountingMatrix, passes_taken
 
 from gbfrft import deblur, transforms
 from gbfrft.errors import ShapeMismatch
@@ -180,6 +180,15 @@ def test_a_default_deblur_multiplies_by_the_real_factor_once_per_epoch(monkeypat
         return CountingMatrix.products
 
     assert (products(5) - products(1)) / 4 == 1
+
+
+def test_a_default_deblur_descends_on_a_real_stack(monkeypatch):
+    # the gated deblur benchmark runs this path: real samples, and every
+    # power of both factors' bases is a real matrix
+    taken = passes_taken(monkeypatch)
+    clean = textured_frames(t=3, size=40, seed=2)
+    run_deblur(blur_sequence(clean), clean, cfg=replace(default_config(), epochs=1))
+    assert taken == [True]
 
 
 def test_deblur_rounds_build_their_patch_graph_once(monkeypatch):

@@ -6,9 +6,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from gbfrft import learn, transforms
+from gbfrft import learn, spectral, transforms
 from gbfrft.errors import DivergedLoss, ShapeMismatch
-from gbfrft.deblur import patch_graph
+from gbfrft.deblur import default_config, patch_graph
 from gbfrft.graphs import Graph, make_knn_graph, make_named_graph
 from gbfrft.learn import (
     METHOD_TABLE,
@@ -196,10 +196,11 @@ def forward_mode_order_gradients(t, h, batch) -> np.ndarray:
 
 def method_stack(basis, batches, methods, g2, residual=False):
     """A _Stack of one problem per method on ``basis``, blends at lambda = 0.5,
-    on the pass ``fit`` would take, or on the residual pass when asked."""
+    on the pass ``fit`` would take, or on the residual pass when asked: a
+    second factor with no basis, as a dense blend has, is not unitary."""
     lam = np.array([0.5 if METHOD_TABLE[m].searches_lambda else METHOD_TABLE[m].weight for m in methods])
-    unitary = not residual and all_unitary(basis, [blend_basis(g2, w) for w in lam])
-    return _Stack(basis, batches, partial(blend_parts, g2, lam=lam, convention="transform-power"), unitary)
+    seconds = [None if residual else blend_basis(g2, w) for w in lam]
+    return _Stack(basis, batches, partial(blend_parts, g2, lam=lam, convention="transform-power"), seconds)
 
 
 def test_reverse_mode_order_gradients_equal_forward_mode_on_a_mixed_stack():
@@ -306,9 +307,8 @@ def reference_descent(stack, tied, cfg, start):
     each parameter, driving the stack's own pass. One (alpha1, alpha2, loss)
     row list and one best (loss, epoch, orders, h) per problem."""
     b1, b2, eps = 0.9, 0.999, 1e-8
-    n1, _, n2 = stack.Yh.shape
     orders = np.array([(start[0], start[0]) if t else start for t in tied], dtype=np.float64)
-    h = np.ones((len(tied), n1 * n2), dtype=np.float64 if cfg.real_filter else np.complex128)
+    h = np.ones((len(tied), stack.n1 * stack.n2), dtype=np.float64 if cfg.real_filter else np.complex128)
     params = [orders, h]
     rates = [cfg.lr_orders, cfg.filter_rate]
     moments = [[0.0, 0.0], [0.0, 0.0]]
@@ -785,3 +785,54 @@ def test_first_step_leaves_the_orders_where_they_start(method):
     [(_, trace)] = fit_method(method, g, 6, cfg, [source])
     assert trace.alpha1[1] == trace.alpha1[0] and trace.alpha2[1] == trace.alpha2[0]
     assert trace.alpha1[2] != trace.alpha1[1]
+
+
+def test_a_transform_domain_epoch_builds_no_inverse_powers(monkeypatch):
+    # the pass reads M1, dM1, M2 and dM2 only: neither factor's inverse
+    # powers are built, at the first factor or through blend_parts
+    asked = []
+    power_parts = spectral.power_parts
+
+    def recording(basis, alpha, inverse=True):
+        asked.append(inverse)
+        return power_parts(basis, alpha, inverse)
+
+    monkeypatch.setattr(spectral, "power_parts", recording)
+    monkeypatch.setattr(learn, "power_parts", recording)
+    rng = np.random.default_rng(30)
+    g = make_knn_graph(rng.normal(size=(6, 2)), 2)
+    batch = [(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))]
+    fit([(m, batch) for m in ("2d-gbfrft", "jfrft")], g, path_graph(3), TrainConfig(epochs=3))
+    assert len(asked) == 3 * 3 and not any(asked)   # M1, and M2 at each endpoint
+
+
+def passes_taken(monkeypatch):
+    """Record whether each stack that reaches the descent loop is real."""
+    taken, loop = [], learn._train_loop
+    monkeypatch.setattr(learn, "_train_loop", lambda stack, *a: taken.append(stack.real) or loop(stack, *a))
+    return taken
+
+
+def test_a_real_stack_fits_as_the_complex_path_does(monkeypatch):
+    # deblur's configuration on two smooth 20x20 patches of 3 frames: every
+    # power is a real matrix, so the fit runs in float64; the same basis
+    # without its real factor forces the complex transform-domain pass
+    g, T = patch_graph(20), 3
+    rng = np.random.default_rng(31)
+    sources = []
+    for _ in range(2):
+        X = np.cumsum(rng.normal(size=(g.n, T)), axis=0)
+        sources.append([(X + 0.5 * rng.normal(size=X.shape), X)])
+    jobs = [("2d-gbfrft", s) for s in sources]
+    taken = passes_taken(monkeypatch)
+    real = fit(jobs, g, path_graph(T), default_config())
+    basis = transforms.graph_basis(g)
+    complex_basis = replace(basis, Z=None, mix=None)
+    monkeypatch.setattr(learn, "graph_basis",
+                        lambda h, convention: complex_basis if h is g else transforms.graph_basis(h, convention))
+    reference = fit(jobs, g, path_graph(T), default_config())
+    assert taken == [True, False]
+    for (e, _), (v, _) in zip(real, reference, strict=True):
+        assert e.h.dtype == v.h.dtype == np.complex128
+        assert np.allclose([e.alpha1, e.alpha2, e.mse], [v.alpha1, v.alpha2, v.mse], rtol=1e-9, atol=0)
+        assert np.linalg.norm(e.h - v.h) <= 1e-9 * np.linalg.norm(v.h)

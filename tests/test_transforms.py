@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 from gbfrft import transforms
+from gbfrft.deblur import patch_graph
 from gbfrft.errors import NonFinite, ShapeMismatch, SingularBlend
 from gbfrft.graphs import Graph, make_named_graph
-from gbfrft.spectral import FactorOperator, FractionalOperator, eig_general
+from gbfrft.spectral import FactorOperator, FractionalOperator, eig_general, fractional_power
 from gbfrft.transforms import (
     METHOD_TABLE,
     DenseOperator,
+    all_real,
     apply,
+    blend_parts,
     dfrft,
+    dft_basis,
     dft_matrix,
     gfrft,
     gfrft2d,
@@ -296,3 +300,29 @@ def test_each_public_constructor_is_its_familys_build(method, lam, construct):
     for op, ref_op in ((t.op1, ref.op1), (t.op2, ref.op2)):
         for part in ("matrix", "inverse", "derivative", "inverse_derivative"):
             assert np.array_equal(getattr(op, part), getattr(ref_op, part)), part
+
+
+def test_real_powers_marks_the_bases_whose_powers_are_real_matrices():
+    # F_G of patch_graph(20) has only conjugate pairs and that of path_graph(3)
+    # the eigenvalues 1 and exp(+-2j pi/3); patch_graph(16) has the eigenvalue
+    # -1, the DFT basis no real factor, and a directed graph's F_G is not normal
+    rng = np.random.default_rng(10)
+    adj = rng.uniform(0.1, 1.0, size=(4, 4))
+    np.fill_diagonal(adj, 0.0)
+    directed = Graph(n=4, adjacency=adj, directed=True, weighted=True)
+    real = [graph_basis(patch_graph(20)), graph_basis(path_graph(3))]
+    other = [graph_basis(patch_graph(16)), dft_basis(3), graph_basis(directed)]
+    assert [b.real_powers for b in real + other] == [True, True, False, False, False]
+    for b in real:
+        for a in (0.3, 0.8, 1.6, -0.7):
+            M = fractional_power(b, a).matrix
+            assert np.abs(M.imag).max() <= 1e-13 * np.abs(M).max(), a
+    assert all_real(real[0], [real[1], real[1]])
+    assert not all_real(real[0], [real[1], None]) and not all_real(real[0], [other[1]])
+
+
+def test_blend_parts_without_the_inverses_gives_the_forward_parts():
+    g2, beta = path_graph(4), np.array([0.3, 0.6, 0.9])
+    lam = np.array([0.0, 0.4, 1.0])
+    every = blend_parts(g2, beta, lam)
+    assert np.array_equal(blend_parts(g2, beta, lam, inverse=False), every[[0, 2]])
