@@ -18,32 +18,32 @@ loss before each update and returns the best iterate seen.
 
 The loss and all three gradients come from one fused forward/backward pass.
 With M1 = V diag(p) V_inv held on its eigenbasis, Yh = V_inv Y is computed
-once per fit. When every transform of a stack is unitary (the first basis
-and every second factor have unitary powers: undirected graphs under
-``transform-power`` and the DFT, but not a blend strictly inside (0, 1);
-see ``transforms.all_unitary``), F^{-1} = F^H and Parseval moves the loss
-into the transform domain,
+once per fit. When the first factor has unitary powers
+(``SpectralBasis.unitary_powers``: an undirected graph under
+``transform-power``, the first factor of every method of
+``transforms.METHOD_TABLE``), M1inv = M1^H keeps norms, so the loss is taken
+in M1's domain whatever the second factor is. Per sample, with
 
-    L = mean_b || H * (M1 Y_b M2^T) - M1 X_b M2^T ||_F^2,
+    U = M1 Y M2^T,   R = (H * U) M2inv^T,   E = R - M1 X,   F = E conj(M2inv),
 
-with Xh = V^H X also computed once per fit. One basis product,
-V [p Yh | dp Yh | p Xh | dp Xh] = [M1 Y | dM1 Y | M1 X | dM1 X], feeds the
-loss and every gradient: with U_Y = M1 Y M2^T, U_X = M1 X M2^T,
-E = H * U_Y - U_X and <A, B> = Re tr(A^H B), means over each problem's
-samples,
+<A, B> = Re tr(A^H B) and means over each problem's samples,
 
-    g_h = 2 mean conj(U_Y) * E,
-    dL/dalpha1 = 2 mean <E, H * (dM1 Y M2^T) - dM1 X M2^T>,
-    dL/dalpha2 = 2 mean <E, H * (M1 Y dM2^T) - M1 X dM2^T>,
+    L = mean ||E||^2,   g_h = 2 mean conj(U) * F,
+    dL/dalpha1 = 2 mean (<F, H * (dM1 Y M2^T)> - <E, dM1 X>),
+    dL/dalpha2 = 2 mean (<F, H * (M1 Y dM2^T)> - <F, R dM2^T>),
 
-and an epoch multiplies four blocks by the basis in one product. That
-product is copied once into a sample-major layout, (S, K, n2, n1) for S
-samples and K blocks: each block is the transpose of an n1 x n2 signal, so
-a product by a second factor is a batched M2 @ A, and the filter h and g_h
-are read and written by reshape alone.
+the last from dM2inv = -M2inv dM2 M2inv, so no dM2inv is needed. For a
+unitary M2 (M2inv = M2^H), ||E|| = ||H * U - M1 X M2^T|| is Parseval's loss
+in the transform domain. With Xh = V^H X also computed once per fit, one
+basis product, V [p Yh | dp Yh | p Xh | dp Xh] = [M1 Y | dM1 Y | M1 X | dM1 X],
+feeds the loss and every gradient. That product is copied once into a
+sample-major layout, (S, K, n2, n1) for S samples and K blocks: each block is
+the transpose of an n1 x n2 signal, so each of a sample's six products by a
+second factor is a batched M2 @ A, and the filter h and g_h are read and
+written by reshape alone.
 
-A unitary stack is *real* when its samples are real and every basis has
-real powers (``transforms.all_real``: the real Schur factor Z and no
+A stack in M1's domain is *real* when its samples are real and every basis
+has real powers (``transforms.all_real``: the real Schur factor Z and no
 eigenvalue on the negative real axis, as for F_G of ``patch_graph(20)`` or
 of a path of three vertices). Each power of M1 = Z R Z^T is then a real
 matrix: on Z's columns a real eigenvalue scales by its power p, and the
@@ -55,27 +55,22 @@ kept once per fit,
     R W = Re(p) W + Im(p) W',
 
 for p and for dp on Z's rows, and one real GEMM by Z gives
-[M1 Y | dM1 Y | M1 X | dM1 X]. M2 and dM2 are real too, so the filter
-descends in float64; :func:`fit` returns it as complex128 unless
-``TrainConfig.real_filter`` is set.
+[M1 Y | dM1 Y | M1 X | dM1 X]. The second-factor parts are real too, so
+the filter descends in float64; :func:`fit` returns it as complex128
+unless ``TrainConfig.real_filter`` is set.
 
-A stack with a non-unitary problem takes the residual in the original
-domain. Its forward pass takes A = V [p Yh | dp Yh] = [M1 Y | dM1 Y],
-U = A M2^T and W0 = V_inv (H * U0); pi are the powers of M1inv. On a
-unitary basis (V_inv = V^H) the residual stays in eigen-coordinates,
-Rh = V^H R = (pi W0) M2inv^T - Xh, so the loss is its mean squared norm and
-the backward pass takes Q = Rh conj(M2inv) and back = V_inv^H (conj(pi) Q)
-= F^{-H} r. That gives g_h = 2 mean conj(u) * back and, in reverse mode,
-both order gradients:
+A first factor without unitary powers (``shift-power``, the transform of a
+non-normal digraph) takes the residual in the vertex domain, with pi the
+powers of M1inv. Its forward pass takes A = V [p Yh | dp Yh] = [M1 Y | dM1 Y],
+U = A M2^T, W0 = V_inv (H * U0) and R = V (pi W0) M2inv^T - X. The backward
+pass projects the residual's adjoint with Q = V^H (R conj(M2inv)) and takes
+back = V_inv^H (conj(pi) Q) = F^{-H} r. That gives g_h = 2 mean conj(u) * back
+and, in reverse mode, both order gradients:
 
     dL/dalpha1 = 2 mean(<Q, dpi * W0> + <back, H * (dM1 Y M2^T)>),
-    dL/dalpha2 = 2 mean(<Rh conj(dM2inv), pi W0> + <back, H * (M1 Y dM2^T)>),
+    dL/dalpha2 = 2 mean(<R conj(dM2inv), V (pi W0)> + <back, H * (M1 Y dM2^T)>),
 
-for four blocks in three products. A non-unitary basis (that of a directed
-graph, in general) takes the residual in the vertex domain,
-R = V (pi W0) M2inv^T - X, and projects its adjoint with
-Q = V^H (R conj(M2inv)); the same formulas hold with R and V (pi W0) in
-place of Rh and pi W0, for six blocks in five products.
+for six blocks in five basis products.
 
 Other basis products go through :meth:`SpectralBasis.lmul`: on a large
 basis with a real Schur factor (undirected graphs under
@@ -84,11 +79,10 @@ pair mixing per column. The descent takes orders, not transforms. Problems
 whose first factors share one basis descend stacked: the patches of a
 deblur run, and every method, noise variance and lambda of a time-vertex
 run. Each epoch gets every problem's powers of M1 from one vectorized
-``exp``, and every problem's dense second-factor parts at its second order
-from one :func:`~gbfrft.transforms.blend_parts` call, at the blend weight
-its family in ``transforms.METHOD_TABLE`` gives it: M2 and dM2 for the
-transform-domain pass, with M2inv and dM2inv for the residual one, which
-alone also takes the powers of M1inv. Each product by a second factor is
+``exp`` (with those of M1inv on the residual pass only), and every
+problem's dense M2, M2inv, dM2 and dM2inv at its second order from one
+:func:`~gbfrft.transforms.blend_parts` call, at the blend weight its family
+in ``transforms.METHOD_TABLE`` gives it. Each product by a second factor is
 one batched matmul over the samples; the adjoint ones use the conjugates.
 Each problem keeps its own orders, filter, Adam moments (fixed
 ``ADAM_BETAS`` and ``ADAM_EPS``), trace and best iterate as rows of stacked
@@ -111,7 +105,6 @@ from .transforms import (
     METHODS,
     ProductTransform,
     all_real,
-    all_unitary,
     apply,
     blend_basis,
     blend_parts,
@@ -154,8 +147,8 @@ class TrainConfig:
             rate = getattr(self, name)
             if rate is not None and not (math.isfinite(rate) and rate > 0):
                 raise ValueError(f"{name} must be finite and positive, got {rate}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        if not isinstance(self.epochs, (int, np.integer)) or self.epochs < 1:
+            raise ValueError(f"epochs must be an integer of at least 1, got {self.epochs!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         # parse init_orders once; _initial_orders only draws
@@ -248,7 +241,7 @@ def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
     else:
         # a dense blend has no basis: its parts at its own order are all there is
         parts = np.stack([o2.matrix, o2.inverse, o2.derivative, o2.inverse_derivative])[:, None]
-        basis2, second = None, lambda a2, inverse: parts
+        basis2, second = None, lambda a2: parts
     stack = _Stack(t.op1.basis, [batch], second, [basis2])
     _, d_orders, gh = stack.value_and_grad(np.array([[t.op1.order, o2.order]]), h[None])
     return float(d_orders[0, 0]), float(d_orders[0, 1]), gh[0]
@@ -274,21 +267,18 @@ class _Stack:
     V_inv or their adjoints for all problems and samples at once; each
     problem's own powers of the eigenvalues scale its rows. ``second`` maps
     the P second orders to every problem's dense M2, M2inv, dM2 and dM2inv,
-    (4, P, n2, n2), or to M2 and dM2 alone with ``inverse=False``.
-    ``seconds`` holds the second factors' bases (None for a dense blend).
+    (4, P, n2, n2). ``seconds`` holds the second factors' bases (None for a
+    dense blend); they decide only whether the stack is real.
 
-    The stack picks its pass once, here, from the bases and the samples
-    (module docstring). Unitary transforms (``transforms.all_unitary``)
-    take the transform-domain pass. Its block [Y | X] of samples is held in
-    eigen-coordinates, V^H [Y | X], or, on a *real* stack (real samples,
-    and ``transforms.all_real``), as Z^T [Y | X] with a pair-swapped copy
-    whose rows [singles | x | y] hold [0 | y | -x]. After the one basis
-    product the blocks are copied once into the sample-major layout
-    (S, K, n2, n1), K = 2 x 2 for (Y, X) x (M1, dM1): each is the transpose of an n1 x n2 signal, a product
-    by a second factor is a batched M2 @ A, and a filter h is read and
-    its gradient written by reshape alone. Other stacks take the residual
-    pass on (n1, K, S, n2) stacks, and keep Yh = V_inv Y and the target:
-    Xh = V^H X on a unitary basis, else X itself.
+    The stack picks its pass once, here, from the first basis alone (module
+    docstring): with ``unitary_powers`` it takes the pass in M1's domain.
+    Its block [Y | X] of samples is held in eigen-coordinates, V^H [Y | X],
+    or, on a *real* stack (real samples, and ``transforms.all_real``), as
+    Z^T [Y | X] with a pair-swapped copy whose rows [singles | x | y] hold
+    [0 | y | -x]. After the one basis product the blocks are copied once
+    into the sample-major layout (S, K, n2, n1), K = 2 x 2 for (Y, X) x
+    (M1, dM1). Other first factors take the vertex-domain residual pass on
+    (n1, K, S, n2) stacks, and keep Yh = V_inv Y and X.
     """
 
     def __init__(self, basis: SpectralBasis, batches, second, seconds):
@@ -300,7 +290,7 @@ class _Stack:
         Y = np.stack([np.asarray(Y) for b in batches for Y, _ in b], axis=1)
         X = np.stack([np.asarray(X) for b in batches for _, X in b], axis=1)
         self.n1, _, self.n2 = Y.shape
-        self.unitary = all_unitary(basis, seconds)
+        self.unitary = basis.unitary_powers
         self.real = (self.unitary and all_real(basis, seconds)
                      and not (np.iscomplexobj(Y) or np.iscomplexobj(X)))
         # the samples by block (Y, X) and sample, each transposed, (2, 1, S, n2, n1),
@@ -319,8 +309,7 @@ class _Stack:
             self.blocks = np.ascontiguousarray(np.moveaxis(W, 0, -1)[:, None])
         else:
             self.Yh = basis.lmul(Y, "V_inv")  # V_inv Y does not depend on the orders
-            # V_inv = V^H on a unitary basis, so this target is Xh = V^H X there
-            self.target = basis.lmul(X, "V_inv") if basis.unitary else X
+            self.X = X
 
     def _mean(self, per_sample: np.ndarray, axis: int = 0) -> np.ndarray:
         """Per-problem means of per-sample values along ``axis``."""
@@ -336,16 +325,16 @@ class _Stack:
         P = len(orders)
         # each problem's powers of M1 (and of M1inv for the residual), (P, n1)
         powers = power_parts(self.basis, orders[:, 0], inverse=not self.unitary)
-        parts = self.second(orders[:, 1], inverse=not self.unitary)[:, self.owner]
+        parts = self.second(orders[:, 1])[:, self.owner]
         H = h.reshape(P, self.n2, self.n1)[self.owner]   # each sample's filter, transposed
         if not self.unitary:
             value, d_orders, gh = self._residual_pass(powers, parts, H)
         elif self.real:
-            value, d_orders, gh = self._transform_pass(self._real_product(powers), parts.real, H)
+            value, d_orders, gh = self._m1_pass(self._real_product(powers), parts.real, H)
         else:
             pw = np.stack(powers)[:, self.owner, None, :]    # (2, S, 1, n1)
             A = self.basis.lmul(np.moveaxis(pw * self.blocks, -1, 0), "V")
-            value, d_orders, gh = self._transform_pass(A, parts, H)
+            value, d_orders, gh = self._m1_pass(A, parts, H)
         return value, d_orders, gh.reshape(P, -1)
 
     def _real_product(self, powers) -> np.ndarray:
@@ -358,25 +347,31 @@ class _Stack:
         B += pw.imag.copy() * swapped
         return (self.basis.Z @ B.reshape(-1, self.n1).T).reshape((self.n1,) + B.shape[:-1])
 
-    def _transform_pass(self, A, parts, H):
-        """The pass on the loss in the transform domain, from the one basis
-        product A = [M1 Y | dM1 Y | M1 X | dM1 X], (n1, 2, 2, S, n2)."""
+    def _m1_pass(self, A, parts, H):
+        """The pass on the loss in M1's domain, from the one basis product
+        A = [M1 Y | dM1 Y | M1 X | dM1 X], (n1, 2, 2, S, n2). Signals are
+        held transposed: a product on the right by B^T is B @ on the left."""
         A = np.ascontiguousarray(A.transpose(3, 1, 2, 4, 0))   # sample-major (S, 2, 2, n2, n1)
-        M2, dM2 = parts
-        # per block Y, X: U = M1 . M2^T, dM1 . M2^T and M1 . dM2^T, transposed
-        U = np.empty(A.shape[:2] + (3,) + A.shape[3:], np.result_type(A, M2))
-        np.matmul(M2[:, None, None], A, out=U[:, :, :2])
-        np.matmul(dM2[:, None], A[:, :, 0], out=U[:, :, 2])
-        # E = H * U_Y - U_X and its derivatives along both orders
-        G = H[:, None] * U[:, 0] - U[:, 1]
-        E = G[:, 0]
-        means = self._mean(np.einsum("sij,skij->sk", E.conj(), G).real)   # <E, E>, <E, dE>
-        gh = 2.0 * self._mean(np.conj(U[:, 0, 0]) * E)
+        M2, M2inv, dM2, _ = parts
+        # U = M1 Y M2^T and its derivatives dM1 Y M2^T and M1 Y dM2^T
+        U = np.empty(A.shape[:1] + (3,) + A.shape[3:], np.result_type(A, M2))
+        np.matmul(M2[:, None], A[:, 0], out=U[:, :2])
+        np.matmul(dM2, A[:, 0, 0], out=U[:, 2])
+        R = M2inv @ (H * U[:, 0])                       # (H * U) M2inv^T
+        E = R - A[:, 1, 0]
+        F = np.conj(M2inv.swapaxes(-1, -2)) @ E         # E conj(M2inv)
+        Ec, Fc = E.conj(), F.conj()
+        # <E, E>, <E, dM1 X> and <F, R dM2^T>, then both order derivatives
+        per_sample = np.stack([np.einsum("sij,sij->s", Ec, E), np.einsum("sij,sij->s", Ec, A[:, 1, 1]),
+                               np.einsum("sij,sij->s", Fc, dM2 @ R)], axis=1).real
+        per_sample[:, 1:] = np.einsum("sij,skij->sk", Fc * H, U[:, 1:]).real - per_sample[:, 1:]
+        means = self._mean(per_sample)
+        gh = 2.0 * self._mean(np.conj(U[:, 0]) * F)
         return means[:, 0], 2.0 * means[:, 1:], gh
 
     def _residual_pass(self, powers, M2, H):
-        """The pass on the residual: in eigen-coordinates on a unitary basis,
-        else in the vertex domain."""
+        """The pass on the residual in the vertex domain, for a first factor
+        without unitary powers."""
         b = self.basis
         pf, pi, dpf, dpi = (p[self.owner].T[:, None, :, None] for p in powers)
         fwd_t, inv_t, dfwd_t, _ = M2.swapaxes(-1, -2)
@@ -387,14 +382,12 @@ class _Stack:
         U = _rmul(A, fwd_t)                                             # M1 Y M2^T, dM1 Y M2^T
         dU2 = _rmul(A[:, :1], dfwd_t)[:, 0]                             # M1 Y dM2^T
         W0 = b.lmul(H * U[:, 0], "V_inv")
-        # the residual stays in eigen-coordinates on a unitary basis, where
-        # V^H V = I; otherwise it is taken in the vertex domain
-        C0 = pi[:, 0] * W0 if b.unitary else b.lmul(pi[:, 0] * W0, "V")
-        R = _rmul(C0[:, None], inv_t)[:, 0] - self.target
+        C0 = b.lmul(pi[:, 0] * W0, "V")
+        R = _rmul(C0[:, None], inv_t)[:, 0] - self.X
         # F^{-H} r = M1inv^H R conj(M2inv), with M1inv^H = V_inv^H diag(conj pi) V^H
         S = _rmul(R[:, None], M2[1].conj())
         dS = _rmul(R[:, None], M2[3].conj())[:, 0]                      # R conj(dM2inv)
-        Q = S if b.unitary else b.lmul(S, "V_h")
+        Q = b.lmul(S, "V_h")
         back = b.lmul(pi.conj() * Q, "V_inv_h")[:, 0]
 
         # both order derivatives of the estimate, paired with r through the adjoint
@@ -425,13 +418,14 @@ def _initial_orders(cfg: TrainConfig, rng: np.random.Generator) -> tuple[float, 
     return a, b
 
 
-def _train_loop(stack: _Stack, cfg: TrainConfig, tied) -> list[tuple[FilterDesign, TrainTrace]]:
+def _train_loop(stack: _Stack, cfg: TrainConfig, tied, where) -> list[tuple[FilterDesign, TrainTrace]]:
     """Descend on every problem of the stack at once, one fused pass per
     epoch; each problem keeps its own orders (a row of a (P, 2) array),
     filter, Adam moments, trace and best iterate, so the result equals P
     separate descents. A ``tied`` problem (one flag each) starts at (o1, o1)
     and gives both columns the summed gradient, so they stay equal bit for
-    bit. The record holds every epoch's (alpha1, alpha2, loss) per problem."""
+    bit. ``where`` names each problem in a DivergedLoss message. The record
+    holds every epoch's (alpha1, alpha2, loss) per problem."""
     rng = np.random.default_rng(cfg.seed)
     o1, o2 = _initial_orders(cfg, rng)
     P = len(tied)
@@ -451,8 +445,7 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied) -> list[tuple[FilterDesig
         values, d_orders, gh = stack.value_and_grad(orders, h)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
-            where = f" in problem {bad[0]}" if P > 1 else ""
-            raise DivergedLoss(f"loss became {values[bad[0]]} at epoch {epoch}{where}")
+            raise DivergedLoss(f"loss became {values[bad[0]]} at epoch {epoch}{where[bad[0]]}")
         record[epoch, :, :2] = orders
         record[epoch, :, 2] = values
         better = values < best_loss
@@ -496,11 +489,15 @@ def fit(
     orders are tied exactly when its method is (``2d-gfrft``). A method
     that searches lambda fits every value of ``lambda_grid`` from the same
     start and keeps the first best one: a later value must strictly improve
-    the loss.
+    the loss. A DivergedLoss names the job, and the lambda of one that
+    searches it.
     """
     lams = [float(lam) for lam in lambda_grid]
     if not lams:
         raise ValueError("lambda_grid must hold at least one value")
+    outside = [lam for lam in lams if not 0.0 <= lam <= 1.0]
+    if outside:
+        raise ValueError(f"lambda_grid values must be finite and lie in [0, 1], got {outside}")
     if not jobs:
         raise ValueError("need at least one training pair")
     batches, tied, owners, weights = [], [], [], []
@@ -519,8 +516,10 @@ def fit(
     second = partial(blend_parts, g2, lam=np.array(weights), convention=convention)
     seconds = [blend_basis(g2, w, convention) for w in set(weights)]
     stack = _Stack(graph_basis(g1, convention), batches, second, seconds)
+    where = [(f" in job {j}" if len(jobs) > 1 else "") + ("" if lam is None else f" at lambda {lam}")
+             for j, lam in owners]
     results = [None] * len(jobs)
-    for (j, lam), (design, trace) in zip(owners, _train_loop(stack, cfg, tied)):
+    for (j, lam), (design, trace) in zip(owners, _train_loop(stack, cfg, tied, where)):
         if results[j] is None or design.mse < results[j][0].mse:
             results[j] = (replace(design, lam=lam), trace)
     return results

@@ -405,11 +405,16 @@ def power_parts(basis: SpectralBasis, alpha, inverse: bool = True):
     return pow_fwd, pow_inv, pow_fwd * log_lam, -pow_inv * log_lam
 
 
-def dense_powers(basis: SpectralBasis, alphas: np.ndarray, inverse: bool = True) -> np.ndarray:
+def dense_powers(basis: SpectralBasis, alphas: np.ndarray) -> np.ndarray:
     """The dense M^a, M^{-a}, dM^a/da and dM^{-a}/da at the k orders of the
-    1-D array ``alphas``, shape (4, k, n, n); with ``inverse=False`` only
-    M^a and dM^a/da, (2, k, n, n)."""
-    return (basis.V * np.stack(power_parts(basis, alphas, inverse))[..., None, :]) @ basis.V_inv
+    1-D array ``alphas``, shape (4, k, n, n). On a basis with unitary powers
+    the inverse parts are the adjoints (M^a)^H and (dM^a/da)^H, and no
+    inverse power is computed."""
+    unitary = basis.unitary_powers
+    parts = (basis.V * np.stack(power_parts(basis, alphas, not unitary))[..., None, :]) @ basis.V_inv
+    if unitary:   # [M, dM] -> [M, M^H, dM, dM^H]
+        parts = np.stack([parts, parts.conj().swapaxes(-1, -2)], axis=1).reshape((4,) + parts.shape[1:])
+    return parts
 
 
 def fractional_power(basis: SpectralBasis, alpha: float) -> FractionalOperator:

@@ -35,13 +35,12 @@ and h = q / diag(A). ``grid_search`` takes this path for a whole search
 when both factor bases have ``SpectralBasis.unitary_powers`` (a unitary
 eigenbasis and a unimodular spectrum; a symmetric adjacency under
 ``shift-power`` has real eigenvalues, so it keeps the LU path). That rule
-is ``transforms.all_unitary``; it also puts the descent of ``learn`` on its
-transform-domain loss. Each diagonal is a sandwich of factor contractions,
-with no N x N product: the M1 half costs O(N1 N^2) and depends on alpha1
-alone, so the search computes it once per distinct alpha1, and the M2 half
-costs O(N N2^2) per point. The rcond of a diagonal T is min|T_mm| /
-max|T_mm|, guarded like the LU estimate, and the fallback is what ``lstsq``
-gives for a diagonal matrix.
+is ``transforms.all_unitary``. Each diagonal is a sandwich of factor
+contractions, with no N x N product: the M1 half costs O(N1 N^2) and
+depends on alpha1 alone, so the search computes it once per distinct
+alpha1, and the M2 half costs O(N N2^2) per point. The rcond of a diagonal
+T is min|T_mm| / max|T_mm|, guarded like the LU estimate, and the fallback
+is what ``lstsq`` gives for a diagonal matrix.
 
 An ``ObservationModel`` may instead hold factored statistics: a signal
 stationary on the product graph, Rxx = kron(U2, U1) diag(vec W) kron(U2, U1)^T

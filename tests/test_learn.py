@@ -194,12 +194,13 @@ def forward_mode_order_gradients(t, h, batch) -> np.ndarray:
     return d / len(batch)
 
 
-def method_stack(basis, batches, methods, g2, residual=False):
+def method_stack(basis, batches, methods, g2, dense_second=False):
     """A _Stack of one problem per method on ``basis``, blends at lambda = 0.5,
-    on the pass ``fit`` would take, or on the residual pass when asked: a
-    second factor with no basis, as a dense blend has, is not unitary."""
+    on the pass ``fit`` would take. ``replace(basis, unitary=False)`` forces
+    the residual pass; ``dense_second`` gives every second factor without a
+    basis, as a dense blend has, which keeps the stack complex."""
     lam = np.array([0.5 if METHOD_TABLE[m].searches_lambda else METHOD_TABLE[m].weight for m in methods])
-    seconds = [None if residual else blend_basis(g2, w) for w in lam]
+    seconds = [None if dense_second else blend_basis(g2, w) for w in lam]
     return _Stack(basis, batches, partial(blend_parts, g2, lam=lam, convention="transform-power"), seconds)
 
 
@@ -238,6 +239,7 @@ def test_train_config_validation():
     {"init_orders": "uniform[0,nan]"}, {"init_orders": "uniform[0,inf]"}, {"init_orders": "uniform[1]"},
     {"init_orders": "uniform[1,0]"}, {"init_orders": "uniform[0,1,2]"}, {"init_orders": "uniform[a,1]"},
     {"init_orders": (0.5, float("nan"))}, {"init_orders": (0.5,)}, {"init_orders": (0.1, 0.2, 0.3)},
+    {"epochs": 2.5},
 ])
 def test_train_config_rejects_bad_rates_and_initial_orders(bad):
     with pytest.raises(ValueError):
@@ -529,6 +531,11 @@ def test_fit_needs_jobs_samples_and_lambdas():
         fit([("2d-gbfrft", batch)], g1, g2, cfg, lambda_grid=())
     with pytest.raises(ValueError):
         train_hybrid(batch, g1, 4, cfg, lambda_grid=())
+    # a bad lambda is named alone, before any work: not the stack's weights
+    with pytest.raises(ValueError, match=r"got \[1\.5\]$"):
+        fit([("2d-gbfrft", batch)], g1, g2, cfg, lambda_grid=(0.0, 1.5))
+    with pytest.raises(ValueError, match=r"got \[nan, -0\.5\]$"):
+        fit([("hybrid", batch)], g1, g2, cfg, lambda_grid=(float("nan"), 0.5, -0.5))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -537,8 +544,13 @@ def test_one_diverging_stacked_problem_raises():
     Y, X = batch[0]
     cfg = TrainConfig(lr_orders=0.05, epochs=40, seed=5, optimizer="sgd")
     fit([("2d-gbfrft", batch)] * 2, g1, g2, cfg)  # the tame ones converge
-    with pytest.raises(DivergedLoss, match="in problem 1"):
+    with pytest.raises(DivergedLoss, match="in job 1$"):
         fit([("2d-gbfrft", b) for b in (batch, [(100.0 * Y, X)], batch)], g1, g2, cfg)
+    # the message names the job, not the stack row: a hybrid takes one row per lambda
+    with pytest.raises(DivergedLoss, match="in job 1$"):
+        fit([("hybrid", batch), ("2d-gbfrft", [(100.0 * Y, X)])], g1, g2, cfg, lambda_grid=(0.0, 1.0))
+    with pytest.raises(DivergedLoss, match="in job 1 at lambda 0.0$"):
+        fit([("2d-gbfrft", batch), ("hybrid", [(100.0 * Y, X)])], g1, g2, cfg, lambda_grid=(0.0, 1.0))
 
 
 class CountingMatrix(np.ndarray):
@@ -593,21 +605,20 @@ def products_per_epoch(method, g, counted, rng, monkeypatch, complex_data=False)
 
 def check_blocks(method, per_epoch, products, blocks, T=3):
     """An epoch takes ``products`` products with the basis, on ``blocks``
-    column blocks per sample. A unitary transform takes its loss in the
-    transform domain: [M1 Y | dM1 Y | M1 X | dM1 X] through V, one product.
-    The residual pass on a unitary basis takes [M1 Y | dM1 Y] through V, then
-    one block each through V_inv and V_inv^H: the residual stays in
-    eigen-coordinates. A non-unitary basis adds a block each through V and
-    V^H for the vertex-domain residual. The order gradients come off the
-    adjoint, so no derivative block follows the primal."""
+    column blocks per sample. A first factor with unitary powers takes the
+    loss in M1's domain, whatever the second factor: [M1 Y | dM1 Y | M1 X |
+    dM1 X] through V, one product. Any other takes the vertex-domain
+    residual: [M1 Y | dM1 Y] through V, then one block each through V_inv,
+    V, V^H and V_inv^H. The order gradients come off the adjoint, so no
+    derivative block follows the primal."""
     lambdas = 3 if METHOD_TABLE[method].searches_lambda else 1   # fit_method's lambda grid
     for (P, B), per_epoch_counts in per_epoch.items():
         assert per_epoch_counts == (products, blocks * P * B * lambdas * T)
 
 
-# (products, blocks) per epoch: the 2d-gbfrft transform is unitary, the
-# hybrid's lambda grid holds a blend strictly inside (0, 1)
-DENSE_BASIS_COUNTS = {"2d-gbfrft": (1, 4), "hybrid": (3, 4)}
+# (products, blocks) per epoch: one product, though the hybrid's lambda grid
+# holds a blend strictly inside (0, 1)
+DENSE_BASIS_COUNTS = {"2d-gbfrft": (1, 4), "hybrid": (1, 4)}
 
 
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
@@ -635,10 +646,9 @@ def real_factor_products(method, monkeypatch, complex_data, patch=20):
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
 def test_one_epoch_multiplies_by_the_real_factor_a_fixed_number_of_times(method, monkeypatch):
     # real samples make every block through V real after the pair mixing, so
-    # Z takes their real columns only and each counts half: the four of the
-    # transform-domain product and [M1 Y | dM1 Y] of the residual pass
+    # Z takes their real columns only and each of the four counts half
     per_epoch = real_factor_products(method, monkeypatch, complex_data=False)
-    check_blocks(method, per_epoch, *{"2d-gbfrft": (1, 2), "hybrid": (3, 3)}[method])
+    check_blocks(method, per_epoch, products=1, blocks=2)
 
 
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
@@ -663,16 +673,17 @@ def test_one_epoch_multiplies_by_a_non_unitary_basis_five_times(method, monkeypa
     check_blocks(method, per_epoch, products=5, blocks=6)
 
 
-def two_problem_pass(basis, method, T=3, residual=False):
+def two_problem_pass(basis, method, T=3, dense_second=False):
     """value_and_grad of two ``method`` problems of two samples each on
-    ``basis``, on the residual pass when asked."""
+    ``basis``, on the pass ``fit`` would take, with dense second factors
+    when asked."""
     rng = np.random.default_rng(26)
     batches = [[(rng.normal(size=(basis.n, T)), rng.normal(size=(basis.n, T))) for _ in range(2)]
                for _ in range(2)]
     h = 1.0 + 0.2 * (rng.normal(size=(2, basis.n * T)) + 1j * rng.normal(size=(2, basis.n * T)))
     tied = METHOD_TABLE[method].tied
     orders = np.array([[0.4 + 0.2 * p, 0.4 + 0.2 * p if tied else 0.7] for p in range(2)])
-    return method_stack(basis, batches, [method] * 2, path_graph(T), residual).value_and_grad(orders, h)
+    return method_stack(basis, batches, [method] * 2, path_graph(T), dense_second).value_and_grad(orders, h)
 
 
 def assert_same_pass(got, want):
@@ -700,24 +711,32 @@ def unitary_graph_basis(graph):
 @pytest.mark.parametrize("graph", ["knn", "patch"])
 @pytest.mark.parametrize("method", METHODS)
 def test_eigen_coordinate_residual_equals_the_vertex_domain_residual(method, graph):
-    # unitary=False takes the residual through V and back through V^H; on a
-    # unitary basis (V_inv = V^H) that is exact, so both branches agree
+    # a unitary M1 with second factors that have no basis, as an interior
+    # blend has: the pass in M1's domain, on samples held in eigen-coordinates
+    # and in complex arithmetic, agrees with the vertex-domain residual that
+    # unitary=False forces, for every method
     basis = unitary_graph_basis(graph)
+    assert basis.unitary_powers
     vertex = replace(basis, unitary=False)
-    assert_same_pass(two_problem_pass(basis, method, residual=True), two_problem_pass(vertex, method))
+    assert not vertex.unitary_powers
+    assert_same_pass(two_problem_pass(basis, method, dense_second=True), two_problem_pass(vertex, method))
 
 
 @pytest.mark.parametrize("graph", ["knn", "patch"])
 @pytest.mark.parametrize("method", [m for m in METHODS if not METHOD_TABLE[m].searches_lambda])
 def test_transform_domain_pass_equals_the_residual_pass(method, graph):
     # a unitary transform keeps norms, so the loss and its gradients are the
-    # same taken on h * F y - F x as on the residual F^{-1}(h * F y) - x
+    # same taken in M1's domain, on the pass fit takes (real where the bases
+    # allow), as on the vertex-domain residual
     basis = unitary_graph_basis(graph)
     assert all_unitary(basis, [blend_basis(path_graph(3), METHOD_TABLE[method].weight)])
-    assert_same_pass(two_problem_pass(basis, method), two_problem_pass(basis, method, residual=True))
+    vertex = replace(basis, unitary=False)
+    assert not vertex.unitary_powers
+    assert_same_pass(two_problem_pass(basis, method), two_problem_pass(vertex, method))
 
 
 def test_a_full_fit_takes_the_same_path_through_either_residual_branch(monkeypatch):
+    # M1's domain and the vertex-domain residual, on the same jobs
     g, T = patch_graph(16), 3
     rng = np.random.default_rng(29)
     sources = []
@@ -737,17 +756,12 @@ def test_a_full_fit_takes_the_same_path_through_either_residual_branch(monkeypat
             assert e.lam == v.lam
 
     basis = transforms.graph_basis(g)
-    assert basis.unitary
-    # lambdas 0 and 1 keep every transform unitary: the transform-domain pass
-    assert all_unitary(basis, [blend_basis(path_graph(T), w) for w in (0.0, 1.0)])
-    spectral = designs((0.0, 1.0))
-    eigen = designs((0.0, 0.5, 1.0))   # a blend inside (0, 1): the eigen-coordinate residual
-    monkeypatch.setattr(learn, "all_unitary", lambda first, seconds: False)
-    assert_same_designs(spectral, designs((0.0, 1.0)))
+    assert basis.unitary_powers
+    m1_domain = designs((0.0, 0.5, 1.0))
     vertex = replace(basis, unitary=False)
     monkeypatch.setattr(learn, "graph_basis",
                         lambda h, convention: vertex if h is g else transforms.graph_basis(h, convention))
-    assert_same_designs(eigen, designs((0.0, 0.5, 1.0)))
+    assert_same_designs(m1_domain, designs((0.0, 0.5, 1.0)))
 
 
 def test_one_fit_stacks_every_method_tied_and_untied():
@@ -788,8 +802,9 @@ def test_first_step_leaves_the_orders_where_they_start(method):
 
 
 def test_a_transform_domain_epoch_builds_no_inverse_powers(monkeypatch):
-    # the pass reads M1, dM1, M2 and dM2 only: neither factor's inverse
-    # powers are built, at the first factor or through blend_parts
+    # the pass in M1's domain builds no inverse powers, at the first factor
+    # or through blend_parts: a spectral M2inv and dM2inv are the adjoints,
+    # and a blend's inverse is direct
     asked = []
     power_parts = spectral.power_parts
 
@@ -802,8 +817,10 @@ def test_a_transform_domain_epoch_builds_no_inverse_powers(monkeypatch):
     rng = np.random.default_rng(30)
     g = make_knn_graph(rng.normal(size=(6, 2)), 2)
     batch = [(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))]
-    fit([(m, batch) for m in ("2d-gbfrft", "jfrft")], g, path_graph(3), TrainConfig(epochs=3))
-    assert len(asked) == 3 * 3 and not any(asked)   # M1, and M2 at each endpoint
+    fit([(m, batch) for m in ("2d-gbfrft", "jfrft", "hybrid")], g, path_graph(3), TrainConfig(epochs=3),
+        lambda_grid=(0.5,))
+    # M1, M2 at each endpoint, and both endpoints again for the blend
+    assert len(asked) == 3 * 5 and not any(asked)
 
 
 def passes_taken(monkeypatch):

@@ -321,8 +321,18 @@ def test_real_powers_marks_the_bases_whose_powers_are_real_matrices():
     assert not all_real(real[0], [real[1], None]) and not all_real(real[0], [other[1]])
 
 
-def test_blend_parts_without_the_inverses_gives_the_forward_parts():
+@pytest.mark.parametrize("convention", ["transform-power", "shift-power"])
+def test_blend_parts_give_the_inverse_and_its_derivative(convention):
+    # with unitary powers (the DFT, and F_G of the path under transform-power)
+    # the inverse parts are the adjoints; under shift-power they are the
+    # inverse powers, and in between the direct inverse
     g2, beta = path_graph(4), np.array([0.3, 0.6, 0.9])
     lam = np.array([0.0, 0.4, 1.0])
-    every = blend_parts(g2, beta, lam)
-    assert np.array_equal(blend_parts(g2, beta, lam, inverse=False), every[[0, 2]])
+    M, M_inv, dM, dM_inv = blend_parts(g2, beta, lam, convention)
+    assert np.allclose(M @ M_inv, np.eye(4), atol=1e-12)
+    assert np.allclose(dM_inv, -M_inv @ dM @ M_inv, atol=1e-12)
+    for k, (b, a) in enumerate(zip(beta, lam)):
+        op = METHOD_TABLE["hybrid"].build(g2, g2, 0.5, b, lam=a, convention=convention).op2
+        assert np.allclose(M[k], op.matrix, atol=1e-12)
+        assert np.allclose(M_inv[k], op.inverse, atol=1e-12)
+        assert np.allclose(dM_inv[k], op.inverse_derivative, atol=1e-12)
