@@ -386,7 +386,7 @@ def power_parts(basis: SpectralBasis, alpha, inverse: bool = True):
     of k orders; with ``inverse=False`` only lam**alpha and its derivative.
     Zero eigenvalues need alpha > 0 (SingularPower otherwise) and map to 0
     in both powers, the inverse by pseudoinverse convention."""
-    # a float order keeps to scalar arithmetic: fractional_power runs per grid point
+    # a float order keeps to scalar arithmetic: fractional_power runs once per transform
     vector = isinstance(alpha, np.ndarray)
     orders = alpha.tolist() if vector else [alpha]
     if not all(map(math.isfinite, orders)):

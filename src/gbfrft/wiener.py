@@ -37,10 +37,13 @@ eigenbasis and a unimodular spectrum; a symmetric adjacency under
 ``shift-power`` has real eigenvalues, so it keeps the LU path). That rule
 is ``transforms.all_unitary``. Each diagonal is a sandwich of factor
 contractions, with no N x N product: the M1 half costs O(N1 N^2) and
-depends on alpha1 alone, so the search computes it once per distinct
-alpha1, and the M2 half costs O(N N2^2) per point. The rcond of a diagonal
-T is min|T_mm| / max|T_mm|, guarded like the LU estimate, and the fallback
-is what ``lstsq`` gives for a diagonal matrix.
+depends on alpha1 alone, and the M2 half costs O(N N2^2) per point. The
+search runs one row of the grid at a time, one alpha1 with every alpha2
+it meets: it computes the M1 half once per row, the M2 halves of the
+row's k points as one batched product, and solves the k diagonal systems
+as one (k, N) stack. The rcond of a diagonal T is min|T_mm| / max|T_mm|,
+guarded like the LU estimate, and the fallback, taken only on the points
+that need it, is what ``lstsq`` gives for a diagonal matrix.
 
 An ``ObservationModel`` may instead hold factored statistics: a signal
 stationary on the product graph, Rxx = kron(U2, U1) diag(vec W) kron(U2, U1)^T
@@ -50,8 +53,9 @@ elementwise and r_k the row sums of |M_k|^2,
 
     q = diag(F Rxx F^H) = vec(B1 W B2^T),   diag A = q + s2 vec(r1 r2^T),
 
-and Tr(Rxx) = sum(W). B1 W is computed once per alpha1, so a point costs
-O(N (N1 + N2)) and no N x N array is formed. ``DEFAULT_SIZE_CAP`` guards
+and Tr(Rxx) = sum(W). B1 W is computed once per row of the grid and B2
+once per alpha2, so a point costs O(N N2) and no N x N array is formed;
+a row holds O(k N) numbers. ``DEFAULT_SIZE_CAP`` guards
 only the code that forms one: the dense diagonal path, the LU path (which
 forms a factored model's dense statistics), the assembly functions and
 ``basis_matrices``.
@@ -59,10 +63,11 @@ forms a factored model's dense statistics), the assembly functions and
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,13 +82,14 @@ from .errors import (
     SizeCapExceeded,
 )
 from .graphs import Graph
-from .spectral import fractional_power
+from .spectral import power_parts
 from .transforms import ProductTransform, all_unitary, graph_basis
 
 # Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
 from .transforms import transform_2d  # noqa: F401
 
 DEFAULT_SIZE_CAP = 1024
+MAX_GRID_VALUES = 10**4    # per axis of an order grid
 HERMITIAN_RTOL = 1e-9
 PSD_RTOL = 1e-9
 SOLVE_CONDITION_LIMIT = 1e12
@@ -152,28 +158,22 @@ def _sandwich_diag_m1(M1: np.ndarray, X: np.ndarray, n2: int) -> np.ndarray:
 
 
 def _sandwich_diag_m2(M2: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The length-N diagonal from the first half Y: contract M2 on both sides."""
+    """The (k, N) diagonals from the first half Y, one for each matrix of
+    the (k, N2, N2) stack M2: contract M2 on both sides."""
     n2, n1 = Y.shape[0], Y.shape[1]
-    Y = (M2 @ Y.reshape(n2, -1)).reshape(n2, n1, n2)
-    return np.einsum("bmc,bc->bm", Y, M2.conj()).reshape(n1 * n2)
+    Y = (M2 @ Y.reshape(n2, -1)).reshape(-1, n2, n1, n2)
+    return np.einsum("kbmc,kbc->kbm", Y, M2.conj()).reshape(-1, n1 * n2)
 
 
 # The same diagonals for factored statistics (white noise of variance s2, no
 # degradation): with Rxx = kron(U2, U1) diag(vec W) kron(U2, U1)^T,
 # diag(F Rxx F^H) = vec(B1 W B2^T) for B_k = |M_k U_k|^2 elementwise, and
-# diag(F F^H) = vec(r1 r2^T) for r_k the row sums of |M_k|^2. The factor-1
-# half (B1 W, r1) depends on alpha1 alone.
+# diag(F F^H) = vec(r1 r2^T) for r_k the row sums of |M_k|^2.
 
 def _power_weights(M: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|M U|^2, the row sums of |M|^2) for one factor power M."""
-    return np.abs(M @ U) ** 2, np.sum(np.abs(M) ** 2, axis=1)
-
-
-def _factored_diag(first, second, noise: float) -> tuple[np.ndarray, np.ndarray]:
-    """(diag A, q) from the factor-1 half (B1 W, r1) and factor 2's (B2, r2)."""
-    (BW, r1), (B2, r2) = first, second
-    q = (B2 @ BW.T).ravel()
-    return q + noise * np.outer(r2, r1).ravel(), q
+    """(|M U|^2, the row sums of |M|^2) for each factor power of the stack M."""
+    B = np.abs(M @ U)
+    return np.square(B, out=B), np.sum(np.abs(M) ** 2, axis=-1)
 
 
 def psd_clip(a) -> np.ndarray:
@@ -454,52 +454,61 @@ def solve_filter(T: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _finite_filter(h)
 
 
-def _solve_diagonal(d: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve diag(d) h = q under solve_filter's contract.
+def _solve_diagonal(d: np.ndarray, q: np.ndarray, trace_rxx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solve diag(d_i) h_i = q_i for each row i of the (k, N) stacks d and q
+    under solve_filter's contract; returns the (k, N) filters and their k
+    expected MSEs.
 
-    The 1-norm rcond of a diagonal matrix is min|d| / max|d|. The fallback
-    is what ``lstsq`` gives for a diagonal matrix: its singular values are
-    |d|, and h_m = 0 where |d_m| <= eps * N * max|d|.
+    The 1-norm rcond of a diagonal matrix is min|d| / max|d|. The fallback,
+    taken only on the rows that need it, is what ``lstsq`` gives for a
+    diagonal matrix: its singular values are |d|, and h_m = 0 where
+    |d_m| <= eps * N * max|d|.
     """
     _check_finite_system(d, q)
     mag = np.abs(d)
-    top = float(mag.max())
-    if _well_conditioned(float(mag.min()) / top if top > 0 else 0.0):
+    top, low = mag.max(axis=1), mag.min(axis=1)
+    del mag   # the fallback takes |d| again; a row holds few (k, N) arrays
+    # a row of zeros has rcond nan, which the guard reads as 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rcond = low / top
         h = q / d
-    else:
-        keep = mag > np.finfo(np.float64).eps * d.size * top
-        h = np.zeros_like(q)
-        h[keep] = q[keep] / d[keep]
-    return _finite_filter(h)
+    ok = _well_conditioned(rcond)
+    if not ok.all():
+        h[~ok[:, None] & (np.abs(d) <= np.finfo(np.float64).eps * d.shape[1] * top[:, None])] = 0.0
+    _finite_filter(h)
+    # E = h^H diag(d) h - 2 Re(h^H q) + Tr(Rxx), row by row
+    mse = np.real(np.vecdot(h, d * h)) - 2.0 * np.real(np.vecdot(h, q)) + trace_rxx
+    return h, np.maximum(mse, 0.0)
 
 
 def _check_finite_system(T, q):
-    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(q))):
+    if not (np.isfinite(T).all() and np.isfinite(q).all()):
         raise NonFinite("normal equations must be finite")
 
 
-def _well_conditioned(rcond: float) -> bool:
-    """The conditioning guard of both solvers: False, with an
-    IllConditionedSystem warning, when 1/rcond exceeds
-    SOLVE_CONDITION_LIMIT or rcond is 0."""
-    if rcond > 0 and 1.0 / rcond <= SOLVE_CONDITION_LIMIT:
-        return True
-    cond = 1.0 / rcond if rcond > 0 else np.inf
-    warnings.warn(f"normal equations condition estimate {cond:.3e}; using least squares",
-                  IllConditionedSystem)
-    return False
+def _well_conditioned(rcond):
+    """The conditioning guard of both solvers, for one rcond or an array of
+    them: False, with one IllConditionedSystem warning for each, where
+    1/rcond exceeds SOLVE_CONDITION_LIMIT or rcond is not positive."""
+    rcond = np.asarray(rcond, dtype=np.float64)
+    # any rcond below the smallest normal float fails, so clamping there
+    # avoids an overflow without changing a decision
+    ok = 1.0 / np.maximum(rcond, np.finfo(np.float64).tiny) <= SOLVE_CONDITION_LIMIT
+    for r in rcond[~ok].tolist():
+        cond = 1.0 / r if r > 0 else np.inf
+        warnings.warn(f"normal equations condition estimate {cond:.3e}; using least squares",
+                      IllConditionedSystem)
+    return ok
 
 
 def _finite_filter(h: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise NonFinite("filter solution is not finite")
     return h
 
 
 def _mse_from_normal_eqs(T: np.ndarray, q: np.ndarray, h: np.ndarray, trace_rxx: float) -> float:
-    # a 1-D T holds the diagonal of a diagonal T
-    Th = T * h if T.ndim == 1 else T @ h
-    val = np.real(h.conj() @ Th - 2.0 * np.real(h.conj() @ q) + trace_rxx)
+    val = np.real(h.conj() @ (T @ h) - 2.0 * np.real(h.conj() @ q) + trace_rxx)
     return float(max(val, 0.0))
 
 
@@ -517,17 +526,37 @@ def grid_values(rng: tuple[float, float], step: float) -> list[float]:
     """The grid lo, lo + step, ... over ``rng``, always ending at hi.
 
     Values come from exact rational arithmetic, so 0.1 steps land on the
-    decimals they print as and the inclusive endpoint is hit exactly.
+    decimals they print as and the inclusive endpoint is hit exactly. A
+    non-finite bound or step, an empty range and a grid of more than
+    MAX_GRID_VALUES values raise ValueError before any value is made. Each
+    grid is computed once; every call returns a new list.
     """
-    a, b = float(rng[0]), float(rng[1])
-    if step <= 0 or b < a:
-        raise ValueError(f"bad grid range {rng} with step {step}")
-    fa, fb, fs = Fraction(str(a)), Fraction(str(b)), Fraction(str(step))
+    return list(_grid(float(rng[0]), float(rng[1]), float(step)))
+
+
+@lru_cache(maxsize=64)
+def _grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    for name, v in (("lower bound", lo), ("upper bound", hi), ("step", step)):
+        if not math.isfinite(v):
+            raise ValueError(f"grid {name} must be finite, got {v}")
+    if step <= 0 or hi < lo:
+        raise ValueError(f"bad grid range {(lo, hi)} with step {step}")
+    fa, fb, fs = Fraction(str(lo)), Fraction(str(hi)), Fraction(str(step))
     count = int((fb - fa) / fs)
-    vals = [float(fa + k * fs) for k in range(count + 1)]
-    if fa + count * fs < fb:
-        vals.append(b)
-    return vals
+    ends_short = fa + count * fs < fb
+    if count + 1 + ends_short > MAX_GRID_VALUES:
+        raise ValueError(f"grid over {(lo, hi)} with step {step} has more than "
+                         f"{MAX_GRID_VALUES} values")
+    return tuple(float(fa + k * fs) for k in range(count + 1)) + ((hi,) if ends_short else ())
+
+
+def _axis_powers(basis, grid: list[float], inverse: bool) -> np.ndarray:
+    """The dense powers M^a of ``basis`` at every order of ``grid`` from one
+    batched product: shape (1, k, n, n), or (2, k, n, n) with the inverse
+    powers M^-a second."""
+    parts = power_parts(basis, np.array(grid), inverse)
+    d = np.stack(parts[:2] if inverse else parts[:1])
+    return (basis.V * d[..., None, :]) @ basis.V_inv
 
 
 def grid_search(
@@ -546,57 +575,59 @@ def grid_search(
     expected MSE; ties go to the smaller (alpha1, alpha2) pair.
 
     With ``equal_orders`` the search is restricted to alpha1 == alpha2 over
-    ``range1``. The search builds no transform: it computes each axis's
-    dense powers once per distinct order. If both factor bases have unitary
-    powers, every point is designed from the diagonal normal equations (see
-    the module docstring), else by LU. The diagonal path reads a model's
-    factored statistics directly and then forms no N x N array, so ``cap``
-    does not apply to it. Returns the winning FilterDesign, plus the
-    per-point rows when ``keep_grid`` is set.
+    ``range1``. The search builds no transform: each axis takes its dense
+    powers at all of its grid orders from one batched product. It runs one
+    row of the grid at a time: one alpha1 with every alpha2 it meets (just
+    alpha1 itself under ``equal_orders``). If both factor bases have unitary
+    powers, a row's points are designed from the diagonal normal equations
+    (see the module docstring) in one stacked solve, else point by point by
+    LU. The diagonal path reads a model's factored statistics directly and
+    then forms no N x N array, so ``cap`` does not apply to it. Returns the
+    winning FilterDesign, plus the per-point rows when ``keep_grid`` is set.
     """
     grid1 = grid_values(range1, step)
     grid2 = grid1 if equal_orders else grid_values(range2, step)
-    points = [(a, a) for a in grid1] if equal_orders else [(a1, a2) for a1 in grid1 for a2 in grid2]
     b1, b2 = graph_basis(g1, convention), graph_basis(g2, convention)
     _check_sizes(model, b1.n, b2.n)
     diagonal = all_unitary(b1, [b2])
     factored = model.factored if diagonal else None
-    # one operator per distinct order; each caches the dense parts it is asked for
-    ops1, ops2 = ({a: fractional_power(b, a) for a in grid} for b, grid in ((b1, grid1), (b2, grid2)))
     if factored is None:
+        P1, P2 = (_axis_powers(b, grid, not diagonal) for b, grid in ((b1, grid1), (b2, grid2)))
         _check_cap(model.n, cap)
         My, Mxy = model.y_covariance(), model.xy_covariance()
     else:
-        weights2 = {a: _power_weights(op.matrix, factored.u2) for a, op in ops2.items()}
-    trace_rxx = model.trace_rxx
+        # only the weights of the powers are kept
+        u1, u2, w, noise = factored
+        (B1, r1), (B2, r2) = (_power_weights(_axis_powers(b, grid, False)[0], u)
+                              for b, grid, u in ((b1, grid1, u1), (b2, grid2, u2)))
+    n, trace_rxx = model.n, model.trace_rxx
     best = None
     rows = []
-    halves_a1 = halves = None
-    for a1, a2 in points:
-        op1, op2 = ops1[a1], ops2[a2]
-        if diagonal:
-            # Fi = F^H, so diag T = diag(F My F^H) and q = diag(F Mxy F^H).
-            # The factor-1 halves depend on alpha1 alone, and points run
-            # alpha1 in the outer loop, so only the current alpha1's are kept
-            if a1 != halves_a1:
-                if factored is None:
-                    halves = [_sandwich_diag_m1(op1.matrix, X, model.n2) for X in (My, Mxy)]
-                else:
-                    B1, r1 = _power_weights(op1.matrix, factored.u1)
-                    halves = (B1 @ factored.w, r1)
-                halves_a1 = a1
-            if factored is None:
-                T, q = (_sandwich_diag_m2(op2.matrix, Y) for Y in halves)
-            else:
-                T, q = _factored_diag(halves, weights2[a2], factored.noise)
-            h = _solve_diagonal(T, q)
+    for i, a1 in enumerate(grid1):
+        js = slice(i, i + 1) if equal_orders else slice(None)
+        if not diagonal:
+            hs, mses = [], []
+            for j in range(len(grid2))[js]:
+                T, q = _assemble(P1[0, i], P2[0, j], P1[1, i], P2[1, j], My, Mxy)
+                hs.append(solve_filter(T, q))
+                mses.append(_mse_from_normal_eqs(T, q, hs[-1], trace_rxx))
         else:
-            T, q = _assemble(op1.matrix, op2.matrix, op1.inverse, op2.inverse, My, Mxy)
-            h = solve_filter(T, q)
-        e = _mse_from_normal_eqs(T, q, h, trace_rxx)
-        rows.append({"alpha1": a1, "alpha2": a2, "mse": e})
-        if best is None or (e, a1, a2) < (best.mse, best.alpha1, best.alpha2):
-            best = FilterDesign(alpha1=a1, alpha2=a2, h=h, mse=e)
+            # Fi = F^H, so diag T = diag(F My F^H) and q = diag(F Mxy F^H)
+            if factored is None:
+                d, q = (_sandwich_diag_m2(P2[0, js], _sandwich_diag_m1(P1[0, i], X, model.n2))
+                        for X in (My, Mxy))
+            else:
+                q = (B2[js] @ (B1[i] @ w).T).reshape(-1, n)
+                # q + s2 r2 (x) r1, in place: a row holds few (k, N) arrays
+                d = (r2[js, :, None] * r1[i]).reshape(-1, n)
+                d *= noise
+                d += q
+            hs, mses = _solve_diagonal(d, q, trace_rxx)
+        for a2, h, e in zip(grid2[js], hs, map(float, mses)):
+            rows.append({"alpha1": a1, "alpha2": a2, "mse": e})
+            if best is None or (e, a1, a2) < (best.mse, best.alpha1, best.alpha2):
+                # a copy, so the design keeps no row stack alive
+                best = FilterDesign(alpha1=a1, alpha2=a2, h=h.copy(), mse=e)
     return (best, rows) if keep_grid else best
 
 

@@ -185,6 +185,18 @@ def test_denoise_hybrid_lambda_step_uses_the_exact_grid(tmp_path, capsys, monkey
     assert grids == [(0.0, 0.3, 0.6, 0.9, 1.0), (0.0, 0.6, 1.0)]
 
 
+@pytest.mark.parametrize("step", ["nan", "inf", "1e-300"])
+def test_grid_steps_that_are_not_finite_or_too_fine_fail_at_once(tmp_path, capsys, step):
+    # 1e-300 asks for about 1e300 grid values
+    g1, g2, rxx, rnn = write_model(tmp_path)
+    outdir = str(tmp_path / "out")
+    for args in (["denoise-grid", "--graph1", g1, "--graph2", g2, "--step", step],
+                 ["denoise-hybrid", "--graph1", g1, "--epochs", "2", "--lambda-step", step]):
+        assert main(args + ["--rxx", rxx, "--rnn", rnn, "--outdir", outdir]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[ValueError]:") and "step" in err[0]
+
+
 def test_timevertex_k_must_be_integers(tmp_path, capsys):
     rc = main(["timevertex", "--values", str(tmp_path / "v.csv"),
                "--coords", str(tmp_path / "c.csv"), "--k", "3,2.5",

@@ -15,10 +15,10 @@ from gbfrft.errors import (
 )
 from gbfrft.graphs import Graph, make_named_graph
 from gbfrft.synthetic import build_observation_model, sample_gaussian
-from gbfrft.spectral import FractionalOperator
 from gbfrft.transforms import ProductTransform, graph_basis, transform_2d
 from gbfrft.wiener import (
     DEFAULT_SIZE_CAP,
+    MAX_GRID_VALUES,
     FactoredStatistics,
     ObservationModel,
     assemble_normal_equations,
@@ -262,6 +262,29 @@ def test_grid_values_land_on_exact_decimals():
         grid_values((0.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("rng,step,name", [
+    ((0.0, 1.0), np.nan, "step"), ((0.0, 1.0), np.inf, "step"), ((np.nan, 1.0), 0.1, "lower bound"),
+    ((0.0, np.inf), 0.1, "upper bound"), ((0.0, 1.0), 1e-300, "10000 values"),
+    ((0.0, 1e300), 0.1, "10000 values")])
+def test_grid_values_reject_non_finite_and_oversized_grids_at_once(rng, step, name):
+    # a grid of about 1e300 values would be built until memory runs out
+    g = make_named_graph("path", 2)
+    model = ObservationModel(n1=2, n2=2, rxx=np.eye(4), rnn=np.eye(4))
+    with pytest.raises(ValueError, match=name):
+        grid_values(rng, step)
+    with pytest.raises(ValueError, match=name):
+        grid_search(model, g, g, rng, (0.0, 1.0), step)
+
+
+def test_grid_values_cap_is_per_axis_and_results_are_fresh_lists():
+    assert len(grid_values((0.0, MAX_GRID_VALUES - 1.0), 1.0)) == MAX_GRID_VALUES
+    with pytest.raises(ValueError, match="values"):
+        grid_values((0.0, MAX_GRID_VALUES - 0.5), 1.0)   # the endpoint makes one more
+    a = grid_values((0.0, 1.0), 0.5)
+    a.append(2.0)
+    assert grid_values((0.0, 1.0), 0.5) == [0.0, 0.5, 1.0]
+
+
 def test_grid_search_picks_minimum_and_reports_rows():
     model = two_by_two_model()
     g = make_named_graph("path", 2)
@@ -331,7 +354,8 @@ def model_variants(n1, n2, seed):
 def test_unitary_grid_points_skip_lu_and_match_the_full_equations(n1, n2, monkeypatch):
     # undirected factors under transform-power: both powers unitary, T diagonal
     g1, g2 = make_named_graph("path", n1), make_named_graph("cycle", n2)
-    for k, model in enumerate(model_variants(n1, n2, seed=n1 + 10 * n2)):
+    models = model_variants(n1, n2, seed=n1 + 10 * n2) + [build_observation_model(g1, g2, 0.8)]
+    for k, model in enumerate(models):
         calls = count_solves(monkeypatch)
         best, rows = grid_search(model, g1, g2, step=0.5, keep_grid=True)
         assert calls == []
@@ -391,7 +415,7 @@ def test_diagonal_path_rejects_non_finite_statistics_and_filters():
             grid_search(model, g1, g2, step=0.5)
     # well conditioned, but q / d overflows
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinite):
-        wiener._solve_diagonal(np.full(4, 1e-310 + 0j), np.ones(4, dtype=complex))
+        wiener._solve_diagonal(np.full((1, 4), 1e-310 + 0j), np.ones((1, 4), dtype=complex), 4.0)
 
 def test_unitary_grid_contracts_factor_1_once_per_alpha1(monkeypatch):
     g1, g2 = make_named_graph("path", 3), make_named_graph("cycle", 5)
@@ -415,15 +439,47 @@ def test_unitary_grid_contracts_factor_1_once_per_alpha1(monkeypatch):
 
 
 def test_unitary_grid_rows_equal_one_point_searches():
-    # a stale first half, kept past its alpha1, would change later rows
+    # a point's design must not depend on the row it is batched with, and a
+    # stale first half, kept past its alpha1, would change later rows
     g1, g2 = make_named_graph("path", 3), make_named_graph("cycle", 5)
-    for k, model in enumerate(model_variants(3, 5, seed=9)):
-        _, rows = grid_search(model, g1, g2, (0.0, 0.5), (0.0, 1.0), 0.25, keep_grid=True)
+    big1, big2 = make_named_graph("path", 16), make_named_graph("cycle", 32)
+    cases = [(g1, g2, model) for model in model_variants(3, 5, seed=9)]
+    cases += [(a, b, build_observation_model(a, b, 0.8)) for a, b in ((g1, g2), (big1, big2))]
+    for k, (a, b, model) in enumerate(cases):
+        assert (model.factored is not None) == (k >= 3)
+        _, rows = grid_search(model, a, b, (0.0, 0.5), (0.0, 1.0), 0.25, keep_grid=True)
         assert len(rows) == 15
         for r in rows:
             a1, a2 = r["alpha1"], r["alpha2"]
-            _, one = grid_search(model, g1, g2, (a1, a1), (a2, a2), 0.25, keep_grid=True)
+            _, one = grid_search(model, a, b, (a1, a1), (a2, a2), 0.25, keep_grid=True)
             assert one == [r], (k, r)
+
+
+@pytest.mark.parametrize("zero_axis", [0, 1])
+def test_diagonal_fallback_inside_a_row_warns_once_per_ill_conditioned_point(zero_axis):
+    # noiseless factored statistics with a zero row (or column) of w: at
+    # alpha1 = 0 (or alpha2 = 0) the diagonal of T has exact zeros, so a row
+    # holds only such points (or one of them among well-conditioned ones)
+    g1, g2 = make_named_graph("path", 3), make_named_graph("cycle", 4)
+    w = np.random.default_rng(6).uniform(0.5, 2.0, size=(3, 4))
+    w[(0, slice(None)) if zero_axis == 0 else (slice(None), 0)] = 0.0
+    model = ObservationModel(n1=3, n2=4, factored=FactoredStatistics(np.eye(3), np.eye(4), w, 0.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, rows = grid_search(model, g1, g2, step=0.5, keep_grid=True)
+    assert [c.category for c in caught] == [IllConditionedSystem] * 3
+    for r in rows:
+        a1, a2 = r["alpha1"], r["alpha2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, one = grid_search(model, g1, g2, (a1, a1), (a2, a2), 0.5, keep_grid=True)
+        ill = (a1, a2)[zero_axis] == 0.0
+        assert [c.category for c in caught] == [IllConditionedSystem] * ill, r
+        assert one == [r]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IllConditionedSystem)
+            _, e = lu_reference(model, g1, g2, a1, a2)
+        assert abs(r["mse"] - e) <= 1e-10
 
 
 @pytest.mark.parametrize("convention,lu", [("transform-power", False), ("shift-power", True)])
@@ -431,24 +487,24 @@ def test_a_grid_search_builds_no_transform_and_each_power_once(convention, lu, m
     # an undirected pair: unitary powers under transform-power, the LU path under shift-power
     g1, g2 = make_named_graph("path", 4), make_named_graph("cycle", 5)
     model = random_model(4, 5, seed=3)
-    built, powers, dense = [], [], []
-    init, power, densify = ProductTransform.__init__, wiener.fractional_power, FractionalOperator._dense
+    built, powers = [], []
+    init, parts = ProductTransform.__init__, wiener.power_parts
     monkeypatch.setattr(ProductTransform, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-    monkeypatch.setattr(wiener, "fractional_power", lambda b, a: powers.append((id(b), a)) or power(b, a))
-    monkeypatch.setattr(FractionalOperator, "_dense", lambda self, d: dense.append(1) or densify(self, d))
+    monkeypatch.setattr(wiener, "power_parts",
+                        lambda b, a, inverse: powers.append((id(b), a.tolist(), inverse))
+                        or parts(b, a, inverse))
     solves = count_solves(monkeypatch)
     b1, b2 = (id(graph_basis(g, convention)) for g in (g1, g2))
     grid1, grid2 = [0.25, 0.5, 0.75, 1.0], [0.0, 0.25, 0.5, 0.75, 1.0]
     for equal_orders, orders2 in ((False, grid2), (True, grid1)):
         powers.clear()
-        dense.clear()
         _, rows = grid_search(model, g1, g2, (0.25, 1.0), (0.0, 1.0), 0.25, equal_orders=equal_orders,
                               convention=convention, keep_grid=True)
         assert len(rows) == (len(grid1) if equal_orders else len(grid1) * len(grid2))
-        assert sorted(powers) == sorted([(b1, a) for a in grid1] + [(b2, a) for a in orders2])
-        # each power's matrix, and its inverse only on the LU path
-        assert len(dense) == (2 if lu else 1) * len(powers)
+        # one call per axis covering each of its orders once; the inverse
+        # powers only on the LU path
+        assert powers == [(b1, grid1, lu), (b2, orders2, lu)]
     assert built == []
     assert len(solves) == (len(grid1) * (len(grid2) + 1) if lu else 0)
 
@@ -562,6 +618,23 @@ def test_size_cap_guards_only_searches_that_form_n_by_n_arrays():
     with pytest.raises(SizeCapExceeded):
         grid_search(build_observation_model(g1, g2, 1.0), g1, g2, step=1.0,
                     convention="shift-power", cap=8)
+
+
+def test_factored_search_memory_follows_one_row_not_the_grid():
+    g1, g2 = make_named_graph("path", 64), make_named_graph("cycle", 64)
+    model = build_observation_model(g1, g2, 1.0)
+    peaks = []
+    for range1 in ((0.0, 0.2), (0.0, 1.0)):
+        grid_search(model, g1, g2, range1, step=0.1)
+        tracemalloc.start()
+        try:
+            _, rows = grid_search(model, g1, g2, range1, step=0.1, keep_grid=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 11 * (3 if range1[1] == 0.2 else 11)
+    # 11 rows against 3, each of the same length
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_factored_search_at_n_4096_stays_below_one_n_by_n_array():
