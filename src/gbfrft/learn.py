@@ -18,29 +18,44 @@ loss before each update and returns the best iterate seen.
 
 The loss and all three gradients come from one fused forward/backward pass.
 With M1 = V diag(p) V_inv held on its eigenbasis, Yh = V_inv Y is computed
-once per fit. When the first factor has unitary powers
-(``SpectralBasis.unitary_powers``: an undirected graph under
-``transform-power``, the first factor of every method of
-``transforms.METHOD_TABLE``), M1inv = M1^H keeps norms, so the loss is taken
-in M1's domain whatever the second factor is. Per sample, with
+once per fit, and one basis product, V [p Yh | dp Yh] = [M1 Y | dM1 Y],
+starts every epoch. Per sample, with <A, B> = Re tr(A^H B), means over
+each problem's samples and
 
-    U = M1 Y M2^T,   R = (H * U) M2inv^T,   E = R - M1 X,   F = E conj(M2inv),
+    U = M1 Y M2^T,   R = (H * U) M2inv^T,
 
-<A, B> = Re tr(A^H B) and means over each problem's samples,
+the pass forms a residual E and its adjoint B, with F = B conj(M2inv), and
+ends the same way for every first factor:
 
     L = mean ||E||^2,   g_h = 2 mean conj(U) * F,
-    dL/dalpha1 = 2 mean (<F, H * (dM1 Y M2^T)> - <E, dM1 X>),
+    dL/dalpha1 = 2 mean (<F, H * (dM1 Y M2^T)> - e1),
     dL/dalpha2 = 2 mean (<F, H * (M1 Y dM2^T)> - <F, R dM2^T>),
 
-the last from dM2inv = -M2inv dM2 M2inv, so no dM2inv is needed. For a
-unitary M2 (M2inv = M2^H), ||E|| = ||H * U - M1 X M2^T|| is Parseval's loss
-in the transform domain. With Xh = V^H X also computed once per fit, one
-basis product, V [p Yh | dp Yh | p Xh | dp Xh] = [M1 Y | dM1 Y | M1 X | dM1 X],
-feeds the loss and every gradient. That product is copied once into a
-sample-major layout, (S, K, n2, n1) for S samples and K blocks: each block is
-the transpose of an n1 x n2 signal, so each of a sample's six products by a
-second factor is a batched M2 @ A, and the filter h and g_h are read and
-written by reshape alone.
+the last from dM2inv = -M2inv dM2 M2inv, so no dM2inv is needed. Only E, B
+and the alpha1 error term e1 depend on the first factor.
+
+When it has unitary powers (``SpectralBasis.unitary_powers``: an undirected
+graph under ``transform-power``, the first factor of every method of
+``transforms.METHOD_TABLE``), M1inv = M1^H keeps norms, so the loss is
+taken in M1's domain whatever the second factor is: E = B = R - M1 X and
+e1 = <E, dM1 X>. For a unitary M2 (M2inv = M2^H), ||E|| =
+||H * U - M1 X M2^T|| is Parseval's loss in the transform domain. With
+Xh = V^H X also computed once per fit, the one basis product is
+V [p Yh | dp Yh | p Xh | dp Xh] = [M1 Y | dM1 Y | M1 X | dM1 X] and feeds
+the loss and every gradient.
+
+Any other first factor (``shift-power``, the transform of a non-normal
+digraph) takes the residual in the vertex domain, with pi the powers of
+M1inv = V diag(pi) V_inv and X itself kept once per fit:
+
+    W = V_inv R,   E = V (pi W) - X,   Q = V^H E,   B = V_inv^H (conj(pi) Q),
+
+so B = M1inv^H E, and e1 = -<Q, dpi * W>: six blocks in five basis products.
+
+Either way the first product is copied once into a sample-major layout,
+(S, K, n2, n1) for S samples and K blocks: each block is the transpose of an
+n1 x n2 signal, so each product by a second factor is a batched M2 @ A, and
+the filter h and g_h are read and written by reshape alone.
 
 A stack in M1's domain is *real* when its samples are real and every basis
 has real powers (``transforms.all_real``: the real Schur factor Z and no
@@ -59,19 +74,6 @@ for p and for dp on Z's rows, and one real GEMM by Z gives
 the filter descends in float64; :func:`fit` returns it as complex128
 unless ``TrainConfig.real_filter`` is set.
 
-A first factor without unitary powers (``shift-power``, the transform of a
-non-normal digraph) takes the residual in the vertex domain, with pi the
-powers of M1inv. Its forward pass takes A = V [p Yh | dp Yh] = [M1 Y | dM1 Y],
-U = A M2^T, W0 = V_inv (H * U0) and R = V (pi W0) M2inv^T - X. The backward
-pass projects the residual's adjoint with Q = V^H (R conj(M2inv)) and takes
-back = V_inv^H (conj(pi) Q) = F^{-H} r. That gives g_h = 2 mean conj(u) * back
-and, in reverse mode, both order gradients:
-
-    dL/dalpha1 = 2 mean(<Q, dpi * W0> + <back, H * (dM1 Y M2^T)>),
-    dL/dalpha2 = 2 mean(<R conj(dM2inv), V (pi W0)> + <back, H * (M1 Y dM2^T)>),
-
-for six blocks in five basis products.
-
 Other basis products go through :meth:`SpectralBasis.lmul`: on a large
 basis with a real Schur factor (undirected graphs under
 ``transform-power``) each is one real GEMM by that factor plus an O(n)
@@ -79,7 +81,7 @@ pair mixing per column. The descent takes orders, not transforms. Problems
 whose first factors share one basis descend stacked: the patches of a
 deblur run, and every method, noise variance and lambda of a time-vertex
 run. Each epoch gets every problem's powers of M1 from one vectorized
-``exp`` (with those of M1inv on the residual pass only), and every
+``exp`` (with those of M1inv in the vertex domain only), and every
 problem's dense M2, M2inv, dM2 and dM2inv at its second order from one
 :func:`~gbfrft.transforms.blend_parts` call, at the blend weight its family
 in ``transforms.METHOD_TABLE`` gives it. Each product by a second factor is
@@ -247,18 +249,6 @@ def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
     return float(d_orders[0, 0]), float(d_orders[0, 1]), gh[0]
 
 
-def _re_inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Re <A_s, B_s> per sample s of two (n1, S, n2) stacks."""
-    return np.einsum("isj,isj->s", A.conj(), B).real
-
-
-def _rmul(A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """A[:, :, s] @ M[s] for each sample s of an (n1, K, S, n2) stack, batched."""
-    n1, K, S, n2 = A.shape
-    out = A.transpose(2, 0, 1, 3).reshape(S, n1 * K, n2) @ M
-    return out.reshape(S, n1, K, n2).transpose(1, 2, 0, 3)
-
-
 class _Stack:
     """P descent problems whose first factors share one spectral basis.
 
@@ -270,15 +260,17 @@ class _Stack:
     (4, P, n2, n2). ``seconds`` holds the second factors' bases (None for a
     dense blend); they decide only whether the stack is real.
 
-    The stack picks its pass once, here, from the first basis alone (module
-    docstring): with ``unitary_powers`` it takes the pass in M1's domain.
-    Its block [Y | X] of samples is held in eigen-coordinates, V^H [Y | X],
-    or, on a *real* stack (real samples, and ``transforms.all_real``), as
-    Z^T [Y | X] with a pair-swapped copy whose rows [singles | x | y] hold
-    [0 | y | -x]. After the one basis product the blocks are copied once
-    into the sample-major layout (S, K, n2, n1), K = 2 x 2 for (Y, X) x
-    (M1, dM1). Other first factors take the vertex-domain residual pass on
-    (n1, K, S, n2) stacks, and keep Yh = V_inv Y and X.
+    There is one pass (module docstring); the first basis alone picks its
+    residual, once, here. With ``unitary_powers`` the residual is taken in
+    M1's domain, and the block [Y | X] of samples is held in
+    eigen-coordinates, V^H [Y | X], or, on a *real* stack (real samples,
+    and ``transforms.all_real``), as Z^T [Y | X] with a pair-swapped copy
+    whose rows [singles | x | y] hold [0 | y | -x]. Any other first factor
+    takes the residual in the vertex domain and holds V_inv Y and X. After
+    the one basis product the blocks are copied once into the sample-major
+    layout (S, K, n2, n1), K = 2 x 2 for (Y, X) x (M1, dM1), or 1 x 2 in the
+    vertex domain, where the residual's four more basis products take the
+    same layout.
     """
 
     def __init__(self, basis: SpectralBasis, batches, second, seconds):
@@ -293,8 +285,8 @@ class _Stack:
         self.unitary = basis.unitary_powers
         self.real = (self.unitary and all_real(basis, seconds)
                      and not (np.iscomplexobj(Y) or np.iscomplexobj(X)))
-        # the samples by block (Y, X) and sample, each transposed, (2, 1, S, n2, n1),
-        # in the rows the orders scale: eigen-coordinates, or Z's columns
+        # the samples by block and sample, each transposed, (K, 1, S, n2, n1), in
+        # the rows the orders scale: eigen-coordinates, or Z's columns
         if self.real:
             W = basis.Z.T @ np.stack([Y, X], axis=1).reshape(self.n1, -1)
             W = np.ascontiguousarray(W.reshape(self.n1, 2, 1, -1, self.n2).transpose(1, 2, 3, 4, 0))
@@ -304,37 +296,35 @@ class _Stack:
             swapped[..., ns + nq:] = -W[..., ns:ns + nq]
             self.blocks = W, swapped
             self.rows = np.concatenate([basis.mix.single, basis.mix.plus, basis.mix.plus])
-        elif self.unitary:
-            W = basis.lmul(np.stack([Y, X], axis=1), "V_inv")
-            self.blocks = np.ascontiguousarray(np.moveaxis(W, 0, -1)[:, None])
         else:
-            self.Yh = basis.lmul(Y, "V_inv")  # V_inv Y does not depend on the orders
-            self.X = X
+            # the vertex-domain residual needs X itself, transposed, not V_inv X
+            W = basis.lmul(np.stack([Y, X] if self.unitary else [Y], axis=1), "V_inv")
+            self.blocks = np.ascontiguousarray(np.moveaxis(W, 0, -1)[:, None])
+            if not self.unitary:
+                self.X = np.ascontiguousarray(X.transpose(1, 2, 0))
 
-    def _mean(self, per_sample: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Per-problem means of per-sample values along ``axis``."""
+    def _mean(self, per_sample: np.ndarray) -> np.ndarray:
+        """Per-problem means of per-sample values along the first axis."""
         if len(self.owner) == len(self.counts):
             return per_sample   # one sample each; reduceat would copy it slowly
-        shape = [1] * per_sample.ndim
-        shape[axis] = -1
-        return np.add.reduceat(per_sample, self.starts, axis=axis) / self.counts.reshape(shape)
+        shape = (-1,) + (1,) * (per_sample.ndim - 1)
+        return np.add.reduceat(per_sample, self.starts, axis=0) / self.counts.reshape(shape)
 
     def value_and_grad(self, orders: np.ndarray, h: np.ndarray):
         """Loss, order gradients (P, 2) and filter gradients (P, N1*N2) of
         every problem, at the orders (P, 2) and filters ``h`` (P, N1*N2)."""
         P = len(orders)
-        # each problem's powers of M1 (and of M1inv for the residual), (P, n1)
+        # each problem's powers of M1, and of M1inv in the vertex domain, (P, n1)
         powers = power_parts(self.basis, orders[:, 0], inverse=not self.unitary)
+        powers, inverse = (powers, None) if self.unitary else (powers[::2], powers[1::2])
         parts = self.second(orders[:, 1])[:, self.owner]
         H = h.reshape(P, self.n2, self.n1)[self.owner]   # each sample's filter, transposed
-        if not self.unitary:
-            value, d_orders, gh = self._residual_pass(powers, parts, H)
-        elif self.real:
-            value, d_orders, gh = self._m1_pass(self._real_product(powers), parts.real, H)
+        if self.real:
+            A, parts = self._real_product(powers), parts.real
         else:
             pw = np.stack(powers)[:, self.owner, None, :]    # (2, S, 1, n1)
             A = self.basis.lmul(np.moveaxis(pw * self.blocks, -1, 0), "V")
-            value, d_orders, gh = self._m1_pass(A, parts, H)
+        value, d_orders, gh = self._pass(A, parts, H, inverse)
         return value, d_orders, gh.reshape(P, -1)
 
     def _real_product(self, powers) -> np.ndarray:
@@ -347,56 +337,46 @@ class _Stack:
         B += pw.imag.copy() * swapped
         return (self.basis.Z @ B.reshape(-1, self.n1).T).reshape((self.n1,) + B.shape[:-1])
 
-    def _m1_pass(self, A, parts, H):
-        """The pass on the loss in M1's domain, from the one basis product
-        A = [M1 Y | dM1 Y | M1 X | dM1 X], (n1, 2, 2, S, n2). Signals are
-        held transposed: a product on the right by B^T is B @ on the left."""
-        A = np.ascontiguousarray(A.transpose(3, 1, 2, 4, 0))   # sample-major (S, 2, 2, n2, n1)
+    def _lmul_t(self, A: np.ndarray, part: str) -> np.ndarray:
+        """``part`` @ each transposed signal of A, (S, n2, n1), held transposed."""
+        return np.moveaxis(self.basis.lmul(np.moveaxis(A, -1, 0), part), 0, -1)
+
+    def _pass(self, A, parts, H, inverse):
+        """The fused pass from the one basis product A = [M1 Y | dM1 Y | M1 X |
+        dM1 X], (n1, K, 2, S, n2); K = 1, no X blocks, in the vertex domain,
+        where ``inverse`` holds the powers of M1inv and their derivatives.
+        Signals are held transposed: a product on the right by B^T is B @ on
+        the left."""
+        A = np.ascontiguousarray(A.transpose(3, 1, 2, 4, 0))   # sample-major (S, K, 2, n2, n1)
         M2, M2inv, dM2, _ = parts
         # U = M1 Y M2^T and its derivatives dM1 Y M2^T and M1 Y dM2^T
         U = np.empty(A.shape[:1] + (3,) + A.shape[3:], np.result_type(A, M2))
         np.matmul(M2[:, None], A[:, 0], out=U[:, :2])
         np.matmul(dM2, A[:, 0, 0], out=U[:, 2])
         R = M2inv @ (H * U[:, 0])                       # (H * U) M2inv^T
-        E = R - A[:, 1, 0]
-        F = np.conj(M2inv.swapaxes(-1, -2)) @ E         # E conj(M2inv)
-        Ec, Fc = E.conj(), F.conj()
-        # <E, E>, <E, dM1 X> and <F, R dM2^T>, then both order derivatives
-        per_sample = np.stack([np.einsum("sij,sij->s", Ec, E), np.einsum("sij,sij->s", Ec, A[:, 1, 1]),
+        if inverse is None:
+            # M1's domain: E = R - M1 X is its own adjoint B, e1 = <E, dM1 X>
+            E = B = R - A[:, 1, 0]
+            Ec = E.conj()
+            e1 = np.einsum("sij,sij->s", Ec, A[:, 1, 1])
+        else:
+            # the vertex domain: E = M1inv R - X, B = M1inv^H E, e1 = -<Q, dpi * W>
+            pi, dpi = (p[self.owner, None, :] for p in inverse)
+            W = self._lmul_t(R, "V_inv")
+            E = self._lmul_t(pi * W, "V") - self.X
+            Q = self._lmul_t(E, "V_h")
+            B = self._lmul_t(pi.conj() * Q, "V_inv_h")
+            e1 = -np.einsum("sij,sij->s", Q.conj(), dpi * W)
+            Ec = E.conj()
+        F = np.conj(M2inv.swapaxes(-1, -2)) @ B         # B conj(M2inv)
+        Fc = F.conj()
+        # <E, E>, e1 and <F, R dM2^T>, then both order derivatives
+        per_sample = np.stack([np.einsum("sij,sij->s", Ec, E), e1,
                                np.einsum("sij,sij->s", Fc, dM2 @ R)], axis=1).real
         per_sample[:, 1:] = np.einsum("sij,skij->sk", Fc * H, U[:, 1:]).real - per_sample[:, 1:]
         means = self._mean(per_sample)
         gh = 2.0 * self._mean(np.conj(U[:, 0]) * F)
         return means[:, 0], 2.0 * means[:, 1:], gh
-
-    def _residual_pass(self, powers, M2, H):
-        """The pass on the residual in the vertex domain, for a first factor
-        without unitary powers."""
-        b = self.basis
-        pf, pi, dpf, dpi = (p[self.owner].T[:, None, :, None] for p in powers)
-        fwd_t, inv_t, dfwd_t, _ = M2.swapaxes(-1, -2)
-        Yh = self.Yh[:, None]
-        H = np.ascontiguousarray(H.transpose(2, 0, 1))
-
-        A = b.lmul(np.concatenate([pf * Yh, dpf * Yh], axis=1), "V")   # M1 Y, dM1 Y
-        U = _rmul(A, fwd_t)                                             # M1 Y M2^T, dM1 Y M2^T
-        dU2 = _rmul(A[:, :1], dfwd_t)[:, 0]                             # M1 Y dM2^T
-        W0 = b.lmul(H * U[:, 0], "V_inv")
-        C0 = b.lmul(pi[:, 0] * W0, "V")
-        R = _rmul(C0[:, None], inv_t)[:, 0] - self.X
-        # F^{-H} r = M1inv^H R conj(M2inv), with M1inv^H = V_inv^H diag(conj pi) V^H
-        S = _rmul(R[:, None], M2[1].conj())
-        dS = _rmul(R[:, None], M2[3].conj())[:, 0]                      # R conj(dM2inv)
-        Q = b.lmul(S, "V_h")
-        back = b.lmul(pi.conj() * Q, "V_inv_h")[:, 0]
-
-        # both order derivatives of the estimate, paired with r through the adjoint
-        Hb = H.conj() * back
-        d_orders = 2.0 * np.stack([
-            self._mean(_re_inner(Q[:, 0], dpi[:, 0] * W0) + _re_inner(Hb, U[:, 1])),
-            self._mean(_re_inner(dS, C0) + _re_inner(Hb, dU2))], axis=1)
-        gh = 2.0 * self._mean(np.conj(U[:, 0]) * back, axis=1)
-        return self._mean(_re_inner(R, R)), d_orders, gh.transpose(1, 2, 0)
 
 
 def _adam_step(x, g, m, v, step: int, rate: float):

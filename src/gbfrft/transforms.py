@@ -248,14 +248,19 @@ def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     T = g2_path.n
     out = np.empty((4, len(beta), T, T), dtype=np.complex128)
+    mid = (lam > 0.0) & (lam < 1.0)
+    ends = []   # each endpoint's M and dM at the interior orders
+    # one dense_powers call per endpoint basis: its own orders, then the blends'
     for value in (1.0, 0.0):
         at = lam == value
-        if at.any():
-            out[:, at] = dense_powers(blend_basis(g2_path, value, convention), beta[at])
-    mid = (lam > 0.0) & (lam < 1.0)
+        k = np.count_nonzero(at)
+        if k or mid.any():
+            basis = blend_basis(g2_path, value, convention)
+            parts = dense_powers(basis, np.concatenate([beta[at], beta[mid]]))
+            out[:, at] = parts[:, :k]
+            ends.append(parts[::2, k:])
     if mid.any():
-        fd, fg = (dense_powers(blend_basis(g2_path, value, convention), beta[mid])[::2]
-                  for value in (1.0, 0.0))
+        fd, fg = ends
         w = lam[mid, None, None]
         B, dB = w * fd + (1.0 - w) * fg
         B_inv, cond = guarded_inverse(B)
