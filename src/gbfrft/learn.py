@@ -82,7 +82,7 @@ whose first factors share one basis descend stacked: the patches of a
 deblur run, and every method, noise variance and lambda of a time-vertex
 run. Each epoch gets every problem's powers of M1 from one vectorized
 ``exp`` (with those of M1inv in the vertex domain only), and every
-problem's dense M2, M2inv, dM2 and dM2inv at its second order from one
+problem's dense M2, M2inv and dM2 at its second order from one
 :func:`~gbfrft.transforms.blend_parts` call, at the blend weight its family
 in ``transforms.METHOD_TABLE`` gives it. Each product by a second factor is
 one batched matmul over the samples; the adjoint ones use the conjugates.
@@ -242,7 +242,7 @@ def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
         basis2, second = o2.basis, partial(dense_powers, o2.basis)
     else:
         # a dense blend has no basis: its parts at its own order are all there is
-        parts = np.stack([o2.matrix, o2.inverse, o2.derivative, o2.inverse_derivative])[:, None]
+        parts = np.stack([o2.matrix, o2.inverse, o2.derivative])[:, None]
         basis2, second = None, lambda a2: parts
     stack = _Stack(t.op1.basis, [batch], second, [basis2])
     _, d_orders, gh = stack.value_and_grad(np.array([[t.op1.order, o2.order]]), h[None])
@@ -256,8 +256,8 @@ class _Stack:
     length S, so each factor-1 multiply of the pass is one product with V,
     V_inv or their adjoints for all problems and samples at once; each
     problem's own powers of the eigenvalues scale its rows. ``second`` maps
-    the P second orders to every problem's dense M2, M2inv, dM2 and dM2inv,
-    (4, P, n2, n2). ``seconds`` holds the second factors' bases (None for a
+    the P second orders to every problem's dense M2, M2inv and dM2,
+    (3, P, n2, n2). ``seconds`` holds the second factors' bases (None for a
     dense blend); they decide only whether the stack is real.
 
     There is one pass (module docstring); the first basis alone picks its
@@ -348,7 +348,7 @@ class _Stack:
         Signals are held transposed: a product on the right by B^T is B @ on
         the left."""
         A = np.ascontiguousarray(A.transpose(3, 1, 2, 4, 0))   # sample-major (S, K, 2, n2, n1)
-        M2, M2inv, dM2, _ = parts
+        M2, M2inv, dM2 = parts
         # U = M1 Y M2^T and its derivatives dM1 Y M2^T and M1 Y dM2^T
         U = np.empty(A.shape[:1] + (3,) + A.shape[3:], np.result_type(A, M2))
         np.matmul(M2[:, None], A[:, 0], out=U[:, :2])

@@ -174,8 +174,13 @@ class SpectralBasis:
         out[nz] = np.log(self.lam[nz])
         return out
 
+    def dense(self, d: np.ndarray) -> np.ndarray:
+        """The dense V diag(d) V_inv, or one per row of a stack of
+        eigenvalue weights d (..., n)."""
+        return (self.V * d[..., None, :]) @ self.V_inv
+
     def reconstruct(self) -> np.ndarray:
-        return (self.V * self.lam) @ self.V_inv
+        return self.dense(self.lam)
 
     def lmul(self, A: np.ndarray, part: str = "V") -> np.ndarray:
         """``part`` @ A along the first axis of A, all other axes as columns,
@@ -318,10 +323,11 @@ def eig_general(M) -> SpectralBasis:
 class FactorOperator:
     """The operator protocol of one transform factor.
 
-    An operator has four parts, selected by ``kind``: ``fwd`` (M), ``inv``
-    (M^{-1}), ``dfwd`` (dM/da) and ``dinv`` (dM^{-1}/da). A subclass gives the
-    size ``n``, names the attribute holding each part in ``_PARTS`` and says
-    in ``_apply`` how one part acts on a block of columns.
+    An operator has three dense parts: ``matrix`` (M), ``inverse`` (M^{-1})
+    and ``derivative`` (dM/da). ``lmul`` and ``rmul_t`` apply M or M^{-1},
+    selected by ``kind``: ``fwd`` or ``inv``. A subclass gives the size
+    ``n``, names the attribute holding each kind in ``_PARTS`` and says in
+    ``_apply`` how one part acts on a block of columns.
     """
 
     _PARTS: dict[str, str]
@@ -348,9 +354,9 @@ class FactorOperator:
 class FractionalOperator(FactorOperator):
     """A fractional power F = V diag(lam**order) V_inv held in factored form.
 
-    ``matrix``/``inverse``/``derivative``/``inverse_derivative`` materialize
-    the dense operators lazily; ``lmul``/``rmul_t`` apply them to signals
-    through :meth:`SpectralBasis.lmul` without densifying anything new.
+    ``matrix``/``inverse``/``derivative`` materialize the dense operators
+    lazily; ``lmul``/``rmul_t`` apply M and M^{-1} to signals through
+    :meth:`SpectralBasis.lmul` without densifying anything new.
     """
 
     order: float
@@ -358,9 +364,8 @@ class FractionalOperator(FactorOperator):
     pow_fwd: np.ndarray
     pow_inv: np.ndarray
     dpow_fwd: np.ndarray
-    dpow_inv: np.ndarray
 
-    _PARTS = {"fwd": "pow_fwd", "inv": "pow_inv", "dfwd": "dpow_fwd", "dinv": "dpow_inv"}
+    _PARTS = {"fwd": "pow_fwd", "inv": "pow_inv"}
 
     @property
     def n(self) -> int:
@@ -371,13 +376,9 @@ class FractionalOperator(FactorOperator):
         Y = b.lmul(X, "V_inv")
         return b.lmul(d[:, None] * Y if Y.ndim == 2 else d * Y, "V")
 
-    def _dense(self, d: np.ndarray) -> np.ndarray:
-        return (self.basis.V * d) @ self.basis.V_inv
-
-    matrix = cached_property(lambda self: self._dense(self.pow_fwd))
-    inverse = cached_property(lambda self: self._dense(self.pow_inv))
-    derivative = cached_property(lambda self: self._dense(self.dpow_fwd))
-    inverse_derivative = cached_property(lambda self: self._dense(self.dpow_inv))
+    matrix = cached_property(lambda self: self.basis.dense(self.pow_fwd))
+    inverse = cached_property(lambda self: self.basis.dense(self.pow_inv))
+    derivative = cached_property(lambda self: self.basis.dense(self.dpow_fwd))
 
 
 def power_parts(basis: SpectralBasis, alpha, inverse: bool = True):
@@ -406,15 +407,13 @@ def power_parts(basis: SpectralBasis, alpha, inverse: bool = True):
 
 
 def dense_powers(basis: SpectralBasis, alphas: np.ndarray) -> np.ndarray:
-    """The dense M^a, M^{-a}, dM^a/da and dM^{-a}/da at the k orders of the
-    1-D array ``alphas``, shape (4, k, n, n). On a basis with unitary powers
-    the inverse parts are the adjoints (M^a)^H and (dM^a/da)^H, and no
-    inverse power is computed."""
-    unitary = basis.unitary_powers
-    parts = (basis.V * np.stack(power_parts(basis, alphas, not unitary))[..., None, :]) @ basis.V_inv
-    if unitary:   # [M, dM] -> [M, M^H, dM, dM^H]
-        parts = np.stack([parts, parts.conj().swapaxes(-1, -2)], axis=1).reshape((4,) + parts.shape[1:])
-    return parts
+    """The dense M^a, M^{-a} and dM^a/da at the k orders of the 1-D array
+    ``alphas``, shape (3, k, n, n). On a basis with unitary powers the
+    inverse is the adjoint (M^a)^H, and no inverse power is computed."""
+    if not basis.unitary_powers:
+        return basis.dense(np.stack(power_parts(basis, alphas)[:3]))
+    M, dM = basis.dense(np.stack(power_parts(basis, alphas, inverse=False)))
+    return np.stack([M, M.conj().swapaxes(-1, -2), dM])
 
 
 def fractional_power(basis: SpectralBasis, alpha: float) -> FractionalOperator:
@@ -423,6 +422,5 @@ def fractional_power(basis: SpectralBasis, alpha: float) -> FractionalOperator:
     operator; only the basis is shared, so the operator and its dense parts
     live as long as the transform that holds it."""
     alpha = float(alpha)
-    pow_fwd, pow_inv, dpow_fwd, dpow_inv = power_parts(basis, alpha)
-    return FractionalOperator(order=alpha, basis=basis, pow_fwd=pow_fwd, pow_inv=pow_inv,
-                              dpow_fwd=dpow_fwd, dpow_inv=dpow_inv)
+    pow_fwd, pow_inv, dpow_fwd, _ = power_parts(basis, alpha)
+    return FractionalOperator(order=alpha, basis=basis, pow_fwd=pow_fwd, pow_inv=pow_inv, dpow_fwd=dpow_fwd)

@@ -149,16 +149,15 @@ def dfrft(T: int, alpha: float) -> FractionalOperator:
 
 @dataclass(eq=False)
 class DenseOperator(FactorOperator):
-    """A factor operator held as its four dense parts, such as a temporal
+    """A factor operator held as its three dense parts, such as a temporal
     blend (:func:`blend_parts`)."""
 
     order: float
     matrix: np.ndarray
     inverse: np.ndarray
     derivative: np.ndarray
-    inverse_derivative: np.ndarray
 
-    _PARTS = {"fwd": "matrix", "inv": "inverse", "dfwd": "derivative", "dinv": "inverse_derivative"}
+    _PARTS = {"fwd": "matrix", "inv": "inverse"}
 
     @property
     def n(self) -> int:
@@ -238,16 +237,15 @@ def all_real(first: SpectralBasis, seconds) -> bool:
 
 def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
                 convention: str = "transform-power") -> np.ndarray:
-    """Dense matrix, inverse, derivative and inverse derivative, (4, k, T, T),
-    of the temporal blends lam dfrft(T, beta) + (1 - lam) gfrft(g2_path, beta)
-    at k orders and weights (1-D arrays), T = g2_path.n. The endpoints are
-    the exact spectral powers (:func:`~gbfrft.spectral.dense_powers`); in
-    between the inverse is direct, and a numerically singular blend raises
-    SingularBlend."""
+    """Dense matrix, inverse and derivative, (3, k, T, T), of the temporal
+    blends lam dfrft(T, beta) + (1 - lam) gfrft(g2_path, beta) at k orders
+    and weights (1-D arrays), T = g2_path.n. The endpoints are the exact
+    spectral powers (:func:`~gbfrft.spectral.dense_powers`); in between the
+    inverse is direct, and a numerically singular blend raises SingularBlend."""
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     T = g2_path.n
-    out = np.empty((4, len(beta), T, T), dtype=np.complex128)
+    out = np.empty((3, len(beta), T, T), dtype=np.complex128)
     mid = (lam > 0.0) & (lam < 1.0)
     ends = []   # each endpoint's M and dM at the interior orders
     # one dense_powers call per endpoint basis: its own orders, then the blends'
@@ -267,7 +265,7 @@ def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
         bad = ~(cond <= CONDITION_LIMIT)
         if bad.any():
             raise SingularBlend(f"blend at lambda={lam[mid][bad]}, beta={beta[mid][bad]} is numerically singular")
-        out[:, mid] = B, B_inv, dB, -B_inv @ dB @ B_inv
+        out[:, mid] = B, B_inv, dB
     return out
 
 

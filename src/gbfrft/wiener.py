@@ -555,8 +555,7 @@ def _axis_powers(basis, grid: list[float], inverse: bool) -> np.ndarray:
     batched product: shape (1, k, n, n), or (2, k, n, n) with the inverse
     powers M^-a second."""
     parts = power_parts(basis, np.array(grid), inverse)
-    d = np.stack(parts[:2] if inverse else parts[:1])
-    return (basis.V * d[..., None, :]) @ basis.V_inv
+    return basis.dense(np.stack(parts[:2] if inverse else parts[:1]))
 
 
 def grid_search(

@@ -181,8 +181,9 @@ def forward_mode_order_gradients(t, h, batch) -> np.ndarray:
     """(dL/dalpha1, dL/dalpha2) in forward mode on dense factors: the
     derivative of the estimate along each order, paired with the residual."""
     o1, o2 = t.op1, t.op2
-    M1, M1i, dM1, dM1i = o1.matrix, o1.inverse, o1.derivative, o1.inverse_derivative
-    M2, M2i, dM2, dM2i = o2.matrix, o2.inverse, o2.derivative, o2.inverse_derivative
+    M1, M1i, dM1 = o1.matrix, o1.inverse, o1.derivative
+    M2, M2i, dM2 = o2.matrix, o2.inverse, o2.derivative
+    dM1i, dM2i = -M1i @ dM1 @ M1i, -M2i @ dM2 @ M2i
     H = h.reshape(t.n1, t.n2, order="F")
     d = np.zeros(2)
     for Y, X in batch:
@@ -442,8 +443,7 @@ def test_a_fit_builds_no_transform_per_epoch(monkeypatch):
 
 def test_gradients_need_a_fractional_first_factor():
     _, _, t, h, batch = small_problem()
-    dense = ProductTransform(op1=DenseOperator(0.35, t.op1.matrix, t.op1.inverse, t.op1.derivative,
-                                               t.op1.inverse_derivative),
+    dense = ProductTransform(op1=DenseOperator(0.35, t.op1.matrix, t.op1.inverse, t.op1.derivative),
                              op2=t.op2, kind="gbfrft2d", orders=t.orders)
     with pytest.raises(TypeError):
         gradients(dense, h, batch)
@@ -818,8 +818,8 @@ def test_first_step_leaves_the_orders_where_they_start(method):
 
 def test_a_transform_domain_epoch_builds_no_inverse_powers(monkeypatch):
     # the pass in M1's domain builds no inverse powers, at the first factor
-    # or through blend_parts: a spectral M2inv and dM2inv are the adjoints,
-    # and a blend's inverse is direct
+    # or through blend_parts: a spectral M2inv is the adjoint, and a blend's
+    # inverse is direct
     asked = []
     power_parts = spectral.power_parts
 
