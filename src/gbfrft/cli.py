@@ -393,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = _command(sub, "denoise-hybrid", "descent with a blended temporal factor", cmd_denoise_hybrid)
     c.add_argument("--graph1", help="spatial graph CSV")
-    c.add_argument("--graph2", help="unused; temporal factor is a path")
+    c.add_argument("--graph2", help="sampling from --rxx, its vertex count sets the window length "
+                   "(default: rxx rows / graph1 vertices); the temporal factor is a path either way")
     c.add_argument("--lambda-step", type=float, default=0.1)
     gd_opts(c)
 

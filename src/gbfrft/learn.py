@@ -17,8 +17,10 @@ imaginary parts are the plain partial derivatives). Training evaluates the
 loss before each update and returns the best iterate seen.
 
 The loss and all three gradients come from one fused forward/backward pass.
-With M1 = V diag(p) V_inv held on its eigenbasis, Yh = V_inv Y is computed
-once per fit, and one basis product, V [p Yh | dp Yh] = [M1 Y | dM1 Y],
+With M1 = V diag(p) V_inv held on its eigenbasis, the coordinates of Y that
+its powers scale (:meth:`~gbfrft.spectral.SpectralBasis.coordinates`) are
+computed once per fit, and one basis product
+(:meth:`~gbfrft.spectral.SpectralBasis.power_product`), [M1 Y | dM1 Y],
 starts every epoch. Per sample, with <A, B> = Re tr(A^H B), means over
 each problem's samples and
 
@@ -40,9 +42,8 @@ graph under ``transform-power``, the first factor of every method of
 taken in M1's domain whatever the second factor is: E = B = R - M1 X and
 e1 = <E, dM1 X>. For a unitary M2 (M2inv = M2^H), ||E|| =
 ||H * U - M1 X M2^T|| is Parseval's loss in the transform domain. With
-Xh = V^H X also computed once per fit, the one basis product is
-V [p Yh | dp Yh | p Xh | dp Xh] = [M1 Y | dM1 Y | M1 X | dM1 X] and feeds
-the loss and every gradient.
+the coordinates of X also computed once per fit, the one basis product is
+[M1 Y | dM1 Y | M1 X | dM1 X] and feeds the loss and every gradient.
 
 Any other first factor (``shift-power``, the transform of a non-normal
 digraph) takes the residual in the vertex domain, with pi the powers of
@@ -57,27 +58,27 @@ Either way the first product is copied once into a sample-major layout,
 n1 x n2 signal, so each product by a second factor is a batched M2 @ A, and
 the filter h and g_h are read and written by reshape alone.
 
-A stack in M1's domain is *real* when its samples are real and every basis
-has real powers (``transforms.all_real``: the real Schur factor Z and no
-eigenvalue on the negative real axis, as for F_G of ``patch_graph(20)`` or
-of a path of three vertices). Each power of M1 = Z R Z^T is then a real
-matrix: on Z's columns a real eigenvalue scales by its power p, and the
-pair (x + jy, x - jy)/sqrt(2) with powers p and conj(p) turns its two
-columns (x, y) by [[Re p, Im p], [-Im p, Re p]]. With W = Z^T [Y | X] and
-its pair-swapped copy W' (rows [singles | x | y] -> [0 | y | -x]), both
-kept once per fit,
+On a first basis with a real Schur factor Z (F_G of an undirected graph
+under ``transform-power``) the coordinates are W = Z^T [Y | X], kept with
+their pair-swapped copy W' (rows [singles | x | y] -> [0 | y | -x]). On
+Z's columns a real eigenvalue scales by its power p, and the pair
+(x + jy, x - jy)/sqrt(2) with powers p and conj(p) turns its two columns
+(x, y) by [[Re p, Im p], [-Im p, Re p]], so for p and for dp on Z's rows
 
     R W = Re(p) W + Im(p) W',
 
-for p and for dp on Z's rows, and one real GEMM by Z gives
-[M1 Y | dM1 Y | M1 X | dM1 X]. The second-factor parts are real too, so
-the filter descends in float64; :func:`fit` returns it as complex128
-unless ``TrainConfig.real_filter`` is set.
+and one real GEMM by Z gives [M1 Y | dM1 Y | M1 X | dM1 X]. Where the
+basis has real powers (no eigenvalue on the negative real axis, as for F_G
+of ``patch_graph(20)``) that product of real samples is real, whatever the
+second factor is. A stack is *real* when, beyond that, every second basis
+has real powers (``transforms.all_real``, as for a path of three
+vertices): the second-factor parts are then real too, so the filter
+descends in float64; :func:`fit` returns it as complex128 unless
+``TrainConfig.real_filter`` is set.
 
-Other basis products go through :meth:`SpectralBasis.lmul`: on a large
-basis with a real Schur factor (undirected graphs under
-``transform-power``) each is one real GEMM by that factor plus an O(n)
-pair mixing per column. The descent takes orders, not transforms. Problems
+The vertex-domain residual's other four basis products are plain products
+by the dense V, V_inv and their adjoints. The descent takes orders, not
+transforms. Problems
 whose first factors share one basis descend stacked: the patches of a
 deblur run, and every method, noise variance and lambda of a time-vertex
 run. Each epoch gets every problem's powers of M1 from one vectorized
@@ -262,15 +263,17 @@ class _Stack:
 
     There is one pass (module docstring); the first basis alone picks its
     residual, once, here. With ``unitary_powers`` the residual is taken in
-    M1's domain, and the block [Y | X] of samples is held in
-    eigen-coordinates, V^H [Y | X], or, on a *real* stack (real samples,
-    and ``transforms.all_real``), as Z^T [Y | X] with a pair-swapped copy
-    whose rows [singles | x | y] hold [0 | y | -x]. Any other first factor
-    takes the residual in the vertex domain and holds V_inv Y and X. After
-    the one basis product the blocks are copied once into the sample-major
-    layout (S, K, n2, n1), K = 2 x 2 for (Y, X) x (M1, dM1), or 1 x 2 in the
-    vertex domain, where the residual's four more basis products take the
-    same layout.
+    M1's domain on the block [Y | X] of samples; any other first factor
+    takes it in the vertex domain on Y, and holds X too. Either way the
+    block is held in the coordinates that the powers scale, Z^T [Y | X]
+    with its pair-swapped copy on a basis with a real factor Z, V_inv [Y |
+    X] on any other, and each epoch's first product is the basis's one
+    power product. The stack is *real*, with real second-factor parts and
+    float64 filters, when its samples are real and ``transforms.all_real``
+    holds. After the first product the blocks are copied once into the
+    sample-major layout (S, K, n2, n1), K = 2 x 2 for (Y, X) x (M1, dM1),
+    or 1 x 2 in the vertex domain, where the residual's four more basis
+    products, by the dense parts, take the same layout.
     """
 
     def __init__(self, basis: SpectralBasis, batches, second, seconds):
@@ -285,23 +288,13 @@ class _Stack:
         self.unitary = basis.unitary_powers
         self.real = (self.unitary and all_real(basis, seconds)
                      and not (np.iscomplexobj(Y) or np.iscomplexobj(X)))
-        # the samples by block and sample, each transposed, (K, 1, S, n2, n1), in
-        # the rows the orders scale: eigen-coordinates, or Z's columns
-        if self.real:
-            W = basis.Z.T @ np.stack([Y, X], axis=1).reshape(self.n1, -1)
-            W = np.ascontiguousarray(W.reshape(self.n1, 2, 1, -1, self.n2).transpose(1, 2, 3, 4, 0))
-            ns, nq = len(basis.mix.single), len(basis.mix.plus)
-            swapped = np.zeros_like(W)
-            swapped[..., ns:ns + nq] = W[..., ns + nq:]
-            swapped[..., ns + nq:] = -W[..., ns:ns + nq]
-            self.blocks = W, swapped
-            self.rows = np.concatenate([basis.mix.single, basis.mix.plus, basis.mix.plus])
-        else:
-            # the vertex-domain residual needs X itself, transposed, not V_inv X
-            W = basis.lmul(np.stack([Y, X] if self.unitary else [Y], axis=1), "V_inv")
-            self.blocks = np.ascontiguousarray(np.moveaxis(W, 0, -1)[:, None])
-            if not self.unitary:
-                self.X = np.ascontiguousarray(X.transpose(1, 2, 0))
+        # the coordinates of the samples by block and sample, each transposed,
+        # (K, 1, S, n2, n1), with their pair-swapped copy on a real factor;
+        # the vertex-domain residual needs X itself, transposed
+        W = basis.coordinates(np.stack([Y, X] if self.unitary else [Y], axis=1)[:, :, None])
+        self.blocks = (W,) if basis.Z is None else (W, basis.pair_swap(W))
+        if not self.unitary:
+            self.X = np.ascontiguousarray(X.transpose(1, 2, 0))
 
     def _mean(self, per_sample: np.ndarray) -> np.ndarray:
         """Per-problem means of per-sample values along the first axis."""
@@ -319,27 +312,17 @@ class _Stack:
         powers, inverse = (powers, None) if self.unitary else (powers[::2], powers[1::2])
         parts = self.second(orders[:, 1])[:, self.owner]
         H = h.reshape(P, self.n2, self.n1)[self.owner]   # each sample's filter, transposed
-        if self.real:
-            A, parts = self._real_product(powers), parts.real
-        else:
-            pw = np.stack(powers)[:, self.owner, None, :]    # (2, S, 1, n1)
-            A = self.basis.lmul(np.moveaxis(pw * self.blocks, -1, 0), "V")
-        value, d_orders, gh = self._pass(A, parts, H, inverse)
+        # the one basis product, each problem's powers on its own samples'
+        # rows, (2, S, 1, n1): [M1 Y | dM1 Y | M1 X | dM1 X], (n1, K, 2, S, n2)
+        A = self.basis.power_product(np.stack(powers)[:, self.owner, None, :], *self.blocks)
+        value, d_orders, gh = self._pass(A, parts.real if self.real else parts, H, inverse)
         return value, d_orders, gh.reshape(P, -1)
 
-    def _real_product(self, powers) -> np.ndarray:
-        """Z R [Z^T Y | Z^T X] for R the rotation of M1 and of dM1: each pair
-        of Z's columns turns by [[Re p, Im p], [-Im p, Re p]], a single
-        scales by p. One real GEMM by Z."""
-        W, swapped = self.blocks
-        pw = np.stack(powers)[:, self.owner[:, None], self.rows][:, :, None]   # (2, S, 1, n1)
-        B = pw.real.copy() * W   # contiguous factors: a strided one costs more than the copy
-        B += pw.imag.copy() * swapped
-        return (self.basis.Z @ B.reshape(-1, self.n1).T).reshape((self.n1,) + B.shape[:-1])
-
     def _lmul_t(self, A: np.ndarray, part: str) -> np.ndarray:
-        """``part`` @ each transposed signal of A, (S, n2, n1), held transposed."""
-        return np.moveaxis(self.basis.lmul(np.moveaxis(A, -1, 0), part), 0, -1)
+        """The dense basis ``part`` @ each transposed signal of A, (S, n2, n1),
+        held transposed."""
+        A = np.moveaxis(A, -1, 0)
+        return np.moveaxis((getattr(self.basis, part) @ A.reshape(self.n1, -1)).reshape(A.shape), 0, -1)
 
     def _pass(self, A, parts, H, inverse):
         """The fused pass from the one basis product A = [M1 Y | dM1 Y | M1 X |

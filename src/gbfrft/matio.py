@@ -181,10 +181,9 @@ def read_pgm(path: str) -> np.ndarray:
     if magic == b"P2":
         vals = []
         for m in header:
-            try:
-                vals.append(int(m[0]))
-            except ValueError as e:
-                raise ParseError(f"{path}: bad pixel token {m[0]!r}") from e
+            if not m[0].isdigit():   # a pixel is a plain decimal: no sign
+                raise ParseError(f"{path}: bad pixel token {m[0]!r}")
+            vals.append(int(m[0]))
         if len(vals) != w * h:
             raise ParseError(f"{path}: expected {w * h} pixels, found {len(vals)}")
         img = np.asarray(vals, dtype=np.float64)
@@ -201,10 +200,15 @@ def read_pgm(path: str) -> np.ndarray:
 
 
 def write_pgm(path: str, img, binary: bool = True, maxval: int = 255) -> None:
-    """Write a grayscale image, rounding and clipping to [0, maxval]."""
+    """Write a grayscale image, rounding and clipping to [0, maxval]; maxval
+    lies in 1..65535 and every pixel is finite."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ParseError("image must be 2D")
+    if not 1 <= maxval <= 65535:
+        raise ParseError(f"bad maxval {maxval}")
+    if not np.all(np.isfinite(img)):
+        raise NonFinite("pixel values must be finite")
     pix = np.clip(np.rint(img), 0, maxval).astype(np.uint16 if maxval > 255 else np.uint8)
     h, w = pix.shape
     if binary:

@@ -27,8 +27,11 @@ The input alone picks the eigensolver:
   the orthonormal eigenvectors (e_1 +- j sign(b) e_2) / sqrt(2). A block
   whose pair would snap onto the real axis holds a double real eigenvalue
   with roundoff off-diagonals and is read as two 1x1 blocks. The basis
-  keeps V = Z U, with U this block mixing, so :meth:`SpectralBasis.lmul`
-  multiplies by Z in real arithmetic.
+  keeps Z, and :meth:`SpectralBasis.power_product` applies every power in
+  Z's coordinates: a real eigenvalue scales its column of Z^T X, a pair
+  turns its two columns by a 2x2 rotation, and one real GEMM by Z follows.
+  Only the columns of a negative real eigenvalue, whose powers are complex
+  (Log(-r) = ln r + j*pi), add an imaginary part.
 * Other normal input (the DFT) goes through a complex Schur decomposition.
 
 Each of these bases is orthonormal, so fractional powers of unitary
@@ -54,56 +57,20 @@ CONDITION_LIMIT = 1e12
 REAL_AXIS_SNAP = 1e-12     # |Im| below this collapses onto the real axis
 ZERO_EIGENVALUE_RTOL = 1e-12
 ORDER_KEY_DECIMALS = 12    # rounding of the eigenvalue sort keys
-BASIS_PARTS = ("V", "V_inv", "V_h", "V_inv_h")
-# Smallest basis whose products go through its real factor. The real GEMM
-# saves O(n^2) per column and the pair mixing costs O(n) per column. On 2
-# cores with OpenBLAS (one thread) the factored products were faster at
-# every width from 50 to 3000 columns from n = 256 up, and up to 1.7x
-# slower below it (n = 32 at 50 columns, n = 128 at 3000 columns).
-FACTORED_MIN_N = 256
 _HALF_SQRT = np.sqrt(0.5)
 
 
 class PairMixing(NamedTuple):
-    """The unitary U of V = Z U, for a real factor Z whose columns are ordered
+    """Where the eigenvalues of a real factor Z sit, for Z's columns ordered
     [real eigenvectors | first columns x_p of the pairs | second columns
     y_p]. Column i of Z is the eigenvector at sorted position ``single[i]``;
     pair p has the eigenvectors (x_p + j y_p) / sqrt(2) at sorted position
-    ``plus[p]`` and (x_p - j y_p) / sqrt(2) at ``minus[p]``."""
+    ``plus[p]`` and (x_p - j y_p) / sqrt(2) at ``minus[p]``, so V = Z U for
+    the unitary block mixing U these positions define."""
 
     single: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """U @ X for a 2-D X."""
-        ns, nq = len(self.single), len(self.plus)
-        X = X.astype(np.complex128, copy=False)
-        out = np.empty(X.shape, dtype=np.complex128)
-        first, second = out[ns:ns + nq], out[ns + nq:]
-        # mode="clip" avoids the buffered copy that take makes into out= otherwise
-        np.take(X, self.single, axis=0, out=out[:ns], mode="clip")
-        np.take(X, self.plus, axis=0, out=first, mode="clip")
-        np.take(X, self.minus, axis=0, out=second, mode="clip")
-        diff = first - second
-        first += second
-        first *= _HALF_SQRT
-        np.multiply(diff, 1j * _HALF_SQRT, out=second)
-        return out
-
-    def apply_h(self, Y: np.ndarray) -> np.ndarray:
-        """U^H @ Y for a 2-D Y, which a complex Y gives up as scratch space."""
-        ns, nq = len(self.single), len(self.plus)
-        Y = Y.astype(np.complex128, copy=False)
-        first, second = Y[ns:ns + nq], Y[ns + nq:]
-        first *= _HALF_SQRT
-        second *= 1j * _HALF_SQRT
-        out = np.empty(Y.shape, dtype=np.complex128)
-        out[self.single] = Y[:ns]
-        out[self.plus] = first - second
-        first += second
-        out[self.minus] = first
-        return out
 
 
 def _real_lmul(R: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -121,8 +88,8 @@ class SpectralBasis:
     (real part descending, imaginary part descending).
 
     A basis from the real Schur path also keeps the real orthogonal factor
-    ``Z`` and the block mixing ``mix`` = U of V = Z U (see the module
-    docstring); V and V_inv are kept dense for the other consumers.
+    ``Z`` and the eigenvalue positions ``mix`` of its columns (see the
+    module docstring); V and V_inv are kept dense for the other consumers.
     """
 
     V: np.ndarray
@@ -152,13 +119,24 @@ class SpectralBasis:
         return self.unitary and bool(np.all(np.abs(np.abs(self.lam) - 1.0) <= STRUCTURE_RTOL))
 
     @cached_property
+    def negative(self) -> np.ndarray:
+        """Z's columns whose eigenvalue lies on the negative real axis: the
+        singles whose powers are complex, as Log(-r) = ln r + j*pi."""
+        return np.flatnonzero(self.lam[self.mix.single].real < 0.0)
+
+    @cached_property
     def real_powers(self) -> bool:
         """Every fractional power is a real matrix, Z R Z^T with R real: the
         basis has the real factor Z and no eigenvalue on the negative real
         axis, so each pair's powers stay conjugate (Higham, *Functions of
-        Matrices*, 2008). A negative real eigenvalue has the complex powers
-        of Log(-r) = ln r + j*pi."""
-        return self.Z is not None and not np.any((self.lam.real < 0.0) & (self.lam.imag == 0.0))
+        Matrices*, 2008)."""
+        return self.Z is not None and not self.negative.size
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The sorted position of the eigenvalue whose power scales each of
+        Z's columns: a pair's x and y columns both read its ``plus`` member."""
+        return np.concatenate([self.mix.single, self.mix.plus, self.mix.plus])
 
     @cached_property
     def zero(self) -> np.ndarray:
@@ -182,33 +160,52 @@ class SpectralBasis:
     def reconstruct(self) -> np.ndarray:
         return self.dense(self.lam)
 
-    def lmul(self, A: np.ndarray, part: str = "V") -> np.ndarray:
-        """``part`` @ A along the first axis of A, all other axes as columns,
-        for ``part`` one of V, V_inv, V_h and V_inv_h. With a real factor Z
-        (V is then unitary, so V_h = V_inv and V_inv_h = V) the product is
-        one real GEMM by Z and one pass of the pair mixing. When only some
-        rows of the mixed block U A have an imaginary part (real A under a
-        real matrix function, the descent's first product: none, or the
-        rows of negative real eigenvalues, whose powers are complex), Z
-        multiplies the real part and only those rows' columns of Z the
-        imaginary part; the result is complex."""
-        if part not in BASIS_PARTS:
-            raise ValueError(f"part must be one of {BASIS_PARTS}, got {part!r}")
-        A2 = A.reshape(A.shape[0], -1)
-        if self.Z is None or self.n < FACTORED_MIN_N:
-            out = getattr(self, part) @ A2
-        elif part in ("V", "V_inv_h"):
-            mixed = self.mix.apply(A2)
-            rows = np.flatnonzero(mixed.imag.any(axis=1))
-            if len(rows) == self.n:
-                out = _real_lmul(self.Z, mixed)
-            else:
-                out = (self.Z @ mixed.real).astype(np.complex128)
-                if len(rows):
-                    out.imag = self.Z[:, rows] @ mixed.imag[rows]
-        else:
-            out = self.mix.apply_h(_real_lmul(self.Z.T, A2))
-        return out.reshape(A.shape)
+    def coordinates(self, X: np.ndarray) -> np.ndarray:
+        """The coordinates that a power scales, of X along its first axis:
+        Z^T X on a basis with a real factor, V_inv X on any other. The
+        coordinate axis comes last, in a contiguous copy: (..., n)."""
+        X2 = X.reshape(self.n, -1)
+        W = self.V_inv @ X2 if self.Z is None else _real_lmul(self.Z.T, X2)
+        return np.ascontiguousarray(np.moveaxis(W.reshape(X.shape), 0, -1))
+
+    def pair_swap(self, W: np.ndarray) -> np.ndarray:
+        """J W for coordinates W on Z's columns (last axis): the rows
+        [singles | x | y] become [0 | y | -x]."""
+        ns, nq = len(self.mix.single), len(self.mix.plus)
+        out = np.zeros_like(W)
+        out[..., ns:ns + nq] = W[..., ns + nq:]
+        out[..., ns + nq:] = -W[..., ns:ns + nq]
+        return out
+
+    def power_product(self, p: np.ndarray, W: np.ndarray, JW: np.ndarray | None = None) -> np.ndarray:
+        """M(p) X = V diag(p) V_inv X from the :meth:`coordinates` W of X,
+        (..., n), for weights p (..., n) on the sorted eigenvalues that
+        broadcast against W; the result has the broadcast shape with its
+        last axis moved first, (n, ...).
+
+        On a basis with a real factor, p must be conjugate on each pair, as
+        every output of :func:`power_parts` and its conjugate (the adjoint's
+        weights) are. With q = p on Z's columns (``rows``) and J the
+        :meth:`pair_swap` (a caller that reuses W may keep JW),
+
+            M(p) X = Z (Re(q) W + Im(q) JW) + j Z[:, neg] (Im(q) W)[neg],
+
+        for ``neg`` the ``negative`` columns: real arithmetic and one real
+        GEMM by Z, with a real result for real X on ``real_powers``. On any
+        other basis it is V (p W)."""
+        n = self.n
+        if self.Z is None:
+            B = p * W
+            return (self.V @ B.reshape(-1, n).T).reshape((n,) + B.shape[:-1])
+        q = p[..., self.rows]
+        B = q.real.copy() * W   # contiguous factors: a strided one costs more than the copy
+        B += q.imag.copy() * (self.pair_swap(W) if JW is None else JW)
+        out = _real_lmul(self.Z, B.reshape(-1, n).T).reshape((n,) + B.shape[:-1])
+        neg = self.negative
+        if neg.size:
+            C = q[..., neg].imag * W[..., neg]
+            out = out + 1j * _real_lmul(self.Z[:, neg], C.reshape(-1, len(neg)).T).reshape(out.shape)
+        return out
 
 
 def _snap_to_real_axis(lam: np.ndarray) -> np.ndarray:
@@ -250,7 +247,16 @@ def _real_schur_basis(M: np.ndarray) -> SpectralBasis:
     position = np.argsort(order)
     ns, nq = len(single), len(i)
     mix = PairMixing(single=position[:ns], plus=position[ns:ns + nq], minus=position[ns + nq:])
-    V_inv = mix.apply_h(Z.T.copy())   # U^H Z^T
+    # V_inv = U^H Z^T: a pair's rows (x^T -+ j y^T) / sqrt(2) at plus and minus
+    ZT = Z.T.astype(np.complex128, order="C")
+    x, y = ZT[ns:ns + nq], ZT[ns + nq:]
+    x *= _HALF_SQRT
+    y *= 1j * _HALF_SQRT
+    V_inv = np.empty(ZT.shape, dtype=np.complex128)
+    V_inv[mix.single] = ZT[:ns]
+    V_inv[mix.plus] = x - y
+    x += y
+    V_inv[mix.minus] = x
     # V in Fortran order, as the other paths return it: small dense
     # products by V run faster in that order
     return SpectralBasis(V=V_inv.conj().T, lam=_snap_to_real_axis(lam[order]), V_inv=V_inv,
@@ -356,7 +362,7 @@ class FractionalOperator(FactorOperator):
 
     ``matrix``/``inverse``/``derivative`` materialize the dense operators
     lazily; ``lmul``/``rmul_t`` apply M and M^{-1} to signals through
-    :meth:`SpectralBasis.lmul` without densifying anything new.
+    :meth:`SpectralBasis.power_product` without densifying anything new.
     """
 
     order: float
@@ -372,9 +378,8 @@ class FractionalOperator(FactorOperator):
         return self.basis.n
 
     def _apply(self, d, X):
-        b = self.basis
-        Y = b.lmul(X, "V_inv")
-        return b.lmul(d[:, None] * Y if Y.ndim == 2 else d * Y, "V")
+        # complex, as M is, also where a real matrix function gives a real product
+        return self.basis.power_product(d, self.basis.coordinates(X)).astype(np.complex128, copy=False)
 
     matrix = cached_property(lambda self: self.basis.dense(self.pow_fwd))
     inverse = cached_property(lambda self: self.basis.dense(self.pow_inv))

@@ -23,7 +23,7 @@ from gbfrft.learn import (
     train_hybrid,
     train_jfrft,
 )
-from gbfrft.spectral import FACTORED_MIN_N, SpectralBasis
+from gbfrft.spectral import SpectralBasis
 from gbfrft.transforms import (
     DenseOperator,
     ProductTransform,
@@ -647,12 +647,12 @@ def test_one_epoch_multiplies_by_the_spatial_basis_a_fixed_number_of_times(metho
 
 
 def real_factor_products(method, monkeypatch, complex_data, patch=20):
-    # deblur's patch graphs are big enough for products through the real
-    # factor Z. The 400-vertex one has no real eigenvalue of F_G, so every
-    # power of F_G is a real matrix; the 256-vertex one has two, 1 and -1
+    # deblur's patch graphs have a real factor Z. The 400-vertex one has no
+    # real eigenvalue of F_G, so every power of F_G is a real matrix; the
+    # 256-vertex one has two, 1 and -1
     g = patch_graph(patch)
     basis = transforms.graph_basis(g)
-    assert basis.Z is not None and basis.n >= FACTORED_MIN_N
+    assert basis.Z is not None
     assert len(basis.mix.single) == {20: 0, 16: 2}[patch]
     return products_per_epoch(method, g, replace(basis, Z=basis.Z.view(CountingMatrix)),
                               np.random.default_rng(24), monkeypatch, complex_data)
@@ -660,8 +660,9 @@ def real_factor_products(method, monkeypatch, complex_data, patch=20):
 
 @pytest.mark.parametrize("method", ["2d-gbfrft", "hybrid"])
 def test_one_epoch_multiplies_by_the_real_factor_a_fixed_number_of_times(method, monkeypatch):
-    # real samples make every block through V real after the pair mixing, so
-    # Z takes their real columns only and each of the four counts half
+    # every power is a real matrix, so the rotated coordinates of real
+    # samples are real: Z takes real columns only and each of the four
+    # blocks counts half, whatever the second factor is
     per_epoch = real_factor_products(method, monkeypatch, complex_data=False)
     check_blocks(method, per_epoch, products=1, blocks=2)
 
@@ -674,8 +675,9 @@ def test_complex_samples_keep_every_real_factor_product_complex(method, monkeypa
 
 def test_only_the_complex_rows_of_a_mixed_block_take_complex_products(monkeypatch):
     # of the 256 eigenvalues of F_G on patch_graph(16), only -1 has complex
-    # powers, so one row of the mixed block of real samples is complex. Z
-    # takes the real part, and that row's one column of Z the imaginary part
+    # powers, so one coordinate of the powers of real samples is complex. Z
+    # takes the real part, and that coordinate's one column of Z the
+    # imaginary part
     per_epoch = real_factor_products("2d-gbfrft", monkeypatch, complex_data=False, patch=16)
     check_blocks("2d-gbfrft", per_epoch, products=2, blocks=2 * (1 + 1 / 256))
 
@@ -710,16 +712,36 @@ def assert_same_pass(got, want):
 def test_real_factor_products_equal_dense_products(method):
     g = patch_graph(16)
     basis = transforms.graph_basis(g)
-    assert basis.Z is not None and basis.n >= FACTORED_MIN_N
+    assert basis.Z is not None
     dense = replace(basis, Z=None, mix=None)
     assert_same_pass(two_problem_pass(basis, method), two_problem_pass(dense, method))
+
+
+@pytest.mark.parametrize("method", ["hybrid", "jfrft"])
+def test_real_samples_take_a_real_first_product_whatever_the_second_factor(method, monkeypatch):
+    # every power of F_G on patch_graph(20) is a real matrix, so the first
+    # product of real samples is formed from float64 blocks, though the
+    # second factor (a blend, the DFT) is complex and so is the filter
+    basis = transforms.graph_basis(patch_graph(20))
+    assert basis.real_powers
+    taken, rule = [], SpectralBasis.power_product
+
+    def recording(self, p, *blocks):
+        out = rule(self, p, *blocks)
+        taken.append([b.dtype for b in blocks] + [out.dtype])
+        return out
+
+    monkeypatch.setattr(SpectralBasis, "power_product", recording)
+    real = two_problem_pass(basis, method)
+    assert taken == [[np.float64] * 3]
+    assert_same_pass(real, two_problem_pass(replace(basis, Z=None, mix=None), method))
 
 
 def unitary_graph_basis(graph):
     rng = np.random.default_rng(28)
     g = patch_graph(16) if graph == "patch" else make_knn_graph(rng.normal(size=(6, 2)), 2)
     basis = transforms.graph_basis(g)
-    assert basis.unitary and (basis.n >= FACTORED_MIN_N) == (graph == "patch")
+    assert basis.unitary and basis.Z is not None
     return basis
 
 
@@ -727,9 +749,9 @@ def unitary_graph_basis(graph):
 @pytest.mark.parametrize("method", METHODS)
 def test_eigen_coordinate_residual_equals_the_vertex_domain_residual(method, graph):
     # a unitary M1 with second factors that have no basis, as an interior
-    # blend has: the pass in M1's domain, on samples held in eigen-coordinates
-    # and in complex arithmetic, agrees with the vertex-domain residual that
-    # unitary=False forces, for every method
+    # blend has: the pass in M1's domain, with complex second factors and
+    # filters, agrees with the vertex-domain residual that unitary=False
+    # forces, for every method
     basis = unitary_graph_basis(graph)
     assert basis.unitary_powers
     vertex = replace(basis, unitary=False)

@@ -193,3 +193,27 @@ def test_pgm_rejects_a_size_below_one_pixel(tmp_path, data):
     p.write_bytes(data)
     with pytest.raises(ParseError, match="bad size"):
         matio.read_pgm(str(p))
+
+
+def test_pgm_rejects_a_negative_ascii_pixel(tmp_path):
+    p = tmp_path / "neg.pgm"
+    p.write_bytes(b"P2 2 1 255 -3 7")
+    with pytest.raises(ParseError, match="b'-3'"):
+        matio.read_pgm(str(p))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pgm_write_rejects_a_non_finite_pixel_before_opening_the_file(tmp_path, value):
+    p = tmp_path / "nan.pgm"
+    with pytest.raises(NonFinite):
+        matio.write_pgm(str(p), np.array([[1.0, value]]))
+    assert not p.exists()
+
+
+@pytest.mark.parametrize("maxval", [0, -1, 65536])
+@pytest.mark.parametrize("binary", [True, False])
+def test_pgm_write_rejects_a_maxval_outside_its_range_before_opening_the_file(tmp_path, maxval, binary):
+    p = tmp_path / "max.pgm"
+    with pytest.raises(ParseError, match="maxval"):
+        matio.write_pgm(str(p), np.zeros((2, 2)), binary=binary, maxval=maxval)
+    assert not p.exists()

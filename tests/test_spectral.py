@@ -1,14 +1,14 @@
+from functools import cache
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from gbfrft.deblur import patch_graph
 from gbfrft.errors import DefectiveMatrix, NonFinite, ShapeMismatch, SingularPower
-from gbfrft.graphs import make_named_graph
+from gbfrft.graphs import make_knn_graph, make_named_graph
 from gbfrft.spectral import (
-    BASIS_PARTS,
     CONDITION_LIMIT,
-    FACTORED_MIN_N,
     RECONSTRUCTION_RTOL,
     SpectralBasis,
     eig_general,
@@ -252,11 +252,15 @@ def test_real_orthogonal_input_takes_the_real_schur_path(name, M):
     assert np.abs(b.Z.T @ b.Z - np.eye(n)).max() < 1e-12
     assert np.abs(b.V.conj().T @ b.V - np.eye(n)).max() < 1e-12
     assert np.linalg.norm(b.reconstruct() - M) / max(1.0, np.linalg.norm(M)) <= RECONSTRUCTION_RTOL
-    # V = Z U, with U the pair mixing: at most two nonzeros per row and column
-    U = b.mix.apply(np.eye(n))
-    assert np.abs(b.Z @ U - b.V).max() < 1e-14
-    assert np.abs(U.conj().T - b.mix.apply_h(np.eye(n))).max() < 1e-15
-    assert np.count_nonzero(U, axis=0).max() <= 2 and np.count_nonzero(U, axis=1).max() <= 2
+    # V = Z U, with U the pair mixing: a single is its column of Z, and a
+    # pair's columns (x, y) of Z give it (x + j y) / sqrt(2) at plus and
+    # (x - j y) / sqrt(2) at minus
+    ns, nq = len(b.mix.single), len(b.mix.plus)
+    x, y = b.Z[:, ns:ns + nq], b.Z[:, ns + nq:]
+    assert np.array_equal(b.V[:, b.mix.single], b.Z[:, :ns])
+    assert np.abs(b.V[:, b.mix.plus] - (x + 1j * y) * np.sqrt(0.5)).max() < 1e-15
+    assert np.abs(b.V[:, b.mix.minus] - (x - 1j * y) * np.sqrt(0.5)).max() < 1e-15
+    assert np.array_equal(b.V_inv, b.V.conj().T)
     ref = complex_schur_reference(M)
     for alpha in (0.3, 0.5, 0.8, 1.0, 1.7, -0.4):
         got, want = fractional_power(b, alpha).matrix, fractional_power(ref, alpha).matrix
@@ -286,13 +290,50 @@ def test_adjacency_keeps_the_complex_eigh_basis():
     assert np.array_equal(b.V, V[:, np.argsort(-w, kind="stable")])
 
 
-def test_factored_products_match_the_dense_basis():
-    b = eig_general(eig_general(patch_graph(16).adjacency).V_inv)
-    assert b.n >= FACTORED_MIN_N and b.Z is not None
-    rng = np.random.default_rng(9)
+@cache
+def rule_bases():
+    """Bases with a real factor Z, with and without a negative real
+    eigenvalue, of 16 to 400 vertices, and two without one."""
+    knn = make_knn_graph(np.random.default_rng(9).normal(size=(24, 2)), 4)
+    graphs = {"patch 16": patch_graph(16), "patch 20": patch_graph(20), "knn 24": knn,
+              "path 16": make_named_graph("path", 16)}
+    out = {f"F_G of {k}": eig_general(eig_general(g.adjacency).V_inv) for k, g in graphs.items()}
+    out["DFT 7"] = eig_general(np.fft.fft(np.eye(7), norm="ortho"))
+    out["general 6"] = eig_general(np.random.default_rng(10).normal(size=(6, 6)))
+    return out
+
+
+@pytest.mark.parametrize("name", list(rule_bases()))
+def test_every_power_applies_through_the_one_rule(name):
+    """M(p) X from X's coordinates equals the dense V diag(p) V_inv X for
+    every output of power_parts, on real and complex operands, and so does
+    the adjoint M(p)^H X = M(conj p) X on an orthonormal basis. A power of
+    F_G is real where no eigenvalue is negative: patch 16 has the one -1,
+    and path 16 a double -1."""
+    b = rule_bases()[name]
+    negatives = {"F_G of patch 16": 1, "F_G of patch 20": 0, "F_G of knn 24": 0, "F_G of path 16": 2}
+    assert (b.Z is not None) == (name in negatives)
+    if b.Z is not None:
+        assert len(b.negative) == negatives[name] and b.real_powers == (not negatives[name])
+    rng = np.random.default_rng(11)
+    parts = power_parts(b, np.array([0.3, 1.7]))
     for X in (rng.normal(size=(b.n, 3, 2)), rng.normal(size=(b.n, 5)) + 1j * rng.normal(size=(b.n, 5))):
-        for part in BASIS_PARTS:
-            want = np.tensordot(getattr(b, part), X, axes=1)
-            assert np.abs(b.lmul(X, part) - want).max() <= 1e-13 * np.abs(want).max(), part
-    with pytest.raises(ValueError):
-        b.lmul(X, "Z")
+        W = b.coordinates(X)
+        assert W.shape == X.shape[1:] + (b.n,)
+        for p in (q for part in parts for q in part):
+            cases = [(p, b.dense(p))] + ([(p.conj(), b.dense(p).conj().T)] if b.unitary else [])
+            for weights, M in cases:
+                got, want = b.power_product(weights, W), np.tensordot(M, X, axes=1)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+                assert np.isrealobj(got) == (b.real_powers and np.isrealobj(X))
+
+
+def test_stacked_powers_broadcast_and_reuse_the_pair_swap():
+    b = eig_general(eig_general(patch_graph(16).adjacency).V_inv)
+    W = b.coordinates(np.random.default_rng(12).normal(size=(b.n, 3, 2)))
+    p = np.stack(power_parts(b, np.array([0.4, 0.9]), inverse=False))   # (2, 2, n)
+    got = b.power_product(p[:, :, None, None, :], W, b.pair_swap(W))
+    assert got.shape == (b.n, 2, 2, 3, 2)
+    for i in range(2):
+        for k in range(2):
+            assert np.array_equal(got[:, i, k], b.power_product(p[i, k], W))
