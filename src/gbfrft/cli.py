@@ -144,8 +144,9 @@ def _gd_samples(args):
         Y = matio.read_matrix(args.y, complex_=args.complex_data)
         X = matio.read_matrix(args.x, complex_=args.complex_data)
         return [(Y, X)], g1, g2
-    model = _load_model(args)
-    return draw_observations(model, args.batch, args.seed), g1, g2
+    if args.batch < 1:
+        raise ValueError(f"--batch must be at least 1, got {args.batch}")
+    return draw_observations(_load_model(args), args.batch, args.seed), g1, g2
 
 
 # ---------------------------------------------------------------- commands
@@ -404,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--variances", type=_parse_floats, default=DEFAULT_VARIANCES)
     c.add_argument("--methods", type=_parse_strs, default=("grid-gfrft", "grid-gbfrft"))
     c.add_argument("--trials", type=int, default=1)
-    c.add_argument("--range1", type=_parse_range, default=(0.0, 1.0))
+    c.add_argument("--range1", type=_parse_range, default=(0.0, 1.0), help="grid order range on both axes")
     c.add_argument("--step", type=float, default=0.1)
     descent_opts(c, synthetic_config())
     c.add_argument("--seed", type=int, default=0)

@@ -70,10 +70,10 @@ Z's columns a real eigenvalue scales by its power p, and the pair
 and one real GEMM by Z gives [M1 Y | dM1 Y | M1 X | dM1 X]. Where the
 basis has real powers (no eigenvalue on the negative real axis, as for F_G
 of ``patch_graph(20)``) that product of real samples is real, whatever the
-second factor is. A stack is *real* when, beyond that, every second basis
-has real powers (``transforms.all_real``, as for a path of three
-vertices): the second-factor parts are then real too, so the filter
-descends in float64; :func:`fit` returns it as complex128 unless
+second factor is. The pass reads realness from its arrays' dtypes: the
+dense powers of a basis with real powers are float64 (as for a path of
+three vertices), and each filter starts as float64 ones and takes the
+dtype of its first gradient; :func:`fit` returns it as complex128 unless
 ``TrainConfig.real_filter`` is set.
 
 The vertex-domain residual's other four basis products are plain products
@@ -107,9 +107,7 @@ from .transforms import (
     METHOD_TABLE,
     METHODS,
     ProductTransform,
-    all_real,
     apply,
-    blend_basis,
     blend_parts,
     graph_basis,
     path_graph,
@@ -240,12 +238,11 @@ def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
     o2 = t.op2
     if isinstance(o2, FractionalOperator):
         # the second factor at any order, as fit's spectral endpoints give it
-        basis2, second = o2.basis, partial(dense_powers, o2.basis)
+        second = partial(dense_powers, o2.basis)
     else:
         # a dense blend has no basis: its parts at its own order are all there is
-        parts = np.stack([o2.matrix, o2.inverse, o2.derivative])[:, None]
-        basis2, second = None, lambda a2: parts
-    stack = _Stack(t.op1.basis, [batch], second, [basis2])
+        second = lambda a2: np.stack([o2.matrix, o2.inverse, o2.derivative])[:, None]
+    stack = _Stack(t.op1.basis, [batch], second)
     _, d_orders, gh = stack.value_and_grad(np.array([[t.op1.order, o2.order]]), h[None])
     return float(d_orders[0, 0]), float(d_orders[0, 1]), gh[0]
 
@@ -258,8 +255,7 @@ class _Stack:
     V_inv or their adjoints for all problems and samples at once; each
     problem's own powers of the eigenvalues scale its rows. ``second`` maps
     the P second orders to every problem's dense M2, M2inv and dM2,
-    (3, P, n2, n2). ``seconds`` holds the second factors' bases (None for a
-    dense blend); they decide only whether the stack is real.
+    (3, P, n2, n2), float64 where they are real matrices.
 
     There is one pass (module docstring); the first basis alone picks its
     residual, once, here. With ``unitary_powers`` the residual is taken in
@@ -268,15 +264,14 @@ class _Stack:
     block is held in the coordinates that the powers scale, Z^T [Y | X]
     with its pair-swapped copy on a basis with a real factor Z, V_inv [Y |
     X] on any other, and each epoch's first product is the basis's one
-    power product. The stack is *real*, with real second-factor parts and
-    float64 filters, when its samples are real and ``transforms.all_real``
-    holds. After the first product the blocks are copied once into the
+    power product, real for real samples on a basis with real powers.
+    After the first product the blocks are copied once into the
     sample-major layout (S, K, n2, n1), K = 2 x 2 for (Y, X) x (M1, dM1),
     or 1 x 2 in the vertex domain, where the residual's four more basis
     products, by the dense parts, take the same layout.
     """
 
-    def __init__(self, basis: SpectralBasis, batches, second, seconds):
+    def __init__(self, basis: SpectralBasis, batches, second):
         self.basis = basis
         self.second = second
         self.counts = np.array([len(b) for b in batches])
@@ -286,8 +281,6 @@ class _Stack:
         X = np.stack([np.asarray(X) for b in batches for _, X in b], axis=1)
         self.n1, _, self.n2 = Y.shape
         self.unitary = basis.unitary_powers
-        self.real = (self.unitary and all_real(basis, seconds)
-                     and not (np.iscomplexobj(Y) or np.iscomplexobj(X)))
         # the coordinates of the samples by block and sample, each transposed,
         # (K, 1, S, n2, n1), with their pair-swapped copy on a real factor;
         # the vertex-domain residual needs X itself, transposed
@@ -315,7 +308,7 @@ class _Stack:
         # the one basis product, each problem's powers on its own samples'
         # rows, (2, S, 1, n1): [M1 Y | dM1 Y | M1 X | dM1 X], (n1, K, 2, S, n2)
         A = self.basis.power_product(np.stack(powers)[:, self.owner, None, :], *self.blocks)
-        value, d_orders, gh = self._pass(A, parts.real if self.real else parts, H, inverse)
+        value, d_orders, gh = self._pass(A, parts, H, inverse)
         return value, d_orders, gh.reshape(P, -1)
 
     def _lmul_t(self, A: np.ndarray, part: str) -> np.ndarray:
@@ -331,7 +324,7 @@ class _Stack:
         Signals are held transposed: a product on the right by B^T is B @ on
         the left."""
         A = np.ascontiguousarray(A.transpose(3, 1, 2, 4, 0))   # sample-major (S, K, 2, n2, n1)
-        M2, M2inv, dM2 = parts
+        M2, M2inv, dM2 = parts.astype(np.result_type(A, parts), copy=False)   # one cast, not one per product
         # U = M1 Y M2^T and its derivatives dM1 Y M2^T and M1 Y dM2^T
         U = np.empty(A.shape[:1] + (3,) + A.shape[3:], np.result_type(A, M2))
         np.matmul(M2[:, None], A[:, 0], out=U[:, :2])
@@ -393,22 +386,24 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied, where) -> list[tuple[Filt
     o1, o2 = _initial_orders(cfg, rng)
     P = len(tied)
     tied = np.asarray(tied, bool)[:, None]
-    # a real stack's filter gradients are real: its filters descend in float64
-    dtype = np.float64 if cfg.real_filter or stack.real else np.complex128
     orders = np.where(tied, o1, np.array([[o1, o2]]))
-    h = np.ones((P, stack.n1 * stack.n2), dtype=dtype)
+    h = np.ones((P, stack.n1 * stack.n2))
 
     m_orders = v_orders = m_h = v_h = 0.0
     record = np.empty((cfg.epochs, P, 3))
     best_epoch = np.full(P, -1)
     best_loss = np.full(P, np.inf)
-    best_h = h.copy()
 
     for epoch in range(cfg.epochs):
         values, d_orders, gh = stack.value_and_grad(orders, h)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise DivergedLoss(f"loss became {values[bad[0]]} at epoch {epoch}{where[bad[0]]}")
+        gh = gh.real if cfg.real_filter else gh
+        if epoch == 0:
+            # each filter takes its gradient's dtype: float64 on an all-real pass
+            h = h.astype(gh.dtype, copy=False)
+            best_h = h.copy()
         record[epoch, :, :2] = orders
         record[epoch, :, 2] = values
         better = values < best_loss
@@ -420,8 +415,6 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied, where) -> list[tuple[Filt
             # h = 1 makes the estimate y at every order, so the exact order
             # gradient is 0; Adam would turn its roundoff into order moves
             d_orders[:] = 0.0
-        if cfg.real_filter:
-            gh = gh.real
         g_orders = np.where(tied, d_orders.sum(axis=1, keepdims=True), d_orders)
         if cfg.optimizer == "adam":
             orders, m_orders, v_orders = _adam_step(orders, g_orders, m_orders, v_orders, epoch + 1, cfg.lr_orders)
@@ -477,8 +470,7 @@ def fit(
             weights.append(m.weight if lam is None else lam)
     # every problem's second factor, at its own blend weight, in one call
     second = partial(blend_parts, g2, lam=np.array(weights), convention=convention)
-    seconds = [blend_basis(g2, w, convention) for w in set(weights)]
-    stack = _Stack(graph_basis(g1, convention), batches, second, seconds)
+    stack = _Stack(graph_basis(g1, convention), batches, second)
     where = [(f" in job {j}" if len(jobs) > 1 else "") + ("" if lam is None else f" at lambda {lam}")
              for j, lam in owners]
     results = [None] * len(jobs)

@@ -132,6 +132,11 @@ class SpectralBasis:
         Matrices*, 2008)."""
         return self.Z is not None and not self.negative.size
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of :meth:`dense`: float64 with ``real_powers``, else complex128."""
+        return np.dtype(np.float64 if self.real_powers else np.complex128)
+
     @cached_property
     def rows(self) -> np.ndarray:
         """The sorted position of the eigenvalue whose power scales each of
@@ -153,9 +158,11 @@ class SpectralBasis:
         return out
 
     def dense(self, d: np.ndarray) -> np.ndarray:
-        """The dense V diag(d) V_inv, or one per row of a stack of
-        eigenvalue weights d (..., n)."""
-        return (self.V * d[..., None, :]) @ self.V_inv
+        """The dense V diag(d) V_inv, or one per row of a stack of eigenvalue
+        weights d (..., n): its float64 real part on a basis with
+        ``real_powers``, where d must be conjugate on each pair."""
+        M = (self.V * d[..., None, :]) @ self.V_inv
+        return np.ascontiguousarray(M.real) if self.real_powers else M
 
     def reconstruct(self) -> np.ndarray:
         return self.dense(self.lam)
@@ -378,7 +385,7 @@ class FractionalOperator(FactorOperator):
         return self.basis.n
 
     def _apply(self, d, X):
-        # complex, as M is, also where a real matrix function gives a real product
+        # transform outputs stay complex, also where the power is a real matrix
         return self.basis.power_product(d, self.basis.coordinates(X)).astype(np.complex128, copy=False)
 
     matrix = cached_property(lambda self: self.basis.dense(self.pow_fwd))

@@ -220,21 +220,6 @@ def blend_basis(g2: Graph, lam: float, convention: str = "transform-power") -> S
     return graph_basis(g2, convention) if lam == 0.0 else None
 
 
-def all_unitary(first: SpectralBasis, seconds) -> bool:
-    """Whether every transform with factor-1 basis ``first`` and a second
-    factor from ``seconds`` (bases, None for a dense blend) is unitary: every
-    basis has ``SpectralBasis.unitary_powers``. The Wiener search then
-    solves diagonal normal equations, by Parseval."""
-    return first.unitary_powers and all(b is not None and b.unitary_powers for b in seconds)
-
-
-def all_real(first: SpectralBasis, seconds) -> bool:
-    """Whether every such transform is a real matrix at every pair of
-    orders: every basis has ``SpectralBasis.real_powers``. A descent in M1's
-    domain on real samples then runs in real arithmetic."""
-    return first.real_powers and all(b is not None and b.real_powers for b in seconds)
-
-
 def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
                 convention: str = "transform-power") -> np.ndarray:
     """Dense matrix, inverse and derivative, (3, k, T, T), of the temporal
@@ -245,20 +230,18 @@ def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     T = g2_path.n
-    out = np.empty((3, len(beta), T, T), dtype=np.complex128)
     mid = (lam > 0.0) & (lam < 1.0)
-    ends = []   # each endpoint's M and dM at the interior orders
-    # one dense_powers call per endpoint basis: its own orders, then the blends'
-    for value in (1.0, 0.0):
-        at = lam == value
+    # the endpoint bases in use: the parts are real where each has real powers (never the DFT)
+    ends = [(lam == v, blend_basis(g2_path, v, convention)) for v in (1.0, 0.0) if (lam == v).any() or mid.any()]
+    out = np.empty((3, len(beta), T, T), dtype=np.result_type(np.float64, *(b.dtype for _, b in ends)))
+    blends = []   # one dense_powers call per endpoint basis: its own orders, then the blends'
+    for at, basis in ends:
         k = np.count_nonzero(at)
-        if k or mid.any():
-            basis = blend_basis(g2_path, value, convention)
-            parts = dense_powers(basis, np.concatenate([beta[at], beta[mid]]))
-            out[:, at] = parts[:, :k]
-            ends.append(parts[::2, k:])
+        parts = dense_powers(basis, np.concatenate([beta[at], beta[mid]]))
+        out[:, at] = parts[:, :k]
+        blends.append(parts[::2, k:])
     if mid.any():
-        fd, fg = ends
+        fd, fg = blends
         w = lam[mid, None, None]
         B, dB = w * fd + (1.0 - w) * fg
         B_inv, cond = guarded_inverse(B)

@@ -34,16 +34,16 @@ diagonal with T[m, m] = A[m, m], A = F E[y y^H] F^H, q = diag(F E[x y^H] F^H)
 and h = q / diag(A). ``grid_search`` takes this path for a whole search
 when both factor bases have ``SpectralBasis.unitary_powers`` (a unitary
 eigenbasis and a unimodular spectrum; a symmetric adjacency under
-``shift-power`` has real eigenvalues, so it keeps the LU path). That rule
-is ``transforms.all_unitary``. Each diagonal is a sandwich of factor
-contractions, with no N x N product: the M1 half costs O(N1 N^2) and
-depends on alpha1 alone, and the M2 half costs O(N N2^2) per point. The
-search runs one row of the grid at a time, one alpha1 with every alpha2
-it meets: it computes the M1 half once per row, the M2 halves of the
-row's k points as one batched product, and solves the k diagonal systems
-as one (k, N) stack. The rcond of a diagonal T is min|T_mm| / max|T_mm|,
-guarded like the LU estimate, and the fallback, taken only on the points
-that need it, is what ``lstsq`` gives for a diagonal matrix.
+``shift-power`` has real eigenvalues, so it keeps the LU path). Each
+diagonal is a sandwich of factor contractions, with no N x N product: the
+M1 half costs O(N1 N^2) and depends on alpha1 alone, and the M2 half costs
+O(N N2^2) per point. The search runs one row of the grid at a time, one
+alpha1 with every alpha2 it meets: it computes the M1 half once per row,
+the M2 halves of the row's k points as one batched product, and solves the
+k diagonal systems as one (k, N) stack. The rcond of a diagonal T is
+min|T_mm| / max|T_mm|, guarded like the LU estimate, and the fallback,
+taken only on the points that need it, is what ``lstsq`` gives for a
+diagonal matrix.
 
 An ``ObservationModel`` may instead hold factored statistics: a signal
 stationary on the product graph, Rxx = kron(U2, U1) diag(vec W) kron(U2, U1)^T
@@ -79,11 +79,12 @@ from .errors import (
     NonFinite,
     NonHermitianStatistics,
     ShapeMismatch,
+    SingularPower,
     SizeCapExceeded,
 )
 from .graphs import Graph
 from .spectral import power_parts
-from .transforms import ProductTransform, all_unitary, graph_basis
+from .transforms import ProductTransform, graph_basis
 
 # Not called here: the benchmark's layer tracer (bench/layertrace.py) wraps these names.
 from .transforms import transform_2d  # noqa: F401
@@ -550,11 +551,15 @@ def _grid(lo: float, hi: float, step: float) -> tuple[float, ...]:
     return tuple(float(fa + k * fs) for k in range(count + 1)) + ((hi,) if ends_short else ())
 
 
-def _axis_powers(basis, grid: list[float], inverse: bool) -> np.ndarray:
-    """The dense powers M^a of ``basis`` at every order of ``grid`` from one
-    batched product: shape (1, k, n, n), or (2, k, n, n) with the inverse
-    powers M^-a second."""
-    parts = power_parts(basis, np.array(grid), inverse)
+def _axis_powers(factor: int, basis, grid: list[float], name: str, inverse: bool) -> np.ndarray:
+    """The dense powers M^a of factor ``factor``'s basis at every order of
+    ``grid``, set by the range argument ``name``, from one batched product:
+    (1, k, n, n), or (2, k, n, n) with the inverse powers M^-a second."""
+    try:
+        parts = power_parts(basis, np.array(grid), inverse)
+    except SingularPower as e:
+        raise SingularPower(f"factor {factor} has a zero eigenvalue, so {name} must start above 0, "
+                            f"got lower bound {grid[0]:g}") from e
     return basis.dense(np.stack(parts[:2] if inverse else parts[:1]))
 
 
@@ -581,24 +586,26 @@ def grid_search(
     powers, a row's points are designed from the diagonal normal equations
     (see the module docstring) in one stacked solve, else point by point by
     LU. The diagonal path reads a model's factored statistics directly and
-    then forms no N x N array, so ``cap`` does not apply to it. Returns the
-    winning FilterDesign, plus the per-point rows when ``keep_grid`` is set.
+    then forms no N x N array, so ``cap`` does not apply to it. A range that
+    starts at or below 0 on a factor with a zero eigenvalue raises
+    SingularPower naming it. Returns the winning FilterDesign, plus the
+    per-point rows when ``keep_grid`` is set.
     """
     grid1 = grid_values(range1, step)
     grid2 = grid1 if equal_orders else grid_values(range2, step)
     b1, b2 = graph_basis(g1, convention), graph_basis(g2, convention)
     _check_sizes(model, b1.n, b2.n)
-    diagonal = all_unitary(b1, [b2])
+    axes = ((1, b1, grid1, "range1"), (2, b2, grid2, "range1" if equal_orders else "range2"))
+    diagonal = b1.unitary_powers and b2.unitary_powers
     factored = model.factored if diagonal else None
     if factored is None:
-        P1, P2 = (_axis_powers(b, grid, not diagonal) for b, grid in ((b1, grid1), (b2, grid2)))
+        P1, P2 = (_axis_powers(*axis, not diagonal) for axis in axes)
         _check_cap(model.n, cap)
         My, Mxy = model.y_covariance(), model.xy_covariance()
     else:
         # only the weights of the powers are kept
         u1, u2, w, noise = factored
-        (B1, r1), (B2, r2) = (_power_weights(_axis_powers(b, grid, False)[0], u)
-                              for b, grid, u in ((b1, grid1, u1), (b2, grid2, u2)))
+        (B1, r1), (B2, r2) = (_power_weights(_axis_powers(*axis, False)[0], u) for axis, u in zip(axes, (u1, u2)))
     n, trace_rxx = model.n, model.trace_rxx
     best = None
     rows = []

@@ -197,6 +197,39 @@ def test_grid_steps_that_are_not_finite_or_too_fine_fail_at_once(tmp_path, capsy
         assert len(err) == 1 and err[0].startswith("error[ValueError]:") and "step" in err[0]
 
 
+def test_a_shift_power_grid_names_the_range_that_meets_a_zero_eigenvalue(tmp_path, capsys):
+    # under shift-power the adjacencies of the 3-path and the 4-cycle both
+    # have the eigenvalue 0, so each axis's orders must be positive
+    g1, g2, rxx, rnn = write_model(tmp_path)
+    args = ["denoise-grid", "--graph1", g1, "--graph2", g2, "--rxx", rxx, "--rnn", rnn, "--step", "0.5",
+            "--convention", "shift-power", "--outdir", str(tmp_path / "out")]
+    for extra, message in (([], "factor 1 has a zero eigenvalue, so range1 must start above 0, got lower bound 0"),
+                           (["--range1", "0.5,1"], "factor 2 has a zero eigenvalue, so range2 must start above 0")):
+        assert main(args + extra) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error[SingularPower]: {message}"), err
+    # synth's --range1 sets both axes: the 8-cycle has the eigenvalue 0
+    synth = ["synth", "--convention", "shift-power", "--variants", "UU", "--variances", "0.5",
+             "--step", "0.5", "--outdir", str(tmp_path / "synth")]
+    assert main(synth) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[SingularPower]: factor 2 ") and "range1" in err[0], err
+    with pytest.raises(SystemExit):
+        main(["synth", "--help"])
+    assert "both axes" in " ".join(capsys.readouterr().out.split())
+
+
+def test_a_batch_below_one_names_the_flag(tmp_path, capsys):
+    g1, g2, rxx, rnn = write_model(tmp_path)
+    for command in (["denoise-gd", "--graph2", g2], ["denoise-hybrid"]):
+        rc = main(command + ["--graph1", g1, "--rxx", rxx, "--rnn", rnn, "--batch", "0",
+                             "--epochs", "2", "--outdir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error[ValueError]: --batch must be at least 1, got 0"], (command, err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_timevertex_k_must_be_integers(tmp_path, capsys):
     rc = main(["timevertex", "--values", str(tmp_path / "v.csv"),
                "--coords", str(tmp_path / "c.csv"), "--k", "3,2.5",

@@ -27,7 +27,6 @@ from gbfrft.spectral import SpectralBasis
 from gbfrft.transforms import (
     DenseOperator,
     ProductTransform,
-    all_unitary,
     blend_basis,
     blend_parts,
     gfrft2d,
@@ -199,10 +198,10 @@ def method_stack(basis, batches, methods, g2, dense_second=False):
     """A _Stack of one problem per method on ``basis``, blends at lambda = 0.5,
     on the pass ``fit`` would take. ``replace(basis, unitary=False)`` forces
     the vertex-domain residual; ``dense_second`` gives every second factor
-    without a basis, as a dense blend has, which keeps the stack complex."""
+    as complex128 parts, as a dense blend has, which keeps the stack complex."""
     lam = np.array([0.5 if METHOD_TABLE[m].searches_lambda else METHOD_TABLE[m].weight for m in methods])
-    seconds = [None if dense_second else blend_basis(g2, w) for w in lam]
-    return _Stack(basis, batches, partial(blend_parts, g2, lam=lam, convention="transform-power"), seconds)
+    second = partial(blend_parts, g2, lam=lam, convention="transform-power")
+    return _Stack(basis, batches, (lambda a2: second(a2).astype(np.complex128)) if dense_second else second)
 
 
 def check_reverse_mode(g, rng, T=5):
@@ -766,7 +765,8 @@ def test_transform_domain_pass_equals_the_residual_pass(method, graph):
     # same taken in M1's domain, on the pass fit takes (real where the bases
     # allow), as on the vertex-domain residual
     basis = unitary_graph_basis(graph)
-    assert all_unitary(basis, [blend_basis(path_graph(3), METHOD_TABLE[method].weight)])
+    assert basis.unitary_powers
+    assert blend_basis(path_graph(3), METHOD_TABLE[method].weight).unitary_powers
     vertex = replace(basis, unitary=False)
     assert not vertex.unitary_powers
     assert_same_pass(two_problem_pass(basis, method), two_problem_pass(vertex, method))
@@ -861,9 +861,21 @@ def test_a_transform_domain_epoch_builds_no_inverse_powers(monkeypatch):
 
 
 def passes_taken(monkeypatch):
-    """Record whether each stack that reaches the descent loop is real."""
-    taken, loop = [], learn._train_loop
-    monkeypatch.setattr(learn, "_train_loop", lambda stack, *a: taken.append(stack.real) or loop(stack, *a))
+    """Record whether each stack that reaches the descent loop is real: its
+    first filter gradient is float64."""
+    taken, loop, first_pass = [], learn._train_loop, _Stack.value_and_grad
+
+    def recording(stack, *a):
+        def value_and_grad(orders, h):
+            out = first_pass(stack, orders, h)
+            taken.append(out[2].dtype == np.float64)
+            del stack.value_and_grad   # the later passes go unrecorded
+            return out
+
+        stack.value_and_grad = value_and_grad
+        return loop(stack, *a)
+
+    monkeypatch.setattr(learn, "_train_loop", recording)
     return taken
 
 

@@ -8,11 +8,10 @@ from gbfrft import transforms
 from gbfrft.deblur import patch_graph
 from gbfrft.errors import NonFinite, ShapeMismatch, SingularBlend
 from gbfrft.graphs import Graph, make_named_graph
-from gbfrft.spectral import FactorOperator, FractionalOperator, eig_general, fractional_power
+from gbfrft.spectral import FactorOperator, FractionalOperator, dense_powers, eig_general, power_parts
 from gbfrft.transforms import (
     METHOD_TABLE,
     DenseOperator,
-    all_real,
     apply,
     blend_parts,
     dfrft,
@@ -317,10 +316,37 @@ def test_real_powers_marks_the_bases_whose_powers_are_real_matrices():
     assert [b.real_powers for b in real + other] == [True, True, False, False, False]
     for b in real:
         for a in (0.3, 0.8, 1.6, -0.7):
-            M = fractional_power(b, a).matrix
+            # the complex product whose real part the basis returns as the power
+            M = (b.V * power_parts(b, a)[0]) @ b.V_inv
             assert np.abs(M.imag).max() <= 1e-13 * np.abs(M).max(), a
-    assert all_real(real[0], [real[1], real[1]])
-    assert not all_real(real[0], [real[1], None]) and not all_real(real[0], [other[1]])
+
+
+def test_a_power_is_float64_exactly_where_it_is_a_real_matrix():
+    # the basis alone decides: dense parts of F_G on patch_graph(20) and
+    # path_graph(3) are float64; with the eigenvalue -1 (patch_graph(16)), on
+    # the DFT and in an interior blend they stay complex128
+    alphas = np.array([0.3, 1.6, -0.7])
+    for g, want in ((patch_graph(20), np.float64), (path_graph(3), np.float64),
+                    (patch_graph(16), np.complex128)):
+        b = graph_basis(g)
+        d = np.stack(power_parts(b, alphas))
+        M = b.dense(d)
+        assert M.dtype == dense_powers(b, alphas).dtype == b.dtype == want
+        assert blend_parts(g, alphas, np.zeros(3)).dtype == want
+        # the same V diag(d) V_inv arithmetic as the complex product
+        assert np.array_equal(M, ((b.V * d[..., None, :]) @ b.V_inv).real if want is np.float64
+                              else (b.V * d[..., None, :]) @ b.V_inv)
+    b = dft_basis(3)
+    assert b.dense(power_parts(b, alphas)[0]).dtype == dense_powers(b, alphas).dtype == np.complex128
+    g = path_graph(3)
+    for lam in ([1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.0]):
+        assert blend_parts(g, alphas, np.array(lam)).dtype == np.complex128, lam
+    # transform outputs stay complex on a real-power basis
+    t = transform_2d(g, g, 0.3, 0.8)
+    assert t.op1.matrix.dtype == np.float64
+    X = np.random.default_rng(12).normal(size=(3, 3))
+    for direction in ("forward", "inverse"):
+        assert apply(t, X, direction).dtype == np.complex128
 
 
 @pytest.mark.parametrize("convention", ["transform-power", "shift-power"])

@@ -11,6 +11,7 @@ from gbfrft.errors import (
     NonFinite,
     NonHermitianStatistics,
     ShapeMismatch,
+    SingularPower,
     SizeCapExceeded,
 )
 from gbfrft.graphs import Graph, make_named_graph
@@ -507,6 +508,20 @@ def test_a_grid_search_builds_no_transform_and_each_power_once(convention, lu, m
         assert powers == [(b1, grid1, lu), (b2, orders2, lu)]
     assert built == []
     assert len(solves) == (len(grid1) * (len(grid2) + 1) if lu else 0)
+
+
+def test_a_grid_that_a_zero_eigenvalue_cannot_take_names_its_range():
+    # under shift-power the 4-cycle's adjacency has the eigenvalue 0, so its
+    # orders must be positive; the 4-path's has no zero eigenvalue
+    path, cycle = make_named_graph("path", 4), make_named_graph("cycle", 4)
+    model = random_model(4, 4, seed=3)
+    cases = [((path, cycle, (0.5, 1.0), (0.0, 1.0), False), "factor 2 .* range2 .* lower bound 0$"),
+             ((cycle, path, (-0.5, 1.0), (0.0, 1.0), False), "factor 1 .* range1 .* lower bound -0.5$"),
+             # tied orders take both axes from range1
+             ((path, cycle, (0.0, 1.0), (0.5, 1.0), True), "factor 2 .* range1 .* lower bound 0$")]
+    for (g1, g2, range1, range2, tied), message in cases:
+        with pytest.raises(SingularPower, match=message):
+            grid_search(model, g1, g2, range1, range2, 0.5, equal_orders=tied, convention="shift-power")
 
 
 def rotating_eigh(monkeypatch):
