@@ -16,7 +16,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import NonFinite, ShapeMismatch
 from .graphs import Graph, make_knn_graph
 from .learn import TrainConfig, apply_filter, fit
 from .metrics import SSIM_WINDOW, frame_metrics, gaussian_blur
@@ -42,6 +42,9 @@ class FrameSequence:
             self.frames = self.frames[None, :, :]
         if self.frames.ndim != 3:
             raise ShapeMismatch("frames must be a (T, H, W) stack")
+        if not np.isfinite(self.frames).all():
+            bad = np.flatnonzero(~np.isfinite(self.frames).all(axis=(1, 2)))[0]
+            raise NonFinite(f"frame {bad + 1} of {self.t} has non-finite pixels")
 
     @property
     def t(self) -> int:

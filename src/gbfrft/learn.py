@@ -53,10 +53,10 @@ M1inv = V diag(pi) V_inv and X itself kept once per fit:
 
 so B = M1inv^H E, and e1 = -<Q, dpi * W>: six blocks in five basis products.
 
-Either way the first product is copied once into a sample-major layout,
-(S, K, n2, n1) for S samples and K blocks: each block is the transpose of an
-n1 x n2 signal, so each product by a second factor is a batched M2 @ A, and
-the filter h and g_h are read and written by reshape alone.
+Either way the first product lands in a sample-major layout, (S, K, n2,
+n1) for S samples and K blocks: each block is the transpose of an n1 x n2
+signal, so each product by a second factor is a batched M2 @ A, and the
+filter h and g_h are read and written by reshape alone.
 
 On a first basis with a real Schur factor Z (F_G of an undirected graph
 under ``transform-power``) the coordinates are W = Z^T [Y | X], kept with
@@ -67,7 +67,7 @@ Z's columns a real eigenvalue scales by its power p, and the pair
 
     R W = Re(p) W + Im(p) W',
 
-and one real GEMM by Z gives [M1 Y | dM1 Y | M1 X | dM1 X]. Where the
+and one real GEMM, (R W) Z^T, gives [M1 Y | dM1 Y | M1 X | dM1 X]. Where the
 basis has real powers (no eigenvalue on the negative real axis, as for F_G
 of ``patch_graph(20)``) that product of real samples is real, whatever the
 second factor is. The pass reads realness from its arrays' dtypes: the
@@ -76,20 +76,20 @@ three vertices), and each filter starts as float64 ones and takes the
 dtype of its first gradient; :func:`fit` returns it as complex128 unless
 ``TrainConfig.real_filter`` is set.
 
-The vertex-domain residual's other four basis products are plain products
-by the dense V, V_inv and their adjoints. The descent takes orders, not
-transforms. Problems
-whose first factors share one basis descend stacked: the patches of a
-deblur run, and every method, noise variance and lambda of a time-vertex
-run. Each epoch gets every problem's powers of M1 from one vectorized
-``exp`` (with those of M1inv in the vertex domain only), and every
-problem's dense M2, M2inv and dM2 at its second order from one
-:func:`~gbfrft.transforms.blend_parts` call, at the blend weight its family
-in ``transforms.METHOD_TABLE`` gives it. Each product by a second factor is
-one batched matmul over the samples; the adjoint ones use the conjugates.
-Each problem keeps its own orders, filter, Adam moments (fixed
-``ADAM_BETAS`` and ``ADAM_EPS``), trace and best iterate as rows of stacked
-arrays, and :func:`fit` stacks any mix of (method, samples) jobs.
+The vertex-domain residual works on the dense V, V_inv and their
+adjoints. The descent takes orders, not transforms. Problems whose first
+factors share one basis descend stacked: the patches of a deblur run, and
+every method, noise variance and lambda of a time-vertex run. Each epoch
+gets every problem's powers of M1 from one vectorized ``exp``, one per
+distinct eigenvalue (with those of M1inv in the vertex domain only), and
+every problem's dense M2, M2inv and dM2 at its second order from one call
+of a :func:`~gbfrft.transforms.blend_plan`, made once per fit at the blend
+weights its families in ``transforms.METHOD_TABLE`` give. Each product by
+a second factor is one batched matmul over the samples; the adjoint ones
+use the conjugates. Each problem keeps its own orders, filter, Adam
+moments (fixed ``ADAM_BETAS`` and ``ADAM_EPS``), trace and best iterate as
+rows of arrays allocated once, and :func:`fit` stacks any mix of (method,
+samples) jobs.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ from .transforms import (
     METHODS,
     ProductTransform,
     apply,
-    blend_parts,
+    blend_plan,
     graph_basis,
     path_graph,
 )
@@ -263,36 +263,48 @@ class _Stack:
     takes it in the vertex domain on Y, and holds X too. Either way the
     block is held in the coordinates that the powers scale, Z^T [Y | X]
     with its pair-swapped copy on a basis with a real factor Z, V_inv [Y |
-    X] on any other, and each epoch's first product is the basis's one
-    power product, real for real samples on a basis with real powers.
-    After the first product the blocks are copied once into the
-    sample-major layout (S, K, n2, n1), K = 2 x 2 for (Y, X) x (M1, dM1),
-    or 1 x 2 in the vertex domain, where the residual's four more basis
-    products, by the dense parts, take the same layout.
+    X] on any other, sample-major: (S, K, 1, n2, n1). Each epoch's first
+    product is the basis's one power product, real for real samples on a
+    basis with real powers, into the stack's scratch, in the layout (S, K,
+    2, n2, n1), K = 2 x 2 for (Y, X) x (M1, dM1), or 1 x 2 in the vertex
+    domain, where the residual's four more basis products, by the dense
+    parts, take it too. With one sample per problem nothing is gathered.
     """
 
     def __init__(self, basis: SpectralBasis, batches, second):
+        self.unitary = basis.unitary_powers
+        if not self.unitary and basis.Z is not None:
+            basis = replace(basis, Z=None, mix=None)   # the vertex-domain residual works on V and V_inv
         self.basis = basis
         self.second = second
         self.counts = np.array([len(b) for b in batches])
         self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
         self.owner = np.repeat(np.arange(len(batches)), self.counts)
+        self.one_each = len(self.owner) == len(batches)
         Y = np.stack([np.asarray(Y) for b in batches for Y, _ in b], axis=1)
         X = np.stack([np.asarray(X) for b in batches for _, X in b], axis=1)
         self.n1, _, self.n2 = Y.shape
-        self.unitary = basis.unitary_powers
-        # the coordinates of the samples by block and sample, each transposed,
-        # (K, 1, S, n2, n1), with their pair-swapped copy on a real factor;
+        # the coordinates of the samples, sample-major and each transposed,
+        # (S, K, 1, n2, n1), with their pair-swapped copy on a real factor;
         # the vertex-domain residual needs X itself, transposed
-        W = basis.coordinates(np.stack([Y, X] if self.unitary else [Y], axis=1)[:, :, None])
+        W = basis.coordinates(np.stack([Y, X] if self.unitary else [Y], axis=2)[:, :, :, None])
         self.blocks = (W,) if basis.Z is None else (W, basis.pair_swap(W))
         if not self.unitary:
             self.X = np.ascontiguousarray(X.transpose(1, 2, 0))
+        # each problem's powers of M1 and dM1 on the coordinates, (P, 2, n1),
+        # one exp per distinct eigenvalue, and scratch for the first product
+        self.at = basis.rows[:basis.n - (0 if basis.Z is None else len(basis.mix.plus))]
+        self.q = np.empty((len(batches), 2, basis.n), np.complex128)
+        self.work = np.empty((2,) + W.shape[:2] + (2,) + W.shape[3:], W.dtype)
+
+    def _samples(self, per_problem: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Each sample's row of per-problem values along ``axis``."""
+        return per_problem if self.one_each else np.take(per_problem, self.owner, axis)
 
     def _mean(self, per_sample: np.ndarray) -> np.ndarray:
         """Per-problem means of per-sample values along the first axis."""
-        if len(self.owner) == len(self.counts):
-            return per_sample   # one sample each; reduceat would copy it slowly
+        if self.one_each:
+            return per_sample   # reduceat would copy it slowly
         shape = (-1,) + (1,) * (per_sample.ndim - 1)
         return np.add.reduceat(per_sample, self.starts, axis=0) / self.counts.reshape(shape)
 
@@ -300,30 +312,31 @@ class _Stack:
         """Loss, order gradients (P, 2) and filter gradients (P, N1*N2) of
         every problem, at the orders (P, 2) and filters ``h`` (P, N1*N2)."""
         P = len(orders)
-        # each problem's powers of M1, and of M1inv in the vertex domain, (P, n1)
-        powers = power_parts(self.basis, orders[:, 0], inverse=not self.unitary)
+        # each problem's powers of M1, and of M1inv in the vertex domain
+        powers = power_parts(self.basis, orders[:, 0], inverse=not self.unitary, at=self.at)
         powers, inverse = (powers, None) if self.unitary else (powers[::2], powers[1::2])
-        parts = self.second(orders[:, 1])[:, self.owner]
-        H = h.reshape(P, self.n2, self.n1)[self.owner]   # each sample's filter, transposed
-        # the one basis product, each problem's powers on its own samples'
-        # rows, (2, S, 1, n1): [M1 Y | dM1 Y | M1 X | dM1 X], (n1, K, 2, S, n2)
-        A = self.basis.power_product(np.stack(powers)[:, self.owner, None, :], *self.blocks)
+        q, d = self.q, len(self.at)
+        q[:, 0, :d], q[:, 1, :d] = powers
+        q[..., d:] = q[..., 2 * d - self.n1:d]   # a pair's y columns read its x columns' powers
+        parts = self._samples(self.second(orders[:, 1]), axis=1)
+        H = self._samples(h.reshape(P, self.n2, self.n1))   # each sample's filter, transposed
+        # the one basis product, each problem's powers on its own samples:
+        # [M1 Y | dM1 Y | M1 X | dM1 X], (S, K, 2, n2, n1)
+        A = self.basis.power_product(self._samples(q)[:, None, :, None], *self.blocks, out=self.work)
         value, d_orders, gh = self._pass(A, parts, H, inverse)
         return value, d_orders, gh.reshape(P, -1)
 
     def _lmul_t(self, A: np.ndarray, part: str) -> np.ndarray:
         """The dense basis ``part`` @ each transposed signal of A, (S, n2, n1),
         held transposed."""
-        A = np.moveaxis(A, -1, 0)
-        return np.moveaxis((getattr(self.basis, part) @ A.reshape(self.n1, -1)).reshape(A.shape), 0, -1)
+        return (A.reshape(-1, self.n1) @ getattr(self.basis, part).T).reshape(A.shape)
 
     def _pass(self, A, parts, H, inverse):
         """The fused pass from the one basis product A = [M1 Y | dM1 Y | M1 X |
-        dM1 X], (n1, K, 2, S, n2); K = 1, no X blocks, in the vertex domain,
+        dM1 X], (S, K, 2, n2, n1); K = 1, no X blocks, in the vertex domain,
         where ``inverse`` holds the powers of M1inv and their derivatives.
         Signals are held transposed: a product on the right by B^T is B @ on
         the left."""
-        A = np.ascontiguousarray(A.transpose(3, 1, 2, 4, 0))   # sample-major (S, K, 2, n2, n1)
         M2, M2inv, dM2 = parts.astype(np.result_type(A, parts), copy=False)   # one cast, not one per product
         # U = M1 Y M2^T and its derivatives dM1 Y M2^T and M1 Y dM2^T
         U = np.empty(A.shape[:1] + (3,) + A.shape[3:], np.result_type(A, M2))
@@ -337,7 +350,7 @@ class _Stack:
             e1 = np.einsum("sij,sij->s", Ec, A[:, 1, 1])
         else:
             # the vertex domain: E = M1inv R - X, B = M1inv^H E, e1 = -<Q, dpi * W>
-            pi, dpi = (p[self.owner, None, :] for p in inverse)
+            pi, dpi = (self._samples(p)[:, None, :] for p in inverse)
             W = self._lmul_t(R, "V_inv")
             E = self._lmul_t(pi * W, "V") - self.X
             Q = self._lmul_t(E, "V_h")
@@ -351,20 +364,20 @@ class _Stack:
                                np.einsum("sij,sij->s", Fc, dM2 @ R)], axis=1).real
         per_sample[:, 1:] = np.einsum("sij,skij->sk", Fc * H, U[:, 1:]).real - per_sample[:, 1:]
         means = self._mean(per_sample)
-        gh = 2.0 * self._mean(np.conj(U[:, 0]) * F)
+        gh = 2.0 * self._mean(U[:, 0].conj() * F)
         return means[:, 0], 2.0 * means[:, 1:], gh
 
 
 def _adam_step(x, g, m, v, step: int, rate: float):
     """One bias-corrected Adam step at ``step`` (1-based) with |g|^2 second
-    moments, so complex parameters take real ones; the updated (x, m, v).
-    The moments start as the scalar 0.0."""
+    moments, so complex parameters take real ones: x and the moments m and
+    v, zeros at the start, are updated in place."""
     b1, b2 = ADAM_BETAS
-    m = b1 * m + (1.0 - b1) * g
-    v = b2 * v + (1.0 - b2) * np.abs(g) ** 2
-    mhat = m / (1.0 - b1 ** step)
-    vhat = v / (1.0 - b2 ** step)
-    return x - rate * mhat / (np.sqrt(vhat) + ADAM_EPS), m, v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * np.abs(g) ** 2
+    x -= rate * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + ADAM_EPS)
 
 
 def _initial_orders(cfg: TrainConfig, rng: np.random.Generator) -> tuple[float, float]:
@@ -389,7 +402,7 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied, where) -> list[tuple[Filt
     orders = np.where(tied, o1, np.array([[o1, o2]]))
     h = np.ones((P, stack.n1 * stack.n2))
 
-    m_orders = v_orders = m_h = v_h = 0.0
+    m_orders, v_orders = np.zeros_like(orders), np.zeros_like(orders)
     record = np.empty((cfg.epochs, P, 3))
     best_epoch = np.full(P, -1)
     best_loss = np.full(P, np.inf)
@@ -403,7 +416,7 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied, where) -> list[tuple[Filt
         if epoch == 0:
             # each filter takes its gradient's dtype: float64 on an all-real pass
             h = h.astype(gh.dtype, copy=False)
-            best_h = h.copy()
+            best_h, m_h, v_h = h.copy(), np.zeros_like(h), np.zeros(h.shape)
         record[epoch, :, :2] = orders
         record[epoch, :, 2] = values
         better = values < best_loss
@@ -417,8 +430,8 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied, where) -> list[tuple[Filt
             d_orders[:] = 0.0
         g_orders = np.where(tied, d_orders.sum(axis=1, keepdims=True), d_orders)
         if cfg.optimizer == "adam":
-            orders, m_orders, v_orders = _adam_step(orders, g_orders, m_orders, v_orders, epoch + 1, cfg.lr_orders)
-            h, m_h, v_h = _adam_step(h, gh, m_h, v_h, epoch + 1, cfg.filter_rate)
+            _adam_step(orders, g_orders, m_orders, v_orders, epoch + 1, cfg.lr_orders)
+            _adam_step(h, gh, m_h, v_h, epoch + 1, cfg.filter_rate)
         else:
             orders, h = orders - cfg.lr_orders * g_orders, h - cfg.filter_rate * gh
 
@@ -469,7 +482,7 @@ def fit(
             owners.append((j, lam))
             weights.append(m.weight if lam is None else lam)
     # every problem's second factor, at its own blend weight, in one call
-    second = partial(blend_parts, g2, lam=np.array(weights), convention=convention)
+    second = blend_plan(g2, np.array(weights), convention)
     stack = _Stack(graph_basis(g1, convention), batches, second)
     where = [(f" in job {j}" if len(jobs) > 1 else "") + ("" if lam is None else f" at lambda {lam}")
              for j, lam in owners]

@@ -82,6 +82,14 @@ def _real_lmul(R: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (R @ X.view(np.float64)).view(np.complex128)
 
 
+def _rmul_t(X: np.ndarray, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """X @ M^T for a 2-D X, into ``out`` if given; a complex X on a real M
+    takes the real GEMM of :func:`_real_lmul`, (M X^T)^T, into a new array."""
+    if np.iscomplexobj(X) and not np.iscomplexobj(M):
+        return _real_lmul(M, X.T).T
+    return np.matmul(X, M.T, out=None if out is None else out.reshape(len(X), -1))
+
+
 @dataclass(eq=False)
 class SpectralBasis:
     """Eigendecomposition M = V diag(lam) V_inv, eigenvalues sorted by
@@ -139,8 +147,11 @@ class SpectralBasis:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """The sorted position of the eigenvalue whose power scales each of
-        Z's columns: a pair's x and y columns both read its ``plus`` member."""
+        """The sorted position of the eigenvalue whose power scales each
+        coordinate: on Z's columns a pair's x and y columns both read its
+        ``plus`` member; on any other basis, its own."""
+        if self.Z is None:
+            return np.arange(self.n)
         return np.concatenate([self.mix.single, self.mix.plus, self.mix.plus])
 
     @cached_property
@@ -184,34 +195,36 @@ class SpectralBasis:
         out[..., ns + nq:] = -W[..., ns:ns + nq]
         return out
 
-    def power_product(self, p: np.ndarray, W: np.ndarray, JW: np.ndarray | None = None) -> np.ndarray:
+    def power_product(self, q: np.ndarray, W: np.ndarray, JW: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
         """M(p) X = V diag(p) V_inv X from the :meth:`coordinates` W of X,
-        (..., n), for weights p (..., n) on the sorted eigenvalues that
-        broadcast against W; the result has the broadcast shape with its
-        last axis moved first, (n, ...).
+        (..., n), with q = p[..., rows] for p on the sorted eigenvalues, q
+        broadcast against W; the result has that shape, coordinate axis last.
 
         On a basis with a real factor, p must be conjugate on each pair, as
         every output of :func:`power_parts` and its conjugate (the adjoint's
-        weights) are. With q = p on Z's columns (``rows``) and J the
-        :meth:`pair_swap` (a caller that reuses W may keep JW),
+        weights) are. With J the :meth:`pair_swap` (a caller that reuses W
+        may keep JW),
 
             M(p) X = Z (Re(q) W + Im(q) JW) + j Z[:, neg] (Im(q) W)[neg],
 
         for ``neg`` the ``negative`` columns: real arithmetic and one real
         GEMM by Z, with a real result for real X on ``real_powers``. On any
-        other basis it is V (p W)."""
+        other basis it is V (q W). ``out``, a (2, ...) array of the broadcast
+        shape and W's dtype, is scratch for q W and the result."""
         n = self.n
+        B, C = (None, None) if out is None else out
         if self.Z is None:
-            B = p * W
-            return (self.V @ B.reshape(-1, n).T).reshape((n,) + B.shape[:-1])
-        q = p[..., self.rows]
-        B = q.real.copy() * W   # contiguous factors: a strided one costs more than the copy
-        B += q.imag.copy() * (self.pair_swap(W) if JW is None else JW)
-        out = _real_lmul(self.Z, B.reshape(-1, n).T).reshape((n,) + B.shape[:-1])
+            B = np.multiply(q, W, out=B)
+            return _rmul_t(B.reshape(-1, n), self.V, C).reshape(B.shape)
+        B = np.multiply(q.real.copy(), W, out=B)   # contiguous factors: a strided one costs more than the copy
+        C = np.multiply(q.imag.copy(), self.pair_swap(W) if JW is None else JW, out=C)
+        B += C
+        out = _rmul_t(B.reshape(-1, n), self.Z, C).reshape(B.shape)
         neg = self.negative
         if neg.size:
             C = q[..., neg].imag * W[..., neg]
-            out = out + 1j * _real_lmul(self.Z[:, neg], C.reshape(-1, len(neg)).T).reshape(out.shape)
+            out = out + 1j * _rmul_t(C.reshape(-1, len(neg)), self.Z[:, neg]).reshape(out.shape)
         return out
 
 
@@ -386,25 +399,26 @@ class FractionalOperator(FactorOperator):
 
     def _apply(self, d, X):
         # transform outputs stay complex, also where the power is a real matrix
-        return self.basis.power_product(d, self.basis.coordinates(X)).astype(np.complex128, copy=False)
+        out = self.basis.power_product(d[self.basis.rows], self.basis.coordinates(X))
+        return np.moveaxis(out, -1, 0).astype(np.complex128, copy=False)
 
     matrix = cached_property(lambda self: self.basis.dense(self.pow_fwd))
     inverse = cached_property(lambda self: self.basis.dense(self.pow_inv))
     derivative = cached_property(lambda self: self.basis.dense(self.dpow_fwd))
 
 
-def power_parts(basis: SpectralBasis, alpha, inverse: bool = True):
+def power_parts(basis: SpectralBasis, alpha, inverse: bool = True, at=slice(None)):
     """lam**alpha, lam**-alpha and their order derivatives on the eigenvalues
-    of ``basis``: four (n,) arrays for a float alpha, (k, n) for a 1-D array
-    of k orders; with ``inverse=False`` only lam**alpha and its derivative.
-    Zero eigenvalues need alpha > 0 (SingularPower otherwise) and map to 0
-    in both powers, the inverse by pseudoinverse convention."""
+    ``at`` of ``basis`` (all by default): four (m,) arrays for a float alpha,
+    (k, m) for a 1-D array of k orders; with ``inverse=False`` only lam**alpha
+    and its derivative. Zero eigenvalues need alpha > 0 (SingularPower
+    otherwise) and map to 0 in both powers, the inverse by pseudoinverse."""
     # a float order keeps to scalar arithmetic: fractional_power runs once per transform
     vector = isinstance(alpha, np.ndarray)
     orders = alpha.tolist() if vector else [alpha]
     if not all(map(math.isfinite, orders)):
         raise NonFinite("order must be finite")
-    zero, log_lam = basis.zero, basis.log_lam
+    zero, log_lam = basis.zero[at], basis.log_lam[at]
     if min(orders, default=1.0) <= 0.0 and zero.any():
         raise SingularPower(f"zero eigenvalue with order {min(orders)} <= 0")
 

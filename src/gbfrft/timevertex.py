@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstantSeries, ShapeMismatch
+from .errors import ConstantSeries, NonFinite, ShapeMismatch
 from .graphs import Graph, make_knn_graph
 from .learn import DEFAULT_LAMBDA_GRID, TrainConfig, fit
 from .matio import read_matrix
@@ -41,6 +41,10 @@ class TimeVertexDataset:
         if self.coords.shape[0] != self.values.shape[0]:
             raise ShapeMismatch(
                 f"{self.coords.shape[0]} coordinates for {self.values.shape[0]} series")
+        for name, a in (("values", self.values), ("coordinates", self.coords)):
+            bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+            if bad.size:
+                raise NonFinite(f"series {bad.tolist()} have non-finite {name}")
         self.mean = self.values.mean(axis=1)
         self.std = self.values.std(axis=1)
         bad = np.nonzero(self.std < STD_FLOOR)[0]

@@ -150,7 +150,7 @@ def dfrft(T: int, alpha: float) -> FractionalOperator:
 @dataclass(eq=False)
 class DenseOperator(FactorOperator):
     """A factor operator held as its three dense parts, such as a temporal
-    blend (:func:`blend_parts`)."""
+    blend (:func:`blend_plan`)."""
 
     order: float
     matrix: np.ndarray
@@ -220,41 +220,46 @@ def blend_basis(g2: Graph, lam: float, convention: str = "transform-power") -> S
     return graph_basis(g2, convention) if lam == 0.0 else None
 
 
-def blend_parts(g2_path: Graph, beta: np.ndarray, lam: np.ndarray,
-                convention: str = "transform-power") -> np.ndarray:
+def blend_plan(g2_path: Graph, lam: np.ndarray, convention: str = "transform-power"):
     """Dense matrix, inverse and derivative, (3, k, T, T), of the temporal
-    blends lam dfrft(T, beta) + (1 - lam) gfrft(g2_path, beta) at k orders
-    and weights (1-D arrays), T = g2_path.n. The endpoints are the exact
-    spectral powers (:func:`~gbfrft.spectral.dense_powers`); in between the
-    inverse is direct, and a numerically singular blend raises SingularBlend."""
+    blends lam dfrft(T, beta) + (1 - lam) gfrft(g2_path, beta) at k weights,
+    T = g2_path.n, as a function of the k orders (1-D arrays). The endpoints
+    are the exact spectral powers (:func:`~gbfrft.spectral.dense_powers`); in
+    between the inverse is direct, and a numerically singular blend raises
+    SingularBlend. The endpoints' masks, bases and dtype are resolved once,
+    here, and every call overwrites the one buffer it returns."""
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     T = g2_path.n
     mid = (lam > 0.0) & (lam < 1.0)
     # the endpoint bases in use: the parts are real where each has real powers (never the DFT)
     ends = [(lam == v, blend_basis(g2_path, v, convention)) for v in (1.0, 0.0) if (lam == v).any() or mid.any()]
-    out = np.empty((3, len(beta), T, T), dtype=np.result_type(np.float64, *(b.dtype for _, b in ends)))
-    blends = []   # one dense_powers call per endpoint basis: its own orders, then the blends'
-    for at, basis in ends:
-        k = np.count_nonzero(at)
-        parts = dense_powers(basis, np.concatenate([beta[at], beta[mid]]))
-        out[:, at] = parts[:, :k]
-        blends.append(parts[::2, k:])
-    if mid.any():
-        fd, fg = blends
-        w = lam[mid, None, None]
-        B, dB = w * fd + (1.0 - w) * fg
-        B_inv, cond = guarded_inverse(B)
-        bad = ~(cond <= CONDITION_LIMIT)
-        if bad.any():
-            raise SingularBlend(f"blend at lambda={lam[mid][bad]}, beta={beta[mid][bad]} is numerically singular")
-        out[:, mid] = B, B_inv, dB
-    return out
+    out = np.empty((3, len(lam), T, T), dtype=np.result_type(np.float64, *(b.dtype for _, b in ends)))
+    w = lam[mid, None, None]
+
+    def parts(beta: np.ndarray) -> np.ndarray:
+        blends = []   # one dense_powers call per endpoint basis: its own orders, then the blends'
+        for at, basis in ends:
+            k = np.count_nonzero(at)
+            powers = dense_powers(basis, np.concatenate([beta[at], beta[mid]]))
+            out[:, at] = powers[:, :k]
+            blends.append(powers[::2, k:])
+        if mid.any():
+            fd, fg = blends
+            B, dB = w * fd + (1.0 - w) * fg
+            B_inv, cond = guarded_inverse(B)
+            bad = ~(cond <= CONDITION_LIMIT)
+            if bad.any():
+                raise SingularBlend(f"blend at lambda={lam[mid][bad]}, beta={beta[mid][bad]} is numerically singular")
+            out[:, mid] = B, B_inv, dB
+        return out
+
+    return parts
 
 
 class Method(NamedTuple):
     """A transform family: gfrft(g1, a1) times the second factor
-    w dfrft(g2.n, a2) + (1 - w) gfrft(g2, a2) of :func:`blend_parts`. Its
+    w dfrft(g2.n, a2) + (1 - w) gfrft(g2, a2) of :func:`blend_plan`. Its
     ``weight`` w is 0 for a graph power, 1 for a DFT power, and None for a
     blend whose weight lam is searched (g2 is then a temporal path). A
     ``tied`` family has one shared order, a2 = a1."""
@@ -280,7 +285,7 @@ class Method(NamedTuple):
         if b2 is not None:
             op2 = fractional_power(b2, a2)
         else:
-            op2 = DenseOperator(a2, *blend_parts(g2, np.array([a2]), np.array([w]), convention)[:, 0])
+            op2 = DenseOperator(a2, *blend_plan(g2, np.array([w]), convention)(np.array([a2]))[:, 0])
         return ProductTransform(op1, op2, self.kind, (a1, a2), lam)
 
 
@@ -316,7 +321,7 @@ def hybrid_transform(g1: Graph, g2_path: Graph, T: int, alpha: float, beta: floa
     """Spatial fractional operator times a temporal blend.
 
     The temporal factor is lam * dfrft(T, beta) + (1 - lam) * gfrft(g2_path,
-    beta); its inverse comes from direct inversion (:func:`blend_parts`).
+    beta); its inverse comes from direct inversion (:func:`blend_plan`).
     The endpoints reuse the exact spectral operators, so lam=1 reproduces
     the joint transform and lam=0 the bi-factorized one.
     """

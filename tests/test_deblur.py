@@ -5,7 +5,7 @@ import pytest
 from test_learn import CountingMatrix, passes_taken
 
 from gbfrft import deblur, transforms
-from gbfrft.errors import ShapeMismatch
+from gbfrft.errors import NonFinite, ShapeMismatch
 from gbfrft.deblur import (
     DEFAULT_PATCH,
     FrameSequence,
@@ -37,6 +37,14 @@ def test_frame_sequence_promotes_2d():
     assert (fs.t, fs.height, fs.width) == (1, 6, 8)
     with pytest.raises(ShapeMismatch):
         FrameSequence(np.zeros(5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_frame_with_a_non_finite_pixel_is_rejected_and_named(bad):
+    frames = textured_frames(t=3).frames
+    frames[1, 4, 7] = bad
+    with pytest.raises(NonFinite, match="frame 2 of 3"):
+        FrameSequence(frames)
 
 
 def test_patchify_reassemble_round_trip():

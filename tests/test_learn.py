@@ -28,7 +28,7 @@ from gbfrft.transforms import (
     DenseOperator,
     ProductTransform,
     blend_basis,
-    blend_parts,
+    blend_plan,
     gfrft2d,
     hybrid_transform,
     jfrft,
@@ -200,7 +200,7 @@ def method_stack(basis, batches, methods, g2, dense_second=False):
     the vertex-domain residual; ``dense_second`` gives every second factor
     as complex128 parts, as a dense blend has, which keeps the stack complex."""
     lam = np.array([0.5 if METHOD_TABLE[m].searches_lambda else METHOD_TABLE[m].weight for m in methods])
-    second = partial(blend_parts, g2, lam=lam, convention="transform-power")
+    second = blend_plan(g2, lam, "transform-power")
     return _Stack(basis, batches, (lambda a2: second(a2).astype(np.complex128)) if dense_second else second)
 
 
@@ -568,9 +568,10 @@ def test_one_diverging_stacked_problem_raises():
 
 class CountingMatrix(np.ndarray):
     """An array that counts the matrix products it takes part in, and the
-    complex columns it multiplies from the left: a complex column goes
-    through a real factor as two real ones, so a real column counts half,
-    and a product by k of an n x n matrix's columns counts k / n of one."""
+    complex columns it multiplies, from the left, or as rows from the right
+    when transposed: a complex column goes through a real factor as two
+    real ones, so a real column counts half, and a product by k of an n x n
+    matrix's columns counts k / n of one."""
 
     products = 0
     columns = 0
@@ -582,6 +583,9 @@ class CountingMatrix(np.ndarray):
             if isinstance(left, CountingMatrix):
                 width = left.shape[-1] / left.shape[-2]
                 CountingMatrix.columns += right.shape[-1] * width * (1.0 if np.iscomplexobj(right) else 0.5)
+            elif isinstance(right, CountingMatrix):
+                width = right.shape[-2] / right.shape[-1]
+                CountingMatrix.columns += left.shape[-2] * width * (1.0 if np.iscomplexobj(left) else 0.5)
         plain = [x.view(np.ndarray) if isinstance(x, CountingMatrix) else x for x in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
 
@@ -725,8 +729,8 @@ def test_real_samples_take_a_real_first_product_whatever_the_second_factor(metho
     assert basis.real_powers
     taken, rule = [], SpectralBasis.power_product
 
-    def recording(self, p, *blocks):
-        out = rule(self, p, *blocks)
+    def recording(self, p, *blocks, **scratch):
+        out = rule(self, p, *blocks, **scratch)
         taken.append([b.dtype for b in blocks] + [out.dtype])
         return out
 
@@ -840,14 +844,14 @@ def test_first_step_leaves_the_orders_where_they_start(method):
 
 def test_a_transform_domain_epoch_builds_no_inverse_powers(monkeypatch):
     # the pass in M1's domain builds no inverse powers, at the first factor
-    # or through blend_parts: a spectral M2inv is the adjoint, and a blend's
+    # or through blend_plan: a spectral M2inv is the adjoint, and a blend's
     # inverse is direct
     asked = []
     power_parts = spectral.power_parts
 
-    def recording(basis, alpha, inverse=True):
+    def recording(basis, alpha, inverse=True, **where):
         asked.append(inverse)
-        return power_parts(basis, alpha, inverse)
+        return power_parts(basis, alpha, inverse, **where)
 
     monkeypatch.setattr(spectral, "power_parts", recording)
     monkeypatch.setattr(learn, "power_parts", recording)
@@ -858,6 +862,27 @@ def test_a_transform_domain_epoch_builds_no_inverse_powers(monkeypatch):
         lambda_grid=(0.5,))
     # M1, and M2 at each endpoint, which also gives the blend its endpoints
     assert len(asked) == 3 * 3 and not any(asked)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_fit_resolves_its_second_factor_once(method, monkeypatch):
+    # the endpoint bases of every problem's second factor are looked up when
+    # the stack is built, not in every epoch
+    rng = np.random.default_rng(34)
+    g = make_knn_graph(rng.normal(size=(6, 2)), 2)
+    batch = [(rng.normal(size=(6, 4)), rng.normal(size=(6, 4)))]
+    looked_up, lookup, get = [], transforms.blend_basis, transforms._BasisCache.get
+    monkeypatch.setattr(transforms, "blend_basis", lambda *a: looked_up.append("blend") or lookup(*a))
+    monkeypatch.setattr(transforms._BasisCache, "get",
+                        lambda cache, *a: looked_up.append("cache") or get(cache, *a))
+
+    def lookups(epochs):
+        looked_up.clear()
+        fit([(method, batch)], g, path_graph(4), TrainConfig(epochs=epochs), lambda_grid=(0.0, 0.5, 1.0))
+        return sorted(looked_up)
+
+    assert lookups(1) == lookups(5)
+    assert "blend" in lookups(1)
 
 
 def passes_taken(monkeypatch):

@@ -305,11 +305,11 @@ def rule_bases():
 
 @pytest.mark.parametrize("name", list(rule_bases()))
 def test_every_power_applies_through_the_one_rule(name):
-    """M(p) X from X's coordinates equals the dense V diag(p) V_inv X for
-    every output of power_parts, on real and complex operands, and so does
-    the adjoint M(p)^H X = M(conj p) X on an orthonormal basis. A power of
-    F_G is real where no eigenvalue is negative: patch 16 has the one -1,
-    and path 16 a double -1."""
+    """M(p) X from X's coordinates, coordinate axis last, equals the dense
+    V diag(p) V_inv X for every output of power_parts, on real and complex
+    operands, and so does the adjoint M(p)^H X = M(conj p) X on an
+    orthonormal basis. A power of F_G is real where no eigenvalue is
+    negative: patch 16 has the one -1, and path 16 a double -1."""
     b = rule_bases()[name]
     negatives = {"F_G of patch 16": 1, "F_G of patch 20": 0, "F_G of knn 24": 0, "F_G of path 16": 2}
     assert (b.Z is not None) == (name in negatives)
@@ -323,17 +323,44 @@ def test_every_power_applies_through_the_one_rule(name):
         for p in (q for part in parts for q in part):
             cases = [(p, b.dense(p))] + ([(p.conj(), b.dense(p).conj().T)] if b.unitary else [])
             for weights, M in cases:
-                got, want = b.power_product(weights, W), np.tensordot(M, X, axes=1)
+                got = b.power_product(weights[b.rows], W)
+                want = np.moveaxis(np.tensordot(M, X, axes=1), 0, -1)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
                 assert np.isrealobj(got) == (b.real_powers and np.isrealobj(X))
+
+
+@pytest.mark.parametrize("graph", ["patch 16", "sensors 24"])
+@pytest.mark.parametrize("complex_samples", [False, True])
+def test_the_negative_columns_add_their_imaginary_part_to_the_stacked_product(graph, complex_samples):
+    """On F_G with an eigenvalue -1 (patch_graph(16), and the k-NN sensor
+    graph of the time-vertex benchmark) a power is complex on those
+    columns alone. The product as a descent stack takes it, sample-major
+    with its pair swap and scratch, equals the dense V diag(p) V_inv X."""
+    g = patch_graph(16) if graph == "patch 16" else make_knn_graph(
+        np.random.default_rng(0).uniform(0.0, 1.0, (24, 2)), 3)
+    b = eig_general(eig_general(g.adjacency).V_inv)
+    assert b.negative.size and not b.real_powers
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(b.n, 3, 2, 1, 4)) + (1j * rng.normal(size=(b.n, 3, 2, 1, 4)) if complex_samples else 0.0)
+    W = b.coordinates(X)   # (S, K, 1, n2, n)
+    parts = np.stack(power_parts(b, np.array([0.3, 0.8, 1.4]), inverse=False), axis=1)   # (S, 2, n)
+    work = np.empty((2, 3, 2, 2, 4, b.n), W.dtype)
+    got = b.power_product(parts[..., b.rows][:, None, :, None], W, b.pair_swap(W), out=work)
+    assert np.iscomplexobj(got) and got.shape == (3, 2, 2, 4, b.n)
+    for s in range(3):
+        for k in range(2):
+            M = b.dense(parts[s, k])
+            want = np.einsum("ij,jab->abi", M, X[:, s, :, 0])
+            assert np.abs(got[s, :, k] - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.abs(want.imag).max() > 1e-6 * np.abs(want).max()
 
 
 def test_stacked_powers_broadcast_and_reuse_the_pair_swap():
     b = eig_general(eig_general(patch_graph(16).adjacency).V_inv)
     W = b.coordinates(np.random.default_rng(12).normal(size=(b.n, 3, 2)))
-    p = np.stack(power_parts(b, np.array([0.4, 0.9]), inverse=False))   # (2, 2, n)
-    got = b.power_product(p[:, :, None, None, :], W, b.pair_swap(W))
-    assert got.shape == (b.n, 2, 2, 3, 2)
+    q = np.stack(power_parts(b, np.array([0.4, 0.9]), inverse=False))[..., b.rows]   # (2, 2, n)
+    got = b.power_product(q[:, :, None, None, :], W, b.pair_swap(W))
+    assert got.shape == (2, 2, 3, 2, b.n)
     for i in range(2):
         for k in range(2):
-            assert np.array_equal(got[:, i, k], b.power_product(p[i, k], W))
+            assert np.array_equal(got[i, k], b.power_product(q[i, k], W))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gbfrft import learn, timevertex
-from gbfrft.errors import ConstantSeries, ShapeMismatch
+from gbfrft.errors import ConstantSeries, NonFinite, ShapeMismatch
 from gbfrft.learn import METHODS, TrainConfig, _train_loop as train_loop
 from gbfrft.matio import write_matrix
 from gbfrft.timevertex import TimeVertexDataset, ingest_timevertex, run_timevertex
@@ -30,6 +30,19 @@ def test_constant_series_is_rejected():
     with pytest.raises(ConstantSeries) as exc:
         TimeVertexDataset(coords=coords, values=values)
     assert "0" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_series_or_coordinate_is_rejected_and_named(bad):
+    # nan < STD_FLOOR is False, so a NaN series would pass the variance check
+    ds = toy_dataset()
+    values, coords = ds.values.copy(), ds.coords.copy()
+    values[3, 2] = bad
+    with pytest.raises(NonFinite, match=r"series \[3\] have non-finite values"):
+        TimeVertexDataset(coords=ds.coords, values=values)
+    coords[5, 1] = bad
+    with pytest.raises(NonFinite, match=r"series \[5\] have non-finite coordinates"):
+        TimeVertexDataset(coords=coords, values=ds.values)
 
 
 def test_dataset_shape_checks():

@@ -13,7 +13,7 @@ from gbfrft.transforms import (
     METHOD_TABLE,
     DenseOperator,
     apply,
-    blend_parts,
+    blend_plan,
     dfrft,
     dft_basis,
     dft_matrix,
@@ -332,7 +332,7 @@ def test_a_power_is_float64_exactly_where_it_is_a_real_matrix():
         d = np.stack(power_parts(b, alphas))
         M = b.dense(d)
         assert M.dtype == dense_powers(b, alphas).dtype == b.dtype == want
-        assert blend_parts(g, alphas, np.zeros(3)).dtype == want
+        assert blend_plan(g, np.zeros(3))(alphas).dtype == want
         # the same V diag(d) V_inv arithmetic as the complex product
         assert np.array_equal(M, ((b.V * d[..., None, :]) @ b.V_inv).real if want is np.float64
                               else (b.V * d[..., None, :]) @ b.V_inv)
@@ -340,7 +340,7 @@ def test_a_power_is_float64_exactly_where_it_is_a_real_matrix():
     assert b.dense(power_parts(b, alphas)[0]).dtype == dense_powers(b, alphas).dtype == np.complex128
     g = path_graph(3)
     for lam in ([1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.0]):
-        assert blend_parts(g, alphas, np.array(lam)).dtype == np.complex128, lam
+        assert blend_plan(g, np.array(lam))(alphas).dtype == np.complex128, lam
     # transform outputs stay complex on a real-power basis
     t = transform_2d(g, g, 0.3, 0.8)
     assert t.op1.matrix.dtype == np.float64
@@ -356,7 +356,7 @@ def test_blend_parts_give_the_inverse_and_its_derivative(convention):
     # power, and in between the direct inverse
     g2, beta = path_graph(4), np.array([0.3, 0.6, 0.9])
     lam = np.array([0.0, 0.4, 1.0])
-    parts = blend_parts(g2, beta, lam, convention)
+    parts = blend_plan(g2, lam, convention)(beta)
     assert parts.shape == (3, 3, 4, 4)   # M, M^-1 and dM at each order
     M, M_inv, dM = parts
     assert np.allclose(M @ M_inv, np.eye(4), atol=1e-12)
