@@ -59,17 +59,16 @@ signal, so each product by a second factor is a batched M2 @ A, and the
 filter h and g_h are read and written by reshape alone.
 
 On a first basis with a real Schur factor Z (F_G of an undirected graph
-under ``transform-power``) the coordinates are W = Z^T [Y | X], kept with
-their pair-swapped copy W' (rows [singles | x | y] -> [0 | y | -x]). On
-Z's columns a real eigenvalue scales by its power p, and the pair
-(x + jy, x - jy)/sqrt(2) with powers p and conj(p) turns its two columns
-(x, y) by [[Re p, Im p], [-Im p, Re p]], so for p and for dp on Z's rows
-
-    R W = Re(p) W + Im(p) W',
-
-and one real GEMM, (R W) Z^T, gives [M1 Y | dM1 Y | M1 X | dM1 X]. Where the
-basis has real powers (no eigenvalue on the negative real axis, as for F_G
-of ``patch_graph(20)``) that product of real samples is real, whatever the
+under ``transform-power``) the coordinates are W = Z^T [Y | X], float64
+for real samples, each pair's two (x, y) side by side: viewed as
+complex128, c = x + jy. The pair (x + jy, x - jy)/sqrt(2) with powers p
+and conj(p) turns c to conj(p) c, one complex multiply by the power at its
+``minus`` position (for dp alike), which
+:func:`~gbfrft.spectral.power_parts` computes there directly; a real
+eigenvalue scales its coordinate. One real GEMM by Z of the result's
+float64 view gives [M1 Y | dM1 Y | M1 X | dM1 X]. Where the basis has real
+powers (no eigenvalue on the negative real axis, as for F_G of
+``patch_graph(20)``) that product of real samples is real, whatever the
 second factor is. The pass reads realness from its arrays' dtypes: the
 dense powers of a basis with real powers are float64 (as for a path of
 three vertices), and each filter starts as float64 ones and takes the
@@ -261,14 +260,14 @@ class _Stack:
     residual, once, here. With ``unitary_powers`` the residual is taken in
     M1's domain on the block [Y | X] of samples; any other first factor
     takes it in the vertex domain on Y, and holds X too. Either way the
-    block is held in the coordinates that the powers scale, Z^T [Y | X]
-    with its pair-swapped copy on a basis with a real factor Z, V_inv [Y |
-    X] on any other, sample-major: (S, K, 1, n2, n1). Each epoch's first
-    product is the basis's one power product, real for real samples on a
-    basis with real powers, into the stack's scratch, in the layout (S, K,
-    2, n2, n1), K = 2 x 2 for (Y, X) x (M1, dM1), or 1 x 2 in the vertex
-    domain, where the residual's four more basis products, by the dense
-    parts, take it too. With one sample per problem nothing is gathered.
+    block is held in the coordinates that the powers scale, Z^T [Y | X] on
+    a basis with a real factor Z, V_inv [Y | X] on any other, sample-
+    major: (S, K, 1, n2, n1). Each epoch's first product is the basis's
+    one power product, real for real samples on a basis with real powers,
+    into the stack's scratch, in the layout (S, K, 2, n2, n1), K = 2 x 2
+    for (Y, X) x (M1, dM1), or 1 x 2 in the vertex domain, where the
+    residual's four more basis products, by the dense parts, take it too.
+    With one sample per problem nothing is gathered.
     """
 
     def __init__(self, basis: SpectralBasis, batches, second):
@@ -285,16 +284,13 @@ class _Stack:
         X = np.stack([np.asarray(X) for b in batches for _, X in b], axis=1)
         self.n1, _, self.n2 = Y.shape
         # the coordinates of the samples, sample-major and each transposed,
-        # (S, K, 1, n2, n1), with their pair-swapped copy on a real factor;
-        # the vertex-domain residual needs X itself, transposed
-        W = basis.coordinates(np.stack([Y, X] if self.unitary else [Y], axis=2)[:, :, :, None])
-        self.blocks = (W,) if basis.Z is None else (W, basis.pair_swap(W))
+        # (S, K, 1, n2, n1); the vertex-domain residual needs X itself, transposed
+        self.W = W = basis.coordinates(np.stack([Y, X] if self.unitary else [Y], axis=2)[:, :, :, None])
         if not self.unitary:
             self.X = np.ascontiguousarray(X.transpose(1, 2, 0))
-        # each problem's powers of M1 and dM1 on the coordinates, (P, 2, n1),
-        # one exp per distinct eigenvalue, and scratch for the first product
-        self.at = basis.rows[:basis.n - (0 if basis.Z is None else len(basis.mix.plus))]
-        self.q = np.empty((len(batches), 2, basis.n), np.complex128)
+        # each problem's powers of M1 and dM1 on the coordinates, one exp
+        # per distinct eigenvalue, and scratch for the first product
+        self.q = np.empty((len(batches), 2, len(basis.rows)), np.complex128)
         self.work = np.empty((2,) + W.shape[:2] + (2,) + W.shape[3:], W.dtype)
 
     def _samples(self, per_problem: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -313,16 +309,14 @@ class _Stack:
         every problem, at the orders (P, 2) and filters ``h`` (P, N1*N2)."""
         P = len(orders)
         # each problem's powers of M1, and of M1inv in the vertex domain
-        powers = power_parts(self.basis, orders[:, 0], inverse=not self.unitary, at=self.at)
+        powers = power_parts(self.basis, orders[:, 0], inverse=not self.unitary, at=self.basis.rows)
         powers, inverse = (powers, None) if self.unitary else (powers[::2], powers[1::2])
-        q, d = self.q, len(self.at)
-        q[:, 0, :d], q[:, 1, :d] = powers
-        q[..., d:] = q[..., 2 * d - self.n1:d]   # a pair's y columns read its x columns' powers
+        self.q[:, 0], self.q[:, 1] = powers
         parts = self._samples(self.second(orders[:, 1]), axis=1)
         H = self._samples(h.reshape(P, self.n2, self.n1))   # each sample's filter, transposed
         # the one basis product, each problem's powers on its own samples:
         # [M1 Y | dM1 Y | M1 X | dM1 X], (S, K, 2, n2, n1)
-        A = self.basis.power_product(self._samples(q)[:, None, :, None], *self.blocks, out=self.work)
+        A = self.basis.power_product(self._samples(self.q)[:, None, :, None], self.W, out=self.work)
         value, d_orders, gh = self._pass(A, parts, H, inverse)
         return value, d_orders, gh.reshape(P, -1)
 
@@ -343,11 +337,11 @@ class _Stack:
         np.matmul(M2[:, None], A[:, 0], out=U[:, :2])
         np.matmul(dM2, A[:, 0, 0], out=U[:, 2])
         R = M2inv @ (H * U[:, 0])                       # (H * U) M2inv^T
+        dR = dM2 @ R                                    # R dM2^T
         if inverse is None:
             # M1's domain: E = R - M1 X is its own adjoint B, e1 = <E, dM1 X>
-            E = B = R - A[:, 1, 0]
-            Ec = E.conj()
-            e1 = np.einsum("sij,sij->s", Ec, A[:, 1, 1])
+            E = B = np.subtract(R, A[:, 1, 0], out=R)
+            e1 = _inner(E, A[:, 1, 1])
         else:
             # the vertex domain: E = M1inv R - X, B = M1inv^H E, e1 = -<Q, dpi * W>
             pi, dpi = (self._samples(p)[:, None, :] for p in inverse)
@@ -355,29 +349,46 @@ class _Stack:
             E = self._lmul_t(pi * W, "V") - self.X
             Q = self._lmul_t(E, "V_h")
             B = self._lmul_t(pi.conj() * Q, "V_inv_h")
-            e1 = -np.einsum("sij,sij->s", Q.conj(), dpi * W)
-            Ec = E.conj()
+            e1 = -_inner(Q, dpi * W)
         F = np.conj(M2inv.swapaxes(-1, -2)) @ B         # B conj(M2inv)
-        Fc = F.conj()
-        # <E, E>, e1 and <F, R dM2^T>, then both order derivatives
-        per_sample = np.stack([np.einsum("sij,sij->s", Ec, E), e1,
-                               np.einsum("sij,sij->s", Fc, dM2 @ R)], axis=1).real
-        per_sample[:, 1:] = np.einsum("sij,skij->sk", Fc * H, U[:, 1:]).real - per_sample[:, 1:]
+        # <E, E>, e1 and <F, R dM2^T>, then both order derivatives; <F, H * dU> = <F conj(H), dU>
+        per_sample = np.stack([_inner(E, E), e1, _inner(F, dR)], axis=1)
+        per_sample[:, 1:] = _inner((F * H.conj())[:, None], U[:, 1:]) - per_sample[:, 1:]
         means = self._mean(per_sample)
-        gh = 2.0 * self._mean(U[:, 0].conj() * F)
+        gh = self._mean(np.multiply(np.conjugate(U[:, 0], out=U[:, 0]), F, out=F))
+        gh *= 2.0
         return means[:, 0], 2.0 * means[:, 1:], gh
 
 
-def _adam_step(x, g, m, v, step: int, rate: float):
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a, b> = Re tr(a^H b) of each signal, the last two axes."""
+    return np.vecdot(a.reshape(a.shape[:-2] + (-1,)), b.reshape(b.shape[:-2] + (-1,))).real
+
+
+def _adam_state(x: np.ndarray):
+    """The moments m and v of Adam on x, zeros, and scratch like each."""
+    return np.zeros_like(x), np.zeros(x.shape), np.empty_like(x), np.empty(x.shape)
+
+
+def _adam_step(x, g, state, step: int, rate: float):
     """One bias-corrected Adam step at ``step`` (1-based) with |g|^2 second
     moments, so complex parameters take real ones: x and the moments m and
-    v, zeros at the start, are updated in place."""
+    v of its :func:`_adam_state` are updated in place, in the textbook's
+    order of operations, through that state's scratch t and r."""
     b1, b2 = ADAM_BETAS
+    m, v, t, r = state
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(1.0 - b1, g, out=t)
     v *= b2
-    v += (1.0 - b2) * np.abs(g) ** 2
-    x -= rate * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + ADAM_EPS)
+    np.square(np.abs(g, out=r) if np.iscomplexobj(g) else g, out=r)   # |g|^2 = g^2 for real g
+    v += np.multiply(1.0 - b2, r, out=r)
+    np.divide(v, 1.0 - b2 ** step, out=r)
+    np.sqrt(r, out=r)
+    r += ADAM_EPS
+    np.divide(m, 1.0 - b1 ** step, out=t)
+    t *= rate   # rate * (m / c1): a product of two factors is the same either way round
+    t /= r
+    x -= t
 
 
 def _initial_orders(cfg: TrainConfig, rng: np.random.Generator) -> tuple[float, float]:
@@ -398,42 +409,44 @@ def _train_loop(stack: _Stack, cfg: TrainConfig, tied, where) -> list[tuple[Filt
     rng = np.random.default_rng(cfg.seed)
     o1, o2 = _initial_orders(cfg, rng)
     P = len(tied)
-    tied = np.asarray(tied, bool)[:, None]
-    orders = np.where(tied, o1, np.array([[o1, o2]]))
+    tied = np.flatnonzero(tied)
+    orders = np.tile([o1, o2], (P, 1))
+    orders[tied, 1] = o1
     h = np.ones((P, stack.n1 * stack.n2))
 
-    m_orders, v_orders = np.zeros_like(orders), np.zeros_like(orders)
+    adam_orders = _adam_state(orders)
     record = np.empty((cfg.epochs, P, 3))
     best_epoch = np.full(P, -1)
     best_loss = np.full(P, np.inf)
 
     for epoch in range(cfg.epochs):
         values, d_orders, gh = stack.value_and_grad(orders, h)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise DivergedLoss(f"loss became {values[bad[0]]} at epoch {epoch}{where[bad[0]]}")
+        if not np.isfinite(values).all():
+            bad = np.flatnonzero(~np.isfinite(values))[0]
+            raise DivergedLoss(f"loss became {values[bad]} at epoch {epoch}{where[bad]}")
         gh = gh.real if cfg.real_filter else gh
         if epoch == 0:
             # each filter takes its gradient's dtype: float64 on an all-real pass
             h = h.astype(gh.dtype, copy=False)
-            best_h, m_h, v_h = h.copy(), np.zeros_like(h), np.zeros(h.shape)
+            best_h = h.copy()
+            adam_h = _adam_state(h)
         record[epoch, :, :2] = orders
         record[epoch, :, 2] = values
         better = values < best_loss
-        best_loss[better] = values[better]
-        best_epoch[better] = epoch
-        best_h[better] = h[better]
+        np.copyto(best_loss, values, where=better)
+        np.copyto(best_epoch, epoch, where=better)
+        np.copyto(best_h, h, where=better[:, None])
 
         if epoch == 0:
             # h = 1 makes the estimate y at every order, so the exact order
             # gradient is 0; Adam would turn its roundoff into order moves
             d_orders[:] = 0.0
-        g_orders = np.where(tied, d_orders.sum(axis=1, keepdims=True), d_orders)
+        d_orders[tied] = d_orders[tied].sum(axis=1, keepdims=True)
         if cfg.optimizer == "adam":
-            _adam_step(orders, g_orders, m_orders, v_orders, epoch + 1, cfg.lr_orders)
-            _adam_step(h, gh, m_h, v_h, epoch + 1, cfg.filter_rate)
+            _adam_step(orders, d_orders, adam_orders, epoch + 1, cfg.lr_orders)
+            _adam_step(h, gh, adam_h, epoch + 1, cfg.filter_rate)
         else:
-            orders, h = orders - cfg.lr_orders * g_orders, h - cfg.filter_rate * gh
+            orders, h = orders - cfg.lr_orders * d_orders, h - cfg.filter_rate * gh
 
     best = record[best_epoch, np.arange(P)].tolist()
     best_h = best_h.astype(np.float64 if cfg.real_filter else np.complex128, copy=False)

@@ -28,9 +28,10 @@ The input alone picks the eigensolver:
   whose pair would snap onto the real axis holds a double real eigenvalue
   with roundoff off-diagonals and is read as two 1x1 blocks. The basis
   keeps Z, and :meth:`SpectralBasis.power_product` applies every power in
-  Z's coordinates: a real eigenvalue scales its column of Z^T X, a pair
-  turns its two columns by a 2x2 rotation, and one real GEMM by Z follows.
-  Only the columns of a negative real eigenvalue, whose powers are complex
+  Z's coordinates: a pair's two coordinates (x, y) of Z^T X, read as one
+  complex number, are multiplied by its power at ``minus``, a real
+  eigenvalue scales its coordinate, and one real GEMM by Z follows. Only
+  the columns of a negative real eigenvalue, whose powers are complex
   (Log(-r) = ln r + j*pi), add an imaginary part.
 * Other normal input (the DFT) goes through a complex Schur decomposition.
 
@@ -62,11 +63,11 @@ _HALF_SQRT = np.sqrt(0.5)
 
 class PairMixing(NamedTuple):
     """Where the eigenvalues of a real factor Z sit, for Z's columns ordered
-    [real eigenvectors | first columns x_p of the pairs | second columns
-    y_p]. Column i of Z is the eigenvector at sorted position ``single[i]``;
-    pair p has the eigenvectors (x_p + j y_p) / sqrt(2) at sorted position
-    ``plus[p]`` and (x_p - j y_p) / sqrt(2) at ``minus[p]``, so V = Z U for
-    the unitary block mixing U these positions define."""
+    [x_0, y_0, x_1, y_1, ... | real eigenvectors]. Pair p has the
+    eigenvectors (x_p + j y_p) / sqrt(2) at sorted position ``plus[p]`` and
+    (x_p - j y_p) / sqrt(2) at ``minus[p]``; column 2P + i of Z, for P pairs,
+    is the eigenvector at ``single[i]``. So V = Z U for the unitary block
+    mixing U these positions define."""
 
     single: np.ndarray
     plus: np.ndarray
@@ -83,8 +84,8 @@ def _real_lmul(R: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _rmul_t(X: np.ndarray, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """X @ M^T for a 2-D X, into ``out`` if given; a complex X on a real M
-    takes the real GEMM of :func:`_real_lmul`, (M X^T)^T, into a new array."""
+    """X @ M^T for a 2-D X, into a contiguous ``out`` if given; a complex X
+    on a real M takes the real GEMM of :func:`_real_lmul`, (M X^T)^T."""
     if np.iscomplexobj(X) and not np.iscomplexobj(M):
         return _real_lmul(M, X.T).T
     return np.matmul(X, M.T, out=None if out is None else out.reshape(len(X), -1))
@@ -130,7 +131,7 @@ class SpectralBasis:
     def negative(self) -> np.ndarray:
         """Z's columns whose eigenvalue lies on the negative real axis: the
         singles whose powers are complex, as Log(-r) = ln r + j*pi."""
-        return np.flatnonzero(self.lam[self.mix.single].real < 0.0)
+        return 2 * len(self.mix.plus) + np.flatnonzero(self.lam[self.mix.single].real < 0.0)
 
     @cached_property
     def real_powers(self) -> bool:
@@ -147,12 +148,13 @@ class SpectralBasis:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """The sorted position of the eigenvalue whose power scales each
-        coordinate: on Z's columns a pair's x and y columns both read its
-        ``plus`` member; on any other basis, its own."""
+        """The sorted position of the eigenvalue whose power weighs each
+        coordinate in :meth:`power_product`: on Z's columns a pair's one
+        complex coordinate reads its ``minus`` member, then each single its
+        own; on any other basis every coordinate its own."""
         if self.Z is None:
             return np.arange(self.n)
-        return np.concatenate([self.mix.single, self.mix.plus, self.mix.plus])
+        return np.concatenate([self.mix.minus, self.mix.single])
 
     @cached_property
     def zero(self) -> np.ndarray:
@@ -168,12 +170,14 @@ class SpectralBasis:
         out[nz] = np.log(self.lam[nz])
         return out
 
-    def dense(self, d: np.ndarray) -> np.ndarray:
+    def dense(self, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The dense V diag(d) V_inv, or one per row of a stack of eigenvalue
-        weights d (..., n): its float64 real part on a basis with
-        ``real_powers``, where d must be conjugate on each pair."""
-        M = (self.V * d[..., None, :]) @ self.V_inv
-        return np.ascontiguousarray(M.real) if self.real_powers else M
+        weights d (..., n), into ``out`` if given. With ``real_powers`` (d
+        conjugate on each pair) it is the float64 :meth:`power_product` of
+        conj(d) on Z, the identity's coordinates: M(conj d)^T = M(d)."""
+        if self.real_powers:
+            return self.power_product(d[..., None, self.rows].conj(), self.Z, (None, out))
+        return np.matmul(self.V * d[..., None, :], self.V_inv, out=out)
 
     def reconstruct(self) -> np.ndarray:
         return self.dense(self.lam)
@@ -186,44 +190,38 @@ class SpectralBasis:
         W = self.V_inv @ X2 if self.Z is None else _real_lmul(self.Z.T, X2)
         return np.ascontiguousarray(np.moveaxis(W.reshape(X.shape), 0, -1))
 
-    def pair_swap(self, W: np.ndarray) -> np.ndarray:
-        """J W for coordinates W on Z's columns (last axis): the rows
-        [singles | x | y] become [0 | y | -x]."""
-        ns, nq = len(self.mix.single), len(self.mix.plus)
-        out = np.zeros_like(W)
-        out[..., ns:ns + nq] = W[..., ns + nq:]
-        out[..., ns + nq:] = -W[..., ns:ns + nq]
-        return out
-
-    def power_product(self, q: np.ndarray, W: np.ndarray, JW: np.ndarray | None = None,
-                      out: np.ndarray | None = None) -> np.ndarray:
+    def power_product(self, q: np.ndarray, W: np.ndarray, out=None) -> np.ndarray:
         """M(p) X = V diag(p) V_inv X from the :meth:`coordinates` W of X,
         (..., n), with q = p[..., rows] for p on the sorted eigenvalues, q
         broadcast against W; the result has that shape, coordinate axis last.
 
         On a basis with a real factor, p must be conjugate on each pair, as
         every output of :func:`power_parts` and its conjugate (the adjoint's
-        weights) are. With J the :meth:`pair_swap` (a caller that reuses W
-        may keep JW),
-
-            M(p) X = Z (Re(q) W + Im(q) JW) + j Z[:, neg] (Im(q) W)[neg],
-
-        for ``neg`` the ``negative`` columns: real arithmetic and one real
-        GEMM by Z, with a real result for real X on ``real_powers``. On any
-        other basis it is V (q W). ``out``, a (2, ...) array of the broadcast
-        shape and W's dtype, is scratch for q W and the result."""
+        weights) are. A pair's coordinates (x, y), viewed as c = x + j y,
+        turn to conj(p) c, with conj(p) its power at ``minus``; a single's
+        is scaled by Re p. With B these coordinates and ``neg`` the
+        ``negative`` columns, M(p) X = Z B + j Z[:, neg] (Im(q) W)[neg]: one
+        complex multiply and one real GEMM by Z, real for real X on
+        ``real_powers``. Complex X takes the rule on its real and imaginary
+        parts. On any other basis it is V (q W). ``out``, two arrays (or
+        None) of the broadcast shape, is scratch for B and the result."""
         n = self.n
         B, C = (None, None) if out is None else out
         if self.Z is None:
             B = np.multiply(q, W, out=B)
             return _rmul_t(B.reshape(-1, n), self.V, C).reshape(B.shape)
-        B = np.multiply(q.real.copy(), W, out=B)   # contiguous factors: a strided one costs more than the copy
-        C = np.multiply(q.imag.copy(), self.pair_swap(W) if JW is None else JW, out=C)
-        B += C
+        if np.iscomplexobj(W):
+            R = self.power_product(q[..., None, :], np.stack([W.real, W.imag], axis=-2))
+            return R[..., 0, :] + 1j * R[..., 1, :]
+        nq = len(self.mix.plus)
+        if B is None:
+            B = np.empty(np.broadcast_shapes(q.shape[:-1], W.shape[:-1]) + (n,))
+        np.multiply(q[..., :nq], W[..., :2 * nq].view(np.complex128), out=B[..., :2 * nq].view(np.complex128))
+        np.multiply(q[..., nq:].real, W[..., 2 * nq:], out=B[..., 2 * nq:])
         out = _rmul_t(B.reshape(-1, n), self.Z, C).reshape(B.shape)
         neg = self.negative
         if neg.size:
-            C = q[..., neg].imag * W[..., neg]
+            C = q[..., neg - nq].imag * W[..., neg]
             out = out + 1j * _rmul_t(C.reshape(-1, len(neg)), self.Z[:, neg]).reshape(out.shape)
         return out
 
@@ -261,7 +259,7 @@ def _real_schur_basis(M: np.ndarray) -> SpectralBasis:
     a = np.diag(T)
     # the PairMixing column layout; the sign of b turns the eigenvector
     # (e_i + j sign(b) e_{i+1}) / sqrt(2) into (x + j y) / sqrt(2)
-    Z = np.concatenate([Z[:, single], Z[:, i], Z[:, i + 1] * sign], axis=1)
+    Z = np.concatenate([np.stack([Z[:, i], Z[:, i + 1] * sign], axis=2).reshape(n, -1), Z[:, single]], axis=1)
     lam = np.concatenate([a[single], a[i] + 1j * s, a[i] - 1j * s])
     order = _canonical_order(lam)
     position = np.argsort(order)
@@ -269,11 +267,11 @@ def _real_schur_basis(M: np.ndarray) -> SpectralBasis:
     mix = PairMixing(single=position[:ns], plus=position[ns:ns + nq], minus=position[ns + nq:])
     # V_inv = U^H Z^T: a pair's rows (x^T -+ j y^T) / sqrt(2) at plus and minus
     ZT = Z.T.astype(np.complex128, order="C")
-    x, y = ZT[ns:ns + nq], ZT[ns + nq:]
+    x, y = ZT[0:2 * nq:2], ZT[1:2 * nq:2]
     x *= _HALF_SQRT
     y *= 1j * _HALF_SQRT
     V_inv = np.empty(ZT.shape, dtype=np.complex128)
-    V_inv[mix.single] = ZT[:ns]
+    V_inv[mix.single] = ZT[2 * nq:]
     V_inv[mix.plus] = x - y
     x += y
     V_inv[mix.minus] = x
@@ -432,14 +430,17 @@ def power_parts(basis: SpectralBasis, alpha, inverse: bool = True, at=slice(None
     return pow_fwd, pow_inv, pow_fwd * log_lam, -pow_inv * log_lam
 
 
-def dense_powers(basis: SpectralBasis, alphas: np.ndarray) -> np.ndarray:
-    """The dense M^a, M^{-a} and dM^a/da at the k orders of the 1-D array
-    ``alphas``, shape (3, k, n, n). On a basis with unitary powers the
+def dense_powers(basis: SpectralBasis, alphas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The dense M^a, M^{-a} and dM^a/da at the k orders of ``alphas``, (3, k,
+    n, n) of ``basis.dtype``, into ``out`` if given. With unitary powers the
     inverse is the adjoint (M^a)^H, and no inverse power is computed."""
+    out = np.empty((3, len(alphas), basis.n, basis.n), basis.dtype) if out is None else out
     if not basis.unitary_powers:
-        return basis.dense(np.stack(power_parts(basis, alphas)[:3]))
-    M, dM = basis.dense(np.stack(power_parts(basis, alphas, inverse=False)))
-    return np.stack([M, M.conj().swapaxes(-1, -2), dM])
+        return basis.dense(np.stack(power_parts(basis, alphas)[:3]), out)
+    basis.dense(np.stack(power_parts(basis, alphas, inverse=False)), out[1:])   # M, dM
+    out[0] = out[1]
+    np.conj(out[0].swapaxes(-1, -2), out=out[1])
+    return out
 
 
 def fractional_power(basis: SpectralBasis, alpha: float) -> FractionalOperator:

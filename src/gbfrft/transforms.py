@@ -226,25 +226,30 @@ def blend_plan(g2_path: Graph, lam: np.ndarray, convention: str = "transform-pow
     T = g2_path.n, as a function of the k orders (1-D arrays). The endpoints
     are the exact spectral powers (:func:`~gbfrft.spectral.dense_powers`); in
     between the inverse is direct, and a numerically singular blend raises
-    SingularBlend. The endpoints' masks, bases and dtype are resolved once,
-    here, and every call overwrites the one buffer it returns."""
+    SingularBlend. The endpoints' positions, bases and dtype are resolved
+    once, here, with a buffer for each endpoint's parts (the returned one
+    where a single endpoint covers every weight); every call overwrites
+    these buffers and returns the same one."""
     if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     T = g2_path.n
-    mid = (lam > 0.0) & (lam < 1.0)
+    mid = np.flatnonzero((lam > 0.0) & (lam < 1.0))
     # the endpoint bases in use: the parts are real where each has real powers (never the DFT)
-    ends = [(lam == v, blend_basis(g2_path, v, convention)) for v in (1.0, 0.0) if (lam == v).any() or mid.any()]
+    ends = [(np.flatnonzero(lam == v), blend_basis(g2_path, v, convention))
+            for v in (1.0, 0.0) if (lam == v).any() or mid.size]
     out = np.empty((3, len(lam), T, T), dtype=np.result_type(np.float64, *(b.dtype for _, b in ends)))
+    # each endpoint's parts at its own orders, then the blends'
+    bufs = [out if len(at) == len(lam) else np.empty((3, len(at) + len(mid), T, T), b.dtype) for at, b in ends]
     w = lam[mid, None, None]
 
     def parts(beta: np.ndarray) -> np.ndarray:
-        blends = []   # one dense_powers call per endpoint basis: its own orders, then the blends'
-        for at, basis in ends:
-            k = np.count_nonzero(at)
-            powers = dense_powers(basis, np.concatenate([beta[at], beta[mid]]))
-            out[:, at] = powers[:, :k]
-            blends.append(powers[::2, k:])
-        if mid.any():
+        blends = []   # one dense_powers call per endpoint basis
+        for (at, basis), buf in zip(ends, bufs):
+            powers = dense_powers(basis, np.concatenate([beta[at], beta[mid]]), buf)
+            if buf is not out:
+                out[:, at] = powers[:, :len(at)]
+            blends.append(powers[::2, len(at):])
+        if mid.size:
             fd, fg = blends
             B, dB = w * fd + (1.0 - w) * fg
             B_inv, cond = guarded_inverse(B)

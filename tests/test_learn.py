@@ -1,7 +1,11 @@
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -723,20 +727,22 @@ def test_real_factor_products_equal_dense_products(method):
 @pytest.mark.parametrize("method", ["hybrid", "jfrft"])
 def test_real_samples_take_a_real_first_product_whatever_the_second_factor(method, monkeypatch):
     # every power of F_G on patch_graph(20) is a real matrix, so the first
-    # product of real samples is formed from float64 blocks, though the
-    # second factor (a blend, the DFT) is complex and so is the filter
+    # product of real samples is one GEMM by Z of float64 turned coordinates
+    # into a float64 result, though the second factor (a blend, the DFT) is
+    # complex and so is the filter
     basis = transforms.graph_basis(patch_graph(20))
     assert basis.real_powers
-    taken, rule = [], SpectralBasis.power_product
+    taken, gemm = [], spectral._rmul_t
 
-    def recording(self, p, *blocks, **scratch):
-        out = rule(self, p, *blocks, **scratch)
-        taken.append([b.dtype for b in blocks] + [out.dtype])
-        return out
+    def recording(X, M, out=None):
+        got = gemm(X, M, out)
+        if M is basis.Z:
+            taken.append((X.dtype, got.dtype))
+        return got
 
-    monkeypatch.setattr(SpectralBasis, "power_product", recording)
+    monkeypatch.setattr(spectral, "_rmul_t", recording)
     real = two_problem_pass(basis, method)
-    assert taken == [[np.float64] * 3]
+    assert taken == [(np.float64, np.float64)]
     assert_same_pass(real, two_problem_pass(replace(basis, Z=None, mix=None), method))
 
 
@@ -927,3 +933,44 @@ def test_a_real_stack_fits_as_the_complex_path_does(monkeypatch):
         assert e.h.dtype == v.h.dtype == np.complex128
         assert np.allclose([e.alpha1, e.alpha2, e.mse], [v.alpha1, v.alpha2, v.mse], rtol=1e-9, atol=0)
         assert np.linalg.norm(e.h - v.h) <= 1e-9 * np.linalg.norm(v.h)
+
+
+FAULT_BOUND_SCRIPT = """
+import resource
+import numpy as np
+from gbfrft.deblur import patch_graph
+from gbfrft.graphs import make_knn_graph
+from gbfrft.learn import DEFAULT_LAMBDA_GRID, _Stack
+from gbfrft.transforms import blend_plan, graph_basis, path_graph
+
+def faults_per_call(g1, T, weights, calls=200):
+    rng = np.random.default_rng(0)
+    batches = [[(rng.normal(size=(g1.n, T)), rng.normal(size=(g1.n, T)))] for _ in weights]
+    stack = _Stack(graph_basis(g1), batches, blend_plan(path_graph(T), np.array(weights)))
+    orders, h = np.tile([0.8, 0.7], (len(weights), 1)), np.ones((len(weights), g1.n * T))
+    for _ in range(20):
+        stack.value_and_grad(orders, h)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        stack.value_and_grad(orders, h)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
+
+sensors = make_knn_graph(np.random.default_rng(0).uniform(0.0, 1.0, (24, 2)), 3)
+every_method = [w for _ in range(3) for w in (0.0, 0.0, 1.0, *DEFAULT_LAMBDA_GRID)]
+print(faults_per_call(patch_graph(20), 3, [0.0] * 6), faults_per_call(sensors, 24, every_method))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor page faults with getrusage")
+def test_warm_epochs_take_no_page_faults():
+    # a stack allocates its buffers once, so warm epochs reuse memory: at
+    # most one minor page fault per value_and_grad on average, on a deblur
+    # stack (six 20x20 patches, three frames) and on a time-vertex stack
+    # (every method, variance and lambda on a 24-sensor graph, 24 steps),
+    # each in a fresh process with no malloc tuning
+    src = str(Path(learn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", FAULT_BOUND_SCRIPT], env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    deblur, timevertex = map(float, out.stdout.split())
+    assert deblur <= 1.0 and timevertex <= 1.0, out.stdout

@@ -252,12 +252,14 @@ def test_real_orthogonal_input_takes_the_real_schur_path(name, M):
     assert np.abs(b.Z.T @ b.Z - np.eye(n)).max() < 1e-12
     assert np.abs(b.V.conj().T @ b.V - np.eye(n)).max() < 1e-12
     assert np.linalg.norm(b.reconstruct() - M) / max(1.0, np.linalg.norm(M)) <= RECONSTRUCTION_RTOL
-    # V = Z U, with U the pair mixing: a single is its column of Z, and a
-    # pair's columns (x, y) of Z give it (x + j y) / sqrt(2) at plus and
-    # (x - j y) / sqrt(2) at minus
-    ns, nq = len(b.mix.single), len(b.mix.plus)
-    x, y = b.Z[:, ns:ns + nq], b.Z[:, ns + nq:]
-    assert np.array_equal(b.V[:, b.mix.single], b.Z[:, :ns])
+    # V = Z U, with U the pair mixing: a pair's side-by-side columns (x, y)
+    # of Z, read as one complex column, are x + j y, which gives it
+    # (x + j y) / sqrt(2) at plus and (x - j y) / sqrt(2) at minus; the
+    # singles follow, each its column of Z
+    nq = len(b.mix.plus)
+    x, y = b.Z[:, 0:2 * nq:2], b.Z[:, 1:2 * nq:2]
+    assert np.array_equal(b.Z[:, :2 * nq].copy().view(np.complex128), x + 1j * y)
+    assert np.array_equal(b.V[:, b.mix.single], b.Z[:, 2 * nq:])
     assert np.abs(b.V[:, b.mix.plus] - (x + 1j * y) * np.sqrt(0.5)).max() < 1e-15
     assert np.abs(b.V[:, b.mix.minus] - (x - 1j * y) * np.sqrt(0.5)).max() < 1e-15
     assert np.array_equal(b.V_inv, b.V.conj().T)
@@ -329,13 +331,30 @@ def test_every_power_applies_through_the_one_rule(name):
                 assert np.isrealobj(got) == (b.real_powers and np.isrealobj(X))
 
 
+@pytest.mark.parametrize("name", [k for k, b in rule_bases().items() if b.Z is not None and b.real_powers])
+def test_dense_on_a_real_power_basis_equals_the_complex_product(name):
+    """dense forms a power of a real_powers basis in Z's real coordinates,
+    by the pair rule; it is the complex V diag(d) V_inv to roundoff, for
+    every output of power_parts, one at a time and stacked."""
+    b = rule_bases()[name]
+    d = np.stack(power_parts(b, np.array([0.3, 0.8, 1.7, -0.4])))   # (4, 4, n)
+    want = (b.V * d[..., None, :]) @ b.V_inv
+    got = b.dense(d)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(b.dense(d[2, 1]), got[2, 1])
+    out = np.empty_like(got)
+    b.dense(d, out)
+    assert np.array_equal(out, got)
+
+
 @pytest.mark.parametrize("graph", ["patch 16", "sensors 24"])
 @pytest.mark.parametrize("complex_samples", [False, True])
 def test_the_negative_columns_add_their_imaginary_part_to_the_stacked_product(graph, complex_samples):
     """On F_G with an eigenvalue -1 (patch_graph(16), and the k-NN sensor
     graph of the time-vertex benchmark) a power is complex on those
     columns alone. The product as a descent stack takes it, sample-major
-    with its pair swap and scratch, equals the dense V diag(p) V_inv X."""
+    with its scratch, equals the dense V diag(p) V_inv X."""
     g = patch_graph(16) if graph == "patch 16" else make_knn_graph(
         np.random.default_rng(0).uniform(0.0, 1.0, (24, 2)), 3)
     b = eig_general(eig_general(g.adjacency).V_inv)
@@ -345,7 +364,7 @@ def test_the_negative_columns_add_their_imaginary_part_to_the_stacked_product(gr
     W = b.coordinates(X)   # (S, K, 1, n2, n)
     parts = np.stack(power_parts(b, np.array([0.3, 0.8, 1.4]), inverse=False), axis=1)   # (S, 2, n)
     work = np.empty((2, 3, 2, 2, 4, b.n), W.dtype)
-    got = b.power_product(parts[..., b.rows][:, None, :, None], W, b.pair_swap(W), out=work)
+    got = b.power_product(parts[..., b.rows][:, None, :, None], W, out=work)
     assert np.iscomplexobj(got) and got.shape == (3, 2, 2, 4, b.n)
     for s in range(3):
         for k in range(2):
@@ -355,11 +374,13 @@ def test_the_negative_columns_add_their_imaginary_part_to_the_stacked_product(gr
             assert np.abs(want.imag).max() > 1e-6 * np.abs(want).max()
 
 
-def test_stacked_powers_broadcast_and_reuse_the_pair_swap():
+def test_stacked_powers_broadcast_against_the_coordinates():
+    # each stacked power's product is the product with that power alone,
+    # bit for bit, also where the stack's scratch holds the turned pairs
     b = eig_general(eig_general(patch_graph(16).adjacency).V_inv)
     W = b.coordinates(np.random.default_rng(12).normal(size=(b.n, 3, 2)))
-    q = np.stack(power_parts(b, np.array([0.4, 0.9]), inverse=False))[..., b.rows]   # (2, 2, n)
-    got = b.power_product(q[:, :, None, None, :], W, b.pair_swap(W))
+    q = np.stack(power_parts(b, np.array([0.4, 0.9]), inverse=False))[..., b.rows]   # (2, 2, n - pairs)
+    got = b.power_product(q[:, :, None, None, :], W, out=np.empty((2, 2, 2, 3, 2, b.n)))
     assert got.shape == (2, 2, 3, 2, b.n)
     for i in range(2):
         for k in range(2):

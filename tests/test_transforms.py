@@ -333,9 +333,13 @@ def test_a_power_is_float64_exactly_where_it_is_a_real_matrix():
         M = b.dense(d)
         assert M.dtype == dense_powers(b, alphas).dtype == b.dtype == want
         assert blend_plan(g, np.zeros(3))(alphas).dtype == want
-        # the same V diag(d) V_inv arithmetic as the complex product
-        assert np.array_equal(M, ((b.V * d[..., None, :]) @ b.V_inv).real if want is np.float64
-                              else (b.V * d[..., None, :]) @ b.V_inv)
+        # the complex product V diag(d) V_inv itself, or on a real-power
+        # basis its real part to roundoff, formed in Z's real coordinates
+        ref = (b.V * d[..., None, :]) @ b.V_inv
+        if want is np.float64:
+            assert np.abs(M - ref.real).max() <= 1e-13 * np.abs(ref).max()
+        else:
+            assert np.array_equal(M, ref)
     b = dft_basis(3)
     assert b.dense(power_parts(b, alphas)[0]).dtype == dense_powers(b, alphas).dtype == np.complex128
     g = path_graph(3)
@@ -347,6 +351,25 @@ def test_a_power_is_float64_exactly_where_it_is_a_real_matrix():
     X = np.random.default_rng(12).normal(size=(3, 3))
     for direction in ("forward", "inverse"):
         assert apply(t, X, direction).dtype == np.complex128
+
+
+@pytest.mark.parametrize("lam", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.4, 0.0]])
+def test_a_blend_plan_writes_its_powers_into_buffers_of_its_own(lam, monkeypatch):
+    # every call's dense_powers output is one buffer made with the plan,
+    # the returned one where one endpoint covers every weight, so no epoch
+    # allocates the second factor's parts
+    made, powers = [], transforms.dense_powers
+    monkeypatch.setattr(transforms, "dense_powers", lambda *a: made.append(powers(*a)) or made[-1])
+    g2, lam = path_graph(5), np.array(lam)
+    plan = blend_plan(g2, lam)
+    first = plan(np.linspace(0.3, 0.9, len(lam))).copy()
+    calls = len(made)
+    again = plan(np.linspace(0.3, 0.9, len(lam)) + 0.1)
+    assert calls == len(made) - calls == 1 + (lam == 1.0).any()
+    for earlier, later in zip(made[:calls], made[calls:]):
+        assert np.shares_memory(earlier, later)
+    assert np.shares_memory(made[0], again) == (len(set(lam.tolist())) == 1)
+    assert np.array_equal(plan(np.linspace(0.3, 0.9, len(lam))), first)
 
 
 @pytest.mark.parametrize("convention", ["transform-power", "shift-power"])
