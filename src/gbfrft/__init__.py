@@ -30,7 +30,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .graphs import Graph, ProductGraph, cartesian_product, make_knn_graph, make_named_graph
-from .spectral import FactorOperator, FractionalOperator, SpectralBasis, eig_general, fractional_power
+from .spectral import FractionalOperator, SpectralBasis, eig_general, fractional_power
 from .transforms import (
     DenseOperator,
     ProductTransform,

@@ -171,8 +171,8 @@ def cmd_transform(args) -> int:
     g1 = matio.load_graph(args.graph1)
     X = matio.read_matrix(args.input, complex_=args.complex_data)
     # the second factor defaults to a temporal path on --t (or the signal width) vertices
-    g2 = matio.load_graph(args.graph2) if args.graph2 else path_graph(args.t or X.shape[1])
-    if args.t and g2.n != args.t:
+    g2 = matio.load_graph(args.graph2) if args.graph2 else path_graph(X.shape[1] if args.t is None else args.t)
+    if args.t is not None and g2.n != args.t:
         raise ShapeMismatch(f"--graph2 has {g2.n} vertices, --t asks for {args.t}")
     t = _KIND_METHODS[args.kind].build(g1, g2, args.alpha1, args.alpha2, args.lam, convention=args.convention)
     Y = apply(t, X, args.direction)

@@ -95,13 +95,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
 from .errors import DivergedLoss, ShapeMismatch
 from .graphs import Graph
-from .spectral import FractionalOperator, SpectralBasis, dense_powers, power_parts
+from .spectral import FractionalOperator, SpectralBasis, power_parts
 from .transforms import (
     METHOD_TABLE,
     METHODS,
@@ -225,7 +224,9 @@ def loss(t: ProductTransform, h, batch) -> float:
 
 def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
     """(dL/dalpha1, dL/dalpha2, g_h) averaged over the batch, from the fused
-    pass that :func:`fit` would take for this transform.
+    pass that :func:`fit` would take for this transform: its first factor's
+    basis and its second factor's dense parts, which are those of fit's
+    :func:`~gbfrft.transforms.blend_plan` at its weight.
 
     g_h is the length-N1*N2 conjugate gradient (column-major vec order).
     """
@@ -235,13 +236,8 @@ def gradients(t: ProductTransform, h, batch) -> tuple[float, float, np.ndarray]:
     _filter_grid(t, h)  # ShapeMismatch for a wrong-length h
     _check_batch((t.n1, t.n2), batch)
     o2 = t.op2
-    if isinstance(o2, FractionalOperator):
-        # the second factor at any order, as fit's spectral endpoints give it
-        second = partial(dense_powers, o2.basis)
-    else:
-        # a dense blend has no basis: its parts at its own order are all there is
-        second = lambda a2: np.stack([o2.matrix, o2.inverse, o2.derivative])[:, None]
-    stack = _Stack(t.op1.basis, [batch], second)
+    parts = np.stack([o2.matrix, o2.inverse, o2.derivative])[:, None]
+    stack = _Stack(t.op1.basis, [batch], lambda a2: parts)
     _, d_orders, gh = stack.value_and_grad(np.array([[t.op1.order, o2.order]]), h[None])
     return float(d_orders[0, 0]), float(d_orders[0, 1]), gh[0]
 

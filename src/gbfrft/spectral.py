@@ -344,42 +344,12 @@ def eig_general(M) -> SpectralBasis:
     return basis
 
 
-class FactorOperator:
-    """The operator protocol of one transform factor.
-
-    An operator has three dense parts: ``matrix`` (M), ``inverse`` (M^{-1})
-    and ``derivative`` (dM/da). ``lmul`` and ``rmul_t`` apply M or M^{-1},
-    selected by ``kind``: ``fwd`` or ``inv``. A subclass gives the size
-    ``n``, names the attribute holding each kind in ``_PARTS`` and says in
-    ``_apply`` how one part acts on a block of columns.
-    """
-
-    _PARTS: dict[str, str]
-
-    def _apply(self, part: np.ndarray, X: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def lmul(self, X, kind: str = "fwd") -> np.ndarray:
-        """M @ X for the selected operator part."""
-        X = np.asarray(X)
-        if X.shape[0] != self.n:
-            raise ShapeMismatch(f"operand has {X.shape[0]} rows, operator needs {self.n}")
-        name = self._PARTS.get(kind)
-        if name is None:
-            raise ValueError(f"kind must be one of {tuple(self._PARTS)}, got {kind!r}")
-        return self._apply(getattr(self, name), X)
-
-    def rmul_t(self, X, kind: str = "fwd") -> np.ndarray:
-        """X @ M.T for the selected operator part."""
-        return self.lmul(np.asarray(X).T, kind).T
-
-
 @dataclass(eq=False)
-class FractionalOperator(FactorOperator):
+class FractionalOperator:
     """A fractional power F = V diag(lam**order) V_inv held in factored form.
 
-    ``matrix``/``inverse``/``derivative`` materialize the dense operators
-    lazily; ``lmul``/``rmul_t`` apply M and M^{-1} to signals through
+    ``matrix``/``inverse``/``derivative`` materialize the dense parts
+    lazily; ``lmul`` applies M or M^{-1} to signals through
     :meth:`SpectralBasis.power_product` without densifying anything new.
     """
 
@@ -389,14 +359,17 @@ class FractionalOperator(FactorOperator):
     pow_inv: np.ndarray
     dpow_fwd: np.ndarray
 
-    _PARTS = {"fwd": "pow_fwd", "inv": "pow_inv"}
-
     @property
     def n(self) -> int:
         return self.basis.n
 
-    def _apply(self, d, X):
-        # transform outputs stay complex, also where the power is a real matrix
+    def lmul(self, X, inverse: bool = False) -> np.ndarray:
+        """M @ X, or M^{-1} @ X with ``inverse``; complex128, also where the
+        power is a real matrix."""
+        X = np.asarray(X)
+        if X.shape[0] != self.n:
+            raise ShapeMismatch(f"operand has {X.shape[0]} rows, operator needs {self.n}")
+        d = self.pow_inv if inverse else self.pow_fwd
         out = self.basis.power_product(d[self.basis.rows], self.basis.coordinates(X))
         return np.moveaxis(out, -1, 0).astype(np.complex128, copy=False)
 

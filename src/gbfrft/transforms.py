@@ -1,7 +1,8 @@
 """Fractional Fourier transforms on graphs, time axes, and their products.
 
-A product transform holds one fractional operator per factor and acts on
-N1 x N2 signal matrices as
+A product transform holds a fractional power M1 of the first factor, kept
+on its spectral basis, and the dense matrix, inverse and order derivative
+of the second factor M2, and acts on N1 x N2 signal matrices as
 
     forward:  X_f = M1 @ X @ M2.T
     inverse:  X   = M1inv @ X_f @ M2inv.T
@@ -21,6 +22,9 @@ The paper's four transforms are one family, listed once in METHOD_TABLE:
 a graph power on the first factor times a graph power (2D-GFRFT, tied
 orders; 2D-GBFRFT), a DFT power (JFRFT) or a blend of the two (hybrid).
 :meth:`Method.build` makes every transform; the constructors look it up.
+Its second factor is what the descent fits: the dense parts of
+:func:`blend_plan` at the family's weight, the endpoints included, so a
+transform applies the numbers the descent fitted.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .errors import ShapeMismatch, SingularBlend
 from .graphs import Graph, make_named_graph
 from .spectral import (
     CONDITION_LIMIT,
-    FactorOperator,
     FractionalOperator,
     SpectralBasis,
     dense_powers,
@@ -148,31 +151,34 @@ def dfrft(T: int, alpha: float) -> FractionalOperator:
 
 
 @dataclass(eq=False)
-class DenseOperator(FactorOperator):
-    """A factor operator held as its three dense parts, such as a temporal
-    blend (:func:`blend_plan`)."""
+class DenseOperator:
+    """A second factor at one order, held as the three dense parts that
+    :func:`blend_plan` gives the descent at its blend weight."""
 
     order: float
     matrix: np.ndarray
     inverse: np.ndarray
     derivative: np.ndarray
 
-    _PARTS = {"fwd": "matrix", "inv": "inverse"}
-
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def _apply(self, M, X):
-        return M @ X
+
+def _inverse(direction: str) -> bool:
+    """Whether ``direction`` asks for the inverse transform."""
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return direction == "inverse"
 
 
 @dataclass(eq=False)
 class ProductTransform:
-    """Separable two-factor transform with independent fractional orders."""
+    """Separable two-factor transform with independent fractional orders: a
+    fractional power ``op1`` on the rows, a dense ``op2`` on the columns."""
 
-    op1: FactorOperator
-    op2: FactorOperator
+    op1: FractionalOperator
+    op2: DenseOperator
     kind: str
     orders: tuple[float, float]
     lam: float | None = None
@@ -190,11 +196,9 @@ class ProductTransform:
 
     def vec_operator(self, direction: str = "forward") -> np.ndarray:
         """Dense kron(M2, M1) operator acting on column-stacked signals."""
-        if direction == "forward":
-            return np.kron(self.op2.matrix, self.op1.matrix)
-        if direction == "inverse":
+        if _inverse(direction):
             return np.kron(self.op2.inverse, self.op1.inverse)
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+        return np.kron(self.op2.matrix, self.op1.matrix)
 
 
 def apply(t: ProductTransform, X, direction: str = "forward") -> np.ndarray:
@@ -202,13 +206,8 @@ def apply(t: ProductTransform, X, direction: str = "forward") -> np.ndarray:
     X = np.asarray(X)
     if X.shape != (t.n1, t.n2):
         raise ShapeMismatch(f"signal must be {t.n1}x{t.n2}, got {X.shape}")
-    if direction == "forward":
-        kind = "fwd"
-    elif direction == "inverse":
-        kind = "inv"
-    else:
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return t.op2.rmul_t(t.op1.lmul(X, kind), kind)
+    inverse = _inverse(direction)
+    return t.op1.lmul(X, inverse) @ (t.op2.inverse if inverse else t.op2.matrix).T
 
 
 def blend_basis(g2: Graph, lam: float, convention: str = "transform-power") -> SpectralBasis | None:
@@ -264,7 +263,8 @@ def blend_plan(g2_path: Graph, lam: np.ndarray, convention: str = "transform-pow
 
 class Method(NamedTuple):
     """A transform family: gfrft(g1, a1) times the second factor
-    w dfrft(g2.n, a2) + (1 - w) gfrft(g2, a2) of :func:`blend_plan`. Its
+    w dfrft(g2.n, a2) + (1 - w) gfrft(g2, a2), held as the dense parts that
+    :func:`blend_plan` gives the descent, at every weight. Its
     ``weight`` w is 0 for a graph power, 1 for a DFT power, and None for a
     blend whose weight lam is searched (g2 is then a temporal path). A
     ``tied`` family has one shared order, a2 = a1."""
@@ -281,16 +281,12 @@ class Method(NamedTuple):
               convention: str = "transform-power") -> ProductTransform:
         """The transform at orders (a1, a2), or (a1, a1) for a tied family,
         and at blend weight ``lam`` for one that searches it. The second
-        factor is a spectral power at either endpoint and dense in between."""
+        factor is :func:`blend_plan`'s dense parts, the endpoints included."""
         a1, a2 = float(a1), float(a1 if self.tied else a2)
         lam = float(lam) if self.searches_lambda else None
         op1 = gfrft(g1, a1, convention)
         w = self.weight if lam is None else lam
-        b2 = blend_basis(g2, w, convention)
-        if b2 is not None:
-            op2 = fractional_power(b2, a2)
-        else:
-            op2 = DenseOperator(a2, *blend_plan(g2, np.array([w]), convention)(np.array([a2]))[:, 0])
+        op2 = DenseOperator(a2, *blend_plan(g2, np.array([w]), convention)(np.array([a2]))[:, 0])
         return ProductTransform(op1, op2, self.kind, (a1, a2), lam)
 
 
@@ -327,8 +323,8 @@ def hybrid_transform(g1: Graph, g2_path: Graph, T: int, alpha: float, beta: floa
 
     The temporal factor is lam * dfrft(T, beta) + (1 - lam) * gfrft(g2_path,
     beta); its inverse comes from direct inversion (:func:`blend_plan`).
-    The endpoints reuse the exact spectral operators, so lam=1 reproduces
-    the joint transform and lam=0 the bi-factorized one.
+    The endpoints are the exact spectral powers, so lam=1 reproduces the
+    joint transform and lam=0 the bi-factorized one.
     """
     if g2_path.n != T:
         raise ShapeMismatch(f"temporal factor graph has {g2_path.n} vertices, need {T}")

@@ -62,6 +62,18 @@ def test_transform_round_trip_via_cli(tmp_path):
     assert np.abs(back - X).max() < 1e-9
 
 
+@pytest.mark.parametrize("t", ["0", "1"])
+def test_transform_rejects_a_time_axis_too_short_for_a_path(tmp_path, capsys, t):
+    g1p, x, out = str(tmp_path / "g1.csv"), str(tmp_path / "x.csv"), tmp_path / "y.csv"
+    matio.save_graph(make_named_graph("path", 3), g1p)
+    matio.write_matrix(x, np.ones((3, 4)))
+    assert main(["transform", "--graph1", g1p, "--kind", "jfrft", "--t", t,
+                 "--input", x, "--output", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error[ValueError]:"), err
+    assert not out.exists()
+
+
 def test_denoise_grid_outputs(tmp_path, capsys):
     g1, g2, rxx, rnn = write_model(tmp_path)
     outdir = str(tmp_path / "out")

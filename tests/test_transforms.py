@@ -8,7 +8,7 @@ from gbfrft import transforms
 from gbfrft.deblur import patch_graph
 from gbfrft.errors import NonFinite, ShapeMismatch, SingularBlend
 from gbfrft.graphs import Graph, make_named_graph
-from gbfrft.spectral import FactorOperator, FractionalOperator, dense_powers, eig_general, power_parts
+from gbfrft.spectral import dense_powers, eig_general, power_parts
 from gbfrft.transforms import (
     METHOD_TABLE,
     DenseOperator,
@@ -263,21 +263,17 @@ def test_basis_cache_keeps_its_bound_and_evicted_bases_die_without_the_cycle_col
         gc.enable()
 
 
-def test_blended_operator_shares_the_operator_protocol():
+def test_blended_second_factor_applies_through_its_dense_parts():
     g = make_named_graph("path", 3)
     T = 4
-    op = hybrid_transform(g, path_graph(T), T, alpha=0.5, beta=0.6, lam=0.3).op2
-    assert isinstance(op, FactorOperator)
+    t = hybrid_transform(g, path_graph(T), T, alpha=0.5, beta=0.6, lam=0.3)
+    op = t.op2
     rng = np.random.default_rng(8)
-    X = rng.normal(size=(T, 2)) + 1j * rng.normal(size=(T, 2))
-    for kind, M in [("fwd", op.matrix), ("inv", op.inverse)]:
-        assert np.array_equal(op.lmul(X, kind), M @ X)
-        assert np.array_equal(op.rmul_t(X.T, kind), (M @ X).T)
+    X = rng.normal(size=(3, T)) + 1j * rng.normal(size=(3, T))
+    for direction, inverse, M in [("forward", False, op.matrix), ("inverse", True, op.inverse)]:
+        assert np.array_equal(apply(t, X, direction), t.op1.lmul(X, inverse) @ M.T)
     with pytest.raises(ShapeMismatch):
-        op.lmul(np.zeros((T + 1, 2)))
-    for kind in ("adjoint", "dfwd", "dinv"):
-        with pytest.raises(ValueError):
-            op.lmul(X, kind)
+        apply(t, np.zeros((3, T + 1)))
 
 
 # (family, lam, public constructor at orders (0.3, 0.7) on g1 and a second factor g2 of T vertices)
@@ -296,11 +292,26 @@ def test_each_public_constructor_is_its_familys_build(method, lam, construct):
     t = construct(g1, g2, T, lam)
     ref = METHOD_TABLE[method].build(g1, g2, 0.3, 0.7, lam)
     assert (t.kind, t.orders, t.lam) == (ref.kind, ref.orders, ref.lam)
-    # only an interior blend is dense; every other second factor stays a lazy power
-    assert type(t.op2) is type(ref.op2) is (DenseOperator if lam == 0.4 else FractionalOperator)
+    # every second factor is the dense parts the descent fits, the endpoints included
+    assert type(t.op2) is type(ref.op2) is DenseOperator
     for op, ref_op in ((t.op1, ref.op1), (t.op2, ref.op2)):
         for part in ("matrix", "inverse", "derivative"):
             assert np.array_equal(getattr(op, part), getattr(ref_op, part)), part
+
+
+FAMILY_WEIGHTS = [(m, None) for m in METHOD_TABLE if m != "hybrid"] + [("hybrid", w) for w in (0.0, 0.4, 1.0)]
+
+
+@pytest.mark.parametrize("convention", ["transform-power", "shift-power"])
+@pytest.mark.parametrize("method,lam", FAMILY_WEIGHTS)
+def test_a_transforms_second_factor_is_the_one_the_descent_fits(method, lam, convention):
+    # positive orders: the odd path has a zero eigenvalue under shift-power
+    g1, g2 = make_named_graph("cycle", 4), path_graph(5)
+    t = METHOD_TABLE[method].build(g1, g2, 0.3, 0.7, lam, convention)
+    w = METHOD_TABLE[method].weight if lam is None else lam
+    fitted = blend_plan(g2, np.array([w]), convention)(np.array([t.orders[1]]))[:, 0]
+    for part, ref in zip(("matrix", "inverse", "derivative"), fitted):
+        assert np.array_equal(getattr(t.op2, part), ref), part
 
 
 def test_real_powers_marks_the_bases_whose_powers_are_real_matrices():
