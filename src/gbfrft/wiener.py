@@ -37,10 +37,10 @@ eigenbasis and a unimodular spectrum; a symmetric adjacency under
 ``shift-power`` has real eigenvalues, so it keeps the LU path). Each
 diagonal is a sandwich of factor contractions, with no N x N product: the
 M1 half costs O(N1 N^2) and depends on alpha1 alone, and the M2 half costs
-O(N N2^2) per point. The search runs one row of the grid at a time, one
-alpha1 with every alpha2 it meets: it computes the M1 half once per row,
-the M2 halves of the row's k points as one batched product, and solves the
-k diagonal systems as one (k, N) stack. The rcond of a diagonal T is
+O(N N2^2) per point. The search designs a row of the grid, one alpha1 with
+every alpha2 it meets, at a time: it computes the M1 half once per row, the
+M2 halves of the row's k points as one batched product, and solves the k
+diagonal systems as one (k, N) stack. The rcond of a diagonal T is
 min|T_mm| / max|T_mm|, guarded like the LU estimate, and the fallback,
 taken only on the points that need it, is what ``lstsq`` gives for a
 diagonal matrix.
@@ -54,8 +54,11 @@ elementwise and r_k the row sums of |M_k|^2,
     q = diag(F Rxx F^H) = vec(B1 W B2^T),   diag A = q + s2 vec(r1 r2^T),
 
 and Tr(Rxx) = sum(W). B1 W is computed once per row of the grid and B2
-once per alpha2, so a point costs O(N N2) and no N x N array is formed;
-a row holds O(k N) numbers. ``DEFAULT_SIZE_CAP`` guards
+once per alpha2, so a point costs O(N N2) and no N x N array is formed.
+This path designs whole rows in chunks: max(1, CHUNK_ELEMENTS // (k N))
+rows of k points each go through one set of batched products and one
+stacked solve, so a chunk's arrays hold at most max(CHUNK_ELEMENTS, k N)
+numbers each, whatever the size of the grid. ``DEFAULT_SIZE_CAP`` guards
 only the code that forms one: the dense diagonal path, the LU path (which
 forms a factored model's dense statistics), the assembly functions and
 ``basis_matrices``.
@@ -91,6 +94,10 @@ from .transforms import transform_2d  # noqa: F401
 
 DEFAULT_SIZE_CAP = 1024
 MAX_GRID_VALUES = 10**4    # per axis of an order grid
+# numbers in one (points, N) array of a factored grid search, which designs
+# as many whole rows of the grid at once as fit (at least one): a 25-point
+# grid at N = 512 fits, a 5-point row at N = 4096 does not
+CHUNK_ELEMENTS = 2**15
 HERMITIAN_RTOL = 1e-9
 PSD_RTOL = 1e-9
 SOLVE_CONDITION_LIMIT = 1e12
@@ -468,7 +475,7 @@ def _solve_diagonal(d: np.ndarray, q: np.ndarray, trace_rxx: float) -> tuple[np.
     _check_finite_system(d, q)
     mag = np.abs(d)
     top, low = mag.max(axis=1), mag.min(axis=1)
-    del mag   # the fallback takes |d| again; a row holds few (k, N) arrays
+    del mag   # the fallback takes |d| again; a chunk holds few (k, N) arrays
     # a row of zeros has rcond nan, which the guard reads as 0
     with np.errstate(divide="ignore", invalid="ignore"):
         rcond = low / top
@@ -580,13 +587,15 @@ def grid_search(
 
     With ``equal_orders`` the search is restricted to alpha1 == alpha2 over
     ``range1``. The search builds no transform: each axis takes its dense
-    powers at all of its grid orders from one batched product. It runs one
-    row of the grid at a time: one alpha1 with every alpha2 it meets (just
-    alpha1 itself under ``equal_orders``). If both factor bases have unitary
-    powers, a row's points are designed from the diagonal normal equations
-    (see the module docstring) in one stacked solve, else point by point by
-    LU. The diagonal path reads a model's factored statistics directly and
-    then forms no N x N array, so ``cap`` does not apply to it. A range that
+    powers at all of its grid orders from one batched product. A row of the
+    grid is one alpha1 with every alpha2 it meets (just alpha1 itself under
+    ``equal_orders``). If both factor bases have unitary powers, a row's
+    points are designed from the diagonal normal equations (see the module
+    docstring) in one stacked solve, else point by point by LU, one row at a
+    time. The diagonal path reads a model's factored statistics directly and
+    then forms no N x N array, so ``cap`` does not apply to it; it designs
+    as many whole rows in one stacked solve as fit CHUNK_ELEMENTS numbers in
+    a (points, N) array, and at least one. A range that
     starts at or below 0 on a factor with a zero eigenvalue raises
     SingularPower naming it. Returns the winning FilterDesign, plus the
     per-point rows when ``keep_grid`` is set.
@@ -607,33 +616,44 @@ def grid_search(
         u1, u2, w, noise = factored
         (B1, r1), (B2, r2) = (_power_weights(_axis_powers(*axis, False)[0], u) for axis, u in zip(axes, (u1, u2)))
     n, trace_rxx = model.n, model.trace_rxx
-    best = None
-    rows = []
-    for i, a1 in enumerate(grid1):
-        js = slice(i, i + 1) if equal_orders else slice(None)
+    k = 1 if equal_orders else len(grid2)
+    # whole rows of the grid, as many as fit CHUNK_ELEMENTS numbers in a
+    # stacked (points, N) array on the factored path, else one
+    chunk = max(1, CHUNK_ELEMENTS // (k * n)) if factored is not None else 1
+    best, rows = None, []
+    for lo in range(0, len(grid1), chunk):
+        rs = slice(lo, lo + chunk)
+        points = [(i, i if equal_orders else j) for i in range(len(grid1))[rs] for j in range(k)]
         if not diagonal:
             hs, mses = [], []
-            for j in range(len(grid2))[js]:
+            for i, j in points:
                 T, q = _assemble(P1[0, i], P2[0, j], P1[1, i], P2[1, j], My, Mxy)
                 hs.append(solve_filter(T, q))
                 mses.append(_mse_from_normal_eqs(T, q, hs[-1], trace_rxx))
         else:
             # Fi = F^H, so diag T = diag(F My F^H) and q = diag(F Mxy F^H)
             if factored is None:
-                d, q = (_sandwich_diag_m2(P2[0, js], _sandwich_diag_m1(P1[0, i], X, model.n2))
+                js = rs if equal_orders else slice(None)
+                d, q = (_sandwich_diag_m2(P2[0, js], _sandwich_diag_m1(P1[0, lo], X, model.n2))
                         for X in (My, Mxy))
             else:
-                q = (B2[js] @ (B1[i] @ w).T).reshape(-1, n)
-                # q + s2 r2 (x) r1, in place: a row holds few (k, N) arrays
-                d = (r2[js, :, None] * r1[i]).reshape(-1, n)
+                # each row's B1 W against the B2 of its points: (rows, k, N2, N1)
+                B2s, r2s = (B2[rs, None], r2[rs, None]) if equal_orders else (B2[None], r2[None])
+                q = (B2s @ np.swapaxes(B1[rs] @ w, 1, 2)[:, None]).reshape(-1, n)
+                # q + s2 r2 (x) r1, in place: a chunk holds few (points, N) arrays
+                d = (r2s[..., None] * r1[rs, None, None, :]).reshape(-1, n)
                 d *= noise
                 d += q
             hs, mses = _solve_diagonal(d, q, trace_rxx)
-        for a2, h, e in zip(grid2[js], hs, map(float, mses)):
-            rows.append({"alpha1": a1, "alpha2": a2, "mse": e})
-            if best is None or (e, a1, a2) < (best.mse, best.alpha1, best.alpha2):
-                # a copy, so the design keeps no row stack alive
-                best = FilterDesign(alpha1=a1, alpha2=a2, h=h.copy(), mse=e)
+        mses = np.asarray(mses, dtype=np.float64)
+        rows += [{"alpha1": grid1[i], "alpha2": grid2[j], "mse": e}
+                 for (i, j), e in zip(points, mses.tolist())]
+        # the first minimum in row-major order, so ties go to the smaller pair
+        m = int(np.argmin(mses))
+        if best is None or mses[m] < best.mse:
+            # a copy, so the design keeps no chunk stack alive
+            i, j = points[m]
+            best = FilterDesign(alpha1=grid1[i], alpha2=grid2[j], h=hs[m].copy(), mse=float(mses[m]))
     return (best, rows) if keep_grid else best
 
 

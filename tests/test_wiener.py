@@ -670,3 +670,70 @@ def test_factored_search_at_n_4096_stays_below_one_n_by_n_array():
     w = model.factored.w
     assert (best.alpha1, best.alpha2) == (1.0, 1.0)
     assert abs(best.mse - np.sum(w / (w + 1.0))) <= 1e-9 * best.mse
+
+
+def count_diagonal_solves(monkeypatch):
+    """The (points, N) shapes of the stacks ``_solve_diagonal`` is given."""
+    calls = []
+    solve = wiener._solve_diagonal
+
+    def counting(d, q, trace_rxx):
+        calls.append(d.shape)
+        return solve(d, q, trace_rxx)
+
+    monkeypatch.setattr(wiener, "_solve_diagonal", counting)
+    return calls
+
+
+def chunked_search(monkeypatch, rows_per_chunk, model, g1, g2, range1=(0.0, 1.0), range2=(0.0, 1.0),
+                   step=0.1, equal_orders=False):
+    """A search whose factored path designs ``rows_per_chunk`` grid rows per
+    stacked solve: (best, rows, IllConditionedSystem messages in order)."""
+    k = 1 if equal_orders else len(grid_values(range2, step))
+    monkeypatch.setattr(wiener, "CHUNK_ELEMENTS", rows_per_chunk * k * model.n)
+    solves = count_diagonal_solves(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        best, rows = grid_search(model, g1, g2, range1, range2, step, equal_orders, keep_grid=True)
+    assert len(solves) == -(-len(grid_values(range1, step)) // rows_per_chunk)
+    assert {c.category for c in caught} <= {IllConditionedSystem}
+    return best, rows, [str(c.message) for c in caught]
+
+
+@pytest.mark.parametrize("case", [
+    {"step": 0.25}, {"step": 0.1}, {"step": 0.1, "equal_orders": True},
+    {"range1": (0.5, 0.5), "range2": (0.5, 0.5)}, {"range1": (-1, 1), "range2": (1, 2), "step": 0.5},
+    "noiseless"])
+def test_chunked_factored_search_matches_one_row_at_a_time(case, monkeypatch):
+    # one row per chunk, an uneven split (3 + 3 + 3 + 2 rows of an 11-row
+    # grid) and the whole grid must give the same bits
+    if case == "noiseless":
+        g1, g2, case = make_named_graph("path", 4), make_named_graph("cycle", 5), {"step": 0.25}
+        model = build_observation_model(g1, g2, 0.0)
+    else:
+        g1, g2 = make_named_graph("path", 16), make_named_graph("cycle", 32)
+        model = build_observation_model(g1, g2, 0.8)
+    runs = [chunked_search(monkeypatch, r, model, g1, g2, **case) for r in (1, 3, 10**4)]
+    best, rows, messages = runs[0]
+    for other, other_rows, other_messages in runs[1:]:
+        assert other_rows == rows
+        assert (other.alpha1, other.alpha2, other.mse) == (best.alpha1, best.alpha2, best.mse)
+        assert other.h.tobytes() == best.h.tobytes()
+        assert other_messages == messages
+    if model.factored.noise == 0.0:
+        # two points tie at an mse of exactly 0, in different rows, and one
+        # falls back to least squares: the first in row-major order wins
+        assert [r["mse"] for r in rows].count(0.0) == 2 and len(messages) == 1
+        assert (best.alpha1, best.alpha2) == (0.25, 0.25)
+
+
+@pytest.mark.parametrize("n1,n2,step,solves", [(16, 32, 0.25, 1), (64, 64, 0.1, 11)])
+def test_factored_search_stacks_rows_up_to_its_element_budget(n1, n2, step, solves, monkeypatch):
+    # the benchmark's 25-point search at N = 512 is one stacked solve; at
+    # N = 4096 an 11-point row alone is over the budget, so each row is one
+    g1, g2 = make_named_graph("path", n1), make_named_graph("cycle", n2)
+    model = build_observation_model(g1, g2, 1.0)
+    calls = count_diagonal_solves(monkeypatch)
+    _, rows = grid_search(model, g1, g2, step=step, keep_grid=True)
+    assert len(calls) == solves
+    assert sum(shape[0] for shape in calls) == len(rows)
