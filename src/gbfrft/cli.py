@@ -23,7 +23,7 @@ from . import __version__, matio, results
 from .deblur import FrameSequence, blur_sequence, default_config as deblur_config, run_deblur
 from .errors import GbfrftError, ParseError, ShapeMismatch
 from .graphs import NAMED_KINDS, make_knn_graph, make_named_graph
-from .learn import TrainConfig, fit, train, train_hybrid
+from .learn import OPTIMIZERS, TrainConfig, fit, train, train_hybrid
 from .metrics import frame_metrics
 from .synthetic import DEFAULT_VARIANCES, SyntheticSpec, TOPOLOGIES, run_synthetic
 from .synthetic import default_config as synthetic_config
@@ -101,12 +101,9 @@ def _require(args, *dests):
             raise ParseError(f"missing required option --{d.replace('_', '-')}")
 
 
-def _echo(args, extra=None) -> dict:
-    out = {k: v for k, v in sorted(vars(args).items()) if k not in ("_func", "config")}
-    out = {k: (list(v) if isinstance(v, tuple) else v) for k, v in out.items()}
-    if extra:
-        out.update(extra)
-    return out
+def _echo(args) -> dict:
+    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(vars(args).items())
+            if k not in ("_func", "config")}
 
 
 def _descent_config(args, default_config) -> TrainConfig:
@@ -381,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--batch", type=int, default=1, help="realizations to sample from the model")
         descent_opts(c, TrainConfig())
         c.add_argument("--lr-filter", type=float)
-        c.add_argument("--optimizer", default="adam", choices=("adam", "sgd"))
+        c.add_argument("--optimizer", default="adam", choices=OPTIMIZERS)
         c.add_argument("--seed", type=int, default=0)
         c.add_argument("--convention", default="transform-power", choices=CONVENTIONS)
         c.add_argument("--outdir")

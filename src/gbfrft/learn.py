@@ -51,7 +51,10 @@ M1inv = V diag(pi) V_inv and X itself kept once per fit:
 
     W = V_inv R,   E = V (pi W) - X,   Q = V^H E,   B = V_inv^H (conj(pi) Q),
 
-so B = M1inv^H E, and e1 = -<Q, dpi * W>: six blocks in five basis products.
+so B = M1inv^H E, and e1 = -<Q, dpi * W>: six blocks in five basis
+products. W and E are the basis's ``coordinates`` and ``power_product``,
+Q and B those of the basis of M1^H = V_inv^H diag(conj lam) V^H, which
+the stack builds once (the basis itself when V is unitary).
 
 Either way the first product lands in a sample-major layout, (S, K, n2,
 n1) for S samples and K blocks: each block is the transpose of an n1 x n2
@@ -75,12 +78,13 @@ three vertices), and each filter starts as float64 ones and takes the
 dtype of its first gradient; :func:`fit` returns it as complex128 unless
 ``TrainConfig.real_filter`` is set.
 
-The vertex-domain residual works on the dense V, V_inv and their
-adjoints. The descent takes orders, not transforms. Problems whose first
-factors share one basis descend stacked: the patches of a deblur run, and
-every method, noise variance and lambda of a time-vertex run. Each epoch
-gets every problem's powers of M1 from one vectorized ``exp``, one per
-distinct eigenvalue (with those of M1inv in the vertex domain only), and
+No product takes a part of a basis by name, so the shared, cached basis
+gains nothing in a fit but vectors of its eigenvalues. The descent takes
+orders, not transforms. Problems whose first factors share one basis
+descend stacked: the patches of a deblur run, and every method, noise
+variance and lambda of a time-vertex run. Each epoch gets every
+problem's powers of M1 from one vectorized ``exp``, one per distinct
+eigenvalue (with those of M1inv in the vertex domain only), and
 every problem's dense M2, M2inv and dM2 at its second order from one call
 of a :func:`~gbfrft.transforms.blend_plan`, made once per fit at the blend
 weights its families in ``transforms.METHOD_TABLE`` give. Each product by
@@ -246,44 +250,48 @@ class _Stack:
     """P descent problems whose first factors share one spectral basis.
 
     Every problem's samples are laid side by side on a sample axis of
-    length S, so each factor-1 multiply of the pass is one product with V,
-    V_inv or their adjoints for all problems and samples at once; each
-    problem's own powers of the eigenvalues scale its rows. ``second`` maps
-    the P second orders to every problem's dense M2, M2inv and dM2,
+    length S, so each factor-1 multiply of the pass is one ``coordinates``
+    or ``power_product`` of a basis for all problems and samples at once;
+    each problem's own powers of the eigenvalues scale its rows. ``second``
+    maps the P second orders to every problem's dense M2, M2inv and dM2,
     (3, P, n2, n2), float64 where they are real matrices.
 
     There is one pass (module docstring); the first basis alone picks its
     residual, once, here. With ``unitary_powers`` the residual is taken in
     M1's domain on the block [Y | X] of samples; any other first factor
-    takes it in the vertex domain on Y, and holds X too. Either way the
-    block is held in the coordinates that the powers scale, Z^T [Y | X] on
-    a basis with a real factor Z, V_inv [Y | X] on any other, sample-
-    major: (S, K, 1, n2, n1). Each epoch's first product is the basis's
-    one power product, real for real samples on a basis with real powers,
-    into the stack's scratch, in the layout (S, K, 2, n2, n1), K = 2 x 2
-    for (Y, X) x (M1, dM1), or 1 x 2 in the vertex domain, where the
-    residual's four more basis products, by the dense parts, take it too.
-    With one sample per problem nothing is gathered.
+    takes it in the vertex domain on Y, and holds X and the ``adjoint``
+    basis of M1^H too. Either way the block is held in the coordinates
+    that the powers scale, Z^T [Y | X] on a basis with a real factor Z,
+    V_inv [Y | X] on any other, sample-major: (S, K, 1, n2, n1). Each
+    epoch's first product is the basis's one power product, real for real
+    samples on a basis with real powers, into the stack's scratch, in the
+    layout (S, K, 2, n2, n1), K = 2 x 2 for (Y, X) x (M1, dM1), or 1 x 2 in
+    the vertex domain, where the residual's four more products, by the
+    basis and its adjoint, keep it too. With one sample per problem
+    nothing is gathered.
     """
 
     def __init__(self, basis: SpectralBasis, batches, second):
         self.unitary = basis.unitary_powers
         if not self.unitary and basis.Z is not None:
-            basis = replace(basis, Z=None, mix=None)   # the vertex-domain residual works on V and V_inv
+            basis = replace(basis, Z=None, mix=None)   # the vertex domain multiplies through V and V_inv
         self.basis = basis
         self.second = second
         self.counts = np.array([len(b) for b in batches])
         self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
         self.owner = np.repeat(np.arange(len(batches)), self.counts)
         self.one_each = len(self.owner) == len(batches)
-        Y = np.stack([np.asarray(Y) for b in batches for Y, _ in b], axis=1)
-        X = np.stack([np.asarray(X) for b in batches for _, X in b], axis=1)
-        self.n1, _, self.n2 = Y.shape
-        # the coordinates of the samples, sample-major and each transposed,
-        # (S, K, 1, n2, n1); the vertex-domain residual needs X itself, transposed
-        self.W = W = basis.coordinates(np.stack([Y, X] if self.unitary else [Y], axis=2)[:, :, :, None])
+        # the samples, each transposed, (S, n2, n1)
+        Y = np.stack([np.asarray(Y).T for b in batches for Y, _ in b])
+        X = np.stack([np.asarray(X).T for b in batches for _, X in b])
+        _, self.n2, self.n1 = Y.shape
+        # their coordinates, sample-major, (S, K, 1, n2, n1); the vertex domain
+        # keeps X itself and the basis of M1^H (module docstring)
+        self.W = W = basis.coordinates(np.stack([Y, X] if self.unitary else [Y], axis=1)[:, :, None])
         if not self.unitary:
-            self.X = np.ascontiguousarray(X.transpose(1, 2, 0))
+            self.X = X
+            self.adjoint = basis if basis.unitary else SpectralBasis(
+                V=basis.V_inv.conj().T, lam=basis.lam.conj(), V_inv=basis.V.conj().T)
         # each problem's powers of M1 and dM1 on the coordinates, one exp
         # per distinct eigenvalue, and scratch for the first product
         self.q = np.empty((len(batches), 2, len(basis.rows)), np.complex128)
@@ -316,11 +324,6 @@ class _Stack:
         value, d_orders, gh = self._pass(A, parts, H, inverse)
         return value, d_orders, gh.reshape(P, -1)
 
-    def _lmul_t(self, A: np.ndarray, part: str) -> np.ndarray:
-        """The dense basis ``part`` @ each transposed signal of A, (S, n2, n1),
-        held transposed."""
-        return (A.reshape(-1, self.n1) @ getattr(self.basis, part).T).reshape(A.shape)
-
     def _pass(self, A, parts, H, inverse):
         """The fused pass from the one basis product A = [M1 Y | dM1 Y | M1 X |
         dM1 X], (S, K, 2, n2, n1); K = 1, no X blocks, in the vertex domain,
@@ -341,10 +344,10 @@ class _Stack:
         else:
             # the vertex domain: E = M1inv R - X, B = M1inv^H E, e1 = -<Q, dpi * W>
             pi, dpi = (self._samples(p)[:, None, :] for p in inverse)
-            W = self._lmul_t(R, "V_inv")
-            E = self._lmul_t(pi * W, "V") - self.X
-            Q = self._lmul_t(E, "V_h")
-            B = self._lmul_t(pi.conj() * Q, "V_inv_h")
+            W = self.basis.coordinates(R)
+            E = self.basis.power_product(pi, W) - self.X
+            Q = self.adjoint.coordinates(E)
+            B = self.adjoint.power_product(pi.conj(), Q)
             e1 = -_inner(Q, dpi * W)
         F = np.conj(M2inv.swapaxes(-1, -2)) @ B         # B conj(M2inv)
         # <E, E>, e1 and <F, R dM2^T>, then both order derivatives; <F, H * dU> = <F conj(H), dU>

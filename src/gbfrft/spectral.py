@@ -74,20 +74,13 @@ class PairMixing(NamedTuple):
     minus: np.ndarray
 
 
-def _real_lmul(R: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """R @ X for a real R: a complex X multiplies as one real GEMM on its
-    float64 view, with no complex copy of R."""
-    if not np.iscomplexobj(X):
-        return R @ X
-    X = np.ascontiguousarray(X, dtype=np.complex128)
-    return (R @ X.view(np.float64)).view(np.complex128)
-
-
 def _rmul_t(X: np.ndarray, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """X @ M^T for a 2-D X, into a contiguous ``out`` if given; a complex X
-    on a real M takes the real GEMM of :func:`_real_lmul`, (M X^T)^T."""
-    if np.iscomplexobj(X) and not np.iscomplexobj(M):
-        return _real_lmul(M, X.T).T
+    """X @ M^T for a 2-D X, into a contiguous ``out`` if given. A complex X
+    on a real M is (M X^T)^T, one real GEMM on the float64 view of a
+    contiguous X^T, with no complex copy of M."""
+    if not np.iscomplexobj(M) and np.iscomplexobj(X):
+        XT = np.ascontiguousarray(X.T, dtype=np.complex128)
+        return (M @ XT.view(np.float64)).view(np.complex128).T
     return np.matmul(X, M.T, out=None if out is None else out.reshape(len(X), -1))
 
 
@@ -98,7 +91,10 @@ class SpectralBasis:
 
     A basis from the real Schur path also keeps the real orthogonal factor
     ``Z`` and the eigenvalue positions ``mix`` of its columns (see the
-    module docstring); V and V_inv are kept dense for the other consumers.
+    module docstring), and its products go through Z; its V and V_inv serve
+    :meth:`dense` on complex powers and the graph Fourier matrix F_G = V_inv.
+    After it is built, a basis caches only flags and vectors over its n
+    eigenvalues.
     """
 
     V: np.ndarray
@@ -111,14 +107,6 @@ class SpectralBasis:
     @property
     def n(self) -> int:
         return self.lam.shape[0]
-
-    @cached_property
-    def V_h(self) -> np.ndarray:
-        return np.ascontiguousarray(self.V.conj().T)
-
-    @cached_property
-    def V_inv_h(self) -> np.ndarray:
-        return np.ascontiguousarray(self.V_inv.conj().T)
 
     @cached_property
     def unitary_powers(self) -> bool:
@@ -183,12 +171,12 @@ class SpectralBasis:
         return self.dense(self.lam)
 
     def coordinates(self, X: np.ndarray) -> np.ndarray:
-        """The coordinates that a power scales, of X along its first axis:
-        Z^T X on a basis with a real factor, V_inv X on any other. The
-        coordinate axis comes last, in a contiguous copy: (..., n)."""
-        X2 = X.reshape(self.n, -1)
-        W = self.V_inv @ X2 if self.Z is None else _real_lmul(self.Z.T, X2)
-        return np.ascontiguousarray(np.moveaxis(W.reshape(X.shape), 0, -1))
+        """The coordinates that a power scales, of the vectors along X's last
+        axis, in :meth:`power_product`'s layout: (..., n) in, a contiguous
+        (..., n) out, X Z on a basis with a real factor (one real GEMM, also
+        for complex X) and X V_inv^T on any other."""
+        W = _rmul_t(X.reshape(-1, self.n), self.V_inv if self.Z is None else self.Z.T)
+        return np.ascontiguousarray(W.reshape(X.shape))
 
     def power_product(self, q: np.ndarray, W: np.ndarray, out=None) -> np.ndarray:
         """M(p) X = V diag(p) V_inv X from the :meth:`coordinates` W of X,
@@ -370,7 +358,7 @@ class FractionalOperator:
         if X.shape[0] != self.n:
             raise ShapeMismatch(f"operand has {X.shape[0]} rows, operator needs {self.n}")
         d = self.pow_inv if inverse else self.pow_fwd
-        out = self.basis.power_product(d[self.basis.rows], self.basis.coordinates(X))
+        out = self.basis.power_product(d[self.basis.rows], self.basis.coordinates(np.moveaxis(X, 0, -1)))
         return np.moveaxis(out, -1, 0).astype(np.complex128, copy=False)
 
     matrix = cached_property(lambda self: self.basis.dense(self.pow_fwd))

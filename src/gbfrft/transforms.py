@@ -56,7 +56,7 @@ BASIS_CACHE_BYTES = 64 * 2**20
 
 def _held_bytes(content: np.ndarray | None, basis: SpectralBasis) -> int:
     """Bytes of a cache entry's arrays: its matrix and every part of its
-    basis, the lazily cached ones included."""
+    basis as built."""
     parts = [content, *vars(basis).values(), *(basis.mix or ())]
     return sum(a.nbytes for a in parts if isinstance(a, np.ndarray))
 
@@ -66,24 +66,25 @@ class _BasisCache:
     first. A key names the matrix (for a graph: convention, shape and
     content digest); ``content`` is that matrix, compared exactly on every
     hit, so a digest collision costs a decomposition and never returns the
-    wrong basis. An entry's bytes are counted at its last use, so parts a
-    basis caches lazily count from its next use on."""
+    wrong basis. An entry's bytes are counted once, when it is built: a
+    basis later caches only vectors of its n eigenvalues."""
 
     def __init__(self):
         self.entries: OrderedDict[tuple, tuple[np.ndarray | None, SpectralBasis, int]] = OrderedDict()
         self.nbytes = self.hits = self.misses = 0
 
     def get(self, key: tuple, content: np.ndarray | None, build) -> SpectralBasis:
-        entry = self.entries.pop(key, None)
-        if entry is not None:
-            self.nbytes -= entry[2]
+        entry = self.entries.get(key)
         if entry is not None and (entry[0] is content or np.array_equal(entry[0], content)):
             self.hits += 1
-            basis = entry[1]
-        else:
-            self.misses += 1
-            basis = build()
-        # keep the caller's own array, so its next calls pass the identity test
+            self.entries.move_to_end(key)
+            if entry[0] is not content:   # keep the caller's own array: its next calls pass the identity test
+                self.entries[key] = (content, *entry[1:])
+            return entry[1]
+        self.misses += 1
+        if entry is not None:   # a digest collision: the new matrix takes the key
+            self.nbytes -= self.entries.pop(key)[2]
+        basis = build()
         size = _held_bytes(content, basis)
         self.entries[key] = (content, basis, size)
         self.nbytes += size

@@ -461,3 +461,96 @@ def test_config_keeps_a_negative_initial_order(tmp_path):
     meta = json.load(open(tmp_path / "out" / "trace.meta.json"))
     assert meta["config"]["init_orders"] == [-0.5, 0.5]
     assert meta["config"]["equal_orders"] is False
+
+
+def _table(path):
+    """The header and the rows of a CSV the CLI wrote."""
+    lines = open(path).read().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _one_line(capsys, start):
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith(start), out
+    return out[0]
+
+
+def _write_frames(tmp_path, stem, frames):
+    paths = [str(tmp_path / f"{stem}{f}.pgm") for f in range(len(frames))]
+    for path, frame in zip(paths, frames):
+        matio.write_pgm(path, frame)
+    return ",".join(paths)
+
+
+def test_deblur_with_synthesized_blur_writes_rows_frames_and_heatmaps(tmp_path, capsys):
+    frames = np.random.default_rng(31).uniform(0, 255, size=(2, 12, 12))
+    outdir = tmp_path / "out"
+    assert main(["deblur", "--clean", _write_frames(tmp_path, "clean", frames), "--synthesize-blur",
+                 "--patch", "6", "--epochs", "3", "--heatmap", "--outdir", str(outdir)]) == 0
+    _one_line(capsys, "deblur avg psnr ")
+    header, rows = _table(outdir / "deblur.csv")
+    assert tuple(header) == results.LAYOUTS["deblur"]
+    # a row per restored frame, their average, and a row per blurred frame
+    assert [r[:2] for r in rows] == [["2d-gbfrft", "1"], ["2d-gbfrft", "2"], ["2d-gbfrft", "avg"],
+                                     ["blurred", "1"], ["blurred", "2"]]
+    for k in (1, 2):
+        for stem in ("restored", "error"):
+            assert matio.read_pgm(str(outdir / f"{stem}_{k}.pgm")).shape == (12, 12)
+
+
+def test_deblur_reads_its_blurred_frames(tmp_path, capsys):
+    rng = np.random.default_rng(32)
+    clean = rng.uniform(0, 255, size=(2, 12, 12))
+    blurred = np.clip(clean + rng.normal(scale=20.0, size=clean.shape), 0, 255)
+    outdir = tmp_path / "out"
+    assert main(["deblur", "--clean", _write_frames(tmp_path, "clean", clean),
+                 "--blurred", _write_frames(tmp_path, "blurred", blurred),
+                 "--patch", "6", "--epochs", "3", "--outdir", str(outdir)]) == 0
+    _one_line(capsys, "deblur avg psnr ")
+    header, rows = _table(outdir / "deblur.csv")
+    assert tuple(header) == results.LAYOUTS["deblur"] and len(rows) == 2 + 1 + 2
+    # the blurred rows score the frames that were read
+    for f, row in enumerate(rows[3:]):
+        want = deblur.frame_metrics(matio.read_pgm(str(tmp_path / f"clean{f}.pgm")),
+                                    matio.read_pgm(str(tmp_path / f"blurred{f}.pgm")))[0]
+        assert float(row[2]) == pytest.approx(want, rel=1e-9)
+    assert not (outdir / "error_1.pgm").exists()
+
+
+def test_timevertex_writes_a_row_per_k_variance_and_method(tmp_path, capsys):
+    rng = np.random.default_rng(33)
+    values, coords = str(tmp_path / "v.csv"), str(tmp_path / "c.csv")
+    matio.write_matrix(values, rng.normal(size=(6, 5)))
+    matio.write_matrix(coords, rng.uniform(0, 10, size=(6, 2)))
+    outdir = tmp_path / "out"
+    assert main(["timevertex", "--values", values, "--coords", coords, "--k", "2,3",
+                 "--variances", "0.5,1.0", "--methods", "2d-gbfrft,jfrft", "--epochs", "2",
+                 "--outdir", str(outdir)]) == 0
+    _one_line(capsys, f"timevertex table: 8 rows -> {outdir}")
+    header, rows = _table(outdir / "timevertex.csv")
+    assert tuple(header) == results.LAYOUTS["timevertex"]
+    assert [tuple(r[:3]) for r in rows] == [(m, k, s) for k in ("2", "3") for s in ("0.5", "1")
+                                            for m in ("2d-gbfrft", "jfrft")]
+
+
+@pytest.mark.parametrize("init, orders", [(None, (0.5, 0.5)), ("0.5", (0.5, 0.5)), ("0.3", (0.3, 0.3))])
+def test_denoise_gd_reads_its_samples_from_files(tmp_path, capsys, init, orders):
+    g1, g2, _, _ = write_model(tmp_path)
+    rng = np.random.default_rng(34)
+    X = rng.normal(size=(3, 4))
+    y, x = str(tmp_path / "y.csv"), str(tmp_path / "x.csv")
+    matio.write_matrix(y, X + 0.3 * rng.normal(size=(3, 4)))
+    matio.write_matrix(x, X)
+    outdir = tmp_path / "out"
+    extra = [] if init is None else ["--init-orders", init]
+    assert main(["denoise-gd", "--graph1", g1, "--graph2", g2, "--y", y, "--x", x, "--epochs", "4",
+                 "--outdir", str(outdir)] + extra) == 0
+    _one_line(capsys, "best orders (")
+    header, rows = _table(outdir / "trace.csv")
+    assert tuple(header) == results.LAYOUTS["trace"] and len(rows) == 4
+    # one pair from the files, with no model to sample, descends as the library fit does
+    _, trace = fit([("2d-gbfrft", [(matio.read_matrix(y), X)])], make_named_graph("path", 3),
+                   make_named_graph("cycle", 4), TrainConfig(epochs=4, init_orders=orders))[0]
+    assert [[float(v) for v in r] for r in rows] == [list(r.values()) for r in trace.rows()]
+    assert _trace_orders(outdir)[0] == orders   # a single --init-orders value sets both
+    assert matio.read_vector(str(outdir / "filter.csv"), complex_=True).shape == (12,)

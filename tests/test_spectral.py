@@ -313,7 +313,7 @@ def test_every_power_applies_through_the_one_rule(name):
     rng = np.random.default_rng(11)
     parts = power_parts(b, np.array([0.3, 1.7]))
     for X in (rng.normal(size=(b.n, 3, 2)), rng.normal(size=(b.n, 5)) + 1j * rng.normal(size=(b.n, 5))):
-        W = b.coordinates(X)
+        W = b.coordinates(np.moveaxis(X, 0, -1))
         assert W.shape == X.shape[1:] + (b.n,)
         for p in (q for part in parts for q in part):
             cases = [(p, b.dense(p))] + ([(p.conj(), b.dense(p).conj().T)] if b.unitary else [])
@@ -354,7 +354,7 @@ def test_the_negative_columns_add_their_imaginary_part_to_the_stacked_product(gr
     assert b.negative.size and not b.real_powers
     rng = np.random.default_rng(13)
     X = rng.normal(size=(b.n, 3, 2, 1, 4)) + (1j * rng.normal(size=(b.n, 3, 2, 1, 4)) if complex_samples else 0.0)
-    W = b.coordinates(X)   # (S, K, 1, n2, n)
+    W = b.coordinates(np.moveaxis(X, 0, -1))   # (S, K, 1, n2, n)
     parts = np.stack(power_parts(b, np.array([0.3, 0.8, 1.4]), inverse=False), axis=1)   # (S, 2, n)
     work = np.empty((2, 3, 2, 2, 4, b.n), W.dtype)
     got = b.power_product(parts[..., b.rows][:, None, :, None], W, out=work)
@@ -371,7 +371,7 @@ def test_stacked_powers_broadcast_against_the_coordinates():
     # each stacked power's product is the product with that power alone,
     # bit for bit, also where the stack's scratch holds the turned pairs
     b = eig_general(eig_general(patch_graph(16).adjacency).V_inv)
-    W = b.coordinates(np.random.default_rng(12).normal(size=(b.n, 3, 2)))
+    W = b.coordinates(np.moveaxis(np.random.default_rng(12).normal(size=(b.n, 3, 2)), 0, -1))
     q = np.stack(power_parts(b, np.array([0.4, 0.9]), inverse=False))[..., b.rows]   # (2, 2, n - pairs)
     got = b.power_product(q[:, :, None, None, :], W, out=np.empty((2, 2, 2, 3, 2, b.n)))
     assert got.shape == (2, 2, 3, 2, b.n)

@@ -240,6 +240,20 @@ def test_a_digest_collision_still_gives_each_graph_its_own_basis(monkeypatch, co
     assert graph_basis(g1) is not graph_basis(g2)
 
 
+def test_a_basis_cache_hit_measures_nothing(monkeypatch, cold_basis_cache):
+    # an entry's bytes are counted once, when its basis is built
+    measured, held_bytes = [], transforms._held_bytes
+    monkeypatch.setattr(transforms, "_held_bytes",
+                        lambda content, basis: measured.append(held_bytes(content, basis)) or measured[-1])
+    a, b, equal_to_a = (make_named_graph("cycle", 6, weighted=True, seed=s) for s in (1, 2, 1))
+    for g in (a, b, a, equal_to_a, b, a):
+        graph_basis(g)
+    dft_basis(4)
+    dft_basis(4)
+    assert transforms.basis_cache_stats() == {"entries": 3, "bytes": sum(measured), "hits": 5, "misses": 3}
+    assert len(measured) == 3
+
+
 def test_basis_cache_keeps_its_bound_and_evicted_bases_die_without_the_cycle_collector(
         monkeypatch, cold_basis_cache):
     # nothing that a transform holds may point back at the basis, or an
