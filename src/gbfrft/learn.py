@@ -267,8 +267,9 @@ class _Stack:
     samples on a basis with real powers, into the stack's scratch, in the
     layout (S, K, 2, n2, n1), K = 2 x 2 for (Y, X) x (M1, dM1), or 1 x 2 in
     the vertex domain, where the residual's four more products, by the
-    basis and its adjoint, keep it too. With one sample per problem
-    nothing is gathered.
+    basis and its adjoint, keep it too. The pass's full-size temporaries
+    (U, R, dR, F) are arrays the stack holds, so warm epochs allocate
+    none of them. With one sample per problem nothing is gathered.
     """
 
     def __init__(self, basis: SpectralBasis, batches, second):
@@ -295,7 +296,19 @@ class _Stack:
         # each problem's powers of M1 and dM1 on the coordinates, one exp
         # per distinct eigenvalue, and scratch for the first product
         self.q = np.empty((len(batches), 2, len(basis.rows)), np.complex128)
-        self.work = np.empty((2,) + W.shape[:2] + (2,) + W.shape[3:], W.dtype)
+        shape = W.shape[:2] + (2,) + W.shape[3:]
+        self.work = (*np.empty((2,) + shape, W.dtype),
+                     np.empty(shape, np.complex128) if basis.Z is not None and basis.negative.size else None)
+        self.scratch = {}
+
+    def _scratch(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        """The stack's array ``name`` for a full-size temporary of the pass,
+        made on first use and again only when its dtype changes (a filter
+        becomes complex after the first epoch), so warm epochs allocate none."""
+        buf = self.scratch.get(name)
+        if buf is None or buf.dtype != dtype:
+            buf = self.scratch[name] = np.empty(shape, dtype)
+        return buf
 
     def _samples(self, per_problem: np.ndarray, axis: int = 0) -> np.ndarray:
         """Each sample's row of per-problem values along ``axis``."""
@@ -332,11 +345,13 @@ class _Stack:
         the left."""
         M2, M2inv, dM2 = parts.astype(np.result_type(A, parts), copy=False)   # one cast, not one per product
         # U = M1 Y M2^T and its derivatives dM1 Y M2^T and M1 Y dM2^T
-        U = np.empty(A.shape[:1] + (3,) + A.shape[3:], np.result_type(A, M2))
+        U = self._scratch("U", A.shape[:1] + (3,) + A.shape[3:], np.result_type(A, M2))
         np.matmul(M2[:, None], A[:, 0], out=U[:, :2])
         np.matmul(dM2, A[:, 0, 0], out=U[:, 2])
-        R = M2inv @ (H * U[:, 0])                       # (H * U) M2inv^T
-        dR = dM2 @ R                                    # R dM2^T
+        shape = U[:, 0].shape
+        HU = np.multiply(H, U[:, 0], out=self._scratch("HU", shape, np.result_type(H, U)))
+        R = np.matmul(M2inv, HU, out=self._scratch("R", shape, np.result_type(M2inv, HU)))   # (H * U) M2inv^T
+        dR = np.matmul(dM2, R, out=self._scratch("dR", shape, np.result_type(dM2, R)))      # R dM2^T
         if inverse is None:
             # M1's domain: E = R - M1 X is its own adjoint B, e1 = <E, dM1 X>
             E = B = np.subtract(R, A[:, 1, 0], out=R)
@@ -349,10 +364,16 @@ class _Stack:
             Q = self.adjoint.coordinates(E)
             B = self.adjoint.power_product(pi.conj(), Q)
             e1 = -_inner(Q, dpi * W)
-        F = np.conj(M2inv.swapaxes(-1, -2)) @ B         # B conj(M2inv)
+        M2inv_H = np.conj(M2inv, out=self._scratch("M2inv_H", M2inv.shape, M2inv.dtype)).swapaxes(-1, -2)
+        F = np.matmul(M2inv_H, B, out=self._scratch("F", shape, np.result_type(M2inv, B)))   # B conj(M2inv)
         # <E, E>, e1 and <F, R dM2^T>, then both order derivatives; <F, H * dU> = <F conj(H), dU>
         per_sample = np.stack([_inner(E, E), e1, _inner(F, dR)], axis=1)
-        per_sample[:, 1:] = _inner((F * H.conj())[:, None], U[:, 1:]) - per_sample[:, 1:]
+        # F conj(H) as F * H.conj(): numpy multiplies a large temporary H.conj()
+        # in place with the operands swapped, and the order of a complex
+        # product's operands can move its last bit
+        FH = F * H.conj() if np.iscomplexobj(H) else np.multiply(
+            F, H, out=self._scratch("FH", shape, np.result_type(F, H)))
+        per_sample[:, 1:] = _inner(FH[:, None], U[:, 1:]) - per_sample[:, 1:]
         means = self._mean(per_sample)
         gh = self._mean(np.multiply(np.conjugate(U[:, 0], out=U[:, 0]), F, out=F))
         gh *= 2.0

@@ -38,6 +38,15 @@ The input alone picks the eigensolver:
 Each of these bases is orthonormal, so fractional powers of unitary
 matrices stay unitary. Everything else uses a general eigensolve with an
 explicit conditioning guard.
+
+The structure tests that pick the solver, and the reconstruction check
+after it, run in the input's own arithmetic: real input (float64, or
+complex with no imaginary part) is tested in float64 with no complex copy,
+and a Hermitian basis with real eigenvectors is checked by the real product
+(V_r * lam) V_r^T. Each solver still gets the array it always got: a
+complex128 copy for ``eigh`` and ``eig``, the real matrix for the real
+Schur form and the complex input for the complex one, so the basis does
+not depend on the input's dtype.
 """
 
 from __future__ import annotations
@@ -191,10 +200,11 @@ class SpectralBasis:
         ``negative`` columns, M(p) X = Z B + j Z[:, neg] (Im(q) W)[neg]: one
         complex multiply and one real GEMM by Z, real for real X on
         ``real_powers``. Complex X takes the rule on its real and imaginary
-        parts. On any other basis it is V (q W). ``out``, two arrays (or
-        None) of the broadcast shape, is scratch for B and the result."""
+        parts. On any other basis it is V (q W). ``out``, two or three arrays
+        (or None) of the broadcast shape, is scratch for B and the real GEMM,
+        and for the complex result with ``neg`` columns."""
         n = self.n
-        B, C = (None, None) if out is None else out
+        B, C, D = (None, None, None) if out is None else (*out, None)[:3]
         if self.Z is None:
             B = np.multiply(q, W, out=B)
             return _rmul_t(B.reshape(-1, n), self.V, C).reshape(B.shape)
@@ -208,9 +218,9 @@ class SpectralBasis:
         np.multiply(q[..., nq:].real, W[..., 2 * nq:], out=B[..., 2 * nq:])
         out = _rmul_t(B.reshape(-1, n), self.Z, C).reshape(B.shape)
         neg = self.negative
-        if neg.size:
-            C = q[..., neg - nq].imag * W[..., neg]
-            out = out + 1j * _rmul_t(C.reshape(-1, len(neg)), self.Z[:, neg]).reshape(out.shape)
+        if neg.size:   # its real GEMM reuses B, which the first GEMM has consumed
+            G = _rmul_t((q[..., neg - nq].imag * W[..., neg]).reshape(-1, len(neg)), self.Z[:, neg], B)
+            out = np.add(out, np.multiply(1j, G.reshape(out.shape), out=D), out=D)
         return out
 
 
@@ -239,12 +249,12 @@ def _real_schur_basis(M: np.ndarray) -> SpectralBasis:
     T, Z = scipy.linalg.schur(M, output="real")
     n = T.shape[0]
     i = np.flatnonzero(np.diag(T, -1))   # first row of each 2x2 block
-    b, c = T[i, i + 1], T[i + 1, i]
+    b, c, a = T[i, i + 1], T[i + 1, i], np.diag(T).copy()
+    del T
     s = np.sqrt(np.maximum(-b * c, 0.0))
     pair = s > REAL_AXIS_SNAP
     i, s, sign = i[pair], s[pair], np.sign(b[pair])
     single = np.setdiff1d(np.arange(n), np.concatenate([i, i + 1]))
-    a = np.diag(T)
     # the PairMixing column layout; the sign of b turns the eigenvector
     # (e_i + j sign(b) e_{i+1}) / sqrt(2) into (x + j y) / sqrt(2)
     Z = np.concatenate([np.stack([Z[:, i], Z[:, i + 1] * sign], axis=2).reshape(n, -1), Z[:, single]], axis=1)
@@ -263,6 +273,7 @@ def _real_schur_basis(M: np.ndarray) -> SpectralBasis:
     V_inv[mix.plus] = x - y
     x += y
     V_inv[mix.minus] = x
+    del ZT, x, y
     # V in Fortran order, as the other paths return it: small dense
     # products by V run faster in that order
     return SpectralBasis(V=V_inv.conj().T, lam=_snap_to_real_axis(lam[order]), V_inv=V_inv,
@@ -281,6 +292,13 @@ def guarded_inverse(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return B_inv, cond
 
 
+def _normality_defect(N: np.ndarray, NH: np.ndarray) -> float:
+    """||N N^H - N^H N||_F, with one product's buffer taking the difference."""
+    C = N @ NH
+    C -= NH @ N
+    return float(np.linalg.norm(C))
+
+
 def eig_general(M) -> SpectralBasis:
     """Diagonalize a square matrix with a canonical eigenvalue order.
 
@@ -292,32 +310,38 @@ def eig_general(M) -> SpectralBasis:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {M.shape}")
-    M = M.astype(np.complex128, copy=False)
+    M = M.astype(np.float64 if M.dtype.kind in "biuf" else np.complex128, copy=False)
     if not np.all(np.isfinite(M)):
         raise NonFinite("matrix entries must be finite")
-    real = not np.any(M.imag)
-    N = np.ascontiguousarray(M.real) if real else M   # the normality test runs in real arithmetic
-    scale = float(np.linalg.norm(M))
+    # the structure tests and checks run in real arithmetic on real entries
+    N = np.ascontiguousarray(M.real) if M.dtype == np.complex128 and not np.any(M.imag) else M
+    real = N.dtype == np.float64
+    scale = float(np.linalg.norm(N))
     tol = STRUCTURE_RTOL * max(1.0, scale)
+    NH = N.conj().T   # a view of a real N
+    real_V = None
 
-    if np.linalg.norm(M - M.conj().T) <= tol:
-        w, V = np.linalg.eigh(M)
+    if np.linalg.norm(N - NH) <= tol:
+        w, V = np.linalg.eigh(M.astype(np.complex128, copy=False))
         order = np.argsort(-w, kind="stable")
-        lam = w[order].astype(np.complex128)
-        V = V[:, order]
-        basis = SpectralBasis(V=V, lam=lam, V_inv=V.conj().T.copy(), unitary=True)
-    elif np.linalg.norm(N @ N.conj().T - N.conj().T @ N) <= STRUCTURE_RTOL * max(1.0, scale * scale):
+        w, V = w[order], V[:, order]
+        basis = SpectralBasis(V=V, lam=w.astype(np.complex128), V_inv=np.conj(V.T, order="C"), unitary=True)
+        # zheevd returns real vectors for a real symmetric input; the check is
+        # then a real product, a quarter of the complex one's flops
+        real_V = V.real.copy() if real and not np.any(V.imag) else None
+    elif _normality_defect(N, NH) <= STRUCTURE_RTOL * max(1.0, scale * scale):
         if real:
             basis = _real_schur_basis(N)
         else:
             T, Z = scipy.linalg.schur(M, output="complex")
             lam = np.diag(T).copy()
+            del T
             order = _canonical_order(lam)
             lam = _snap_to_real_axis(lam[order])
             Z = Z[:, order]
-            basis = SpectralBasis(V=Z, lam=lam, V_inv=Z.conj().T.copy(), unitary=True)
+            basis = SpectralBasis(V=Z, lam=lam, V_inv=np.conj(Z.T, order="C"), unitary=True)
     else:
-        w, V = np.linalg.eig(M)
+        w, V = np.linalg.eig(M.astype(np.complex128, copy=False))
         order = _canonical_order(w)
         lam = _snap_to_real_axis(w[order])
         V = V[:, order]
@@ -326,7 +350,9 @@ def eig_general(M) -> SpectralBasis:
             raise DefectiveMatrix("eigenvector matrix is numerically singular")
         basis = SpectralBasis(V=V, lam=lam, V_inv=V_inv, unitary=False)
 
-    err = np.linalg.norm(basis.reconstruct() - M) / max(1.0, scale)
+    R = basis.reconstruct() if real_V is None else (real_V * w) @ real_V.T
+    R -= N
+    err = np.linalg.norm(R) / max(1.0, scale)
     if err > RECONSTRUCTION_RTOL:
         raise DefectiveMatrix(f"eigendecomposition reconstruction error {err:.3e}")
     return basis

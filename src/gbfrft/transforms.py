@@ -119,15 +119,23 @@ def _check_convention(convention: str):
 def graph_basis(g: Graph, convention: str = "transform-power") -> SpectralBasis:
     """Spectral basis backing the graph-side fractional operator.
 
-    Cached by content: graphs with equal adjacencies share one basis per
-    convention, and it outlives the graph that first asked for it (see
-    :func:`basis_cache_stats`)."""
+    Under ``transform-power`` the adjacency's basis is dropped before F_G =
+    V_A^{-1} is solved, and F_G goes to :func:`eig_general` as float64 when
+    V_inv is real (an undirected graph), so a cold build holds at most one
+    of the two bases at a time. Cached by content: graphs with equal
+    adjacencies share one basis per convention, and it outlives the graph
+    that first asked for it (see :func:`basis_cache_stats`)."""
     _check_convention(convention)
 
     def build():
         basis = eig_general(g.adjacency)
-        # F_G = V_A^{-1}; only the convention asked for is kept
-        return eig_general(basis.V_inv) if convention == "transform-power" else basis
+        if convention == "shift-power":
+            return basis
+        F = basis.V_inv   # F_G = V_A^{-1}, solved once the adjacency's basis is gone
+        del basis
+        if not np.any(F.imag):
+            F = F.real.copy()
+        return eig_general(F)
 
     return _BASES.get((convention, g.adjacency.shape, g.digest), g.adjacency, build)
 
@@ -241,6 +249,9 @@ def blend_plan(g2_path: Graph, lam: np.ndarray, convention: str = "transform-pow
     # each endpoint's parts at its own orders, then the blends'
     bufs = [out if len(at) == len(lam) else np.empty((3, len(at) + len(mid), T, T), b.dtype) for at, b in ends]
     w = lam[mid, None, None]
+    if mid.size:   # the blends B and dB, and scratch for the graph power's term
+        blend = np.empty((2, len(mid), T, T), out.dtype)
+        term = np.empty(blend.shape, bufs[1].dtype)
 
     def parts(beta: np.ndarray) -> np.ndarray:
         blends = []   # one dense_powers call per endpoint basis
@@ -251,12 +262,13 @@ def blend_plan(g2_path: Graph, lam: np.ndarray, convention: str = "transform-pow
             blends.append(powers[::2, len(at):])
         if mid.size:
             fd, fg = blends
-            B, dB = w * fd + (1.0 - w) * fg
-            B_inv, cond = guarded_inverse(B)
+            np.add(np.multiply(w, fd, out=blend), np.multiply(1.0 - w, fg, out=term), out=blend)
+            B_inv, cond = guarded_inverse(blend[0])
             bad = ~(cond <= CONDITION_LIMIT)
             if bad.any():
                 raise SingularBlend(f"blend at lambda={lam[mid][bad]}, beta={beta[mid][bad]} is numerically singular")
-            out[:, mid] = B, B_inv, dB
+            out[::2, mid] = blend
+            out[1, mid] = B_inv
         return out
 
     return parts
@@ -287,7 +299,12 @@ class Method(NamedTuple):
         lam = float(lam) if self.searches_lambda else None
         op1 = gfrft(g1, a1, convention)
         w = self.weight if lam is None else lam
-        op2 = DenseOperator(a2, *blend_plan(g2, np.array([w]), convention)(np.array([a2]))[:, 0])
+        basis = blend_basis(g2, w, convention)
+        if basis is None:   # a blend, or a weight that blend_plan rejects
+            parts = blend_plan(g2, np.array([w]), convention)(np.array([a2]))
+        else:               # an endpoint: the call blend_plan makes there
+            parts = dense_powers(basis, np.array([a2]))
+        op2 = DenseOperator(a2, *parts[:, 0])
         return ProductTransform(op1, op2, self.kind, (a1, a2), lam)
 
 

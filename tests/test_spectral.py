@@ -378,3 +378,32 @@ def test_stacked_powers_broadcast_against_the_coordinates():
     for i in range(2):
         for k in range(2):
             assert np.array_equal(got[i, k], b.power_product(q[i, k], W))
+
+
+def _basis_bytes(b: SpectralBasis) -> list[tuple]:
+    parts = [b.V, b.lam, b.V_inv] + ([] if b.Z is None else [b.Z, *b.mix])
+    return [(p.dtype.str, p.shape, p.tobytes()) for p in parts]
+
+
+@pytest.mark.parametrize("case", ["adjacency", "F_G of path 16", "F_G of cycle 32", "digraph"])
+def test_a_real_matrix_gives_the_same_basis_in_any_dtype(case):
+    """The structure tests and checks run in the input's own arithmetic, and
+    each eigensolver gets the array it always got, so a float64, an integer
+    and a zero-imaginary complex128 copy (imaginary parts +0 or -0) all give
+    the complex128 input's basis byte for byte: the eigh, real Schur and
+    general eig paths."""
+    if case == "adjacency":
+        M = patch_graph(8).adjacency
+    elif case == "digraph":
+        M = make_named_graph("complete", 7, directed=True, seed=3).adjacency
+    else:
+        kind, n = case.split()[-2:]
+        M = eig_general(make_named_graph(kind, int(n)).adjacency).V_inv.real.copy()
+    want = _basis_bytes(eig_general(M.astype(np.complex128)))
+    copies = [M.astype(np.float64), np.asfortranarray(M), np.conj(M.astype(np.complex128))]
+    if np.array_equal(M, M.astype(int)):
+        copies.append(M.astype(int))
+    for copy in copies:
+        assert _basis_bytes(eig_general(copy)) == want
+    b = eig_general(M)
+    assert b.Z is not None if case.startswith("F_G") else b.unitary == (case == "adjacency")

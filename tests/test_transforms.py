@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -216,6 +217,33 @@ def test_graph_basis_caches_only_the_convention_asked_for(cold_basis_cache):
     shift, fresh = graph_basis(g, "shift-power"), eig_general(g.adjacency)
     for part in ("V", "lam", "V_inv"):
         assert np.array_equal(getattr(shift, part), getattr(fresh, part))
+
+
+def test_graph_basis_is_the_basis_of_the_adjacency_basis_inverse(cold_basis_cache):
+    # F_G goes to its eigensolver as float64 where V_inv is real, with the
+    # same bytes as the complex V_inv eig_general gives
+    g = patch_graph(12)
+    got, want = graph_basis(g), eig_general(eig_general(g.adjacency).V_inv)
+    for part in ("V", "lam", "V_inv", "Z"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert all(np.array_equal(a, b) for a, b in zip(got.mix, want.mix))
+
+
+def test_a_cold_graph_basis_peaks_at_nine_dense_arrays(cold_basis_cache):
+    # numpy's traced arrays while a 400-vertex F_G basis is built from the
+    # adjacency: the two eigendecompositions, their checks and the basis held
+    # (Z, V, V_inv) stay within nine float64 400 x 400 arrays; complex copies
+    # of real matrices took 13
+    g = patch_graph(20)
+    tracemalloc.start()
+    try:
+        graph_basis(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * g.n * g.n)
+    assert arrays <= 9.0, arrays
 
 
 def test_graphs_of_equal_content_share_one_basis(cold_basis_cache, eig_calls):
